@@ -34,7 +34,6 @@ class RunReport:
     command: str
     parameters: dict
     outcome: str  # pass | fail | error
-    payload: str  # exactly what went to stdout
     elapsed_ms: int
 
     def envelope(self) -> str:
@@ -114,10 +113,10 @@ def _cmd_verify(args) -> tuple[str, str]:
         "all_passed": all_passed,
     }
     if "structure" in reports:
-        witness, _ = verification.check_square_structure(gc)
+        parts = gc.p_sets + gc.q_sets  # the parts check_square_structure verified
         doc["structure_parts"] = {
-            "count": len(witness.parts),
-            "sizes": [len(p) for p in witness.parts],
+            "count": len(parts),
+            "sizes": [len(p) for p in parts],
         }
     return ("pass" if all_passed else "fail"), serialize.json_dumps(doc)
 
@@ -189,7 +188,6 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING))
     started = time.perf_counter()
     parameters = {k: v for k, v in vars(args).items() if k != "command"}
-    payload = ""
     try:
         outcome, payload = _HANDLERS[args.command](args)
         code = EXIT_PASS if outcome == "pass" else EXIT_FAIL
@@ -215,7 +213,7 @@ def main(argv=None) -> int:
             outcome, code = "error", EXIT_IO
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     report = RunReport(command=args.command, parameters=parameters,
-                       outcome=outcome, payload=payload, elapsed_ms=elapsed_ms)
+                       outcome=outcome, elapsed_ms=elapsed_ms)
     print(report.envelope(), file=sys.stderr)
     log.debug("finished %s with outcome %s", args.command, outcome)
     return code

@@ -4,7 +4,9 @@ All searches are deterministic and complete: an UNSAT verdict is issued
 only after the whole (pruned) space has been exhausted, with a node
 count attached, because the verdicts are consumed as mathematical
 certificates rather than best-effort answers.  Color sets live in int
-bitmasks throughout (colors are small nonnegative integers).
+bitmasks throughout (colors are small nonnegative integers).  One
+iterative engine, _search, serves both the exact chromatic number and
+generic list coloring, so no search depth hits Python's recursion limit.
 """
 
 import time
@@ -13,7 +15,7 @@ from typing import Iterable, Optional
 
 from .construction import construct_counterexample
 from .errors import CapacityError, SearchBudgetExceeded
-from .graphcore import PartitionWitness, SimpleGraph, bits, square
+from .graphcore import PartitionWitness, SimpleGraph, bits, mask_of, square
 from .latin import require_prime
 from .verification import check_square_structure
 
@@ -122,26 +124,33 @@ class GapCertificate:
             raise ValueError(f"certificate gap {self.gap_lower} below n-1 = {self.n - 1}")
 
 
-def _color_mask(colors: Iterable[int]) -> int:
-    m = 0
-    for c in colors:
-        m |= 1 << c
-    return m
-
-
 class _Budget:
-    """Counts search nodes and enforces an optional wall-clock deadline."""
+    """Counts search nodes and enforces an optional wall-clock deadline.
 
-    __slots__ = ("nodes", "deadline")
+    spend() meters work that is not a node: it checks the deadline at the
+    same stride but leaves the node count, which payloads print, alone.
+    """
+
+    __slots__ = ("nodes", "work", "deadline")
 
     def __init__(self, deadline: Optional[float]):
         self.nodes = 0
+        self.work = 0
         self.deadline = deadline
 
     def tick(self):
         self.nodes += 1
-        if (self.deadline is not None and self.nodes % _DEADLINE_STRIDE == 0
-                and time.monotonic() > self.deadline):
+        if self.deadline is not None and self.nodes % _DEADLINE_STRIDE == 0:
+            self._check()
+
+    def spend(self, work: int):
+        self.work += work
+        if self.deadline is not None and self.work >= _DEADLINE_STRIDE:
+            self.work = 0
+            self._check()
+
+    def _check(self):
+        if time.monotonic() > self.deadline:
             raise SearchBudgetExceeded("search budget exhausted", nodes=self.nodes)
 
 
@@ -184,56 +193,77 @@ def greedy_coloring(g: SimpleGraph) -> tuple[int, list[int]]:
     return (max(colors) + 1 if colors else 0), colors
 
 
-def _k_coloring(g: SimpleGraph, k: int, clique: list[int],
-                budget: _Budget) -> Optional[list[int]]:
-    """Backtracking k-colorability with the clique pre-colored 0..|clique|-1.
+def _search(g: SimpleGraph, avail: list[int], budget: _Budget,
+            clique: Iterable[int] = (), opened: int = -1) -> Optional[list[int]]:
+    """DSATUR-style backtracking (Brelaz, CACM 1979) on an explicit stack.
 
-    Most-constrained vertex first; a vertex may only open one color beyond
-    the highest color used so far (color classes are interchangeable).
+    avail[v] (consumed) is the mask of colors v may still take; clique is
+    pre-colored 0, 1, 2, ... in order.  The most constrained uncolored vertex
+    goes first (ties by index), its colors ascending, one budget tick each,
+    with forward checking: a neighbor left with no color fails the branch.
+    opened masks the colors a vertex may take, -1 for list coloring; for
+    interchangeable colors pass the used ones plus one, and each color tried
+    opens the next.  Returns the coloring or None.
     """
-    full = (1 << k) - 1
-    colors: dict[int, int] = {}
-    avail = [full] * g.n
-    for idx, v in enumerate(clique):
-        colors[v] = idx
+    nbrs: list[Optional[list[int]]] = [None] * g.n  # filled when a vertex is first branched on
+    # More set bits than any list and no color bit: a colored vertex is never
+    # the most constrained one and never loses a color to forward checking.
+    done = ((2 << max(map(int.bit_count, avail), default=0)) - 1
+            << max(map(int.bit_length, avail), default=0))
+    colors = [-1] * g.n
+    for c, v in enumerate(clique):
+        colors[v] = c
+        avail[v] = done
         for u in bits(g.adj[v]):
-            avail[u] &= ~(1 << idx)
-
-    def solve(max_used: int) -> bool:
-        if len(colors) == g.n:
-            return True
-        best_v, best_c = -1, k + 1
-        for v in range(g.n):
-            if v not in colors:
-                c = avail[v].bit_count()
-                if c < best_c:
-                    best_v, best_c = v, c
-                    if c == 0:
-                        return False
-        v = best_v
-        cap = (1 << min(k, max_used + 2)) - 1
-        m = avail[v] & cap
-        while m:
-            low = m & -m
-            m ^= low
-            c = low.bit_length() - 1
-            budget.tick()
-            colors[v] = c
-            touched = []
-            for u in bits(g.adj[v]):
-                if u not in colors and avail[u] & low:
-                    avail[u] ^= low
-                    touched.append(u)
-            if solve(max(max_used, c)):
-                return True
-            for u in touched:
-                avail[u] |= low
-            del colors[v]
-        return False
-
-    if solve(len(clique) - 1):
-        return [colors[v] for v in range(g.n)]
-    return None
+            avail[u] &= ~(1 << c)
+    left = colors.count(-1)
+    # frame: [vertex, its mask, colors not yet tried, opened, color tried, touched]
+    stack: list[list] = []
+    descend = True
+    while True:
+        if descend:
+            if not left:
+                for v, _, _, _, low, _ in stack:
+                    colors[v] = low.bit_length() - 1
+                return colors
+            counts = list(map(int.bit_count, avail))
+            fewest = min(counts)
+            if fewest:
+                v = counts.index(fewest)
+                if stack:  # the root frame takes the caller's opened
+                    opened = stack[-1][3] | (stack[-1][4] << 1)
+                stack.append([v, avail[v], avail[v] & opened, opened, 0, ()])
+                if nbrs[v] is None:
+                    nbrs[v] = list(bits(g.adj[v]))
+                avail[v] = done
+                left -= 1
+        if not stack:
+            return None
+        frame = stack[-1]
+        v, own, untried, _, low, touched = frame
+        for u in touched:
+            avail[u] |= low
+        if not untried:
+            stack.pop()
+            avail[v] = own
+            left += 1
+            descend = False
+            continue
+        low = untried & -untried
+        budget.tick()
+        touched = []
+        descend = True
+        for u in nbrs[v]:
+            a = avail[u]
+            if a & low:
+                avail[u] = a ^ low
+                touched.append(u)
+                if a == low:
+                    descend = False
+                    break
+        frame[2] = untried ^ low
+        frame[4] = low
+        frame[5] = touched
 
 
 def chromatic_number_exact(g: SimpleGraph, *,
@@ -254,7 +284,7 @@ def chromatic_number_exact(g: SimpleGraph, *,
     budget = _Budget(deadline)
     for k in range(lower, upper):
         try:
-            witness = _k_coloring(g, k, clique, budget)
+            witness = _search(g, [(1 << k) - 1] * g.n, budget, clique, (2 << lower) - 1)
         except SearchBudgetExceeded as exc:
             raise SearchBudgetExceeded(
                 f"chromatic search stopped between bounds {k} and {upper}",
@@ -267,76 +297,41 @@ def chromatic_number_exact(g: SimpleGraph, *,
 # -- list coloring ------------------------------------------------------------
 
 
-def _require_cover(g: SimpleGraph, assignment: ListAssignment) -> None:
-    if set(assignment.lists) != set(range(g.n)):
-        raise ValueError("assignment must cover exactly the graph's vertices")
-
-
 def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
                       deadline: Optional[float] = None) -> ListColoringResult:
-    """Complete backtracking decision for proper coloring from per-vertex lists.
+    """Complete decision for proper coloring from per-vertex lists, by _search.
 
-    Most-constrained vertex first (ties by index), colors tried ascending,
-    forward checking on neighbor lists.  UNSAT is returned only after the
-    whole search space is exhausted; the attestation carries the node count.
+    UNSAT is returned only after the whole search space is exhausted; the
+    attestation carries the node count.
     """
-    _require_cover(g, assignment)
+    if set(assignment.lists) != set(range(g.n)):
+        raise ValueError("assignment must cover exactly the graph's vertices")
     for v in range(g.n):
         if not assignment.lists[v]:
             return ListColoringResult(
                 False, None, SearchAttestation(nodes=0, complete=True, empty_list_vertex=v))
-    avail = [_color_mask(assignment.lists[v]) for v in range(g.n)]
-    colors: dict[int, int] = {}
     budget = _Budget(deadline)
-
-    def solve() -> bool:
-        if len(colors) == g.n:
-            return True
-        best_v, best_c = -1, 1 << 62
-        for v in range(g.n):
-            if v not in colors:
-                c = avail[v].bit_count()
-                if c < best_c:
-                    best_v, best_c = v, c
-                    if c == 0:
-                        return False
-        v = best_v
-        m = avail[v]
-        while m:
-            low = m & -m
-            m ^= low
-            budget.tick()
-            colors[v] = low.bit_length() - 1
-            touched = []
-            for u in bits(g.adj[v]):
-                if u not in colors and avail[u] & low:
-                    avail[u] ^= low
-                    touched.append(u)
-            if solve():
-                return True
-            for u in touched:
-                avail[u] |= low
-            del colors[v]
-        return False
-
-    if solve():
-        return ListColoringResult(True, dict(colors),
-                                  SearchAttestation(nodes=budget.nodes, complete=True))
-    return ListColoringResult(False, None,
-                              SearchAttestation(nodes=budget.nodes, complete=True))
+    colors = _search(g, [mask_of(assignment.lists[v]) for v in range(g.n)], budget)
+    attestation = SearchAttestation(nodes=budget.nodes, complete=True)
+    if colors is None:
+        return ListColoringResult(False, None, attestation)
+    return ListColoringResult(True, dict(enumerate(colors)), attestation)
 
 
-def _minimal_covers(avails: list[int]) -> list[int]:
+def _minimal_covers(avails: list[int], budget: Optional[_Budget] = None) -> list[int]:
     """All minimal color sets hitting every mask in avails, smallest first.
 
     In a complete multipartite graph a part can be colored from exactly the
     color sets that hit all of its lists, and trying only the minimal ones
     preserves completeness: whatever a larger set can do, its minimal
-    subset leaves more colors for the remaining parts.
+    subset leaves more colors for the remaining parts.  There can be
+    exponentially many, so enumeration and filter both spend from budget.
     """
+    budget = budget or _Budget(None)
     found: set[int] = set()
 
     def grow(chosen: int, remaining: list[int]):
+        budget.spend(1)
         rem = [m for m in remaining if not m & chosen]
         if not rem:
             found.add(chosen)
@@ -351,6 +346,7 @@ def _minimal_covers(avails: list[int]) -> list[int]:
     grow(0, avails)
     minimal: list[int] = []
     for s in sorted(found, key=lambda s: (s.bit_count(), s)):
+        budget.spend(len(minimal) + 1)
         if not any(t & s == t for t in minimal):
             minimal.append(s)
     return minimal
@@ -377,7 +373,7 @@ def multipartite_list_colorable(witness: PartitionWitness, assignment: ListAssig
             return ListColoringResult(
                 False, None, SearchAttestation(nodes=0, complete=True, empty_list_vertex=v))
     parts = witness.parts
-    masks = {v: _color_mask(assignment.lists[v]) for v in verts}
+    masks = {v: mask_of(assignment.lists[v]) for v in verts}
     budget = _Budget(deadline)
     chosen: list[int] = []  # cover mask per already-colored part
 
@@ -401,7 +397,7 @@ def multipartite_list_colorable(witness: PartitionWitness, assignment: ListAssig
         if not demand_met(used):
             return False
         part = parts[len(chosen)]
-        for cover in _minimal_covers([masks[v] & ~used for v in part]):
+        for cover in _minimal_covers([masks[v] & ~used for v in part], budget):
             chosen.append(cover)
             if solve(used | cover):
                 return True

@@ -24,6 +24,14 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def mask_of(indices: Iterable[int]) -> int:
+    """The mask with exactly the given bits set: the inverse of bits()."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
 class SimpleGraph:
     """Undirected simple graph on vertices 0..n-1, immutable after construction."""
 
@@ -115,14 +123,7 @@ class PartitionWitness:
         return total == n and seen == set(range(n))
 
     def part_masks(self) -> list[int]:
-        return [_mask(part) for part in self.parts]
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+        return [mask_of(part) for part in self.parts]
 
 
 def _check_subset(g: SimpleGraph, s: Iterable[int]) -> int:

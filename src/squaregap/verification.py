@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .construction import ConstructedGraph, construct_counterexample
-from .graphcore import PartitionWitness, SimpleGraph, bits, square
+from .graphcore import PartitionWitness, SimpleGraph, bits, mask_of, square
 from .latin import require_prime
 
 
@@ -74,8 +74,8 @@ def check_lemma_nw(gc: ConstructedGraph) -> LemmaReport:
     """
     g = gc.graph
     col = _Collector("nw")
-    p_masks = [_mask_of(s) for s in gc.p_sets]
-    t_masks = [_mask_of(s) for s in gc.t_sets]
+    p_masks = [mask_of(s) for s in gc.p_sets]
+    t_masks = [mask_of(s) for s in gc.t_sets]
     q = gc.q_vertices
     for gi, qs in enumerate(gc.q_sets, start=1):
         sq_i = gc.squares[gi - 1]
@@ -144,8 +144,8 @@ def check_lemma_nv(gc: ConstructedGraph) -> LemmaReport:
     """
     g = gc.graph
     col = _Collector("nv")
-    q_masks = [_mask_of(s) for s in gc.q_sets]
-    q_all = _mask_of(gc.q_vertices)
+    q_masks = [mask_of(s) for s in gc.q_sets]
+    q_all = mask_of(gc.q_vertices)
     p = gc.p_vertices
     for x in p:
         for k, qm in enumerate(q_masks, start=1):
@@ -166,7 +166,7 @@ def check_independence(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
     named = [(f"P_{i}", s) for i, s in enumerate(gc.p_sets, start=1)]
     named += [(f"Q_{i}", s) for i, s in enumerate(gc.q_sets, start=1)]
     for name, part in named:
-        m = _mask_of(part)
+        m = mask_of(part)
         bad = next((v for v in part if sq.adj[v] & m), None)
         ok = bad is None
         witness = ("independence", name) if ok else (
@@ -179,7 +179,7 @@ def check_independence(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
 def check_pq_adjacency(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
     """Every v-vertex must be adjacent to every w-vertex in the squared graph."""
     col = _Collector("pq")
-    q_mask = _mask_of(gc.q_vertices)
+    q_mask = mask_of(gc.q_vertices)
     for x in gc.p_vertices:
         missing = q_mask & ~sq.adj[x]
         for y in gc.q_vertices:
@@ -206,8 +206,8 @@ def check_square_structure(gc: ConstructedGraph) -> tuple[PartitionWitness, Lemm
             ok = g.adj[v] == want
             col.record("structure", ok,
                        ("structure", _label(gc, v), "adjacency row mismatch"))
-    p_mask = _mask_of(gc.p_vertices)
-    q_mask = _mask_of(gc.q_vertices)
+    p_mask = mask_of(gc.p_vertices)
+    q_mask = mask_of(gc.q_vertices)
     e_p = sum((g.adj[v] & p_mask).bit_count() for v in gc.p_vertices) // 2
     e_q = sum((g.adj[v] & q_mask).bit_count() for v in gc.q_vertices) // 2
     want_p = n * n * (n * (n - 1) // 2)
@@ -228,10 +228,3 @@ def run_all_checks(gc: ConstructedGraph) -> dict[str, LemmaReport]:
         "pq": check_pq_adjacency(sq, gc),
         "structure": structure,
     }
-
-
-def _mask_of(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m

@@ -174,6 +174,27 @@ def test_solve_list_accepts_graph_json(tmp_path, capsys):
     assert json.loads(out)["satisfiable"] is True
 
 
+def test_solve_list_path_deeper_than_the_recursion_limit(tmp_path, capsys):
+    from squaregap import serialize
+    from squaregap.coloring import ListAssignment, validate_coloring
+    from squaregap.graphcore import SimpleGraph
+
+    n = 1500
+    assert sys.getrecursionlimit() < n
+    g = SimpleGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    a = ListAssignment(universe=(3, 7), lists={v: frozenset({3, 7}) for v in range(n)})
+    graph_path = tmp_path / "path.col"
+    graph_path.write_text(serialize.graph_to_dimacs(g))
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text(serialize.json_dumps(serialize.lists_to_json_dict(a)))
+    code, out, _ = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                           "--lists", str(lists_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["nodes"] == n  # no backtracking on a path
+    assert validate_coloring(g, {int(v): c for v, c in doc["coloring"].items()}, a)
+
+
 def test_solve_list_missing_file_is_io_error(tmp_path, capsys):
     _, lists_path = write_instance(tmp_path, satisfiable=True)
     code, _, err = run_cli(capsys, "solve-list", "--graph", str(tmp_path / "nope.col"),

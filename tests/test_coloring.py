@@ -23,7 +23,8 @@ from squaregap.coloring import (
     vetrik_on_witness,
 )
 from squaregap.errors import CapacityError, SearchBudgetExceeded
-from squaregap.graphcore import SimpleGraph, complete_multipartite, is_clique
+from squaregap.graphcore import (PartitionWitness, SimpleGraph, complete_multipartite,
+                                 is_clique)
 
 
 def cycle(n):
@@ -207,6 +208,18 @@ def brute_minimal_hitting_sets(masks, width):
 def test_minimal_covers_complete_and_minimal(masks):
     got = coloring._minimal_covers(masks)
     assert got == brute_minimal_hitting_sets(masks, 6)
+
+
+def test_minimal_covers_honour_the_deadline(monkeypatch):
+    # one part of twelve disjoint 2-lists has 2^12 minimal covers; an expired
+    # deadline must stop their enumeration before the search's next node
+    monkeypatch.setattr(coloring, "_DEADLINE_STRIDE", 2)
+    part = tuple(range(12))
+    a = assignment_from(range(24), {v: {2 * v, 2 * v + 1} for v in part})
+    with pytest.raises(SearchBudgetExceeded) as info:
+        multipartite_list_colorable(PartitionWitness(parts=(part,)), a,
+                                    deadline=time.monotonic() - 1.0)
+    assert info.value.nodes == 1  # enumerating covers adds no search nodes
 
 
 def test_multipartite_agrees_with_generic_on_k33():
