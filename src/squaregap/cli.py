@@ -9,6 +9,7 @@ parameters or unparsable input, 3 I/O failure, 4 budget exhausted.
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -42,7 +43,19 @@ class RunReport:
             "parameters": self.parameters,
             "outcome": self.outcome,
             "elapsed_ms": self.elapsed_ms,
-        }, sort_keys=True)
+        }, sort_keys=True, allow_nan=False)
+
+
+def _budget_seconds(text: str) -> float:
+    """argparse type for --budget-seconds: a finite number of seconds, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # rejected below with the same message
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds >= 0, got {text!r}")
+    return value
 
 
 def _parse_args(argv):
@@ -64,7 +77,7 @@ def _parse_args(argv):
 
     p = sub.add_parser("certify", help="emit a choosability-gap certificate")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget-seconds", type=float, default=None)
+    p.add_argument("--budget-seconds", type=_budget_seconds, default=None)
 
     p = sub.add_parser("solve-list", help="decide list-colorability of a graph file")
     p.add_argument("--graph", required=True, help="graph in DIMACS .col or graph JSON")
@@ -93,18 +106,15 @@ def _cmd_verify(args) -> tuple[str, str]:
     gc = construct_counterexample(args.n)
     if args.lemma == "all":
         reports = verification.run_all_checks(gc)
-    elif args.lemma == "structure":
-        _, report = verification.check_square_structure(gc)
-        reports = {"structure": report}
     else:
-        sq = square(gc.graph)
-        reports = {
+        check = {
             "nw": lambda: verification.check_lemma_nw(gc),
             "nv": lambda: verification.check_lemma_nv(gc),
-            "independence": lambda: verification.check_independence(sq, gc),
-            "pq": lambda: verification.check_pq_adjacency(sq, gc),
-        }[args.lemma]()
-        reports = {args.lemma: reports}
+            "independence": lambda: verification.check_independence(square(gc.graph), gc),
+            "pq": lambda: verification.check_pq_adjacency(square(gc.graph), gc),
+            "structure": lambda: verification.check_square_structure(gc)[1],
+        }[args.lemma]
+        reports = {args.lemma: check()}
     all_passed = all(r.passed for r in reports.values())
     doc = {
         "n": args.n,
@@ -195,7 +205,9 @@ def main(argv=None) -> int:
         print(f"squaregap {args.command}: {exc}", file=sys.stderr)
         outcome, code = "error", EXIT_BAD_PARAMS
     except SearchBudgetExceeded as exc:
-        print(f"squaregap {args.command}: {exc} (nodes={exc.nodes})", file=sys.stderr)
+        print(f"squaregap {args.command}: {exc} (nodes={exc.nodes}, "
+              f"lower_bound={exc.lower_bound}, upper_bound={exc.upper_bound})",
+              file=sys.stderr)
         outcome, code = "error", EXIT_BUDGET
     except OSError as exc:
         print(f"squaregap {args.command}: {exc}", file=sys.stderr)

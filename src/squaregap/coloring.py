@@ -507,10 +507,10 @@ def certify_gap(n: int, budget_seconds: Optional[float] = None) -> GapCertificat
         raise ValueError(f"n must be a prime >= 3, got {n}")
     deadline = deadline_from_budget(budget_seconds)
     gc = construct_counterexample(n)
-    witness, report = check_square_structure(gc)
+    sq = square(gc.graph)
+    witness, report = check_square_structure(gc, sq)
     if not report.passed:
         raise RuntimeError(f"square structure check failed: {report.witness}")
-    sq = square(gc.graph)
     chromatic, coloring = chromatic_number_exact(sq, deadline=deadline)
     r = len(witness.parts)
     if chromatic != r:

@@ -4,6 +4,11 @@ Vertices are dense integers 0..n-1.  Each vertex's neighborhood is one
 Python int used as a bit row, so the hot operations everywhere else in
 the package (shared-neighbor tests, independence checks, color-set
 arithmetic) are single AND/OR/popcount steps.
+
+Raw rows are checked only by the public constructor SimpleGraph(n, adj):
+range, self-loops and symmetry.  from_edges checks each edge instead and
+sets both bits, and square() and complete_multipartite() build symmetric
+rows by construction, so these builders store their rows unchecked.
 """
 
 from dataclasses import dataclass
@@ -58,7 +63,17 @@ class SimpleGraph:
         self.adj = adj
 
     @classmethod
+    def _from_rows(cls, n: int, adj: tuple[int, ...]) -> "SimpleGraph":
+        """Store rows that are valid by construction, skipping the checks."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.adj = adj
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -67,7 +82,7 @@ class SimpleGraph:
                 raise ValueError(f"self-loop at {u} not allowed")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        return cls._from_rows(n, tuple(rows))
 
     @classmethod
     def empty(cls, n: int) -> "SimpleGraph":
@@ -143,7 +158,7 @@ def square(g: SimpleGraph) -> SimpleGraph:
         for v in bits(g.adj[u]):
             row |= g.adj[v]
         rows.append(row & ~(1 << u))
-    return SimpleGraph(g.n, tuple(rows))
+    return SimpleGraph._from_rows(g.n, tuple(rows))
 
 
 def square_oracle(g: SimpleGraph) -> SimpleGraph:
@@ -216,7 +231,7 @@ def complete_multipartite(part_sizes: Iterable[int]) -> tuple[SimpleGraph, Parti
     rows = []
     for part_mask in witness.part_masks():
         rows.extend([full & ~part_mask] * part_mask.bit_count())
-    return SimpleGraph(n, tuple(rows)), witness
+    return SimpleGraph._from_rows(n, tuple(rows)), witness
 
 
 # -- subdivision and total graph ------------------------------------------

@@ -93,9 +93,12 @@ def parse_graph_json(text: str) -> tuple[SimpleGraph, dict]:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "n_vertices" not in doc or "edges" not in doc:
         raise ValueError("graph JSON must carry n_vertices and edges")
-    g = SimpleGraph.from_edges(int(doc["n_vertices"]),
-                               [(int(u), int(v)) for u, v in doc["edges"]])
-    return g, doc
+    try:
+        n = int(doc["n_vertices"])
+        edges = [(int(u), int(v)) for u, v in doc["edges"]]
+    except TypeError as exc:
+        raise ValueError(f"malformed graph JSON: {exc}") from None
+    return SimpleGraph.from_edges(n, edges), doc
 
 
 def constructed_labels(gc: ConstructedGraph) -> dict[int, str]:
@@ -116,9 +119,14 @@ def parse_lists_json(text: str) -> ListAssignment:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "universe" not in doc or "lists" not in doc:
         raise ValueError("lists JSON must carry universe and lists")
-    universe = tuple(sorted(int(c) for c in doc["universe"]))
-    lists = {int(v): frozenset(int(c) for c in colors)
-             for v, colors in doc["lists"].items()}
+    if not isinstance(doc["lists"], dict):
+        raise ValueError("lists JSON must map vertices to colour lists")
+    try:
+        universe = tuple(sorted(int(c) for c in doc["universe"]))
+        lists = {int(v): frozenset(int(c) for c in colors)
+                 for v, colors in doc["lists"].items()}
+    except TypeError as exc:
+        raise ValueError(f"malformed lists JSON: {exc}") from None
     return ListAssignment(universe=universe, lists=lists)
 
 

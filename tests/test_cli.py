@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from squaregap.cli import main
+from squaregap import coloring
+from squaregap.cli import RunReport, main
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +120,33 @@ def test_certify_capacity_is_param_error(capsys):
     assert "limited to 128 vertices" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_certify_rejects_bad_budget(capsys, value):
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--n", "3", "--budget-seconds", value])
+    assert info.value.code == 2
+    assert "--budget-seconds" in capsys.readouterr().err
+
+
+def test_envelope_refuses_non_finite_numbers():
+    report = RunReport(command="certify", parameters={"budget_seconds": float("nan")},
+                       outcome="pass", elapsed_ms=0)
+    with pytest.raises(ValueError):
+        report.envelope()
+
+
+def test_budget_stop_reports_bounds(monkeypatch, capsys):
+    # a trivial greedy upper bound makes the exact chromatic search run, and a
+    # deadline check at every node stops it at once
+    monkeypatch.setattr(coloring, "greedy_coloring", lambda g: (g.n, list(range(g.n))))
+    monkeypatch.setattr(coloring, "_DEADLINE_STRIDE", 1)
+    code, out, err = run_cli(capsys, "certify", "--n", "3", "--budget-seconds", "0")
+    assert code == 4
+    assert out == ""
+    assert "(nodes=1, lower_bound=5, upper_bound=15)" in err
+    assert envelope_of(err)["outcome"] == "error"
+
+
 def write_instance(tmp_path, satisfiable):
     from squaregap import serialize
     from squaregap.coloring import ListAssignment
@@ -215,6 +243,26 @@ def test_solve_list_malformed_input_is_param_error(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "solve-list", "--graph", str(bad_graph),
                          "--lists", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("graph_text,lists_text", [
+    ('{"n_vertices": 3, "edges": [1, 2]}', '{"universe": [1], "lists": {"0": [1]}}'),
+    ('{"n_vertices": null, "edges": []}', '{"universe": [1], "lists": {"0": [1]}}'),
+    ('{"n_vertices": 1, "edges": []}', '{"universe": [1], "lists": {"0": 5}}'),
+    ('{"n_vertices": 1, "edges": []}', '{"universe": 1, "lists": {"0": [1]}}'),
+    ('{"n_vertices": 1, "edges": []}', '{"universe": [1], "lists": [5]}'),
+], ids=["edge-not-a-pair", "null-vertex-count", "list-not-iterable",
+        "universe-not-iterable", "lists-not-a-map"])
+def test_solve_list_malformed_json_is_param_error(tmp_path, capsys, graph_text, lists_text):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(graph_text)
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text(lists_text)
+    code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                             "--lists", str(lists_path))
+    assert code == 2
+    assert out == ""
+    assert envelope_of(err)["outcome"] == "error"
 
 
 def test_mols_output_and_check(capsys):

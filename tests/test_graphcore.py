@@ -57,6 +57,22 @@ def test_rejects_out_of_range():
         SimpleGraph(1, (0b10,))
 
 
+def test_from_edges_rejects_negative_vertex_count():
+    with pytest.raises(ValueError):
+        SimpleGraph.from_edges(-1, [])
+
+
+def test_unchecked_builders_yield_rows_the_checked_constructor_accepts():
+    # from_edges, square and complete_multipartite store their rows unchecked
+    rng = random.Random(4242)
+    for _ in range(50):
+        g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.3]))
+        for h in (g, square(g)):
+            assert SimpleGraph(h.n, h.adj) == h
+    k, _ = complete_multipartite([3, 1, 4])
+    assert SimpleGraph(k.n, k.adj) == k
+
+
 def test_edges_sorted_and_counted():
     g = SimpleGraph.from_edges(4, [(2, 3), (0, 1), (1, 3)])
     assert g.edges() == [(0, 1), (1, 3), (2, 3)]

@@ -49,6 +49,22 @@ PINNED = [
      "4628b4223529199f84d145719f9c2d9cdc59b28b0af83db522de78325ccee959"),
     (["verify", "--n", "7", "--lemma", "all"], 0,
      "2421bb0220ecc2d8727c602abdf961178eb0837c087a21022800bb0a3105dc37"),
+    (["verify", "--n", "11", "--lemma", "all"], 0,
+     "bf8f42b862a964c5c8f134024d763ad546965c3bdfc28b601fd99e195a64f336"),
+    (["verify", "--n", "13", "--lemma", "all"], 0,
+     "f45605048b34c950d34f9ad82493cb7312df4b1663763829b0dd0fcf5b342655"),
+    (["verify", "--n", "17", "--lemma", "all"], 0,
+     "2772307f6d6d17e2e39a3b674964e8e8583203d86a387c8cbe6255db61c401b7"),
+    (["verify", "--n", "7", "--lemma", "nw"], 0,
+     "c50c741700ac0a3b4a1dde9f1a047ab939135cae56d86517b10afa3d4d291f34"),
+    (["verify", "--n", "7", "--lemma", "nv"], 0,
+     "23a212966224465f791d5769a7f680e48b42bb570238b8143d72a755beb85b0a"),
+    (["verify", "--n", "7", "--lemma", "independence"], 0,
+     "3c5dd1f38d048cea4182349ca15ef711d69a89d7bddc76b18472def81ef62341"),
+    (["verify", "--n", "7", "--lemma", "pq"], 0,
+     "2bdaf4935777976fda312f6957b19a9e8a18e7c2bcfeb966d8658e8415708b36"),
+    (["verify", "--n", "7", "--lemma", "structure"], 0,
+     "18d84776b69fb2e2960bb59474daff8da447c092aea3978d2a1a5929dd2e1330"),
     (["solve-list", "vetrik-K3x5"], 1,
      "05807e3620a77ff567a055a1111f15a9407b071ea23be9208ec5f2f8042aad2d"),
     (["solve-list", "backtracking-sat"], 0,

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from math import comb
 
 import pytest
 
@@ -149,3 +150,81 @@ def test_every_single_edge_mutation_is_caught():
             reports = run_all_checks(toggled(gc, u, v))
             assert not all(r.passed for r in reports.values()), \
                 f"undetected mutation {gc.labels[u]} ~ {gc.labels[v]}"
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_case_counts_follow_closed_forms(n):
+    # the bitset identities count every pair they settle, like the pair loops
+    w, v = n * (n - 1), n * n
+    want = {"nw": w + 2 * w * n + comb(w, 2), "nv": v * (n - 1) + comb(v, 2), "pq": v * w}
+    reports = run_all_checks(construct_counterexample(n))
+    assert {name: reports[name].checked_cases for name in want} == want
+
+
+def edited(gc, add=(), remove=()):
+    edges = set(gc.graph.edges())
+    edges |= {(min(u, v), max(u, v)) for u, v in add}
+    edges -= {(min(u, v), max(u, v)) for u, v in remove}
+    return dataclasses.replace(gc, graph=SimpleGraph.from_edges(gc.graph.n, sorted(edges)))
+
+
+# (checked_cases, failure_count, item_witnesses) of every report at n = 5,
+# captured from the plain pair loops that the bitset identities now skip
+# whenever every pair passes
+NO_FAILURES = {"nv": (400, 0, ()), "pq": (500, 0, ()), "independence": (9, 0, ())}
+MUTANTS_N5 = {
+    # one w-w edge: only the neighbourhood equations see it
+    "w-w edge": (
+        lambda gc: edited(gc, add=[(gc.w_index(1, 1), gc.w_index(2, 3))]),
+        {**NO_FAILURES,
+         "nw": (410, 2, (("nw0", "w_1_1", "neighborhood differs from Latin row"),)),
+         "structure": (47, 0, ())}),
+    # w_1_1 and w_1_2 (same group) both joined to w_3_4 now share a neighbour
+    "w-w edges to a common w": (
+        lambda gc: edited(gc, add=[(gc.w_index(1, 1), gc.w_index(3, 4)),
+                                   (gc.w_index(1, 2), gc.w_index(3, 4))]),
+        {**NO_FAILURES,
+         "nw": (410, 4, (("nw0", "w_1_1", "neighborhood differs from Latin row"),
+                         ("nw3", "w_1_1", "w_1_2", 1))),
+         "independence": (9, 1, (("independence", "Q_1", "w_1_1", "w_1_2"),)),
+         "structure": (47, 3, (("structure", "w_1_1", "adjacency row mismatch"),
+                               ("edges_q", 151, 150)))}),
+    # one v-v edge: the square's structure and independence see it
+    "v-v edge": (
+        lambda gc: edited(gc, add=[(gc.v_index(1, 1), gc.v_index(2, 2))]),
+        {**NO_FAILURES,
+         "nw": (410, 0, ()),
+         "independence": (9, 2, (("independence", "P_1", "v_1_1", "v_1_2"),)),
+         "structure": (47, 5, (("structure", "v_1_1", "adjacency row mismatch"),
+                               ("edges_p", 252, 250)))}),
+    # w_1_1 joined to v_1_2, a neighbour of w_1_2: a shared neighbour on
+    # the w side and a second shared w-neighbour on the v side
+    "w-v edge": (
+        lambda gc: edited(gc, add=[(gc.w_index(1, 1), gc.v_index(1, 2))]),
+        {"nw": (410, 7, (("nw0", "w_1_1", "neighborhood differs from Latin row"),
+                         ("nw1", "w_1_1", "P_1", 2), ("nw2", "w_1_1", "T_2", 2),
+                         ("nw3", "w_1_1", "w_1_2", 1))),
+         "nv": (400, 4, (("nv1", "v_1_2", "Q_1", 2), ("nv2", "v_1_2", "v_3_3", 2))),
+         "independence": (9, 2, (("independence", "P_1", "v_1_1", "v_1_2"),)),
+         "pq": (500, 0, ()),
+         "structure": (47, 6, (("structure", "v_1_1", "adjacency row mismatch"),
+                               ("edges_p", 251, 250), ("edges_q", 151, 150)))}),
+    # a deleted star edge leaves v_1_1 and w_1_1 apart in the square
+    "deleted w-v edge": (
+        lambda gc: edited(gc, remove=[(gc.w_index(1, 1), gc.v_index(1, 1))]),
+        {"nw": (410, 3, (("nw0", "w_1_1", "neighborhood differs from Latin row"),
+                         ("nw1", "w_1_1", "P_1", 0), ("nw2", "w_1_1", "T_1", 0))),
+         "nv": (400, 1, (("nv1", "v_1_1", "Q_1", 0),)),
+         "independence": (9, 0, ()),
+         "pq": (500, 5, (("pq", "v_1_1", "w_1_1"),)),
+         "structure": (47, 15, (("structure", "v_1_1", "adjacency row mismatch"),
+                                ("edges_p", 246, 250), ("edges_q", 147, 150)))}),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS_N5)
+def test_mutant_reports_match_the_pair_loops(name):
+    mutate, want = MUTANTS_N5[name]
+    reports = run_all_checks(mutate(construct_counterexample(5)))
+    got = {k: (r.checked_cases, r.failure_count, r.item_witnesses) for k, r in reports.items()}
+    assert got == want
