@@ -42,7 +42,8 @@ def main():
             if x == y:
                 row.append(".")
             else:
-                row.append("+" if are_orthogonal(family.squares[x], family.squares[y]) else "!")
+                orthogonal = are_orthogonal(family.squares[x].entries, family.squares[y].entries)
+                row.append("+" if orthogonal else "!")
         print("  " + " ".join(row))
 
 

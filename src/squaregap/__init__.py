@@ -30,7 +30,6 @@ from .graphcore import (
     is_complete_multipartite,
     is_independent_set,
     square,
-    square_oracle,
     subdivision,
     total_graph,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "is_complete_multipartite",
     "is_independent_set",
     "square",
-    "square_oracle",
     "subdivision",
     "total_graph",
     "ConstructedGraph",

@@ -7,6 +7,7 @@ parameters or unparsable input, 3 I/O failure, 4 budget exhausted.
 """
 
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -168,14 +169,13 @@ def _cmd_mols(args) -> tuple[str, str]:
     for i, sq in enumerate(family.squares, start=1):
         lines.append(f"L_{i}")
         for row in sq.entries:
-            lines.append(" ".join(str(int(x)) for x in row))
+            lines.append(" ".join(map(str, row)))
         lines.append("")
     outcome = "pass"
     if args.check:
         latin_ok = all(is_latin(sq.entries) for sq in family.squares)
-        orth_ok = all(are_orthogonal(family.squares[a], family.squares[b])
-                      for a in range(len(family.squares))
-                      for b in range(a + 1, len(family.squares)))
+        orth_ok = all(are_orthogonal(a.entries, b.entries)
+                      for a, b in itertools.combinations(family.squares, 2))
         lines.append(f"latin: {'ok' if latin_ok else 'FAILED'}")
         lines.append(f"orthogonal: {'ok' if orth_ok else 'FAILED'}")
         if not (latin_ok and orth_ok):

@@ -4,7 +4,8 @@ All searches are deterministic and complete: an UNSAT verdict is issued
 only after the whole (pruned) space has been exhausted, with a node
 count attached, because the verdicts are consumed as mathematical
 certificates rather than best-effort answers.  Color sets live in int
-bitmasks throughout (colors are small nonnegative integers).  One
+bitmasks throughout; the list solvers give bit i to the i-th smallest
+color of the universe, so large color values cost nothing.  One
 iterative engine, _search, serves both the exact chromatic number and
 generic list coloring, so no search depth hits Python's recursion limit.
 """
@@ -47,9 +48,6 @@ class ListAssignment:
         for v, colors in self.lists.items():
             if not colors:
                 raise ValueError(f"vertex {v} has an empty list")
-
-    def list_sizes(self) -> dict[int, int]:
-        return {v: len(c) for v, c in self.lists.items()}
 
 
 @dataclass(frozen=True)
@@ -297,6 +295,18 @@ def chromatic_number_exact(g: SimpleGraph, *,
 # -- list coloring ------------------------------------------------------------
 
 
+def _dense_masks(assignment: ListAssignment) -> tuple[dict[int, int], list[int]]:
+    """Each list as a mask over positions in the sorted universe, and that universe.
+
+    Bit i stands for the i-th smallest color, so masks stay |universe| bits
+    wide and colors keep their order: searches branch as on the raw colors.
+    """
+    palette = sorted(set(assignment.universe))
+    pos = {c: i for i, c in enumerate(palette)}
+    return ({v: mask_of(pos[c] for c in colors) for v, colors in assignment.lists.items()},
+            palette)
+
+
 def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
                       deadline: Optional[float] = None) -> ListColoringResult:
     """Complete decision for proper coloring from per-vertex lists, by _search.
@@ -310,12 +320,13 @@ def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
         if not assignment.lists[v]:
             return ListColoringResult(
                 False, None, SearchAttestation(nodes=0, complete=True, empty_list_vertex=v))
+    masks, palette = _dense_masks(assignment)
     budget = _Budget(deadline)
-    colors = _search(g, [mask_of(assignment.lists[v]) for v in range(g.n)], budget)
+    colors = _search(g, [masks[v] for v in range(g.n)], budget)
     attestation = SearchAttestation(nodes=budget.nodes, complete=True)
     if colors is None:
         return ListColoringResult(False, None, attestation)
-    return ListColoringResult(True, dict(enumerate(colors)), attestation)
+    return ListColoringResult(True, {v: palette[c] for v, c in enumerate(colors)}, attestation)
 
 
 def _minimal_covers(avails: list[int], budget: Optional[_Budget] = None) -> list[int]:
@@ -373,7 +384,7 @@ def multipartite_list_colorable(witness: PartitionWitness, assignment: ListAssig
             return ListColoringResult(
                 False, None, SearchAttestation(nodes=0, complete=True, empty_list_vertex=v))
     parts = witness.parts
-    masks = {v: mask_of(assignment.lists[v]) for v in verts}
+    masks, palette = _dense_masks(assignment)
     budget = _Budget(deadline)
     chosen: list[int] = []  # cover mask per already-colored part
 
@@ -409,7 +420,7 @@ def multipartite_list_colorable(witness: PartitionWitness, assignment: ListAssig
         for part, cover in zip(parts, chosen):
             for v in part:
                 pick = masks[v] & cover
-                coloring[v] = (pick & -pick).bit_length() - 1
+                coloring[v] = palette[(pick & -pick).bit_length() - 1]
         return ListColoringResult(True, coloring,
                                   SearchAttestation(nodes=budget.nodes, complete=True))
     return ListColoringResult(False, None,

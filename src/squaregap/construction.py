@@ -10,7 +10,7 @@ in every P_k and one in every T_k.
 from dataclasses import dataclass
 
 from .graphcore import SimpleGraph
-from .latin import LatinSquare, build_mols_family, require_prime
+from .latin import LatinSquare, build_latin, build_mols_family, require_prime
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,8 @@ def construct_counterexample(n: int) -> ConstructedGraph:
 
     Edge set is the union of the Latin-row stars (each w_{i,j} to the
     v-vertices on row j of square i) and the column cliques T_1..T_n.
-    Insertion is set-based, so duplicates are harmless.
+    Star edges join a w to a v and clique edges join two v's, so no edge
+    is listed twice.
     """
     require_prime(n)
     if n < 3:
@@ -80,20 +81,13 @@ def construct_counterexample(n: int) -> ConstructedGraph:
     def w_idx(i, j):
         return n * n + (i - 1) * n + (j - 1)
 
-    edges: set[tuple[int, int]] = set()
-    for i in range(1, n):  # star edges, one per (w, column)
-        sq = family.squares[i - 1]
-        for j in range(1, n + 1):
-            w = w_idx(i, j)
-            for k in range(1, n + 1):
-                edges.add((w, v_idx(k, sq(j, k))))
-    for j in range(1, n + 1):  # clique edges inside each column T_j
-        col = [v_idx(i, j) for i in range(1, n + 1)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                edges.add((col[a], col[b]))
-
-    graph = SimpleGraph.from_edges(2 * n * n - n, sorted(edges))
+    edges = [(w_idx(i, j), v_idx(k, x))
+             for i, sq in enumerate(family.squares, start=1)
+             for j, row in enumerate(sq.entries, start=1)
+             for k, x in enumerate(row, start=1)]
+    edges += [(v_idx(a, j), v_idx(b, j))
+              for j in range(1, n + 1) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    graph = SimpleGraph.from_edges(2 * n * n - n, edges)
     p_sets = tuple(tuple(v_idx(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
     q_sets = tuple(tuple(w_idx(i, j) for j in range(1, n + 1)) for i in range(1, n))
     t_sets = tuple(tuple(v_idx(i, j) for i in range(1, n + 1)) for j in range(1, n + 1))
@@ -108,13 +102,5 @@ def neighbors_of_w(n: int, i: int, j: int) -> list[VertexLabel]:
         raise ValueError(f"n must be a prime >= 3, got {n}")
     if not (1 <= i <= n - 1 and 1 <= j <= n):
         raise ValueError(f"w_{{{i},{j}}} out of range for n={n}")
-    family = build_mols_family(n)
-    sq = family.squares[i - 1]
-    return [VertexLabel("v", k, sq(j, k)) for k in range(1, n + 1)]
-
-
-def t_set(gc: ConstructedGraph, j: int) -> tuple[int, ...]:
-    """Vertex indices of the column clique T_j."""
-    if not 1 <= j <= gc.n:
-        raise ValueError(f"j must be in 1..{gc.n}, got {j}")
-    return gc.t_sets[j - 1]
+    row = build_latin(n, i).entries[j - 1]
+    return [VertexLabel("v", k, x) for k, x in enumerate(row, start=1)]

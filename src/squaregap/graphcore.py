@@ -14,12 +14,6 @@ rows by construction, so these builders store their rows unchecked.
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
-from .errors import CapacityError
-
-SQUARE_ORACLE_MAX_VERTICES = 512
-
 
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, ascending."""
@@ -159,23 +153,6 @@ def square(g: SimpleGraph) -> SimpleGraph:
             row |= g.adj[v]
         rows.append(row & ~(1 << u))
     return SimpleGraph._from_rows(g.n, tuple(rows))
-
-
-def square_oracle(g: SimpleGraph) -> SimpleGraph:
-    """Independent route to square(g): boolean A OR A@A with the diagonal cleared.
-
-    Dense n x n matrices; refuses graphs beyond the size guard.
-    """
-    if g.n > SQUARE_ORACLE_MAX_VERTICES:
-        raise CapacityError(
-            f"square_oracle limited to {SQUARE_ORACLE_MAX_VERTICES} vertices, got {g.n}")
-    a = np.zeros((g.n, g.n), dtype=bool)
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = True
-    two = a | (a @ a)
-    np.fill_diagonal(two, False)
-    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(two)))]
-    return SimpleGraph.from_edges(g.n, edges)
 
 
 def induced_subgraph(g: SimpleGraph, s: Iterable[int]) -> tuple[SimpleGraph, list[int]]:

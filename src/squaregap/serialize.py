@@ -12,6 +12,15 @@ from .construction import ConstructedGraph
 from .graphcore import SimpleGraph
 from .verification import LemmaReport
 
+MAX_INPUT_VERTICES = 10**6  # larger vertex counts in input files are refused
+
+
+def _vertex_count(n: int) -> int:
+    """n, checked against MAX_INPUT_VERTICES before any row is allocated."""
+    if n > MAX_INPUT_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_INPUT_VERTICES}")
+    return n
+
 
 def json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -37,7 +46,7 @@ def parse_dimacs(text: str) -> SimpleGraph:
         if fields[0] == "p":
             if len(fields) != 4 or fields[1] != "edge":
                 raise ValueError(f"line {lineno}: malformed problem line {line!r}")
-            n = int(fields[2])
+            n = _vertex_count(int(fields[2]))
         elif fields[0] == "e":
             if len(fields) != 3:
                 raise ValueError(f"line {lineno}: malformed edge line {line!r}")
@@ -94,7 +103,7 @@ def parse_graph_json(text: str) -> tuple[SimpleGraph, dict]:
     if not isinstance(doc, dict) or "n_vertices" not in doc or "edges" not in doc:
         raise ValueError("graph JSON must carry n_vertices and edges")
     try:
-        n = int(doc["n_vertices"])
+        n = _vertex_count(int(doc["n_vertices"]))
         edges = [(int(u), int(v)) for u, v in doc["edges"]]
     except TypeError as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from None

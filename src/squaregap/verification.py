@@ -113,12 +113,9 @@ def check_lemma_nw(gc: ConstructedGraph) -> LemmaReport:
     p_masks = [mask_of(s) for s in gc.p_sets]
     t_masks = [mask_of(s) for s in gc.t_sets]
     q = gc.q_vertices
-    for gi, qs in enumerate(gc.q_sets, start=1):
-        sq_i = gc.squares[gi - 1]
-        for j, x in enumerate(qs, start=1):
-            want = 0
-            for k in range(1, gc.n + 1):
-                want |= 1 << gc.v_index(k, sq_i(j, k))
+    for qs, latin in zip(gc.q_sets, gc.squares):
+        for x, row in zip(qs, latin.entries):
+            want = mask_of(gc.v_index(k, e) for k, e in enumerate(row, start=1))
             col.record("nw0", g.adj[x] == want,
                        lambda: ("nw0", _label(gc, x), "neighborhood differs from Latin row"))
     for x in q:

@@ -1,13 +1,18 @@
 """Independent reference implementations used to cross-check the library.
 
-Deliberately naive: plain BFS, full cartesian-product enumeration.  Slow
-past tiny sizes, which is fine; they exist to disagree with the fast
-code, not to replace it.
+Deliberately naive: plain BFS, dense boolean matrices, full
+cartesian-product enumeration.  Slow past tiny sizes, which is fine; they
+exist to disagree with the fast code, not to replace it.
 """
 
 import itertools
 
+import numpy as np
+
+from squaregap.errors import CapacityError
 from squaregap.graphcore import SimpleGraph
+
+SQUARE_ORACLE_MAX_VERTICES = 512
 
 
 def bfs_square(g: SimpleGraph) -> SimpleGraph:
@@ -22,6 +27,23 @@ def bfs_square(g: SimpleGraph) -> SimpleGraph:
         for t in reach:
             edges.add((min(s, t), max(s, t)))
     return SimpleGraph.from_edges(g.n, sorted(edges))
+
+
+def square_oracle(g: SimpleGraph) -> SimpleGraph:
+    """Independent route to square(g): boolean A OR A@A with the diagonal cleared.
+
+    Dense n x n matrices; refuses graphs beyond the size guard.
+    """
+    if g.n > SQUARE_ORACLE_MAX_VERTICES:
+        raise CapacityError(
+            f"square_oracle limited to {SQUARE_ORACLE_MAX_VERTICES} vertices, got {g.n}")
+    a = np.zeros((g.n, g.n), dtype=bool)
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = True
+    two = a | (a @ a)
+    np.fill_diagonal(two, False)
+    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(two)))]
+    return SimpleGraph.from_edges(g.n, edges)
 
 
 def enumerate_list_colorable(g: SimpleGraph, lists) -> bool:

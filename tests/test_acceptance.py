@@ -11,7 +11,7 @@ import json
 import random
 import time
 
-from oracles import bfs_square, enumerate_list_colorable, random_graph
+from oracles import bfs_square, enumerate_list_colorable, random_graph, square_oracle
 from squaregap.cli import main as cli_main
 from squaregap.coloring import (
     ListAssignment,
@@ -26,7 +26,6 @@ from squaregap.graphcore import (
     complete_multipartite,
     induced_subgraph,
     square,
-    square_oracle,
     subdivision,
     total_graph,
 )
@@ -119,11 +118,11 @@ def test_criterion_5_mols_correctness():
         for sq in family.squares:
             assert is_latin(sq.entries)
         for a, b in itertools.combinations(family.squares, 2):
-            assert are_orthogonal(a, b)
+            assert are_orthogonal(a.entries, b.entries)
     for slope, expected in PUBLISHED_ORDER3.items():
-        assert build_latin(3, slope).entries.tolist() == expected
+        assert build_latin(3, slope).entries == tuple(map(tuple, expected))
     for slope, expected in PUBLISHED_ORDER5.items():
-        assert build_latin(5, slope).entries.tolist() == expected
+        assert build_latin(5, slope).entries == tuple(map(tuple, expected))
     print("PASS criterion 5: families Latin and pairwise orthogonal for "
           "primes up to 13; orders 3 and 5 match the published squares cell-for-cell")
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -262,6 +263,40 @@ def test_solve_list_malformed_json_is_param_error(tmp_path, capsys, graph_text, 
                              "--lists", str(lists_path))
     assert code == 2
     assert out == ""
+    assert envelope_of(err)["outcome"] == "error"
+
+
+def test_solve_list_huge_colours_get_a_quick_verdict(tmp_path, capsys):
+    # colour 10**12 would be a 125 GB mask as a raw bit position
+    big = 10**12
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text('{"n_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}')
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text(json.dumps({"universe": [5, big, big + 1],
+                                      "lists": {"0": [big], "1": [5, big], "2": [big, big + 1]}}))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                           "--lists", str(lists_path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert json.loads(out)["coloring"] == {"0": big, "1": 5, "2": big + 1}
+
+
+@pytest.mark.parametrize("graph_text", ["p edge {count} 0\n",
+                                        '{{"n_vertices": {count}, "edges": []}}'],
+                         ids=["dimacs", "json"])
+def test_solve_list_vertex_count_above_the_limit_is_param_error(tmp_path, capsys, graph_text):
+    from squaregap.serialize import MAX_INPUT_VERTICES
+
+    graph_path = tmp_path / "g.txt"
+    graph_path.write_text(graph_text.format(count=MAX_INPUT_VERTICES + 1))
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text('{"universe": [1], "lists": {"0": [1]}}')
+    code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                             "--lists", str(lists_path))
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit" in err
     assert envelope_of(err)["outcome"] == "error"
 
 

@@ -258,6 +258,32 @@ def test_multipartite_empty_list_short_circuits():
     assert res.attestation.empty_list_vertex == 2
 
 
+def test_list_solvers_see_only_the_order_of_colours():
+    # masks index colours by rank in the universe, so spreading the colours
+    # far apart leaves every search, node count and answer as it was
+    g, w = complete_multipartite([3, 3, 3])
+    rng = random.Random(5150)
+
+    def spread(c):
+        return 10**12 + 1000 * c
+
+    for trial in range(200):
+        universe = tuple(range(rng.randint(2, 7)))
+        lists = {v: frozenset(rng.sample(universe, rng.randint(1, min(4, len(universe)))))
+                 for v in range(9)}
+        near = ListAssignment(universe=universe, lists=lists)
+        far = ListAssignment(universe=tuple(map(spread, universe)),
+                             lists={v: frozenset(map(spread, c)) for v, c in lists.items()})
+        for solve in (lambda a: is_list_colorable(g, a),
+                      lambda a: multipartite_list_colorable(w, a)):
+            base, moved = solve(near), solve(far)
+            assert moved.attestation == base.attestation, f"trial {trial}"
+            if base.satisfiable:
+                assert moved.coloring == {v: spread(c) for v, c in base.coloring.items()}
+            else:
+                assert moved.coloring is None
+
+
 # -- the adversarial assignment -----------------------------------------------
 
 

@@ -4,7 +4,6 @@ from squaregap.construction import (
     VertexLabel,
     construct_counterexample,
     neighbors_of_w,
-    t_set,
 )
 from squaregap.graphcore import is_clique
 
@@ -95,22 +94,14 @@ def test_groupings_partition_the_vertices(n):
     assert len(gc.q_sets) == n - 1 and all(len(s) == n for s in gc.q_sets)
     # T-sets partition the v-side a second way, by column
     assert sorted(v for s in gc.t_sets for v in s) == sorted(p_all)
+    assert gc.t_sets[0] == tuple(range(0, n * n, n))  # T_1: v_{1,1}, v_{2,1}, ..., v_{n,1}
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_columns_are_cliques(n):
     gc = construct_counterexample(n)
     for j in range(1, n + 1):
-        assert is_clique(gc.graph, t_set(gc, j))
-
-
-def test_t_set_bounds():
-    gc = construct_counterexample(3)
-    assert t_set(gc, 1) == (0, 3, 6)
-    with pytest.raises(ValueError):
-        t_set(gc, 0)
-    with pytest.raises(ValueError):
-        t_set(gc, 4)
+        assert is_clique(gc.graph, gc.t_sets[j - 1])
 
 
 @pytest.mark.parametrize("n", [3, 5])

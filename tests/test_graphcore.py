@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import bfs_square, random_graph
+from oracles import bfs_square, random_graph, square_oracle
 from squaregap.errors import CapacityError
 from squaregap.graphcore import (
     PartitionWitness,
@@ -15,7 +15,6 @@ from squaregap.graphcore import (
     is_complete_multipartite,
     is_independent_set,
     square,
-    square_oracle,
     subdivision,
     total_graph,
 )

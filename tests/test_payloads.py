@@ -1,4 +1,4 @@
-"""Stdout of certify, verify and solve-list, pinned byte for byte.
+"""Stdout of certify, verify, solve-list, mols and construct, pinned byte for byte.
 
 Each digest is the SHA-256 of a command's stdout.  The payloads carry
 search node counts, SAT colourings and the chromatic witness, so a change
@@ -69,6 +69,18 @@ PINNED = [
      "05807e3620a77ff567a055a1111f15a9407b071ea23be9208ec5f2f8042aad2d"),
     (["solve-list", "backtracking-sat"], 0,
      "0558ba923dd998995ea840642598e23e3d2852396448d4c053831f10b3b88655"),
+    (["mols", "--n", "5", "--check"], 0,
+     "eee29644f2fac5d6571ad9ca341b97fdb14d28b9362e2fbb9914f64a0146a88a"),
+    (["mols", "--n", "7"], 0,
+     "7b31828a2697dd1fd7a76324902393398b01e16cc5e590b2256d44e54dc726a3"),
+    (["construct", "--n", "5", "--format", "json"], 0,
+     "b809c5f8779ec386bbcb363ee672bfe25f308c6a55fad450d6c61ca7e9983a7f"),
+    (["construct", "--n", "5", "--format", "dimacs"], 0,
+     "460dc942d73b636b89e6d1f38130a9a36ef816a72fcd9bf89fc7367df73462dd"),
+    (["construct", "--n", "5", "--format", "dot"], 0,
+     "c118bd03ca48644e5d03e16e1d4b7a16abfecd9e4d2fd3246d5c4394b4ef09a4"),
+    (["construct", "--n", "7", "--format", "json"], 0,
+     "e5cc4288d636c14df69daa1f05533cca9dfeddb0188f761275768f9b6d24c782"),
 ]
 
 

@@ -91,6 +91,18 @@ def test_parse_graph_json_rejects_missing_fields():
         serialize.parse_graph_json('[1, 2]')
 
 
+def test_vertex_count_limit_is_inclusive():
+    # the guard refuses counts above the limit, not the limit itself
+    limit = serialize.MAX_INPUT_VERTICES
+    assert serialize.parse_dimacs(f"p edge {limit} 0\n").n == limit
+    g, _ = serialize.parse_graph_json(json.dumps({"n_vertices": limit, "edges": []}))
+    assert g.n == limit
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        serialize.parse_dimacs(f"p edge {limit + 1} 0\n")
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        serialize.parse_graph_json(json.dumps({"n_vertices": limit + 1, "edges": []}))
+
+
 def test_lists_round_trip():
     a = ListAssignment(universe=(1, 2, 3), lists={0: frozenset({1, 2}), 1: frozenset({3})})
     doc = serialize.lists_to_json_dict(a)
