@@ -139,7 +139,8 @@ def test_latin_square_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != c
     # rows given as lists are stored as tuples, so they compare and hash alike
-    assert LatinSquare(order=5, entries=[list(row) for row in a.entries]) == a
+    from_lists = LatinSquare(order=5, entries=[list(row) for row in a.entries])
+    assert from_lists == a and hash(from_lists) == hash(a)
 
 
 def test_shape_mismatch_rejected():
