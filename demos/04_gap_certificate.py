@@ -5,8 +5,11 @@ one color per part.  But complete multipartite graphs resist list
 coloring: splitting the 2r-1 colors into n blocks and denying block k
 to the k-th vertex of every part leaves no color common to any part, so
 every part needs two colors and 2r-1 colors cannot serve r parts.  The
-certificate pins both sides: an exact coloring witness, and a complete
-exhaustion of the adversarial lists one size larger than (2n-1)-1.
+certificate pins both sides without a search for the first: the coloring
+by part of the verified partition (one vertex per part is a clique, so
+no fewer colors will do), and a complete exhaustion of the adversarial
+lists one size larger than (2n-1)-1, which that pigeonhole count settles
+at the root node.
 """
 
 from squaregap import certify_gap

@@ -3,10 +3,12 @@ their squares separate list chromatic number from chromatic number.
 
 The pipeline: orthogonal Latin squares of prime order n give a graph G
 on 2n^2 - n vertices whose square is the complete multipartite graph
-with 2n - 1 parts of size n.  An exact solver pins the chromatic number
-of that square at 2n - 1, and an exhaustive refutation of a structured
-list assignment shows the list chromatic number is at least 3(n - 1) + 1,
-so the gap is at least n - 1.
+with 2n - 1 parts of size n.  Once that is verified, coloring by part
+and one vertex per part (a clique) pin the chromatic number of the square
+at 2n - 1, and an exhaustive refutation of a structured list assignment
+shows the list chromatic number is at least 3(n - 1) + 1, so the gap is
+at least n - 1.  The exact chromatic solver stays available as a
+cross-check.
 """
 
 from .errors import CapacityError, SearchBudgetExceeded

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import coloring, serialize, verification
 from .construction import construct_counterexample
-from .errors import CapacityError, SearchBudgetExceeded
+from .errors import SearchBudgetExceeded
 from .graphcore import SimpleGraph, square
 from .latin import are_orthogonal, build_mols_family, is_latin
 
@@ -59,6 +59,19 @@ def _budget_seconds(text: str) -> float:
     return value
 
 
+def _order(text: str) -> int:
+    """argparse type for --n: an integer whose 2n^2 - n vertex graph is within
+    serialize.MAX_INPUT_VERTICES, checked before any primality test or allocation."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if 2 * value * value - value > serialize.MAX_INPUT_VERTICES:
+        raise argparse.ArgumentTypeError(
+            f"the graph for n = {value} would exceed {serialize.MAX_INPUT_VERTICES} vertices")
+    return value
+
+
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="squaregap",
@@ -67,17 +80,17 @@ def _parse_args(argv):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build the graph and serialize it")
-    p.add_argument("--n", type=int, required=True, help="prime order, at least 3")
+    p.add_argument("--n", type=_order, required=True, help="prime order, at least 3")
     p.add_argument("--format", choices=["dot", "dimacs", "json"], default="json")
     p.add_argument("--output", help="write here instead of stdout")
 
     p = sub.add_parser("verify", help="run the structural checks")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order, required=True)
     p.add_argument("--lemma", choices=["all", "nw", "nv", "independence", "pq", "structure"],
                    default="all")
 
     p = sub.add_parser("certify", help="emit a choosability-gap certificate")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order, required=True)
     p.add_argument("--budget-seconds", type=_budget_seconds, default=None)
 
     p = sub.add_parser("solve-list", help="decide list-colorability of a graph file")
@@ -85,7 +98,7 @@ def _parse_args(argv):
     p.add_argument("--lists", required=True, help="list assignment JSON")
 
     p = sub.add_parser("mols", help="print the orthogonal Latin square family")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_order, required=True)
     p.add_argument("--check", action="store_true",
                    help="re-validate Latin and orthogonality properties")
 
@@ -201,13 +214,11 @@ def main(argv=None) -> int:
     try:
         outcome, payload = _HANDLERS[args.command](args)
         code = EXIT_PASS if outcome == "pass" else EXIT_FAIL
-    except (ValueError, CapacityError) as exc:
+    except ValueError as exc:
         print(f"squaregap {args.command}: {exc}", file=sys.stderr)
         outcome, code = "error", EXIT_BAD_PARAMS
     except SearchBudgetExceeded as exc:
-        print(f"squaregap {args.command}: {exc} (nodes={exc.nodes}, "
-              f"lower_bound={exc.lower_bound}, upper_bound={exc.upper_bound})",
-              file=sys.stderr)
+        print(f"squaregap {args.command}: {exc} (nodes={exc.nodes})", file=sys.stderr)
         outcome, code = "error", EXIT_BUDGET
     except OSError as exc:
         print(f"squaregap {args.command}: {exc}", file=sys.stderr)

@@ -487,31 +487,28 @@ def vetrik_on_witness(va: VetrikAssignment, witness: PartitionWitness) -> ListAs
 
 
 def validate_coloring(g: SimpleGraph, coloring, assignment: ListAssignment | None = None) -> bool:
-    """Independent check that a coloring is proper (and list-respecting, if given)."""
-    if isinstance(coloring, dict):
-        values = coloring
-    else:
-        values = {v: c for v, c in enumerate(coloring)}
+    """Independent check that a coloring is proper (each row misses the mask of
+    its own color class) and list-respecting, if an assignment is given."""
+    values = coloring if isinstance(coloring, dict) else dict(enumerate(coloring))
     if set(values) != set(range(g.n)):
         return False
-    for u, v in g.edges():
-        if values[u] == values[v]:
-            return False
-    if assignment is not None:
-        for v, c in values.items():
-            if c not in assignment.lists[v]:
-                return False
-    return True
+    classes: dict[int, int] = {}
+    for v, c in values.items():
+        classes[c] = classes.get(c, 0) | 1 << v
+    if any(g.adj[v] & classes[c] for v, c in values.items()):
+        return False
+    return assignment is None or all(c in assignment.lists[v] for v, c in values.items())
 
 
 def certify_gap(n: int, budget_seconds: Optional[float] = None) -> GapCertificate:
     """End-to-end certificate that the squared construction has a choosability gap.
 
-    Builds the graph, re-verifies that the square is complete multipartite,
-    computes the exact chromatic number (cross-checked against the part
-    count), and exhaustively refutes the adversarial assignment of size
-    vetrik_lower_bound(n, 2n-1) on the square.  The gap lower bound is
-    (refuted size + 1) - chromatic, which is n - 1 for every prime n >= 3.
+    Builds the graph and re-verifies that its square is complete multipartite
+    on r = 2n-1 parts, so every row is "everything outside my part": coloring
+    by part is proper and one vertex per part is a clique, hence chromatic
+    number r with no search.  Then exhaustively refutes the adversarial lists
+    of size vetrik_lower_bound(n, r) on the square, within budget_seconds.
+    The gap lower bound (refuted size + 1) - r is n - 1 for every prime n >= 3.
     """
     require_prime(n)
     if n < 3:
@@ -522,13 +519,11 @@ def certify_gap(n: int, budget_seconds: Optional[float] = None) -> GapCertificat
     witness, report = check_square_structure(gc, sq)
     if not report.passed:
         raise RuntimeError(f"square structure check failed: {report.witness}")
-    chromatic, coloring = chromatic_number_exact(sq, deadline=deadline)
     r = len(witness.parts)
-    if chromatic != r:
-        raise RuntimeError(
-            f"exact chromatic number {chromatic} disagrees with part count {r}")
-    if not validate_coloring(sq, coloring) or len(set(coloring)) != chromatic:
-        raise RuntimeError("chromatic witness failed independent validation")
+    part_of = {v: c for c, part in enumerate(witness.parts) for v in part}
+    coloring = [part_of[v] for v in range(sq.n)]
+    if not validate_coloring(sq, coloring):
+        raise RuntimeError("part coloring failed independent validation")
     va = vetrik_assignment(n, r)
     refuted = vetrik_on_witness(va, witness)
     result = multipartite_list_colorable(witness, refuted, deadline=deadline)
@@ -536,11 +531,11 @@ def certify_gap(n: int, budget_seconds: Optional[float] = None) -> GapCertificat
         raise RuntimeError("adversarial assignment was unexpectedly colorable")
     return GapCertificate(
         n=n,
-        chromatic=chromatic,
+        chromatic=r,
         chromatic_coloring=tuple(coloring),
         list_bound=va.bound,
         refuted_assignment=refuted,
         blocks=va.blocks,
         attestation=result.attestation,
-        gap_lower=va.bound + 1 - chromatic,
+        gap_lower=va.bound + 1 - r,
     )

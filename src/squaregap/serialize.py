@@ -12,7 +12,9 @@ from .construction import ConstructedGraph
 from .graphcore import SimpleGraph
 from .verification import LemmaReport
 
-MAX_INPUT_VERTICES = 10**6  # larger vertex counts in input files are refused
+# Larger vertex counts are refused before any row is allocated: n bit rows can
+# take up to n^2/8 bytes, even when the file that asks for them is small.
+MAX_INPUT_VERTICES = 2**16
 
 
 def _vertex_count(n: int) -> int:

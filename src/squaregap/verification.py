@@ -3,14 +3,15 @@
 Every check covers its full case space, never stops at the first
 violation, and reports the first witness per item plus a failure count,
 so a broken construction comes back with a concrete counterexample
-tuple instead of a bare False.  The pair claims (nw3, nv2, pq) are first
-tested with an exact bitset identity that settles all pairs at once when
-every one passes; only a failure walks the pairs to count and name them,
-so counts and witnesses are those of the full enumeration.
+tuple instead of a bare False.  The pair claims (nw3, nv2) are settled
+by bitset arithmetic one vertex at a time, and that pass also names the
+failing pairs in the order of a pair-by-pair walk, so counts and
+witnesses are those of the full enumeration.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from math import comb
+from typing import Optional
 
 from .construction import ConstructedGraph, construct_counterexample
 from .graphcore import PartitionWitness, SimpleGraph, bits, mask_of, square
@@ -32,10 +33,7 @@ class LemmaReport:
 
 
 class _Collector:
-    """Tallies cases and keeps the first witness per item.
-
-    Passing cases are only counted; a witness is built only for a failure.
-    """
+    """Counts the cases and keeps the first witness of each failing item."""
 
     def __init__(self, lemma_id: str):
         self.lemma_id = lemma_id
@@ -46,12 +44,10 @@ class _Collector:
     def passed(self, k: int = 1):
         self.cases += k
 
-    def record(self, item: str, ok: bool, witness: Callable[[], tuple]):
+    def fail(self, item: str, witness: tuple):
         self.cases += 1
-        if not ok:
-            self.failures += 1
-            if item not in self.first:
-                self.first[item] = witness()
+        self.failures += 1
+        self.first.setdefault(item, witness)
 
     def report(self) -> LemmaReport:
         items = tuple(self.first.values())
@@ -69,30 +65,44 @@ def _label(gc: ConstructedGraph, v: int) -> str:
     return str(gc.labels[v])
 
 
-def _pairs_share_at_most_one(g: SimpleGraph, xs: tuple[int, ...], centres: int,
-                             group_of: dict[int, int]) -> bool:
-    """True iff no two vertices of xs have two common neighbours in centres,
-    and no x in xs has any common neighbour with a vertex of group_of[x].
+def _one_neighbour_in_each(col: _Collector, item: str, gc: ConstructedGraph, x: int,
+                           name: str, masks: list[int]):
+    """Check that x has exactly one neighbour in each of name_1, name_2, ..."""
+    row = gc.graph.adj[x]
+    for k, m in enumerate(masks, start=1):
+        got = (row & m).bit_count()
+        if got == 1:
+            col.passed()
+        else:
+            col.fail(item, (item, _label(gc, x), f"{name}_{k}", got))
 
-    A vertex y of xs other than x shares k such neighbours with x exactly
-    when it lies in k of the rows adj[c] & xs - {x}, c in N(x) & centres.
-    Every pair passes iff for every x those rows are pairwise disjoint
-    (popcount of their OR equals the sum of their popcounts) and their OR
-    misses group_of[x]; the cost is one AND/OR per edge instead of one
-    AND per pair.  Relies on the rows being symmetric.
+
+def _share_at_most_one(col: _Collector, item: str, gc: ConstructedGraph,
+                       xs: tuple[int, ...], centres: int, group_of: dict[int, int]):
+    """Check every pair x < y of xs: at most one common neighbour in centres,
+    none when y lies in group_of[x].
+
+    y shares k such neighbours with x exactly when it lies in k of the rows
+    adj[c] & later, c in N(x) & centres: masks of the vertices seen once and
+    twice over those rows find every failing y with one AND/OR per edge
+    instead of one AND per pair.  Relies on the rows being symmetric.
     """
+    adj = gc.graph.adj
     xs_mask = mask_of(xs)
-    adj = g.adj
-    for x in xs:
-        others = xs_mask & ~(1 << x)
-        union = total = 0
+    good = comb(len(xs), 2)
+    for x in bits(xs_mask):
+        later = xs_mask >> (x + 1) << (x + 1)
+        once = twice = 0
         for c in bits(adj[x] & centres):
-            row = adj[c] & others
-            union |= row
-            total += row.bit_count()
-        if union.bit_count() != total or union & group_of.get(x, 0):
-            return False
-    return True
+            row = adj[c] & later
+            twice |= once & row
+            once |= row
+        crowded = twice | (once & group_of.get(x, 0))
+        good -= crowded.bit_count()
+        for y in bits(crowded):
+            col.fail(item, (item, _label(gc, x), _label(gc, y),
+                            (adj[x] & adj[y] & centres).bit_count()))
+    col.passed(good)
 
 
 def check_lemma_nw(gc: ConstructedGraph) -> LemmaReport:
@@ -116,30 +126,15 @@ def check_lemma_nw(gc: ConstructedGraph) -> LemmaReport:
     for qs, latin in zip(gc.q_sets, gc.squares):
         for x, row in zip(qs, latin.entries):
             want = mask_of(gc.v_index(k, e) for k, e in enumerate(row, start=1))
-            col.record("nw0", g.adj[x] == want,
-                       lambda: ("nw0", _label(gc, x), "neighborhood differs from Latin row"))
+            if g.adj[x] == want:
+                col.passed()
+            else:
+                col.fail("nw0", ("nw0", _label(gc, x), "neighborhood differs from Latin row"))
     for x in q:
-        for k, pm in enumerate(p_masks, start=1):
-            got = (g.adj[x] & pm).bit_count()
-            col.record("nw1", got == 1, lambda: ("nw1", _label(gc, x), f"P_{k}", got))
-        for k, tm in enumerate(t_masks, start=1):
-            got = (g.adj[x] & tm).bit_count()
-            col.record("nw2", got == 1, lambda: ("nw2", _label(gc, x), f"T_{k}", got))
-    group_mask = {}
-    for qs in gc.q_sets:
-        m = mask_of(qs)
-        for x in qs:
-            group_mask[x] = m
-    if _pairs_share_at_most_one(g, q, (1 << g.n) - 1, group_mask):
-        col.passed(len(q) * (len(q) - 1) // 2)
-    else:  # some pair fails: walk them all for the count and witnesses
-        for a in range(len(q)):
-            for b in range(a + 1, len(q)):
-                x, y = q[a], q[b]
-                shared = (g.adj[x] & g.adj[y]).bit_count()
-                limit = 0 if group_mask[x] == group_mask[y] else 1
-                col.record("nw3", shared <= limit,
-                           lambda: ("nw3", _label(gc, x), _label(gc, y), shared))
+        _one_neighbour_in_each(col, "nw1", gc, x, "P", p_masks)
+        _one_neighbour_in_each(col, "nw2", gc, x, "T", t_masks)
+    group_mask = {x: m for qs, m in zip(gc.q_sets, map(mask_of, gc.q_sets)) for x in qs}
+    _share_at_most_one(col, "nw3", gc, q, (1 << g.n) - 1, group_mask)
     return col.report()
 
 
@@ -179,24 +174,13 @@ def check_lemma_nv(gc: ConstructedGraph) -> LemmaReport:
     (1) every v-vertex has exactly one neighbor in each Q_k,
     (2) two distinct v-vertices share at most one w-neighbor.
     """
-    g = gc.graph
     col = _Collector("nv")
     q_masks = [mask_of(s) for s in gc.q_sets]
     q_all = mask_of(gc.q_vertices)
     p = gc.p_vertices
     for x in p:
-        for k, qm in enumerate(q_masks, start=1):
-            got = (g.adj[x] & qm).bit_count()
-            col.record("nv1", got == 1, lambda: ("nv1", _label(gc, x), f"Q_{k}", got))
-    if _pairs_share_at_most_one(g, p, q_all, {}):
-        col.passed(len(p) * (len(p) - 1) // 2)
-    else:  # some pair fails: walk them all for the count and witnesses
-        for a in range(len(p)):
-            for b in range(a + 1, len(p)):
-                x, y = p[a], p[b]
-                shared = (g.adj[x] & g.adj[y] & q_all).bit_count()
-                col.record("nv2", shared <= 1,
-                           lambda: ("nv2", _label(gc, x), _label(gc, y), shared))
+        _one_neighbour_in_each(col, "nv1", gc, x, "Q", q_masks)
+    _share_at_most_one(col, "nv2", gc, p, q_all, {})
     return col.report()
 
 
@@ -208,9 +192,11 @@ def check_independence(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
     for name, part in named:
         m = mask_of(part)
         bad = next((v for v in part if sq.adj[v] & m), None)
-        col.record("independence", bad is None, lambda: (
-            "independence", name, _label(gc, bad),
-            _label(gc, next(bits(sq.adj[bad] & m)))))
+        if bad is None:
+            col.passed()
+        else:
+            col.fail("independence", ("independence", name, _label(gc, bad),
+                                      _label(gc, next(bits(sq.adj[bad] & m)))))
     return col.report()
 
 
@@ -221,12 +207,9 @@ def check_pq_adjacency(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
     q_mask = mask_of(q)
     for x in gc.p_vertices:
         missing = q_mask & ~sq.adj[x]
-        if not missing:
-            col.passed(len(q))
-            continue
-        for y in q:
-            col.record("pq", not (missing >> y) & 1,
-                       lambda: ("pq", _label(gc, x), _label(gc, y)))
+        col.passed(len(q) - missing.bit_count())
+        for y in bits(missing):
+            col.fail("pq", ("pq", _label(gc, x), _label(gc, y)))
     return col.report()
 
 
@@ -247,16 +230,21 @@ def check_square_structure(gc: ConstructedGraph, sq: Optional[SimpleGraph] = Non
     for part, pm in zip(witness.parts, witness.part_masks()):
         want = full & ~pm
         for v in part:
-            col.record("structure", g.adj[v] == want,
-                       lambda: ("structure", _label(gc, v), "adjacency row mismatch"))
+            if g.adj[v] == want:
+                col.passed()
+            else:
+                col.fail("structure", ("structure", _label(gc, v), "adjacency row mismatch"))
     p_mask = mask_of(gc.p_vertices)
     q_mask = mask_of(gc.q_vertices)
     e_p = sum((g.adj[v] & p_mask).bit_count() for v in gc.p_vertices) // 2
     e_q = sum((g.adj[v] & q_mask).bit_count() for v in gc.q_vertices) // 2
     want_p = n * n * (n * (n - 1) // 2)
     want_q = n * n * ((n - 1) * (n - 2) // 2)
-    col.record("edges_p", e_p == want_p, lambda: ("edges_p", e_p, want_p))
-    col.record("edges_q", e_q == want_q, lambda: ("edges_q", e_q, want_q))
+    for item, got, want in (("edges_p", e_p, want_p), ("edges_q", e_q, want_q)):
+        if got == want:
+            col.passed()
+        else:
+            col.fail(item, (item, got, want))
     return witness, col.report()
 
 

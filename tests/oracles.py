@@ -73,6 +73,60 @@ def enumerate_chromatic(g: SimpleGraph) -> int:
     raise AssertionError("a graph on n vertices is always n-colorable")
 
 
+def neighbourhood_reports_by_walk(gc) -> dict[str, tuple]:
+    """The nw and nv lemmas recomputed over neighbour sets, every pair by itself.
+
+    For each lemma: (checked_cases, failure_count, witness, item_witnesses),
+    with cases met in the order of the lemma's docstring and pairs x < y in
+    index order.
+    """
+    g = gc.graph
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+
+    def label(v):
+        return str(gc.labels[v])
+
+    def one_in_each(item, x, name, sets):
+        for k, s in enumerate(sets, start=1):
+            got = len(nbrs[x] & set(s))
+            yield item, None if got == 1 else (item, label(x), f"{name}_{k}", got)
+
+    def pairs(item, xs, centres, limit):
+        for x, y in itertools.combinations(sorted(xs), 2):
+            shared = len(nbrs[x] & nbrs[y] & centres)
+            yield item, None if shared <= limit(x, y) else (item, label(x), label(y), shared)
+
+    def nw_cases():
+        for qs, latin in zip(gc.q_sets, gc.squares):
+            for x, row in zip(qs, latin.entries):
+                want = {gc.v_index(k, e) for k, e in enumerate(row, start=1)}
+                yield "nw0", None if nbrs[x] == want else (
+                    "nw0", label(x), "neighborhood differs from Latin row")
+        for x in gc.q_vertices:
+            yield from one_in_each("nw1", x, "P", gc.p_sets)
+            yield from one_in_each("nw2", x, "T", gc.t_sets)
+        group = {x: i for i, qs in enumerate(gc.q_sets) for x in qs}
+        yield from pairs("nw3", gc.q_vertices, set(range(g.n)),
+                         lambda x, y: 0 if group[x] == group[y] else 1)
+
+    def nv_cases():
+        for x in gc.p_vertices:
+            yield from one_in_each("nv1", x, "Q", gc.q_sets)
+        yield from pairs("nv2", gc.p_vertices, set(gc.q_vertices), lambda x, y: 1)
+
+    def tally(cases):
+        count, failures, first = 0, 0, {}
+        for item, witness in cases:
+            count += 1
+            if witness is not None:
+                failures += 1
+                first.setdefault(item, witness)
+        items = tuple(first.values())
+        return count, failures, (items[0] if items else None), items
+
+    return {"nw": tally(nw_cases()), "nv": tally(nv_cases())}
+
+
 def random_graph(rng, n: int, p: float) -> SimpleGraph:
     """G(n, p) with edges drawn from the supplied seeded Random instance."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]

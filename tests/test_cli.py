@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -115,10 +116,34 @@ def test_certify_n3(capsys):
     assert doc["refutation"]["complete"] is True
 
 
-def test_certify_capacity_is_param_error(capsys):
-    code, _, err = run_cli(capsys, "certify", "--n", "11")
-    assert code == 2
-    assert "limited to 128 vertices" in err
+@pytest.mark.parametrize("n, chromatic, bound", [(11, 21, 30), (31, 61, 90)])
+def test_certify_past_the_exact_solver_guard(capsys, n, chromatic, bound):
+    code, out, err = run_cli(capsys, "certify", "--n", str(n))
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["chromatic"], doc["not_choosable"], doc["gap_lower"]) == (chromatic, bound, n - 1)
+    assert envelope_of(err)["outcome"] == "pass"
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "certify", "mols"])
+def test_huge_order_is_refused_before_any_work(capsys, command):
+    # 2n^2 - n far above serialize.MAX_INPUT_VERTICES: no primality test, no graph
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main([command, "--n", "1" * 30])
+    assert time.perf_counter() - start < 1.0
+    assert info.value.code == 2
+    assert "exceed" in capsys.readouterr().err
+
+
+def test_largest_order_within_the_vertex_limit():
+    from squaregap.cli import _order
+    from squaregap.serialize import MAX_INPUT_VERTICES
+
+    assert 2 * 181 * 181 - 181 <= MAX_INPUT_VERTICES < 2 * 182 * 182 - 182
+    assert _order("181") == 181
+    with pytest.raises(argparse.ArgumentTypeError):
+        _order("182")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -136,15 +161,13 @@ def test_envelope_refuses_non_finite_numbers():
         report.envelope()
 
 
-def test_budget_stop_reports_bounds(monkeypatch, capsys):
-    # a trivial greedy upper bound makes the exact chromatic search run, and a
-    # deadline check at every node stops it at once
-    monkeypatch.setattr(coloring, "greedy_coloring", lambda g: (g.n, list(range(g.n))))
+def test_budget_stop_reports_nodes(monkeypatch, capsys):
+    # a deadline check at every node stops the refutation at its first node
     monkeypatch.setattr(coloring, "_DEADLINE_STRIDE", 1)
     code, out, err = run_cli(capsys, "certify", "--n", "3", "--budget-seconds", "0")
     assert code == 4
     assert out == ""
-    assert "(nodes=1, lower_bound=5, upper_bound=15)" in err
+    assert "(nodes=1)" in err
     assert envelope_of(err)["outcome"] == "error"
 
 

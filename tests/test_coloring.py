@@ -22,9 +22,10 @@ from squaregap.coloring import (
     vetrik_lower_bound,
     vetrik_on_witness,
 )
+from squaregap.construction import construct_counterexample
 from squaregap.errors import CapacityError, SearchBudgetExceeded
 from squaregap.graphcore import (PartitionWitness, SimpleGraph, complete_multipartite,
-                                 is_clique)
+                                 is_clique, square)
 
 
 def cycle(n):
@@ -431,10 +432,20 @@ def test_certify_gap_rejects_bad_orders():
             certify_gap(n)
 
 
-def test_certify_gap_capacity():
-    # n = 11 squares to 231 vertices, past the exact-chromatic guard
-    with pytest.raises(CapacityError):
-        certify_gap(11)
+def test_certify_gap_past_the_exact_solver_guard():
+    # n = 11 squares to 231 vertices, n = 31 to 1,891: past the exact solver's
+    # 128-vertex guard, but chi is read off the verified partition
+    for n, chromatic, bound in ((11, 21, 30), (31, 61, 90)):
+        cert = certify_gap(n)
+        assert (cert.chromatic, cert.list_bound, cert.gap_lower) == (chromatic, bound, n - 1)
+        assert cert.attestation.nodes == 1
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_exact_solver_agrees_with_the_part_coloring(n):
+    cert = certify_gap(n)
+    sq = square(construct_counterexample(n).graph)
+    assert chromatic_number_exact(sq) == (cert.chromatic, list(cert.chromatic_coloring))
 
 
 def test_certificate_tamper_detection():
@@ -443,6 +454,15 @@ def test_certificate_tamper_detection():
         dataclasses.replace(cert, gap_lower=3)
     with pytest.raises(ValueError):
         dataclasses.replace(cert, chromatic=6)
+
+
+def test_validate_coloring_against_the_edge_list():
+    rng = random.Random(31)
+    for trial in range(200):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.5]))
+        colors = [rng.randrange(3) for _ in range(g.n)]
+        want = all(colors[u] != colors[v] for u, v in g.edges())
+        assert validate_coloring(g, colors) == want, f"trial {trial}"
 
 
 def test_validate_coloring_forms():

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from oracles import neighbourhood_reports_by_walk
 from squaregap.construction import construct_counterexample
 from squaregap.graphcore import SimpleGraph, square
 from squaregap.verification import (
@@ -150,6 +151,35 @@ def test_every_single_edge_mutation_is_caught():
             reports = run_all_checks(toggled(gc, u, v))
             assert not all(r.passed for r in reports.values()), \
                 f"undetected mutation {gc.labels[u]} ~ {gc.labels[v]}"
+
+
+def test_pair_lemmas_match_the_pair_walk_on_every_single_edge_toggle():
+    # failures, their count and their witnesses come from the pass that
+    # settles the pairs; the oracle walks every pair by itself
+    gc = construct_counterexample(3)
+    checks = {"nw": check_lemma_nw, "nv": check_lemma_nv}
+    failing = 0
+    for u, v in itertools.combinations(range(gc.graph.n), 2):
+        mutant = toggled(gc, u, v)
+        want = neighbourhood_reports_by_walk(mutant)
+        for name, check in checks.items():
+            r = check(mutant)
+            assert (r.checked_cases, r.failure_count, r.witness, r.item_witnesses) == want[name]
+            failing += r.failure_count > 0
+    assert failing > 100  # most toggles break nw or nv, so the failure path is exercised
+
+
+def test_nv2_counts_only_shared_w_neighbours():
+    # v_1_1 and v_2_1 lie in one column clique, so they share v-neighbours too;
+    # joining v_2_1 to two w-neighbours of v_1_1 makes them share two w's
+    gc = construct_counterexample(3)
+    x, y = gc.v_index(1, 1), gc.v_index(2, 1)
+    ws = [w for w in gc.graph.neighbors(x) if w in gc.q_vertices][:2]
+    mutant = edited(gc, add=[(w, y) for w in ws])
+    r = check_lemma_nv(mutant)
+    assert (r.checked_cases, r.failure_count, r.witness, r.item_witnesses) == \
+        neighbourhood_reports_by_walk(mutant)["nv"]
+    assert ("nv2", "v_1_1", "v_2_1", 2) in r.item_witnesses
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
