@@ -507,23 +507,34 @@ def certify_gap(n: int, budget_seconds: Optional[float] = None) -> GapCertificat
     on r = 2n-1 parts, so every row is "everything outside my part": coloring
     by part is proper and one vertex per part is a clique, hence chromatic
     number r with no search.  Then exhaustively refutes the adversarial lists
-    of size vetrik_lower_bound(n, r) on the square, within budget_seconds.
+    of size vetrik_lower_bound(n, r) on the square.  budget_seconds bounds the
+    whole run: the deadline is checked after each phase and inside the search,
+    and SearchBudgetExceeded names the last phase finished.
     The gap lower bound (refuted size + 1) - r is n - 1 for every prime n >= 3.
     """
     require_prime(n)
     if n < 3:
         raise ValueError(f"n must be a prime >= 3, got {n}")
     deadline = deadline_from_budget(budget_seconds)
+
+    def reached(phase: str):
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchBudgetExceeded(f"budget exhausted after {phase}")
+
     gc = construct_counterexample(n)
+    reached("construct")
     sq = square(gc.graph)
+    reached("square")
     witness, report = check_square_structure(gc, sq)
     if not report.passed:
         raise RuntimeError(f"square structure check failed: {report.witness}")
+    reached("structure check")
     r = len(witness.parts)
     part_of = {v: c for c, part in enumerate(witness.parts) for v in part}
     coloring = [part_of[v] for v in range(sq.n)]
     if not validate_coloring(sq, coloring):
         raise RuntimeError("part coloring failed independent validation")
+    reached("colouring validation")
     va = vetrik_assignment(n, r)
     refuted = vetrik_on_witness(va, witness)
     result = multipartite_list_colorable(witness, refuted, deadline=deadline)

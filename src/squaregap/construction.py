@@ -7,6 +7,7 @@ to the v-vertices named by row j of the i-th Latin square: one neighbor
 in every P_k and one in every T_k.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .graphcore import SimpleGraph
@@ -74,23 +75,20 @@ def construct_counterexample(n: int) -> ConstructedGraph:
     if n < 3:
         raise ValueError(f"n must be a prime >= 3, got {n}")
     family = build_mols_family(n)
-
-    def v_idx(i, j):
-        return (i - 1) * n + (j - 1)
-
-    def w_idx(i, j):
-        return n * n + (i - 1) * n + (j - 1)
-
-    edges = [(w_idx(i, j), v_idx(k, x))
-             for i, sq in enumerate(family.squares, start=1)
-             for j, row in enumerate(sq.entries, start=1)
-             for k, x in enumerate(row, start=1)]
-    edges += [(v_idx(a, j), v_idx(b, j))
-              for j in range(1, n + 1) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    graph = SimpleGraph.from_edges(2 * n * n - n, edges)
-    p_sets = tuple(tuple(v_idx(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
-    q_sets = tuple(tuple(w_idx(i, j) for j in range(1, n + 1)) for i in range(1, n))
-    t_sets = tuple(tuple(v_idx(i, j) for i in range(1, n + 1)) for j in range(1, n + 1))
+    nn = n * n
+    # w_{i,j} is vertex nn + (i-1)n + (j-1) and v_{k,x} is vertex (k-1)n + (x-1),
+    # so the w's follow the rows of the squares in order and each row entry x
+    # at position k names vertex (k-1)n + x - 1.
+    rows = [row for sq in family.squares for row in sq.entries]
+    edges = [(w, base + x - 1)
+             for w, row in enumerate(rows, start=nn)
+             for base, x in zip(range(0, nn, n), row)]
+    for j in range(n):
+        edges += itertools.combinations(range(j, nn, n), 2)
+    graph = SimpleGraph.from_edges(2 * nn - n, edges)
+    p_sets = tuple(tuple(range(k, k + n)) for k in range(0, nn, n))
+    q_sets = tuple(tuple(range(k, k + n)) for k in range(nn, 2 * nn - n, n))
+    t_sets = tuple(tuple(range(j, nn, n)) for j in range(n))
     return ConstructedGraph(n=n, graph=graph, labels=_labels(n), p_sets=p_sets,
                             q_sets=q_sets, t_sets=t_sets, squares=family.squares)
 

@@ -5,7 +5,9 @@ emitted with sorted keys, no timestamps or machine-local data in any
 payload.
 """
 
+import itertools
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .coloring import GapCertificate, ListAssignment
 from .construction import ConstructedGraph
@@ -25,7 +27,42 @@ def _vertex_count(n: int) -> int:
 
 
 def json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The text of json.dumps(obj, sort_keys=True, indent=2) plus a newline.
+
+    The standard library indents only in its pure-Python encoder, one
+    generator step per token.  This writer joins whole lists of ints (and
+    lists of non-empty int lists) in one str.join and walks str-keyed dicts
+    itself; every other value goes to json.dumps, re-indented to its depth,
+    which is safe because encoded JSON holds no raw newline inside a string.
+    """
+    return _indented(obj, "") + "\n"
+
+
+def _indented(obj, pad: str) -> str:
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return str(obj)
+    inner = pad + "  "
+    if (kind is list or kind is tuple) and obj:
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            return f"[\n{inner}" + f",\n{inner}".join(map(str, obj)) + f"\n{pad}]"
+        if (kinds <= {list, tuple} and all(obj)
+                and set(map(type, itertools.chain.from_iterable(obj))) == {int}):
+            deeper = inner + "  "
+            rows = f"\n{inner}],\n{inner}[\n{deeper}".join(
+                [f",\n{deeper}".join(map(str, row)) for row in obj])
+            return f"[\n{inner}[\n{deeper}{rows}\n{inner}]\n{pad}]"
+        return (f"[\n{inner}" + f",\n{inner}".join([_indented(x, inner) for x in obj])
+                + f"\n{pad}]")
+    if kind is dict and obj and all(type(k) is str for k in obj):
+        return (f"{{\n{inner}"
+                + f",\n{inner}".join([f"{_encode_str(k)}: {_indented(obj[k], inner)}"
+                                       for k in sorted(obj)])
+                + f"\n{pad}}}")
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
 # -- DIMACS .col --------------------------------------------------------------
@@ -41,18 +78,18 @@ def parse_dimacs(text: str) -> SimpleGraph:
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if len(fields) == 3 and fields[0] == "e":
+            edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
             continue
-        fields = line.split()
+        if not fields or fields[0].startswith("c"):
+            continue
         if fields[0] == "p":
             if len(fields) != 4 or fields[1] != "edge":
-                raise ValueError(f"line {lineno}: malformed problem line {line!r}")
+                raise ValueError(f"line {lineno}: malformed problem line {raw.strip()!r}")
             n = _vertex_count(int(fields[2]))
         elif fields[0] == "e":
-            if len(fields) != 3:
-                raise ValueError(f"line {lineno}: malformed edge line {line!r}")
-            edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
+            raise ValueError(f"line {lineno}: malformed edge line {raw.strip()!r}")
         else:
             raise ValueError(f"line {lineno}: unknown record {fields[0]!r}")
     if n is None:

@@ -161,13 +161,13 @@ def test_envelope_refuses_non_finite_numbers():
         report.envelope()
 
 
-def test_budget_stop_reports_nodes(monkeypatch, capsys):
-    # a deadline check at every node stops the refutation at its first node
-    monkeypatch.setattr(coloring, "_DEADLINE_STRIDE", 1)
-    code, out, err = run_cli(capsys, "certify", "--n", "3", "--budget-seconds", "0")
+def test_budget_stop_reports_nodes(capsys):
+    # the budget covers every certify phase, so a zero budget stops right after
+    # construction, before squaring and before any search node
+    code, out, err = run_cli(capsys, "certify", "--n", "31", "--budget-seconds", "0")
     assert code == 4
     assert out == ""
-    assert "(nodes=1)" in err
+    assert "budget exhausted after construct (nodes=0)" in err
     assert envelope_of(err)["outcome"] == "error"
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import time
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from squaregap.construction import construct_counterexample
 from squaregap.errors import CapacityError, SearchBudgetExceeded
 from squaregap.graphcore import (PartitionWitness, SimpleGraph, complete_multipartite,
                                  is_clique, square)
+from squaregap.verification import check_square_structure
 
 
 def cycle(n):
@@ -221,6 +223,40 @@ def test_minimal_covers_honour_the_deadline(monkeypatch):
         multipartite_list_colorable(PartitionWitness(parts=(part,)), a,
                                     deadline=time.monotonic() - 1.0)
     assert info.value.nodes == 1  # enumerating covers adds no search nodes
+
+
+def test_certify_refutation_stops_at_its_first_node(monkeypatch):
+    # a deadline check at every node stops the refutation certify runs at its
+    # first node, whatever phase the budget ran out in
+    monkeypatch.setattr(coloring, "_DEADLINE_STRIDE", 1)
+    gc = construct_counterexample(3)
+    witness, _ = check_square_structure(gc, square(gc.graph))
+    lists = vetrik_on_witness(vetrik_assignment(3, len(witness.parts)), witness)
+    with pytest.raises(SearchBudgetExceeded) as info:
+        multipartite_list_colorable(witness, lists, deadline=time.monotonic() - 1.0)
+    assert info.value.nodes == 1
+
+
+@pytest.mark.parametrize("phase,name", [
+    ("construct", "construct_counterexample"),
+    ("square", "square"),
+    ("structure check", "check_square_structure"),
+    ("colouring validation", "validate_coloring"),
+])
+def test_certify_budget_bounds_every_phase(monkeypatch, phase, name):
+    # the clock passes the deadline during one phase; certify stops right after it
+    clock = types.SimpleNamespace(now=0.0)
+    monkeypatch.setattr(coloring, "time", types.SimpleNamespace(monotonic=lambda: clock.now))
+    real = getattr(coloring, name)
+
+    def slow(*args):
+        clock.now = 10.0
+        return real(*args)
+
+    monkeypatch.setattr(coloring, name, slow)
+    with pytest.raises(SearchBudgetExceeded, match=f"budget exhausted after {phase}$") as info:
+        certify_gap(5, budget_seconds=1.0)
+    assert info.value.nodes == 0
 
 
 def test_multipartite_agrees_with_generic_on_k33():

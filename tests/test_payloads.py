@@ -81,6 +81,14 @@ PINNED = [
      "c118bd03ca48644e5d03e16e1d4b7a16abfecd9e4d2fd3246d5c4394b4ef09a4"),
     (["construct", "--n", "7", "--format", "json"], 0,
      "e5cc4288d636c14df69daa1f05533cca9dfeddb0188f761275768f9b6d24c782"),
+    (["construct", "--n", "31", "--format", "json"], 0,
+     "a897011b14c692a73df338be8c01c4017e3a91f1d4189ac9383cc67d0f5a514a"),
+    (["construct", "--n", "31", "--format", "dimacs"], 0,
+     "0f67c62374ef2ea1d68b466712620a8b8384d958f89a34b519bb8b4c79cc76d5"),
+    (["construct", "--n", "31", "--format", "dot"], 0,
+     "07402252c966d4cb49e4595d8580f68de6e4b08a442529b319a1b9925b6651b6"),
+    (["certify", "--n", "11"], 0,
+     "2ce1552a389135812e0ab6538c5e4e0700bce58bac01b4d262ea29e6073807f9"),
 ]
 
 

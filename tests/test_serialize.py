@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squaregap import serialize
 from squaregap.coloring import ListAssignment, certify_gap
@@ -17,6 +18,36 @@ def test_json_dumps_is_stable():
     a = serialize.json_dumps({"b": 1, "a": [2, 3]})
     assert a == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
     assert a == serialize.json_dumps({"a": [2, 3], "b": 1})
+
+
+_STRINGS = st.text() | st.sampled_from(["", 'say "hi"', "two\nlines", "back\\slash",
+                                        "tab\there", "\u00fcber", "\U0001f600", "\r\n"])
+_INTS = st.integers() | st.integers(min_value=-(10**40), max_value=10**40)
+_SCALARS = st.none() | st.booleans() | _INTS | st.floats() | _STRINGS
+_INT_LISTS = st.lists(_INTS | st.booleans(), max_size=6)
+_INT_MATRICES = st.lists(st.lists(_INTS, max_size=4), max_size=5)
+_TREES = st.recursive(
+    _SCALARS | _INT_LISTS | _INT_MATRICES,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(_STRINGS, children, max_size=5)
+                      | st.dictionaries(st.integers(), children, max_size=3)),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_json_dumps_matches_the_standard_library(obj):
+    assert serialize.json_dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, [[]], [[1], []], [[], [1]], [True, 1], [[1, 2], [False]], [[1, 2], (3,)],
+    {"a": {}, "b": [], "c": [[]]}, {"x": [[1, 2], [3, 4]], "y": [5, -6]}, [1.0, 2],
+    {1: [1, 2], 2: {"z": None}}, [[10**30, -(10**30)]], ["\n", 'q"q'],
+])
+def test_json_dumps_matches_the_standard_library_on_edge_cases(obj):
+    assert serialize.json_dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def test_dimacs_header_for_n3():
@@ -55,6 +86,41 @@ def test_parse_dimacs_rejects_malformed_input():
         serialize.parse_dimacs("p edge 2 1\nx 1 2\n")
     with pytest.raises(ValueError):
         serialize.parse_dimacs("p edge 2 1\ne 1 3\n")  # vertex out of range
+
+
+# Each input's parse result, or its ValueError message, as the reader gave them
+# before edge lines got their own fast path.
+DIMACS_SEMANTICS = {
+    "indented-comment": ("  c a comment\n\tc another\np edge 3 2\ne 1 2\ne 2 3\n",
+                         (3, [(0, 1), (1, 2)])),
+    "cfoo-comment": ("cfoo\nc\np edge 2 1\ncomment 1 2\ne 1 2\n", (2, [(0, 1)])),
+    "tabs": ("p\tedge\t3\t2\n\te\t1\t2\t\ne 2\t3\n", (3, [(0, 1), (1, 2)])),
+    "edges-before-p": ("e 1 2\ne 2 3\np edge 3 2\n", (3, [(0, 1), (1, 2)])),
+    "three-endpoints": ("p edge 3 1\ne 1 2\n\ne 1 2 3\n",
+                        "line 4: malformed edge line 'e 1 2 3'"),
+    "crlf": ("c x\r\np edge 3 2\r\ne 1 2\r\n\r\ne 1 3\r\n", (3, [(0, 1), (0, 2)])),
+    "short-edge": ("p edge 3 1\n  e 1  \n", "line 2: malformed edge line 'e 1'"),
+    "bad-p": ("c\n  p edge 3\n", "line 2: malformed problem line 'p edge 3'"),
+    "bad-p-kind": ("p col 3 1\n", "line 1: malformed problem line 'p col 3 1'"),
+    "unknown": ("p edge 3 1\nx 1 2\n", "line 2: unknown record 'x'"),
+    "non-int": ("p edge 3 1\ne 1 x\n", "invalid literal for int() with base 10: 'x'"),
+    "out-of-range": ("p edge 3 1\ne 1 4\n", "edge (0,3) out of range for 3 vertices"),
+    "self-loop": ("p edge 3 1\ne 2 2\n", "self-loop at 1 not allowed"),
+    "no-p": ("c only\ne 1 2\n", "missing 'p edge' problem line"),
+    "two-p": ("p edge 2 1\np edge 4 1\ne 3 4\n", (4, [(2, 3)])),
+    "vertical-tab": ("p edge 2 1\x0be 1 2\n", (2, [(0, 1)])),
+}
+
+
+@pytest.mark.parametrize("text,expected", DIMACS_SEMANTICS.values(), ids=DIMACS_SEMANTICS)
+def test_parse_dimacs_semantics(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            serialize.parse_dimacs(text)
+        assert str(info.value) == expected
+    else:
+        g = serialize.parse_dimacs(text)
+        assert (g.n, g.edges()) == expected
 
 
 def test_dot_output():
