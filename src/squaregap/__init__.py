@@ -19,18 +19,13 @@ from .latin import (
     build_latin,
     build_mols_family,
     is_latin,
-    is_prime,
     require_prime,
 )
 from .graphcore import (
     ExpandedGraph,
     PartitionWitness,
     SimpleGraph,
-    complete_multipartite,
-    induced_subgraph,
-    is_clique,
     is_complete_multipartite,
-    is_independent_set,
     square,
     subdivision,
     total_graph,
@@ -43,7 +38,6 @@ from .construction import (
 )
 from .verification import (
     LemmaReport,
-    check_claim_congruence,
     check_independence,
     check_lemma_nv,
     check_lemma_nw,
@@ -72,54 +66,8 @@ from . import serialize
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "SearchBudgetExceeded",
-    "LatinSquare",
-    "MolsFamily",
-    "are_orthogonal",
-    "build_latin",
-    "build_mols_family",
-    "is_latin",
-    "is_prime",
-    "require_prime",
-    "ExpandedGraph",
-    "PartitionWitness",
-    "SimpleGraph",
-    "complete_multipartite",
-    "induced_subgraph",
-    "is_clique",
-    "is_complete_multipartite",
-    "is_independent_set",
-    "square",
-    "subdivision",
-    "total_graph",
-    "ConstructedGraph",
-    "VertexLabel",
-    "construct_counterexample",
-    "neighbors_of_w",
-    "LemmaReport",
-    "check_claim_congruence",
-    "check_independence",
-    "check_lemma_nv",
-    "check_lemma_nw",
-    "check_pq_adjacency",
-    "check_square_structure",
-    "run_all_checks",
-    "GapCertificate",
-    "ListAssignment",
-    "ListColoringResult",
-    "SearchAttestation",
-    "VetrikAssignment",
-    "certify_gap",
-    "chromatic_number_exact",
-    "greedy_clique",
-    "greedy_coloring",
-    "is_list_colorable",
-    "multipartite_list_colorable",
-    "validate_coloring",
-    "vetrik_assignment",
-    "vetrik_lower_bound",
-    "vetrik_on_witness",
-    "serialize",
-]
+# Every name imported above except the submodules, which importing binds
+# here too; serialize is exported as a module.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_")
+           and (name == "serialize" or not isinstance(value, type(serialize)))]

@@ -28,9 +28,8 @@ _DEADLINE_STRIDE = 1024  # nodes between wall-clock checks
 class ListAssignment:
     """Per-vertex color lists over an ordered integer color universe.
 
-    A canonical assignment has every list nonempty; construction tolerates
-    empty lists so that solvers can express the trivially-unsatisfiable
-    case, and validate() enforces the strict form.
+    Empty lists are allowed: the solvers answer them as the trivially
+    unsatisfiable case and name the vertex.
     """
 
     universe: tuple[int, ...]
@@ -43,11 +42,6 @@ class ListAssignment:
         for v, colors in self.lists.items():
             if not colors <= u:
                 raise ValueError(f"list of vertex {v} leaves the universe")
-
-    def validate(self) -> None:
-        for v, colors in self.lists.items():
-            if not colors:
-                raise ValueError(f"vertex {v} has an empty list")
 
 
 @dataclass(frozen=True)
@@ -329,7 +323,7 @@ def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
     return ListColoringResult(True, {v: palette[c] for v, c in enumerate(colors)}, attestation)
 
 
-def _minimal_covers(avails: list[int], budget: Optional[_Budget] = None) -> list[int]:
+def _minimal_covers(avails: list[int], budget: _Budget) -> list[int]:
     """All minimal color sets hitting every mask in avails, smallest first.
 
     In a complete multipartite graph a part can be colored from exactly the
@@ -338,7 +332,6 @@ def _minimal_covers(avails: list[int], budget: Optional[_Budget] = None) -> list
     subset leaves more colors for the remaining parts.  There can be
     exponentially many, so enumeration and filter both spend from budget.
     """
-    budget = budget or _Budget(None)
     found: set[int] = set()
 
     def grow(chosen: int, remaining: list[int]):

@@ -7,8 +7,8 @@ arithmetic) are single AND/OR/popcount steps.
 
 Raw rows are checked only by the public constructor SimpleGraph(n, adj):
 range, self-loops and symmetry.  from_edges checks each edge instead and
-sets both bits, and square() and complete_multipartite() build symmetric
-rows by construction, so these builders store their rows unchecked.
+sets both bits, and square() builds symmetric rows by construction, so
+these builders store their rows unchecked.
 """
 
 from dataclasses import dataclass
@@ -41,14 +41,11 @@ class SimpleGraph:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         if len(adj) != n:
             raise ValueError(f"adjacency has {len(adj)} rows for {n} vertices")
-        full = (1 << n) - 1
         for u, row in enumerate(adj):
-            if row >> n:
+            if row >> n:  # also nonzero for every negative row
                 raise ValueError(f"row {u} mentions vertices >= {n}")
             if row & (1 << u):
                 raise ValueError(f"vertex {u} is adjacent to itself")
-            if row & ~full:
-                raise ValueError(f"row {u} out of range")
         for u in range(n):
             for v in bits(adj[u]):
                 if not adj[v] & (1 << u):
@@ -135,15 +132,6 @@ class PartitionWitness:
         return [mask_of(part) for part in self.parts]
 
 
-def _check_subset(g: SimpleGraph, s: Iterable[int]) -> int:
-    m = 0
-    for v in s:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for {g.n} vertices")
-        m |= 1 << v
-    return m
-
-
 def square(g: SimpleGraph) -> SimpleGraph:
     """The distance-<=2 power: u ~ v iff adjacent or sharing a neighbor in g."""
     rows = []
@@ -153,26 +141,6 @@ def square(g: SimpleGraph) -> SimpleGraph:
             row |= g.adj[v]
         rows.append(row & ~(1 << u))
     return SimpleGraph._from_rows(g.n, tuple(rows))
-
-
-def induced_subgraph(g: SimpleGraph, s: Iterable[int]) -> tuple[SimpleGraph, list[int]]:
-    """Subgraph on s, reindexed 0..|s|-1; returns (subgraph, new->old index map)."""
-    _check_subset(g, s)
-    old = sorted(set(s))
-    pos = {v: i for i, v in enumerate(old)}
-    edges = [(pos[u], pos[v]) for u in old for v in bits(g.adj[u]) if v in pos and u < v]
-    return SimpleGraph.from_edges(len(old), edges), old
-
-
-def is_independent_set(g: SimpleGraph, s: Iterable[int]) -> bool:
-    m = _check_subset(g, s)
-    return all(g.adj[v] & m == 0 for v in bits(m))
-
-
-def is_clique(g: SimpleGraph, s: Iterable[int]) -> bool:
-    m = _check_subset(g, s)
-    want = m  # each member must see every other member
-    return all((g.adj[v] | (1 << v)) & m == want for v in bits(m))
 
 
 def is_complete_multipartite(g: SimpleGraph, w: PartitionWitness) -> bool:
@@ -190,25 +158,6 @@ def is_complete_multipartite(g: SimpleGraph, w: PartitionWitness) -> bool:
             if g.adj[v] != want:
                 return False
     return True
-
-
-def complete_multipartite(part_sizes: Iterable[int]) -> tuple[SimpleGraph, PartitionWitness]:
-    """Canonical K with the given part sizes; parts are consecutive index blocks."""
-    sizes = list(part_sizes)
-    if any(s <= 0 for s in sizes):
-        raise ValueError(f"part sizes must be positive, got {sizes}")
-    n = sum(sizes)
-    parts = []
-    start = 0
-    for s in sizes:
-        parts.append(tuple(range(start, start + s)))
-        start += s
-    witness = PartitionWitness(parts=tuple(parts))
-    full = (1 << n) - 1
-    rows = []
-    for part_mask in witness.part_masks():
-        rows.extend([full & ~part_mask] * part_mask.bit_count())
-    return SimpleGraph._from_rows(n, tuple(rows)), witness
 
 
 # -- subdivision and total graph ------------------------------------------

@@ -22,10 +22,6 @@ def smallest_divisor(n: int) -> int:
     return n
 
 
-def is_prime(n: int) -> bool:
-    return n >= 2 and smallest_divisor(n) == n
-
-
 def require_prime(n: int) -> None:
     """Raise ValueError unless n is prime; the message names a witness divisor."""
     if n < 2:

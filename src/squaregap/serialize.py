@@ -113,44 +113,52 @@ def graph_to_dot(g: SimpleGraph, labels: dict[int, str] | None = None) -> str:
 # -- graph JSON ---------------------------------------------------------------
 
 
-def graph_to_json_dict(g: SimpleGraph, labels: dict[int, str] | None = None,
-                       parts: dict[str, list[int]] | None = None,
-                       cliques: dict[str, list[int]] | None = None) -> dict:
-    doc = {
+def graph_to_json_dict(g: SimpleGraph, labels: dict[int, str],
+                       parts: dict[str, list[int]], cliques: dict[str, list[int]]) -> dict:
+    return {
         "n_vertices": g.n,
         "edges": [[u, v] for u, v in g.edges()],
+        "labels": {str(v): name for v, name in labels.items()},
+        "parts": {name: sorted(vs) for name, vs in parts.items()},
+        "cliques": {name: sorted(vs) for name, vs in cliques.items()},
     }
-    if labels is not None:
-        doc["labels"] = {str(v): name for v, name in labels.items()}
-    if parts is not None:
-        doc["parts"] = {name: sorted(vs) for name, vs in parts.items()}
-    if cliques is not None:
-        doc["cliques"] = {name: sorted(vs) for name, vs in cliques.items()}
-    return doc
-
-
-def constructed_to_json_dict(gc: ConstructedGraph) -> dict:
-    labels = {v: str(lab) for v, lab in enumerate(gc.labels)}
-    parts = {f"P_{i}": list(s) for i, s in enumerate(gc.p_sets, start=1)}
-    parts.update({f"Q_{i}": list(s) for i, s in enumerate(gc.q_sets, start=1)})
-    cliques = {f"T_{j}": list(s) for j, s in enumerate(gc.t_sets, start=1)}
-    return graph_to_json_dict(gc.graph, labels=labels, parts=parts, cliques=cliques)
-
-
-def parse_graph_json(text: str) -> tuple[SimpleGraph, dict]:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "n_vertices" not in doc or "edges" not in doc:
-        raise ValueError("graph JSON must carry n_vertices and edges")
-    try:
-        n = _vertex_count(int(doc["n_vertices"]))
-        edges = [(int(u), int(v)) for u, v in doc["edges"]]
-    except TypeError as exc:
-        raise ValueError(f"malformed graph JSON: {exc}") from None
-    return SimpleGraph.from_edges(n, edges), doc
 
 
 def constructed_labels(gc: ConstructedGraph) -> dict[int, str]:
     return {v: str(lab) for v, lab in enumerate(gc.labels)}
+
+
+def constructed_to_json_dict(gc: ConstructedGraph) -> dict:
+    parts = {f"P_{i}": list(s) for i, s in enumerate(gc.p_sets, start=1)}
+    parts.update({f"Q_{i}": list(s) for i, s in enumerate(gc.q_sets, start=1)})
+    cliques = {f"T_{j}": list(s) for j, s in enumerate(gc.t_sets, start=1)}
+    return graph_to_json_dict(gc.graph, constructed_labels(gc), parts, cliques)
+
+
+def _read_json(text: str, kind: str, keys: tuple[str, str], convert):
+    """convert(doc) for the JSON object in text, which must carry keys.
+
+    Untrusted text can fail in the decoder or in convert in more ways than
+    ValueError: nesting too deep to decode (RecursionError), a number int()
+    cannot take, such as Infinity or 1e400 (OverflowError), or a value of the
+    wrong type (TypeError).  Each of these leaves as ValueError.
+    """
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or not all(k in doc for k in keys):
+            raise ValueError(f"{kind} JSON must carry {keys[0]} and {keys[1]}")
+        return convert(doc)
+    except (TypeError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"malformed {kind} JSON: {exc}") from None
+
+
+def parse_graph_json(text: str) -> tuple[SimpleGraph, dict]:
+    def convert(doc):
+        n = _vertex_count(int(doc["n_vertices"]))
+        edges = [(int(u), int(v)) for u, v in doc["edges"]]
+        return SimpleGraph.from_edges(n, edges), doc
+
+    return _read_json(text, "graph", ("n_vertices", "edges"), convert)
 
 
 # -- list-assignment JSON -----------------------------------------------------
@@ -164,18 +172,18 @@ def lists_to_json_dict(assignment: ListAssignment) -> dict:
 
 
 def parse_lists_json(text: str) -> ListAssignment:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "universe" not in doc or "lists" not in doc:
-        raise ValueError("lists JSON must carry universe and lists")
-    if not isinstance(doc["lists"], dict):
-        raise ValueError("lists JSON must map vertices to colour lists")
-    try:
-        universe = tuple(sorted(int(c) for c in doc["universe"]))
-        lists = {int(v): frozenset(int(c) for c in colors)
-                 for v, colors in doc["lists"].items()}
-    except TypeError as exc:
-        raise ValueError(f"malformed lists JSON: {exc}") from None
-    return ListAssignment(universe=universe, lists=lists)
+    def convert(doc):
+        lists = doc["lists"]
+        if not isinstance(lists, dict):
+            raise ValueError("lists JSON must map vertices to colour lists")
+        arrays = [doc["universe"], *lists.values()]
+        if not all(isinstance(a, list) for a in arrays):
+            raise ValueError("lists JSON must give the universe and every list as arrays")
+        return ListAssignment(universe=tuple(sorted(int(c) for c in doc["universe"])),
+                              lists={int(v): frozenset(int(c) for c in colors)
+                                     for v, colors in lists.items()})
+
+    return _read_json(text, "lists", ("universe", "lists"), convert)
 
 
 # -- reports and certificates -------------------------------------------------

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .construction import ConstructedGraph, construct_counterexample
+from .construction import ConstructedGraph
 from .graphcore import PartitionWitness, SimpleGraph, bits, mask_of, square
-from .latin import require_prime
 
 
 @dataclass(frozen=True)
@@ -136,36 +135,6 @@ def check_lemma_nw(gc: ConstructedGraph) -> LemmaReport:
     group_mask = {x: m for qs, m in zip(gc.q_sets, map(mask_of, gc.q_sets)) for x in qs}
     _share_at_most_one(col, "nw3", gc, q, (1 << g.n) - 1, group_mask)
     return col.report()
-
-
-def check_claim_congruence(n: int, i: int, i_prime: int, j: int, j_prime: int,
-                           gc: ConstructedGraph | None = None) -> bool:
-    """Shared-neighbor criterion for two w-vertices, checked against the graph.
-
-    For every column k, the vertex v_{k, L_i(j,k)} is a common neighbor of
-    w_{i,j} and w_{i',j'} exactly when (i - i')(k - 1) = j' - j modulo n.
-    Returns True iff the equivalence holds for all k.
-    """
-    require_prime(n)
-    for name, val, hi in (("i", i, n - 1), ("i'", i_prime, n - 1),
-                          ("j", j, n), ("j'", j_prime, n)):
-        if not 1 <= val <= hi:
-            raise ValueError(f"{name} must be in 1..{hi}, got {val}")
-    if gc is None:
-        gc = construct_counterexample(n)
-    elif gc.n != n:
-        raise ValueError(f"supplied graph has n={gc.n}, expected {n}")
-    g = gc.graph
-    w1 = gc.w_index(i, j)
-    w2 = gc.w_index(i_prime, j_prime)
-    sq = gc.squares[i - 1]
-    for k in range(1, n + 1):
-        v = gc.v_index(k, sq(j, k))
-        member = g.has_edge(w1, v) and g.has_edge(w2, v)
-        congruent = ((i - i_prime) * (k - 1)) % n == (j_prime - j) % n
-        if member != congruent:
-            return False
-    return True
 
 
 def check_lemma_nv(gc: ConstructedGraph) -> LemmaReport:

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 
 from squaregap.errors import CapacityError
-from squaregap.graphcore import SimpleGraph
+from squaregap.graphcore import PartitionWitness, SimpleGraph, bits, mask_of
 
 SQUARE_ORACLE_MAX_VERTICES = 512
 
@@ -125,6 +125,48 @@ def neighbourhood_reports_by_walk(gc) -> dict[str, tuple]:
         return count, failures, (items[0] if items else None), items
 
     return {"nw": tally(nw_cases()), "nv": tally(nv_cases())}
+
+
+def _check_subset(g: SimpleGraph, s) -> int:
+    m = 0
+    for v in s:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for {g.n} vertices")
+        m |= 1 << v
+    return m
+
+
+def induced_subgraph(g: SimpleGraph, s) -> tuple[SimpleGraph, list[int]]:
+    """Subgraph on s, reindexed 0..|s|-1; returns (subgraph, new->old index map)."""
+    _check_subset(g, s)
+    old = sorted(set(s))
+    pos = {v: i for i, v in enumerate(old)}
+    edges = [(pos[u], pos[v]) for u in old for v in bits(g.adj[u]) if v in pos and u < v]
+    return SimpleGraph.from_edges(len(old), edges), old
+
+
+def is_clique(g: SimpleGraph, s) -> bool:
+    m = _check_subset(g, s)
+    return all((g.adj[v] | (1 << v)) & m == m for v in bits(m))
+
+
+def complete_multipartite(part_sizes) -> tuple[SimpleGraph, PartitionWitness]:
+    """Canonical K with the given part sizes; parts are consecutive index blocks.
+
+    Built through the checked constructor SimpleGraph(n, rows).
+    """
+    sizes = list(part_sizes)
+    if any(s <= 0 for s in sizes):
+        raise ValueError(f"part sizes must be positive, got {sizes}")
+    starts = list(itertools.accumulate(sizes, initial=0))
+    witness = PartitionWitness(parts=tuple(tuple(range(a, b))
+                                           for a, b in zip(starts, starts[1:])))
+    n = starts[-1]
+    full = (1 << n) - 1
+    rows = []
+    for part in witness.parts:
+        rows += [full & ~mask_of(part)] * len(part)
+    return SimpleGraph(n, tuple(rows)), witness
 
 
 def random_graph(rng, n: int, p: float) -> SimpleGraph:

@@ -11,7 +11,14 @@ import json
 import random
 import time
 
-from oracles import bfs_square, enumerate_list_colorable, random_graph, square_oracle
+from oracles import (
+    bfs_square,
+    complete_multipartite,
+    enumerate_list_colorable,
+    induced_subgraph,
+    random_graph,
+    square_oracle,
+)
 from squaregap.cli import main as cli_main
 from squaregap.coloring import (
     ListAssignment,
@@ -21,14 +28,7 @@ from squaregap.coloring import (
     validate_coloring,
 )
 from squaregap.construction import construct_counterexample
-from squaregap.graphcore import (
-    SimpleGraph,
-    complete_multipartite,
-    induced_subgraph,
-    square,
-    subdivision,
-    total_graph,
-)
+from squaregap.graphcore import SimpleGraph, square, subdivision, total_graph
 from squaregap.latin import are_orthogonal, build_latin, build_mols_family, is_latin
 from squaregap.verification import run_all_checks
 

@@ -275,8 +275,18 @@ def test_solve_list_malformed_input_is_param_error(tmp_path, capsys):
     ('{"n_vertices": 1, "edges": []}', '{"universe": [1], "lists": {"0": 5}}'),
     ('{"n_vertices": 1, "edges": []}', '{"universe": 1, "lists": {"0": [1]}}'),
     ('{"n_vertices": 1, "edges": []}', '{"universe": [1], "lists": [5]}'),
+    ('{"n_vertices": Infinity, "edges": []}', '{"universe": [1], "lists": {"0": [1]}}'),
+    ('{"n_vertices": 1e400, "edges": []}', '{"universe": [1], "lists": {"0": [1]}}'),
+    ('{"n_vertices": 1, "edges": []}', '{"universe": [Infinity], "lists": {"0": [1]}}'),
+    ('{"n_vertices": 1, "edges": ' + "[" * 200_000 + "]" * 200_000 + "}",
+     '{"universe": [1], "lists": {"0": [1]}}'),
+    ('{"n_vertices": 1, "edges": []}', "[" * 200_000 + "]" * 200_000),
+    ('{"n_vertices": 1, "edges": []}', '{"universe": [1, 2], "lists": {"0": "12"}}'),
+    ('{"n_vertices": 1, "edges": []}', '{"universe": "12", "lists": {"0": [1]}}'),
 ], ids=["edge-not-a-pair", "null-vertex-count", "list-not-iterable",
-        "universe-not-iterable", "lists-not-a-map"])
+        "universe-not-iterable", "lists-not-a-map", "infinite-vertex-count",
+        "overflowing-vertex-count", "infinite-colour", "graph-nested-too-deep",
+        "lists-nested-too-deep", "list-a-string", "universe-a-string"])
 def test_solve_list_malformed_json_is_param_error(tmp_path, capsys, graph_text, lists_text):
     graph_path = tmp_path / "g.json"
     graph_path.write_text(graph_text)

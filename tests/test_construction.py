@@ -1,11 +1,11 @@
 import pytest
 
+from oracles import is_clique
 from squaregap.construction import (
     VertexLabel,
     construct_counterexample,
     neighbors_of_w,
 )
-from squaregap.graphcore import is_clique
 
 # Frozen neighbor lists of all six w-vertices at n=3: row j of square i,
 # read as column positions.

@@ -3,17 +3,20 @@ import random
 
 import pytest
 
-from oracles import bfs_square, random_graph, square_oracle
+from oracles import (
+    bfs_square,
+    complete_multipartite,
+    induced_subgraph,
+    is_clique,
+    random_graph,
+    square_oracle,
+)
 from squaregap.errors import CapacityError
 from squaregap.graphcore import (
     PartitionWitness,
     SimpleGraph,
     bits,
-    complete_multipartite,
-    induced_subgraph,
-    is_clique,
     is_complete_multipartite,
-    is_independent_set,
     square,
     subdivision,
     total_graph,
@@ -54,6 +57,8 @@ def test_rejects_out_of_range():
         SimpleGraph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         SimpleGraph(1, (0b10,))
+    with pytest.raises(ValueError):
+        SimpleGraph(1, (-1,))  # a negative row has bits at every index >= n
 
 
 def test_from_edges_rejects_negative_vertex_count():
@@ -62,14 +67,12 @@ def test_from_edges_rejects_negative_vertex_count():
 
 
 def test_unchecked_builders_yield_rows_the_checked_constructor_accepts():
-    # from_edges, square and complete_multipartite store their rows unchecked
+    # from_edges and square store their rows unchecked
     rng = random.Random(4242)
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.3]))
         for h in (g, square(g)):
             assert SimpleGraph(h.n, h.adj) == h
-    k, _ = complete_multipartite([3, 1, 4])
-    assert SimpleGraph(k.n, k.adj) == k
 
 
 def test_edges_sorted_and_counted():
@@ -141,9 +144,9 @@ def test_induced_subgraph_preserves_adjacency():
 
 def test_independent_set_and_clique():
     g = cycle(6)
-    assert is_independent_set(g, [0, 2, 4])
-    assert not is_independent_set(g, [0, 1])
-    assert is_independent_set(g, [])
+    assert induced_subgraph(g, [0, 2, 4])[0].edge_count == 0
+    assert induced_subgraph(g, [0, 1])[0].edge_count == 1
+    assert induced_subgraph(g, [])[0].edge_count == 0
     assert is_clique(g, [0, 1])
     assert not is_clique(g, [0, 1, 2])
     assert is_clique(complete(4), range(4))

@@ -7,7 +7,6 @@ from squaregap.latin import (
     build_latin,
     build_mols_family,
     is_latin,
-    is_prime,
     require_prime,
     smallest_divisor,
 )
@@ -37,9 +36,8 @@ def test_smallest_divisor():
 
 
 def test_is_prime():
-    assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert not is_prime(1)
-    assert not is_prime(0)
+    primes = [n for n in range(2, 30) if smallest_divisor(n) == n]
+    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_require_prime_names_a_witness_divisor():

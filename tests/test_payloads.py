@@ -11,10 +11,11 @@ import itertools
 
 import pytest
 
+from oracles import complete_multipartite
 from squaregap import serialize
 from squaregap.cli import main
 from squaregap.coloring import ListAssignment, vetrik_assignment, vetrik_on_witness
-from squaregap.graphcore import SimpleGraph, complete_multipartite
+from squaregap.graphcore import SimpleGraph
 
 
 def vetrik_k3x5():

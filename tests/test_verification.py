@@ -9,7 +9,6 @@ from squaregap.construction import construct_counterexample
 from squaregap.graphcore import SimpleGraph, square
 from squaregap.verification import (
     LemmaReport,
-    check_claim_congruence,
     check_independence,
     check_lemma_nv,
     check_lemma_nw,
@@ -68,22 +67,18 @@ def test_structure_pins_edge_counts():
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_claim_congruence_exhaustive(n):
+    # v_{k, L_i(j,k)} is a common neighbour of w_{i,j} and w_{i',j'} exactly
+    # when (i - i')(k - 1) = j' - j modulo n, for every i, i', j, j' and k
     gc = construct_counterexample(n)
+    adj = gc.graph.adj
     for i, i2 in itertools.product(range(1, n), repeat=2):
         for j, j2 in itertools.product(range(1, n + 1), repeat=2):
-            assert check_claim_congruence(n, i, i2, j, j2, gc=gc)
-
-
-def test_claim_congruence_validates_indices():
-    with pytest.raises(ValueError):
-        check_claim_congruence(3, 0, 1, 1, 1)
-    with pytest.raises(ValueError):
-        check_claim_congruence(3, 1, 1, 4, 1)
-    with pytest.raises(ValueError):
-        check_claim_congruence(4, 1, 1, 1, 1)
-    gc5 = construct_counterexample(5)
-    with pytest.raises(ValueError):
-        check_claim_congruence(3, 1, 1, 1, 1, gc=gc5)
+            shared = adj[gc.w_index(i, j)] & adj[gc.w_index(i2, j2)]
+            sq = gc.squares[i - 1]
+            for k in range(1, n + 1):
+                member = bool(shared >> gc.v_index(k, sq(j, k)) & 1)
+                congruent = (i - i2) * (k - 1) % n == (j2 - j) % n
+                assert member == congruent, (i, i2, j, j2, k)
 
 
 def test_deleted_star_edge_is_caught_by_nw():
