@@ -20,7 +20,7 @@ def main():
     for n in (3, 5, 7):
         gc = construct_counterexample(n)
         sq = square(gc.graph)
-        witness, _ = check_square_structure(gc)
+        witness, _ = check_square_structure(sq, gc)
         ok = is_complete_multipartite(sq, witness)
         parts = len(witness.parts)
         print(f"n={n}: square has {sq.n} vertices, {sq.edge_count} edges; "

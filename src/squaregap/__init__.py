@@ -50,7 +50,6 @@ from .coloring import (
     ListAssignment,
     ListColoringResult,
     SearchAttestation,
-    VetrikAssignment,
     certify_gap,
     chromatic_number_exact,
     greedy_clique,
@@ -60,7 +59,6 @@ from .coloring import (
     validate_coloring,
     vetrik_assignment,
     vetrik_lower_bound,
-    vetrik_on_witness,
 )
 from . import serialize
 

@@ -126,7 +126,7 @@ def _cmd_verify(args) -> tuple[str, str]:
             "nv": lambda: verification.check_lemma_nv(gc),
             "independence": lambda: verification.check_independence(square(gc.graph), gc),
             "pq": lambda: verification.check_pq_adjacency(square(gc.graph), gc),
-            "structure": lambda: verification.check_square_structure(gc)[1],
+            "structure": lambda: verification.check_square_structure(square(gc.graph), gc)[1],
         }[args.lemma]
         reports = {args.lemma: check()}
     all_passed = all(r.passed for r in reports.values())

@@ -17,7 +17,6 @@ from typing import Iterable, Optional
 from .construction import construct_counterexample
 from .errors import CapacityError, SearchBudgetExceeded
 from .graphcore import PartitionWitness, SimpleGraph, bits, mask_of, square
-from .latin import require_prime
 from .verification import check_square_structure
 
 CHROMATIC_MAX_VERTICES = 128
@@ -58,36 +57,6 @@ class ListColoringResult:
     satisfiable: bool
     coloring: Optional[dict[int, int]]
     attestation: SearchAttestation
-
-
-@dataclass(frozen=True)
-class VetrikAssignment:
-    """The adversarial list assignment over K_{n*r} built from n color blocks.
-
-    The 2r-1 colors are split into n near-equal consecutive blocks; the
-    k-th vertex of every part gets all colors outside block k, trimmed to
-    exactly (n-1) * floor((2r-1)/n) colors.  No part then has a color
-    common to all of its lists, so any proper coloring needs at least two
-    colors per part: 2r in total, one more than the universe has.
-    """
-
-    n: int  # part size
-    r: int  # part count
-    blocks: tuple[tuple[int, ...], ...]
-    assignment: ListAssignment
-    bound: int
-
-    def __post_init__(self):
-        sizes = [len(b) for b in self.blocks]
-        if max(sizes) - min(sizes) > 1:
-            raise ValueError("block sizes must differ by at most one")
-        flat = [c for b in self.blocks for c in b]
-        if len(set(flat)) != len(flat) or sorted(flat) != sorted(self.assignment.universe):
-            raise ValueError("blocks must partition the color universe")
-        if min(sizes) < (2 * self.r - 1) // self.n:
-            raise ValueError("some block is below the guaranteed floor size")
-        if any(len(colors) != self.bound for colors in self.assignment.lists.values()):
-            raise ValueError(f"every list must have exactly {self.bound} colors")
 
 
 @dataclass(frozen=True)
@@ -144,10 +113,6 @@ class _Budget:
     def _check(self):
         if time.monotonic() > self.deadline:
             raise SearchBudgetExceeded("search budget exhausted", nodes=self.nodes)
-
-
-def deadline_from_budget(budget_seconds: Optional[float]) -> Optional[float]:
-    return None if budget_seconds is None else time.monotonic() + budget_seconds
 
 
 # -- exact chromatic number -------------------------------------------------
@@ -430,53 +395,29 @@ def vetrik_lower_bound(n: int, r: int) -> int:
     return (n - 1) * ((2 * r - 1) // n)
 
 
-def vetrik_assignment(n: int, r: int) -> VetrikAssignment:
-    """Adversarial lists on K_{n*r} with every list of size vetrik_lower_bound(n, r).
+def vetrik_assignment(witness: PartitionWitness
+                      ) -> tuple[tuple[tuple[int, ...], ...], ListAssignment]:
+    """The color blocks and the adversarial lists on a witness of r parts of size n.
 
-    The color universe 1..2r-1 is split into n consecutive blocks, larger
-    blocks first; position k of each part gets the universe minus block k,
-    trimmed to the exact bound by discarding the largest colors.  Trimming
-    is sound: removing colors can only make coloring harder.
+    The colors 1..2r-1 are split into n consecutive blocks, larger blocks
+    first; the k-th smallest vertex of every part gets the colors outside
+    block k, trimmed to vetrik_lower_bound(n, r) by dropping the largest.
+    No color is then common to a whole part, so a proper coloring needs two
+    colors per part: 2r in total, one more than there are.  Trimming is
+    sound: removing colors can only make coloring harder.
     """
+    sizes = {len(part) for part in witness.parts}
+    if len(sizes) != 1:
+        raise ValueError("witness parts must all have the same size")
+    n, r = sizes.pop(), len(witness.parts)
     bound = vetrik_lower_bound(n, r)
-    total = 2 * r - 1
-    size, extra = divmod(total, n)
-    blocks = []
-    start = 1
-    for b in range(n):
-        width = size + (1 if b < extra else 0)
-        blocks.append(tuple(range(start, start + width)))
-        start += width
-    universe = tuple(range(1, total + 1))
-    per_position = []
-    for block in blocks:
-        colors = sorted(set(universe) - set(block))
-        per_position.append(frozenset(colors[:bound]))
-    lists = {}
-    for part in range(r):
-        for k in range(n):
-            lists[part * n + k] = per_position[k]
-    assignment = ListAssignment(universe=universe, lists=lists)
-    return VetrikAssignment(n=n, r=r, blocks=tuple(blocks),
-                            assignment=assignment, bound=bound)
-
-
-def vetrik_on_witness(va: VetrikAssignment, witness: PartitionWitness) -> ListAssignment:
-    """Transport the adversarial lists onto the parts of a concrete witness.
-
-    The lists depend only on the position of a vertex inside its part, so
-    any complete multipartite graph with r parts of size n receives them
-    by sorting each part and handing position k the k-th list.
-    """
-    if len(witness.parts) != va.r or any(len(p) != va.n for p in witness.parts):
-        raise ValueError(
-            f"witness must have {va.r} parts of size {va.n} to receive this assignment")
-    position_lists = [va.assignment.lists[k] for k in range(va.n)]
-    lists = {}
-    for part in witness.parts:
-        for k, v in enumerate(sorted(part)):
-            lists[v] = position_lists[k]
-    return ListAssignment(universe=va.assignment.universe, lists=lists)
+    size, extra = divmod(2 * r - 1, n)
+    starts = [1 + b * size + min(b, extra) for b in range(n + 1)]
+    blocks = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
+    positions = [frozenset([*range(1, a), *range(b, 2 * r)][:bound])
+                 for a, b in zip(starts, starts[1:])]
+    lists = {v: positions[k] for part in witness.parts for k, v in enumerate(sorted(part))}
+    return blocks, ListAssignment(universe=tuple(range(1, 2 * r)), lists=lists)
 
 
 def validate_coloring(g: SimpleGraph, coloring, assignment: ListAssignment | None = None) -> bool:
@@ -505,10 +446,7 @@ def certify_gap(n: int, budget_seconds: Optional[float] = None) -> GapCertificat
     and SearchBudgetExceeded names the last phase finished.
     The gap lower bound (refuted size + 1) - r is n - 1 for every prime n >= 3.
     """
-    require_prime(n)
-    if n < 3:
-        raise ValueError(f"n must be a prime >= 3, got {n}")
-    deadline = deadline_from_budget(budget_seconds)
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
 
     def reached(phase: str):
         if deadline is not None and time.monotonic() > deadline:
@@ -518,7 +456,7 @@ def certify_gap(n: int, budget_seconds: Optional[float] = None) -> GapCertificat
     reached("construct")
     sq = square(gc.graph)
     reached("square")
-    witness, report = check_square_structure(gc, sq)
+    witness, report = check_square_structure(sq, gc)
     if not report.passed:
         raise RuntimeError(f"square structure check failed: {report.witness}")
     reached("structure check")
@@ -528,18 +466,18 @@ def certify_gap(n: int, budget_seconds: Optional[float] = None) -> GapCertificat
     if not validate_coloring(sq, coloring):
         raise RuntimeError("part coloring failed independent validation")
     reached("colouring validation")
-    va = vetrik_assignment(n, r)
-    refuted = vetrik_on_witness(va, witness)
+    blocks, refuted = vetrik_assignment(witness)
     result = multipartite_list_colorable(witness, refuted, deadline=deadline)
     if result.satisfiable:
         raise RuntimeError("adversarial assignment was unexpectedly colorable")
+    bound = vetrik_lower_bound(n, r)
     return GapCertificate(
         n=n,
         chromatic=r,
         chromatic_coloring=tuple(coloring),
-        list_bound=va.bound,
+        list_bound=bound,
         refuted_assignment=refuted,
-        blocks=va.blocks,
+        blocks=blocks,
         attestation=result.attestation,
-        gap_lower=va.bound + 1 - r,
+        gap_lower=bound + 1 - r,
     )

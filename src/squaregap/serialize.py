@@ -26,6 +26,11 @@ def _vertex_count(n: int) -> int:
     return n
 
 
+def _clip(text: str) -> str:
+    """repr(text), cut after 60 characters so an error message stays short."""
+    return repr(text) if len(text) <= 60 else f"{text[:60]!r}... ({len(text)} characters)"
+
+
 def json_dumps(obj) -> str:
     """The text of json.dumps(obj, sort_keys=True, indent=2) plus a newline.
 
@@ -86,12 +91,12 @@ def parse_dimacs(text: str) -> SimpleGraph:
             continue
         if fields[0] == "p":
             if len(fields) != 4 or fields[1] != "edge":
-                raise ValueError(f"line {lineno}: malformed problem line {raw.strip()!r}")
+                raise ValueError(f"line {lineno}: malformed problem line {_clip(raw.strip())}")
             n = _vertex_count(int(fields[2]))
         elif fields[0] == "e":
-            raise ValueError(f"line {lineno}: malformed edge line {raw.strip()!r}")
+            raise ValueError(f"line {lineno}: malformed edge line {_clip(raw.strip())}")
         else:
-            raise ValueError(f"line {lineno}: unknown record {fields[0]!r}")
+            raise ValueError(f"line {lineno}: unknown record {_clip(fields[0])}")
     if n is None:
         raise ValueError("missing 'p edge' problem line")
     return SimpleGraph.from_edges(n, edges)
@@ -135,30 +140,38 @@ def constructed_to_json_dict(gc: ConstructedGraph) -> dict:
     return graph_to_json_dict(gc.graph, constructed_labels(gc), parts, cliques)
 
 
-def _read_json(text: str, kind: str, keys: tuple[str, str], convert):
-    """convert(doc) for the JSON object in text, which must carry keys.
+def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:
+    """The JSON object in text, which must carry keys.
 
-    Untrusted text can fail in the decoder or in convert in more ways than
-    ValueError: nesting too deep to decode (RecursionError), a number int()
-    cannot take, such as Infinity or 1e400 (OverflowError), or a value of the
-    wrong type (TypeError).  Each of these leaves as ValueError.
+    Nesting too deep to decode raises RecursionError, which leaves as
+    ValueError like any other malformed input.  Callers check the type of
+    every value they read.
     """
     try:
         doc = json.loads(text)
-        if not isinstance(doc, dict) or not all(k in doc for k in keys):
-            raise ValueError(f"{kind} JSON must carry {keys[0]} and {keys[1]}")
-        return convert(doc)
-    except (TypeError, OverflowError, RecursionError) as exc:
-        raise ValueError(f"malformed {kind} JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"malformed {kind} JSON: nested too deep") from None
+    if not isinstance(doc, dict) or not all(k in doc for k in keys):
+        raise ValueError(f"{kind} JSON must carry {keys[0]} and {keys[1]}")
+    return doc
+
+
+def _ints(values, what: str) -> list:
+    """values, which must be a JSON array of integers (true and false are not)."""
+    if type(values) is not list or not all(type(x) is int for x in values):
+        raise ValueError(f"{what} must be an array of integers")
+    return values
 
 
 def parse_graph_json(text: str) -> tuple[SimpleGraph, dict]:
-    def convert(doc):
-        n = _vertex_count(int(doc["n_vertices"]))
-        edges = [(int(u), int(v)) for u, v in doc["edges"]]
-        return SimpleGraph.from_edges(n, edges), doc
-
-    return _read_json(text, "graph", ("n_vertices", "edges"), convert)
+    doc = _read_json(text, "graph", ("n_vertices", "edges"))
+    n, edges = doc["n_vertices"], doc["edges"]
+    if type(n) is not int:
+        raise ValueError("graph JSON n_vertices must be an integer")
+    if type(edges) is not list or not all(
+            type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in edges):
+        raise ValueError("graph JSON edges must be an array of integer pairs")
+    return SimpleGraph.from_edges(_vertex_count(n), edges), doc
 
 
 # -- list-assignment JSON -----------------------------------------------------
@@ -172,18 +185,18 @@ def lists_to_json_dict(assignment: ListAssignment) -> dict:
 
 
 def parse_lists_json(text: str) -> ListAssignment:
-    def convert(doc):
-        lists = doc["lists"]
-        if not isinstance(lists, dict):
-            raise ValueError("lists JSON must map vertices to colour lists")
-        arrays = [doc["universe"], *lists.values()]
-        if not all(isinstance(a, list) for a in arrays):
-            raise ValueError("lists JSON must give the universe and every list as arrays")
-        return ListAssignment(universe=tuple(sorted(int(c) for c in doc["universe"])),
-                              lists={int(v): frozenset(int(c) for c in colors)
-                                     for v, colors in lists.items()})
-
-    return _read_json(text, "lists", ("universe", "lists"), convert)
+    doc = _read_json(text, "lists", ("universe", "lists"))
+    lists = doc["lists"]
+    if not isinstance(lists, dict):
+        raise ValueError("lists JSON must map vertices to colour lists")
+    universe = tuple(sorted(_ints(doc["universe"], "lists JSON universe")))
+    converted = {}
+    for key, colors in lists.items():
+        v = int(key)
+        if str(v) != key:
+            raise ValueError(f"vertex key {_clip(key)} is not a canonical integer")
+        converted[v] = frozenset(_ints(colors, "each list in lists JSON"))
+    return ListAssignment(universe=universe, lists=converted)
 
 
 # -- reports and certificates -------------------------------------------------

@@ -182,31 +182,29 @@ def check_pq_adjacency(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
     return col.report()
 
 
-def check_square_structure(gc: ConstructedGraph, sq: Optional[SimpleGraph] = None
+def check_square_structure(sq: SimpleGraph, gc: ConstructedGraph
                            ) -> tuple[PartitionWitness, LemmaReport]:
     """The square must be complete multipartite on P_1..P_n, Q_1..Q_{n-1}.
 
     Checks each vertex's squared adjacency row against "everything outside
     my part", then pins the induced edge counts on the v-side and w-side
-    to their exact closed forms.  sq is square(gc.graph), computed here
-    when not supplied.
+    to their exact closed forms.  sq is square(gc.graph).
     """
     n = gc.n
-    g = square(gc.graph) if sq is None else sq
     witness = PartitionWitness(parts=gc.p_sets + gc.q_sets)
     col = _Collector("structure")
-    full = (1 << g.n) - 1
+    full = (1 << sq.n) - 1
     for part, pm in zip(witness.parts, witness.part_masks()):
         want = full & ~pm
         for v in part:
-            if g.adj[v] == want:
+            if sq.adj[v] == want:
                 col.passed()
             else:
                 col.fail("structure", ("structure", _label(gc, v), "adjacency row mismatch"))
     p_mask = mask_of(gc.p_vertices)
     q_mask = mask_of(gc.q_vertices)
-    e_p = sum((g.adj[v] & p_mask).bit_count() for v in gc.p_vertices) // 2
-    e_q = sum((g.adj[v] & q_mask).bit_count() for v in gc.q_vertices) // 2
+    e_p = sum((sq.adj[v] & p_mask).bit_count() for v in gc.p_vertices) // 2
+    e_q = sum((sq.adj[v] & q_mask).bit_count() for v in gc.q_vertices) // 2
     want_p = n * n * (n * (n - 1) // 2)
     want_q = n * n * ((n - 1) * (n - 2) // 2)
     for item, got, want in (("edges_p", e_p, want_p), ("edges_q", e_q, want_q)):
@@ -225,5 +223,5 @@ def run_all_checks(gc: ConstructedGraph) -> dict[str, LemmaReport]:
         "nv": check_lemma_nv(gc),
         "independence": check_independence(sq, gc),
         "pq": check_pq_adjacency(sq, gc),
-        "structure": check_square_structure(gc, sq)[1],
+        "structure": check_square_structure(sq, gc)[1],
     }

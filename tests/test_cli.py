@@ -269,6 +269,10 @@ def test_solve_list_malformed_input_is_param_error(tmp_path, capsys):
     assert code == 2
 
 
+THREE_LISTS = '{"universe": [1, 2, 3], "lists": {"0": [1], "1": [2], "2": [3]}}'
+TRIANGLE = '{"n_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}'
+
+
 @pytest.mark.parametrize("graph_text,lists_text", [
     ('{"n_vertices": 3, "edges": [1, 2]}', '{"universe": [1], "lists": {"0": [1]}}'),
     ('{"n_vertices": null, "edges": []}', '{"universe": [1], "lists": {"0": [1]}}'),
@@ -283,10 +287,31 @@ def test_solve_list_malformed_input_is_param_error(tmp_path, capsys):
     ('{"n_vertices": 1, "edges": []}', "[" * 200_000 + "]" * 200_000),
     ('{"n_vertices": 1, "edges": []}', '{"universe": [1, 2], "lists": {"0": "12"}}'),
     ('{"n_vertices": 1, "edges": []}', '{"universe": "12", "lists": {"0": [1]}}'),
+    # not JSON integers where integers belong, or vertex keys that are not
+    # canonical decimal: each was once read through int()
+    ('{"n_vertices": 3, "edges": ["12", [0, 2.9]]}', THREE_LISTS),
+    ('{"n_vertices": 3, "edges": [[0, true]]}', THREE_LISTS),
+    ('{"n_vertices": 3, "edges": [{"0": 1, "1": 2}]}', THREE_LISTS),
+    ('{"n_vertices": 3, "edges": [[0, 1, 2]]}', THREE_LISTS),
+    ('{"n_vertices": 3, "edges": [[1]]}', THREE_LISTS),
+    ('{"n_vertices": 3, "edges": {"12": 1}}', THREE_LISTS),
+    ('{"n_vertices": "3", "edges": []}', THREE_LISTS),
+    ('{"n_vertices": 3.0, "edges": []}', THREE_LISTS),
+    ('{"n_vertices": true, "edges": []}', '{"universe": [1], "lists": {"0": [1]}}'),
+    (TRIANGLE, '{"universe": ["1", 2.5, true], "lists": {"0": [1], "1": [2], "2": [1]}}'),
+    (TRIANGLE, '{"universe": [1, 2, 3], "lists": {"0": [true], "1": [2], "2": [3]}}'),
+    (TRIANGLE, '{"universe": [1, 2, 3], "lists": {"0": [1], "1": [2.0], "2": [3]}}'),
+    (TRIANGLE, '{"universe": [1, 2, 3], "lists": {"0": [1], "01": [2], "2": [3]}}'),
+    (TRIANGLE, '{"universe": [1, 2, 3], "lists": {"0": [1], " 1": [2], "2": [3]}}'),
+    (TRIANGLE, '{"universe": [1, 2, 3], "lists": {"0": [1], "+1": [2], "2": [3]}}'),
 ], ids=["edge-not-a-pair", "null-vertex-count", "list-not-iterable",
         "universe-not-iterable", "lists-not-a-map", "infinite-vertex-count",
         "overflowing-vertex-count", "infinite-colour", "graph-nested-too-deep",
-        "lists-nested-too-deep", "list-a-string", "universe-a-string"])
+        "lists-nested-too-deep", "list-a-string", "universe-a-string",
+        "edge-a-string-and-a-float", "edge-end-a-bool", "edge-an-object", "edge-of-three",
+        "edge-of-one", "edges-an-object", "vertex-count-a-string", "vertex-count-a-float",
+        "vertex-count-a-bool", "universe-not-integers", "colour-a-bool", "colour-a-float",
+        "key-with-leading-zero", "key-with-space", "key-with-plus"])
 def test_solve_list_malformed_json_is_param_error(tmp_path, capsys, graph_text, lists_text):
     graph_path = tmp_path / "g.json"
     graph_path.write_text(graph_text)
@@ -297,6 +322,27 @@ def test_solve_list_malformed_json_is_param_error(tmp_path, capsys, graph_text, 
     assert code == 2
     assert out == ""
     assert envelope_of(err)["outcome"] == "error"
+    assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("graph_text", [
+    "[" * 200_000 + "]" * 200_000,
+    "x" * 300_000 + "\n",
+    "p edge 3 1\ne " + "1 " * 150_000 + "\n",
+    "p edge " + "3 " * 150_000 + "\n",
+], ids=["brackets", "long-record", "long-edge-line", "long-problem-line"])
+def test_dimacs_errors_stay_short(tmp_path, capsys, graph_text):
+    graph_path = tmp_path / "g.col"
+    graph_path.write_text(graph_text)
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text(THREE_LISTS)
+    code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                             "--lists", str(lists_path))
+    assert code == 2
+    assert out == ""
+    assert envelope_of(err)["outcome"] == "error"
+    assert "Traceback" not in err
+    assert len(err.encode()) < 1024
 
 
 def test_solve_list_huge_colours_get_a_quick_verdict(tmp_path, capsys):

@@ -27,7 +27,6 @@ from squaregap.coloring import (
     validate_coloring,
     vetrik_assignment,
     vetrik_lower_bound,
-    vetrik_on_witness,
 )
 from squaregap.construction import construct_counterexample
 from squaregap.errors import CapacityError, SearchBudgetExceeded
@@ -233,8 +232,8 @@ def test_certify_refutation_stops_at_its_first_node(monkeypatch):
     # first node, whatever phase the budget ran out in
     monkeypatch.setattr(coloring, "_DEADLINE_STRIDE", 1)
     gc = construct_counterexample(3)
-    witness, _ = check_square_structure(gc, square(gc.graph))
-    lists = vetrik_on_witness(vetrik_assignment(3, len(witness.parts)), witness)
+    witness, _ = check_square_structure(square(gc.graph), gc)
+    _, lists = vetrik_assignment(witness)
     with pytest.raises(SearchBudgetExceeded) as info:
         multipartite_list_colorable(witness, lists, deadline=time.monotonic() - 1.0)
     assert info.value.nodes == 1
@@ -345,68 +344,71 @@ def test_vetrik_bound_grows_with_r():
 
 
 def test_vetrik_assignment_3_5_frozen():
-    va = vetrik_assignment(3, 5)
-    assert va.bound == 6
-    assert va.blocks == ((1, 2, 3), (4, 5, 6), (7, 8, 9))
-    assert va.assignment.universe == tuple(range(1, 10))
+    blocks, a = vetrik_assignment(complete_multipartite([3] * 5)[1])
+    assert blocks == ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+    assert a.universe == tuple(range(1, 10))
     # position k misses exactly block k; no trimming needed at these sizes
-    assert sorted(va.assignment.lists[0]) == [4, 5, 6, 7, 8, 9]
-    assert sorted(va.assignment.lists[1]) == [1, 2, 3, 7, 8, 9]
-    assert sorted(va.assignment.lists[2]) == [1, 2, 3, 4, 5, 6]
-    assert all(len(colors) == 6 for colors in va.assignment.lists.values())
-    assert len(va.assignment.lists) == 15
+    assert sorted(a.lists[0]) == [4, 5, 6, 7, 8, 9]
+    assert sorted(a.lists[1]) == [1, 2, 3, 7, 8, 9]
+    assert sorted(a.lists[2]) == [1, 2, 3, 4, 5, 6]
+    assert all(len(colors) == 6 for colors in a.lists.values())
+    assert len(a.lists) == 15
 
 
 def test_vetrik_assignment_5_9_frozen():
-    va = vetrik_assignment(5, 9)
-    assert va.bound == 12
-    assert va.blocks == ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11),
-                         (12, 13, 14), (15, 16, 17))
-    assert va.assignment.universe == tuple(range(1, 18))
+    blocks, a = vetrik_assignment(complete_multipartite([5] * 9)[1])
+    assert blocks == ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11),
+                      (12, 13, 14), (15, 16, 17))
+    assert a.universe == tuple(range(1, 18))
     # 17 colors in 5 blocks leaves 13-or-14 color complements, trimmed to 12
     # by dropping the largest colors
-    assert sorted(va.assignment.lists[0]) == list(range(5, 17))
-    assert sorted(va.assignment.lists[4]) == list(range(1, 13))
-    assert all(len(colors) == 12 for colors in va.assignment.lists.values())
+    assert sorted(a.lists[0]) == list(range(5, 17))
+    assert sorted(a.lists[4]) == list(range(1, 13))
+    assert all(len(colors) == 12 for colors in a.lists.values())
 
 
 def test_vetrik_no_common_color_within_a_part():
     # the blocks are engineered so no color appears in all n lists of a part
     for n, r in ((3, 5), (5, 9), (4, 7), (3, 4)):
-        va = vetrik_assignment(n, r)
-        part = [va.assignment.lists[k] for k in range(n)]
-        assert not frozenset.intersection(*part)
+        _, w = complete_multipartite([n] * r)
+        _, a = vetrik_assignment(w)
+        for part in w.parts:
+            assert not frozenset.intersection(*(a.lists[v] for v in part))
 
 
-def test_vetrik_assignment_tamper_detection():
-    va = vetrik_assignment(3, 5)
-    with pytest.raises(ValueError):
-        dataclasses.replace(va, bound=5)
-    with pytest.raises(ValueError):
-        dataclasses.replace(va, blocks=((1, 2), (3, 4, 5, 6), (7, 8, 9)))
-    with pytest.raises(ValueError):
-        dataclasses.replace(va, blocks=((1, 2, 3), (4, 5, 6), (7, 8, 10)))
+def test_vetrik_assignment_positions_on_shuffled_parts():
+    # the k-th smallest vertex of every part gets the colors outside block k,
+    # the smallest vetrik_lower_bound(n, r) of them, however the parts are
+    # labelled; blocks are consecutive, larger ones first
+    rng = random.Random(2013)
+    for n, r in itertools.product(range(2, 9), range(2, 41)):
+        labels = rng.sample(range(3 * n * r), n * r)
+        parts = tuple(tuple(labels[i:i + n]) for i in range(0, n * r, n))
+        blocks, a = vetrik_assignment(PartitionWitness(parts=parts))
+        size, extra = divmod(2 * r - 1, n)
+        colors = iter(range(1, 2 * r))
+        assert blocks == tuple(tuple(itertools.islice(colors, size + (k < extra)))
+                               for k in range(n)), (n, r)
+        assert a.universe == tuple(range(1, 2 * r))
+        bound = vetrik_lower_bound(n, r)
+        assert set(a.lists) == set(labels)
+        for part in parts:
+            for k, v in enumerate(sorted(part)):
+                want = sorted(set(a.universe) - set(blocks[k]))[:bound]
+                assert a.lists[v] == frozenset(want), (n, r, k)
 
 
-def test_vetrik_on_witness_positions():
-    va = vetrik_assignment(3, 5)
-    _, w = complete_multipartite([3] * 5)
-    a = vetrik_on_witness(va, w)
-    for part in w.parts:
-        ordered = sorted(part)
-        for k, v in enumerate(ordered):
-            assert a.lists[v] == va.assignment.lists[k]
+@pytest.mark.parametrize("sizes", [[3, 3, 4], [3], [1] * 5, []])
+def test_vetrik_assignment_refuses_other_witnesses(sizes):
     with pytest.raises(ValueError):
-        vetrik_on_witness(va, complete_multipartite([3] * 4)[1])
-    with pytest.raises(ValueError):
-        vetrik_on_witness(va, complete_multipartite([4] * 5)[1])
+        vetrik_assignment(complete_multipartite(sizes)[1])
 
 
 def test_vetrik_refutations_by_both_solvers():
     # the specialized solver kills (3,5) at the root; the generic solver
     # reaches the same verdict by exhausting the whole tree
     g, w = complete_multipartite([3] * 5)
-    a = vetrik_on_witness(vetrik_assignment(3, 5), w)
+    _, a = vetrik_assignment(w)
     special = multipartite_list_colorable(w, a)
     assert not special.satisfiable
     assert special.attestation.complete
@@ -417,7 +419,7 @@ def test_vetrik_refutations_by_both_solvers():
 
 def test_vetrik_5_9_refuted():
     _, w = complete_multipartite([5] * 9)
-    a = vetrik_on_witness(vetrik_assignment(5, 9), w)
+    _, a = vetrik_assignment(w)
     res = multipartite_list_colorable(w, a)
     assert not res.satisfiable
     assert res.attestation.complete
@@ -426,10 +428,9 @@ def test_vetrik_5_9_refuted():
 def test_enlarged_vetrik_lists_become_colorable():
     # one extra color per list defeats the adversarial pattern at (3, 5):
     # with 7-color lists the pigeonhole argument no longer applies
-    va = vetrik_assignment(3, 5)
-    universe = va.assignment.universe
     _, w = complete_multipartite([3] * 5)
-    base = vetrik_on_witness(va, w)
+    _, base = vetrik_assignment(w)
+    universe = base.universe
     enlarged = {}
     for v, colors in base.lists.items():
         extra = min(c for c in universe if c not in colors)

@@ -14,14 +14,14 @@ import pytest
 from oracles import complete_multipartite
 from squaregap import serialize
 from squaregap.cli import main
-from squaregap.coloring import ListAssignment, vetrik_assignment, vetrik_on_witness
+from squaregap.coloring import ListAssignment, vetrik_assignment
 from squaregap.graphcore import SimpleGraph
 
 
 def vetrik_k3x5():
     """The n = 3 square K_{3x5} with its Vetrik lists: UNSAT after 35,796 nodes."""
     g, witness = complete_multipartite([3] * 5)
-    return g, vetrik_on_witness(vetrik_assignment(3, 5), witness)
+    return g, vetrik_assignment(witness)[1]
 
 
 def backtracking_sat():
@@ -90,6 +90,8 @@ PINNED = [
      "07402252c966d4cb49e4595d8580f68de6e4b08a442529b319a1b9925b6651b6"),
     (["certify", "--n", "11"], 0,
      "2ce1552a389135812e0ab6538c5e4e0700bce58bac01b4d262ea29e6073807f9"),
+    (["certify", "--n", "31"], 0,
+     "96dd3effc75afc0bc9e524ca246b5836b90ed6ee31e4c20623690cd557945021"),
 ]
 
 

@@ -123,6 +123,19 @@ def test_parse_dimacs_semantics(text, expected):
         assert (g.n, g.edges()) == expected
 
 
+def test_parse_dimacs_clips_what_its_errors_echo():
+    # a field or line longer than 60 characters is cut, with its length named
+    for text, expected in [
+        ("x" * 60, f"line 1: unknown record {'x' * 60!r}"),
+        ("x" * 300_000, f"line 1: unknown record {'x' * 60!r}... (300000 characters)"),
+        ("e" + " 1" * 40, f"line 1: malformed edge line {('e' + ' 1' * 40)[:60]!r}"
+                          "... (81 characters)"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            serialize.parse_dimacs(text)
+        assert str(info.value) == expected
+
+
 def test_dot_output():
     text = serialize.graph_to_dot(triangle(), {0: "a", 1: "b"})
     assert text == ('graph G {\n  0 [label="a"];\n  1 [label="b"];\n  2;\n'

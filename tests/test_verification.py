@@ -38,7 +38,8 @@ def test_all_checks_pass(n):
 
 def test_structure_witness_shape():
     for n in (3, 5, 7):
-        witness, report = check_square_structure(construct_counterexample(n))
+        gc = construct_counterexample(n)
+        witness, report = check_square_structure(square(gc.graph), gc)
         assert report.passed
         assert len(witness.parts) == 2 * n - 1
         assert all(len(p) == n for p in witness.parts)
@@ -61,7 +62,8 @@ def test_nv_and_pq_case_counts_at_n3():
 
 def test_structure_pins_edge_counts():
     # 15 adjacency rows + the two induced-edge-count identities
-    _, report = check_square_structure(construct_counterexample(3))
+    gc = construct_counterexample(3)
+    _, report = check_square_structure(square(gc.graph), gc)
     assert report.checked_cases == 17
 
 
