@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import coloring, serialize, verification
 from .construction import construct_counterexample
-from .errors import SearchBudgetExceeded
+from .errors import SearchBudgetExceeded, clip
 from .graphcore import SimpleGraph, square
 from .latin import are_orthogonal, build_mols_family, is_latin
 
@@ -55,7 +55,7 @@ def _budget_seconds(text: str) -> float:
         value = math.nan  # rejected below with the same message
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(
-            f"must be a finite number of seconds >= 0, got {text!r}")
+            f"must be a finite number of seconds >= 0, got {clip(text)}")
     return value
 
 
@@ -65,10 +65,10 @@ def _order(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be an integer, got {clip(text)}") from None
     if 2 * value * value - value > serialize.MAX_INPUT_VERTICES:
         raise argparse.ArgumentTypeError(
-            f"the graph for n = {value} would exceed {serialize.MAX_INPUT_VERTICES} vertices")
+            f"the graph for n = {clip(value)} would exceed {serialize.MAX_INPUT_VERTICES} vertices")
     return value
 
 
@@ -96,6 +96,7 @@ def _parse_args(argv):
     p = sub.add_parser("solve-list", help="decide list-colorability of a graph file")
     p.add_argument("--graph", required=True, help="graph in DIMACS .col or graph JSON")
     p.add_argument("--lists", required=True, help="list assignment JSON")
+    p.add_argument("--budget-seconds", type=_budget_seconds, default=None)
 
     p = sub.add_parser("mols", help="print the orthogonal Latin square family")
     p.add_argument("--n", type=_order, required=True)
@@ -160,10 +161,11 @@ def _load_graph_file(path: str) -> SimpleGraph:
 
 
 def _cmd_solve_list(args) -> tuple[str, str]:
+    deadline = None if args.budget_seconds is None else time.monotonic() + args.budget_seconds
     g = _load_graph_file(args.graph)
     with open(args.lists, encoding="utf-8") as fh:
         assignment = serialize.parse_lists_json(fh.read())
-    result = coloring.is_list_colorable(g, assignment)
+    result = coloring.is_list_colorable(g, assignment, deadline=deadline)
     doc = {
         "satisfiable": result.satisfiable,
         "nodes": result.attestation.nodes,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .construction import construct_counterexample
-from .errors import CapacityError, SearchBudgetExceeded
+from .errors import CapacityError, SearchBudgetExceeded, clip
 from .graphcore import PartitionWitness, SimpleGraph, bits, mask_of, square
 from .verification import check_square_structure
 
@@ -40,7 +40,7 @@ class ListAssignment:
             raise ValueError("colors must be nonnegative integers")
         for v, colors in self.lists.items():
             if not colors <= u:
-                raise ValueError(f"list of vertex {v} leaves the universe")
+                raise ValueError(f"list of vertex {clip(v)} leaves the universe")
 
 
 @dataclass(frozen=True)
@@ -161,66 +161,111 @@ def _search(g: SimpleGraph, avail: list[int], budget: _Budget,
     opened masks the colors a vertex may take, -1 for list coloring; for
     interchangeable colors pass the used ones plus one, and each color tried
     opens the next.  Returns the coloring or None.
+
+    Invariant: buckets[k] is the mask of the uncolored vertices with exactly
+    k colors left.  Forward checking moves each neighbor it touches down one
+    bucket, in one move per run of equal counts; the vertex branched on
+    leaves its bucket; backtracking undoes both.  The vertex to branch on is
+    then the low bit of the first non-empty bucket, and the scan for it
+    starts at the parent's count minus one, below which no count can fall.
+    It passes (fewest count) - (parent's count) empty buckets at most, which
+    sum to no more than the longest list along any branch.  So a node costs
+    O(degree) operations on masks and no pass over all n vertices, and a
+    stack level holds O(degree) entries: the neighbors touched and their
+    moves.  A branch that wipes a neighbor out moves no bucket at all.
     """
     nbrs: list[Optional[list[int]]] = [None] * g.n  # filled when a vertex is first branched on
-    # More set bits than any list and no color bit: a colored vertex is never
-    # the most constrained one and never loses a color to forward checking.
-    done = ((2 << max(map(int.bit_count, avail), default=0)) - 1
-            << max(map(int.bit_length, avail), default=0))
     colors = [-1] * g.n
     for c, v in enumerate(clique):
         colors[v] = c
-        avail[v] = done
+        avail[v] = 0  # no color bit: forward checking passes a colored vertex by
         for u in bits(g.adj[v]):
             avail[u] &= ~(1 << c)
+    buckets = [0] * (max(map(int.bit_count, avail), default=0) + 1)
+    for v, a in enumerate(avail):
+        if colors[v] < 0:
+            buckets[a.bit_count()] |= 1 << v
     left = colors.count(-1)
-    # frame: [vertex, its mask, colors not yet tried, opened, color tried, touched]
+    nodes, stride = budget.nodes, _DEADLINE_STRIDE
+    check_at = -1 if budget.deadline is None else (nodes // stride + 1) * stride
+    # frame: [vertex, its mask, its count, colors not yet tried, opened,
+    #         color tried, neighbors it took from, their (count, mask) moves]
     stack: list[list] = []
     descend = True
     while True:
         if descend:
             if not left:
-                for v, _, _, _, low, _ in stack:
+                for v, _, _, _, _, low, _, _ in stack:
                     colors[v] = low.bit_length() - 1
+                budget.nodes = nodes
                 return colors
-            counts = list(map(int.bit_count, avail))
-            fewest = min(counts)
-            if fewest:
-                v = counts.index(fewest)
+            k = stack[-1][2] - 1 if stack else 0
+            while not buckets[k]:
+                k += 1
+            if k:  # bucket 0 holds a vertex only at a root wipeout
+                b = buckets[k]
+                low = b & -b
+                buckets[k] = b ^ low
+                v = low.bit_length() - 1
                 if stack:  # the root frame takes the caller's opened
-                    opened = stack[-1][3] | (stack[-1][4] << 1)
-                stack.append([v, avail[v], avail[v] & opened, opened, 0, ()])
+                    opened = stack[-1][4] | (stack[-1][5] << 1)
+                stack.append([v, avail[v], k, avail[v] & opened, opened, 0, (), ()])
                 if nbrs[v] is None:
                     nbrs[v] = list(bits(g.adj[v]))
-                avail[v] = done
+                avail[v] = 0
                 left -= 1
         if not stack:
+            budget.nodes = nodes
             return None
         frame = stack[-1]
-        v, own, untried, _, low, touched = frame
+        v, own, count, untried, _, low, touched, moves = frame
         for u in touched:
             avail[u] |= low
+        for k, m in moves:
+            buckets[k - 1] ^= m
+            buckets[k] |= m
         if not untried:
             stack.pop()
             avail[v] = own
+            buckets[count] |= 1 << v
             left += 1
             descend = False
             continue
         low = untried & -untried
-        budget.tick()
+        nodes += 1
+        if nodes == check_at:
+            budget.nodes = nodes
+            budget._check()
+            check_at += stride
         touched = []
-        descend = True
+        moves = []
+        k = m = 0
         for u in nbrs[v]:
             a = avail[u]
             if a & low:
+                if a == low:  # u would be left with no color
+                    descend = False
+                    moves = ()
+                    break
                 avail[u] = a ^ low
                 touched.append(u)
-                if a == low:
-                    descend = False
-                    break
-        frame[2] = untried ^ low
-        frame[4] = low
-        frame[5] = touched
+                c = a.bit_count()
+                if c != k:
+                    if m:
+                        moves.append((k, m))
+                    k, m = c, 0
+                m |= 1 << u
+        else:
+            descend = True
+            if m:
+                moves.append((k, m))
+            for k, m in moves:
+                buckets[k] ^= m
+                buckets[k - 1] |= m
+        frame[3] = untried ^ low
+        frame[5] = low
+        frame[6] = touched
+        frame[7] = moves
 
 
 def chromatic_number_exact(g: SimpleGraph, *,

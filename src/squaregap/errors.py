@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and clip() for their messages."""
+
+
+def clip(value: int | str) -> str:
+    """An int's digits or a string's repr for an error message, cut after 60
+    characters with the full length named, so stderr stays short."""
+    text = str(value)
+    show = repr if isinstance(value, str) else str
+    return show(text) if len(text) <= 60 else f"{show(text[:60])}... ({len(text)} characters)"
 
 
 class CapacityError(Exception):

@@ -14,6 +14,8 @@ these builders store their rows unchecked.
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .errors import clip
+
 
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, ascending."""
@@ -64,11 +66,11 @@ class SimpleGraph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
         if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+            raise ValueError(f"vertex count must be nonnegative, got {clip(n)}")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
+                raise ValueError(f"edge ({clip(u)},{clip(v)}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"self-loop at {u} not allowed")
             rows[u] |= 1 << v

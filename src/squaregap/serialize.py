@@ -11,6 +11,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .coloring import GapCertificate, ListAssignment
 from .construction import ConstructedGraph
+from .errors import clip
 from .graphcore import SimpleGraph
 from .verification import LemmaReport
 
@@ -22,13 +23,8 @@ MAX_INPUT_VERTICES = 2**16
 def _vertex_count(n: int) -> int:
     """n, checked against MAX_INPUT_VERTICES before any row is allocated."""
     if n > MAX_INPUT_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_INPUT_VERTICES}")
+        raise ValueError(f"vertex count {clip(n)} exceeds the limit of {MAX_INPUT_VERTICES}")
     return n
-
-
-def _clip(text: str) -> str:
-    """repr(text), cut after 60 characters so an error message stays short."""
-    return repr(text) if len(text) <= 60 else f"{text[:60]!r}... ({len(text)} characters)"
 
 
 def json_dumps(obj) -> str:
@@ -91,12 +87,12 @@ def parse_dimacs(text: str) -> SimpleGraph:
             continue
         if fields[0] == "p":
             if len(fields) != 4 or fields[1] != "edge":
-                raise ValueError(f"line {lineno}: malformed problem line {_clip(raw.strip())}")
+                raise ValueError(f"line {lineno}: malformed problem line {clip(raw.strip())}")
             n = _vertex_count(int(fields[2]))
         elif fields[0] == "e":
-            raise ValueError(f"line {lineno}: malformed edge line {_clip(raw.strip())}")
+            raise ValueError(f"line {lineno}: malformed edge line {clip(raw.strip())}")
         else:
-            raise ValueError(f"line {lineno}: unknown record {_clip(fields[0])}")
+            raise ValueError(f"line {lineno}: unknown record {clip(fields[0])}")
     if n is None:
         raise ValueError("missing 'p edge' problem line")
     return SimpleGraph.from_edges(n, edges)
@@ -194,7 +190,7 @@ def parse_lists_json(text: str) -> ListAssignment:
     for key, colors in lists.items():
         v = int(key)
         if str(v) != key:
-            raise ValueError(f"vertex key {_clip(key)} is not a canonical integer")
+            raise ValueError(f"vertex key {clip(key)} is not a canonical integer")
         converted[v] = frozenset(_ints(colors, "each list in lists JSON"))
     return ListAssignment(universe=universe, lists=converted)
 

@@ -6,6 +6,7 @@ exist to disagree with the fast code, not to replace it.
 """
 
 import itertools
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -173,3 +174,80 @@ def random_graph(rng, n: int, p: float) -> SimpleGraph:
     """G(n, p) with edges drawn from the supplied seeded Random instance."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return SimpleGraph.from_edges(n, edges)
+
+
+def rescan_search(g: SimpleGraph, avail: list[int], budget,
+                  clique: Iterable[int] = (), opened: int = -1) -> Optional[list[int]]:
+    """DSATUR-style backtracking (Brelaz, CACM 1979) on an explicit stack.
+
+    coloring._search without its count buckets: every node rescans the
+    counts of all n vertices to pick the most constrained one.  Both must
+    pick the same vertices, so they agree on every coloring and node count.
+
+    avail[v] (consumed) is the mask of colors v may still take; clique is
+    pre-colored 0, 1, 2, ... in order.  The most constrained uncolored vertex
+    goes first (ties by index), its colors ascending, one budget tick each,
+    with forward checking: a neighbor left with no color fails the branch.
+    opened masks the colors a vertex may take, -1 for list coloring; for
+    interchangeable colors pass the used ones plus one, and each color tried
+    opens the next.  Returns the coloring or None.
+    """
+    nbrs: list[Optional[list[int]]] = [None] * g.n  # filled when a vertex is first branched on
+    # More set bits than any list and no color bit: a colored vertex is never
+    # the most constrained one and never loses a color to forward checking.
+    done = ((2 << max(map(int.bit_count, avail), default=0)) - 1
+            << max(map(int.bit_length, avail), default=0))
+    colors = [-1] * g.n
+    for c, v in enumerate(clique):
+        colors[v] = c
+        avail[v] = done
+        for u in bits(g.adj[v]):
+            avail[u] &= ~(1 << c)
+    left = colors.count(-1)
+    # frame: [vertex, its mask, colors not yet tried, opened, color tried, touched]
+    stack: list[list] = []
+    descend = True
+    while True:
+        if descend:
+            if not left:
+                for v, _, _, _, low, _ in stack:
+                    colors[v] = low.bit_length() - 1
+                return colors
+            counts = list(map(int.bit_count, avail))
+            fewest = min(counts)
+            if fewest:
+                v = counts.index(fewest)
+                if stack:  # the root frame takes the caller's opened
+                    opened = stack[-1][3] | (stack[-1][4] << 1)
+                stack.append([v, avail[v], avail[v] & opened, opened, 0, ()])
+                if nbrs[v] is None:
+                    nbrs[v] = list(bits(g.adj[v]))
+                avail[v] = done
+                left -= 1
+        if not stack:
+            return None
+        frame = stack[-1]
+        v, own, untried, _, low, touched = frame
+        for u in touched:
+            avail[u] |= low
+        if not untried:
+            stack.pop()
+            avail[v] = own
+            left += 1
+            descend = False
+            continue
+        low = untried & -untried
+        budget.tick()
+        touched = []
+        descend = True
+        for u in nbrs[v]:
+            a = avail[u]
+            if a & low:
+                avail[u] = a ^ low
+                touched.append(u)
+                if a == low:
+                    descend = False
+                    break
+        frame[2] = untried ^ low
+        frame[4] = low
+        frame[5] = touched

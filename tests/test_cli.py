@@ -210,6 +210,50 @@ def test_solve_list_unsat_exits_1(tmp_path, capsys):
     assert envelope_of(err)["outcome"] == "fail"
 
 
+def write_vetrik_k3x5(tmp_path):
+    """The n = 3 square K_{3x5} with its Vetrik lists, UNSAT after 35,796 nodes."""
+    from oracles import complete_multipartite
+    from squaregap import serialize
+
+    g, witness = complete_multipartite([3] * 5)
+    graph_path = tmp_path / "k3x5.col"
+    graph_path.write_text(serialize.graph_to_dimacs(g))
+    lists_path = tmp_path / "k3x5.json"
+    lists_path.write_text(serialize.json_dumps(
+        serialize.lists_to_json_dict(coloring.vetrik_assignment(witness)[1])))
+    return str(graph_path), str(lists_path)
+
+
+def test_solve_list_zero_budget_stops_at_the_first_deadline_check(tmp_path, capsys):
+    graph_path, lists_path = write_vetrik_k3x5(tmp_path)
+    code, out, err = run_cli(capsys, "solve-list", "--graph", graph_path,
+                             "--lists", lists_path, "--budget-seconds", "0")
+    assert code == 4
+    assert out == ""
+    assert f"search budget exhausted (nodes={coloring._DEADLINE_STRIDE})" in err
+    env = envelope_of(err)
+    assert env["outcome"] == "error"
+    assert env["parameters"]["budget_seconds"] == 0
+
+
+def test_solve_list_ample_budget_prints_the_unbudgeted_payload(tmp_path, capsys):
+    graph_path, lists_path = write_vetrik_k3x5(tmp_path)
+    argv = ["solve-list", "--graph", graph_path, "--lists", lists_path]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, json.loads(out)["nodes"]) == (1, 35_796)
+    assert run_cli(capsys, *argv, "--budget-seconds", "3600")[:2] == (code, out)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_solve_list_rejects_bad_budget(tmp_path, capsys, value):
+    graph_path, lists_path = write_instance(tmp_path, satisfiable=True)
+    with pytest.raises(SystemExit) as info:
+        main(["solve-list", "--graph", graph_path, "--lists", lists_path,
+              "--budget-seconds", value])
+    assert info.value.code == 2
+    assert "--budget-seconds: must be a finite number of seconds" in capsys.readouterr().err
+
+
 def test_solve_list_accepts_graph_json(tmp_path, capsys):
     from squaregap import serialize
     from squaregap.construction import construct_counterexample
@@ -342,6 +386,48 @@ def test_dimacs_errors_stay_short(tmp_path, capsys, graph_text):
     assert out == ""
     assert envelope_of(err)["outcome"] == "error"
     assert "Traceback" not in err
+    assert len(err.encode()) < 1024
+
+
+NINES = "9" * 4300  # the longest integer int() and the JSON decoder accept
+
+
+@pytest.mark.parametrize("graph_text,lists_text", [
+    (f"p edge 3 1\ne 1 {NINES}\n", THREE_LISTS),
+    (f'{{"n_vertices": 3, "edges": [[0, {NINES}]]}}', THREE_LISTS),
+    (f"p edge {NINES} 0\n", THREE_LISTS),
+    (f"p edge -{NINES} 0\n", THREE_LISTS),
+    (f'{{"n_vertices": -{NINES}, "edges": []}}', THREE_LISTS),
+    (TRIANGLE, f'{{"universe": [1], "lists": {{"{NINES}": [5]}}}}'),
+], ids=["dimacs-edge", "json-edge", "dimacs-count", "dimacs-negative-count",
+        "json-negative-count", "list-key-outside-the-universe"])
+def test_long_integers_in_input_errors_are_clipped(tmp_path, capsys, graph_text, lists_text):
+    graph_path = tmp_path / "g.txt"
+    graph_path.write_text(graph_text)
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text(lists_text)
+    code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                             "--lists", str(lists_path))
+    assert code == 2
+    assert out == ""
+    assert envelope_of(err)["outcome"] == "error"
+    assert "99... (430" in err  # the first 60 characters, then the length
+    assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", NINES],
+    ["verify", "--n", "-" + NINES],
+    ["verify", "--n", "x" * 5000],
+    ["certify", "--n", "3", "--budget-seconds", "9" * 5000],
+    ["solve-list", "--graph", "g", "--lists", "l", "--budget-seconds", "x" * 5000],
+], ids=["order", "negative-order", "order-not-an-integer", "budget", "solve-list-budget"])
+def test_long_arguments_in_usage_errors_are_clipped(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "characters)" in err
     assert len(err.encode()) < 1024
 
 

@@ -1,8 +1,11 @@
+import collections
 import dataclasses
 import itertools
+import math
 import random
 import time
 import types
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from oracles import (
     enumerate_list_colorable,
     is_clique,
     random_graph,
+    rescan_search,
 )
 from squaregap import coloring
 from squaregap.coloring import (
@@ -30,7 +34,7 @@ from squaregap.coloring import (
 )
 from squaregap.construction import construct_counterexample
 from squaregap.errors import CapacityError, SearchBudgetExceeded
-from squaregap.graphcore import PartitionWitness, SimpleGraph, square
+from squaregap.graphcore import PartitionWitness, SimpleGraph, mask_of, square
 from squaregap.verification import check_square_structure
 
 
@@ -196,6 +200,102 @@ def test_list_coloring_sat_iff_enumeration(data):
              for v in range(n)}
     a = ListAssignment(universe=tuple(range(5)), lists=lists)
     assert is_list_colorable(g, a).satisfiable == enumerate_list_colorable(g, lists)
+
+
+# -- the bucket engine against the rescan oracle --------------------------------
+
+ORACLE_NODE_CAP = 4096  # both engines stop at this node, with the same count
+
+
+def run_engine(search, g, avail, start, clique=(), opened=-1):
+    """(coloring or None or "stopped", nodes) of one search from a budget at start nodes.
+
+    The deadline has passed already, so the stride, patched to the cap, stops
+    both engines at the same node of a long search.
+    """
+    budget = coloring._Budget(-math.inf)
+    budget.nodes = start
+    with mock.patch.object(coloring, "_DEADLINE_STRIDE", ORACLE_NODE_CAP):
+        try:
+            result = search(g, list(avail), budget, clique, opened)
+        except SearchBudgetExceeded as exc:
+            assert exc.nodes == budget.nodes
+            result = "stopped"
+    return result, budget.nodes
+
+
+def assert_engines_agree(g, avail, start=0, clique=(), opened=-1):
+    new = run_engine(coloring._search, g, avail, start, clique, opened)
+    assert new == run_engine(rescan_search, g, avail, start, clique, opened)
+    return new
+
+
+def random_lists(rng, n):
+    """G(n, p) with lists of width - 0..2 colors out of width, near the threshold
+    where searches backtrack; now and then one vertex gets no color at all."""
+    g = random_graph(rng, n, rng.uniform(0.1, 0.7))
+    width = rng.randint(2, 9)
+    avail = [mask_of(rng.sample(range(width), width - rng.randint(0, 2) if width > 2
+                                else rng.randint(1, 2)))
+             for _ in range(n)]
+    if n and rng.random() < 0.05:
+        avail[rng.randrange(n)] = 0
+    return g, avail
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 2**32 - 1), st.integers(0, 3 * ORACLE_NODE_CAP))
+def test_bucket_engine_matches_the_rescan_oracle_on_lists(n, seed, start):
+    # colorings, node counts, and the node a budget stops at, all identical
+    g, avail = random_lists(random.Random(seed), n)
+    result, _ = assert_engines_agree(g, avail, start)
+    if isinstance(result, list):
+        assert all(avail[v] >> c & 1 for v, c in enumerate(result))
+        assert validate_coloring(g, result)
+
+
+def test_bucket_engine_matches_the_rescan_oracle_on_seeded_lists():
+    # a fixed sample that is known to backtrack and to hit the node cap
+    rng = random.Random(2024)
+    outcomes = collections.Counter()
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        result, nodes = assert_engines_agree(*random_lists(rng, n))
+        outcomes["stopped" if result == "stopped" else "backtracked" if nodes > n else "linear"] += 1
+    assert outcomes["backtracked"] >= 20 and outcomes["stopped"] >= 3, outcomes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_bucket_engine_matches_the_rescan_oracle_on_chromatic_search(n, seed):
+    # the pre-colored clique and opened, as chromatic_number_exact passes them
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+    clique = greedy_clique(g)
+    for k in range(len(clique), len(clique) + 3):
+        assert_engines_agree(g, [(1 << k) - 1] * n, 0, clique, (2 << len(clique)) - 1)
+
+
+def test_bucket_engine_matches_the_rescan_oracle_at_a_root_wipeout():
+    # a vertex with no color before any branch: no node, no coloring
+    path = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert assert_engines_agree(path, [3, 3, 0, 3]) == (None, 0)
+    # K4 with three colors and the clique 0, 1, 2 pre-colored leaves 3 none
+    k4 = SimpleGraph.from_edges(4, list(itertools.combinations(range(4), 2)))
+    assert assert_engines_agree(k4, [7] * 4, 0, [0, 1, 2], 15) == (None, 0)
+    assert assert_engines_agree(SimpleGraph.empty(0), []) == ([], 0)
+
+
+def test_a_20000_vertex_path_takes_one_node_per_vertex():
+    # the rescan engine needed O(n) per node here, about 30 s in all
+    n = 20_000
+    order = [7919 * i % n for i in range(n)]
+    g = SimpleGraph.from_edges(n, list(zip(order, order[1:])))
+    a = ListAssignment(universe=tuple(range(12)), lists={v: frozenset({2, 9}) for v in range(n)})
+    result = is_list_colorable(g, a)
+    assert result.satisfiable
+    assert result.attestation.nodes == n
+    assert validate_coloring(g, result.coloring, a)
 
 
 # -- multipartite specialization ----------------------------------------------

@@ -8,6 +8,7 @@ stays the same.
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -35,7 +36,37 @@ def backtracking_sat():
                                                             lists=lists)
 
 
-SOLVE_INSTANCES = {"vetrik-K3x5": vetrik_k3x5, "backtracking-sat": backtracking_sat}
+def path_1100():
+    """A path through 1,100 vertices in the order 367 * i mod 1100, every list {2, 9}:
+    SAT in 1,100 nodes, one per vertex."""
+    n = 1100
+    order = [367 * i % n for i in range(n)]
+    lists = {v: frozenset({2, 9}) for v in range(n)}
+    return (SimpleGraph.from_edges(n, list(zip(order, order[1:]))),
+            ListAssignment(universe=tuple(range(12)), lists=lists))
+
+
+def planted_800():
+    """800 vertices, edges only between different colours of a planted 12-colouring
+    (about 9 per vertex), each list its vertex's colour and 3 more: SAT in 800 nodes.
+    Drawn with random() alone, whose sequence Python keeps across versions."""
+    n, colours = 800, 12
+    rng = random.Random(800)
+    plant = [int(rng.random() * colours) for _ in range(n)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if plant[u] != plant[v] and rng.random() < 10 / n]
+    lists = {}
+    for v, c in enumerate(plant):
+        chosen = {c}
+        while len(chosen) < 4:
+            chosen.add(int(rng.random() * colours))
+        lists[v] = frozenset(chosen)
+    return (SimpleGraph.from_edges(n, edges),
+            ListAssignment(universe=tuple(range(colours)), lists=lists))
+
+
+SOLVE_INSTANCES = {"vetrik-K3x5": vetrik_k3x5, "backtracking-sat": backtracking_sat,
+                   "path-1100": path_1100, "planted-800": planted_800}
 
 PINNED = [
     (["certify", "--n", "3"], 0,
@@ -70,6 +101,10 @@ PINNED = [
      "05807e3620a77ff567a055a1111f15a9407b071ea23be9208ec5f2f8042aad2d"),
     (["solve-list", "backtracking-sat"], 0,
      "0558ba923dd998995ea840642598e23e3d2852396448d4c053831f10b3b88655"),
+    (["solve-list", "path-1100"], 0,
+     "4d2e1cb7a263c790ebba2ffaa468be6194400d3167d90483692e1b2087e87ee3"),
+    (["solve-list", "planted-800"], 0,
+     "cd125e6a8b15d3108079e7e9531284e55a6d79e5126ce2aad267b341672f4aa9"),
     (["mols", "--n", "5", "--check"], 0,
      "eee29644f2fac5d6571ad9ca341b97fdb14d28b9362e2fbb9914f64a0146a88a"),
     (["mols", "--n", "7"], 0,
