@@ -3,7 +3,8 @@
 Payloads go to stdout and are byte-identical across identical
 invocations; the run envelope (outcome, elapsed milliseconds) goes to
 stderr.  Exit codes: 0 pass, 1 check failure or UNSAT, 2 invalid
-parameters or unparsable input, 3 I/O failure, 4 budget exhausted.
+parameters or unparsable input, 3 I/O failure, 4 budget exhausted,
+5 internal error (any other exception, reported without a traceback).
 """
 
 import argparse
@@ -27,6 +28,7 @@ EXIT_FAIL = 1
 EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 log = logging.getLogger("squaregap")
 
@@ -109,9 +111,10 @@ def _parse_args(argv):
 def _cmd_construct(args) -> tuple[str, str]:
     gc = construct_counterexample(args.n)
     if args.format == "dimacs":
-        payload = serialize.graph_to_dimacs(gc.graph)
+        payload = serialize.graph_to_dimacs(gc.graph.n, gc.edges())
     elif args.format == "dot":
-        payload = serialize.graph_to_dot(gc.graph, serialize.constructed_labels(gc))
+        payload = serialize.graph_to_dot(gc.graph.n, gc.edges(),
+                                         serialize.constructed_labels(gc))
     else:
         payload = serialize.json_dumps(serialize.constructed_to_json_dict(gc))
     return "pass", payload
@@ -225,6 +228,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"squaregap {args.command}: {exc}", file=sys.stderr)
         outcome, code = "error", EXIT_IO
+    except Exception as exc:  # last resort: exit 1 would read as UNSAT
+        log.debug("internal error in %s", args.command, exc_info=True)
+        what = f"{type(exc).__name__}: {clip(str(exc))}"
+        print(f"squaregap {args.command}: internal error: {what}", file=sys.stderr)
+        outcome, code = "error", EXIT_INTERNAL
     else:
         output_path = getattr(args, "output", None)
         try:

@@ -7,10 +7,11 @@ to the v-vertices named by row j of the i-th Latin square: one neighbor
 in every P_k and one in every T_k.
 """
 
-import itertools
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add
 
-from .graphcore import SimpleGraph
+from .graphcore import SimpleGraph, mask_of
 from .latin import LatinSquare, build_latin, build_mols_family, require_prime
 
 
@@ -56,6 +57,15 @@ class ConstructedGraph:
     def q_vertices(self) -> tuple[int, ...]:
         return tuple(range(self.n * self.n, 2 * self.n * self.n - self.n))
 
+    def edges(self) -> list[tuple[int, int]]:
+        """The sorted (u, v) list of graph.edges(), read from the squares without
+        walking any row: each v's later clique partners, then its w-neighbours.
+        A mutant made by dataclasses.replace(gc, graph=...) keeps these edges."""
+        n, nn = self.n, self.n * self.n
+        w_nbrs = _w_neighbours(n, [row for sq in self.squares for row in sq.entries])
+        return list(chain.from_iterable(
+            zip(repeat(v), chain(range(v + n, nn, n), w_nbrs[v])) for v in range(nn)))
+
 
 def _labels(n: int) -> tuple[VertexLabel, ...]:
     out = [VertexLabel("v", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -63,29 +73,39 @@ def _labels(n: int) -> tuple[VertexLabel, ...]:
     return tuple(out)
 
 
+def _w_neighbours(n: int, latin_rows: list[tuple[int, ...]]) -> list[list[int]]:
+    """Each v-vertex's w-neighbours, ascending: the Latin rows transposed.
+
+    w_{i,j} is vertex nn + (i-1)n + (j-1), so the w's follow the rows of the
+    squares in order, and entry x at position k names v_{k,x} = (k-1)n + x - 1.
+    """
+    nn = n * n
+    out: list[list[int]] = [[] for _ in range(nn)]
+    for w, row in enumerate(latin_rows, start=nn):
+        for base, x in zip(range(-1, nn, n), row):  # base = (k-1)n - 1
+            out[base + x].append(w)
+    return out
+
+
 def construct_counterexample(n: int) -> ConstructedGraph:
     """Build the 2n^2 - n vertex graph for prime n >= 3.
 
     Edge set is the union of the Latin-row stars (each w_{i,j} to the
     v-vertices on row j of square i) and the column cliques T_1..T_n.
-    Star edges join a w to a v and clique edges join two v's, so no edge
-    is listed twice.
+    A w's row is the mask of its Latin row and a v's row is its column
+    clique without itself plus its w-neighbours: symmetric and loop-free.
     """
     require_prime(n)
     if n < 3:
         raise ValueError(f"n must be a prime >= 3, got {n}")
     family = build_mols_family(n)
     nn = n * n
-    # w_{i,j} is vertex nn + (i-1)n + (j-1) and v_{k,x} is vertex (k-1)n + (x-1),
-    # so the w's follow the rows of the squares in order and each row entry x
-    # at position k names vertex (k-1)n + x - 1.
-    rows = [row for sq in family.squares for row in sq.entries]
-    edges = [(w, base + x - 1)
-             for w, row in enumerate(rows, start=nn)
-             for base, x in zip(range(0, nn, n), row)]
-    for j in range(n):
-        edges += itertools.combinations(range(j, nn, n), 2)
-    graph = SimpleGraph.from_edges(2 * nn - n, edges)
+    latin_rows = [row for sq in family.squares for row in sq.entries]
+    column = mask_of(range(0, nn, n))
+    rows = [(column << v % n) & ~(1 << v) | mask_of(ws)
+            for v, ws in enumerate(_w_neighbours(n, latin_rows))]
+    rows += [mask_of(map(add, range(-1, nn, n), row)) for row in latin_rows]
+    graph = SimpleGraph._from_rows(2 * nn - n, tuple(rows))
     p_sets = tuple(tuple(range(k, k + n)) for k in range(0, nn, n))
     q_sets = tuple(tuple(range(k, k + n)) for k in range(nn, 2 * nn - n, n))
     t_sets = tuple(tuple(range(j, nn, n)) for j in range(n))

@@ -7,8 +7,9 @@ arithmetic) are single AND/OR/popcount steps.
 
 Raw rows are checked only by the public constructor SimpleGraph(n, adj):
 range, self-loops and symmetry.  from_edges checks each edge instead and
-sets both bits, and square() builds symmetric rows by construction, so
-these builders store their rows unchecked.
+sets both bits, and square() and construction.construct_counterexample
+build symmetric, loop-free rows by construction, so these builders store
+their rows unchecked.
 """
 
 from dataclasses import dataclass

@@ -54,7 +54,7 @@ def _indented(obj, pad: str) -> str:
                 and set(map(type, itertools.chain.from_iterable(obj))) == {int}):
             deeper = inner + "  "
             rows = f"\n{inner}],\n{inner}[\n{deeper}".join(
-                [f",\n{deeper}".join(map(str, row)) for row in obj])
+                map(f",\n{deeper}".join, map(map, itertools.repeat(str), obj)))
             return f"[\n{inner}[\n{deeper}{rows}\n{inner}]\n{pad}]"
         return (f"[\n{inner}" + f",\n{inner}".join([_indented(x, inner) for x in obj])
                 + f"\n{pad}]")
@@ -69,9 +69,9 @@ def _indented(obj, pad: str) -> str:
 # -- DIMACS .col --------------------------------------------------------------
 
 
-def graph_to_dimacs(g: SimpleGraph) -> str:
-    lines = [f"p edge {g.n} {g.edge_count}"]
-    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+def graph_to_dimacs(n: int, edges: list[tuple[int, int]]) -> str:
+    lines = [f"p edge {n} {len(edges)}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in edges]
     return "\n".join(lines) + "\n"
 
 
@@ -101,12 +101,13 @@ def parse_dimacs(text: str) -> SimpleGraph:
 # -- DOT ----------------------------------------------------------------------
 
 
-def graph_to_dot(g: SimpleGraph, labels: dict[int, str] | None = None) -> str:
+def graph_to_dot(n: int, edges: list[tuple[int, int]],
+                 labels: dict[int, str] | None = None) -> str:
     lines = ["graph G {"]
-    for v in range(g.n):
+    for v in range(n):
         name = labels.get(v) if labels else None
         lines.append(f'  {v} [label="{name}"];' if name else f"  {v};")
-    lines += [f"  {u} -- {v};" for u, v in g.edges()]
+    lines += [f"  {u} -- {v};" for u, v in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -114,11 +115,11 @@ def graph_to_dot(g: SimpleGraph, labels: dict[int, str] | None = None) -> str:
 # -- graph JSON ---------------------------------------------------------------
 
 
-def graph_to_json_dict(g: SimpleGraph, labels: dict[int, str],
+def graph_to_json_dict(n: int, edges: list[tuple[int, int]], labels: dict[int, str],
                        parts: dict[str, list[int]], cliques: dict[str, list[int]]) -> dict:
     return {
-        "n_vertices": g.n,
-        "edges": [[u, v] for u, v in g.edges()],
+        "n_vertices": n,
+        "edges": edges,
         "labels": {str(v): name for v, name in labels.items()},
         "parts": {name: sorted(vs) for name, vs in parts.items()},
         "cliques": {name: sorted(vs) for name, vs in cliques.items()},
@@ -133,7 +134,7 @@ def constructed_to_json_dict(gc: ConstructedGraph) -> dict:
     parts = {f"P_{i}": list(s) for i, s in enumerate(gc.p_sets, start=1)}
     parts.update({f"Q_{i}": list(s) for i, s in enumerate(gc.q_sets, start=1)})
     cliques = {f"T_{j}": list(s) for j, s in enumerate(gc.t_sets, start=1)}
-    return graph_to_json_dict(gc.graph, constructed_labels(gc), parts, cliques)
+    return graph_to_json_dict(gc.graph.n, gc.edges(), constructed_labels(gc), parts, cliques)
 
 
 def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:

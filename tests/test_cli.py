@@ -8,6 +8,7 @@ import pytest
 
 from squaregap import coloring
 from squaregap.cli import RunReport, main
+from squaregap.errors import clip
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +155,24 @@ def test_certify_rejects_bad_budget(capsys, value):
     assert "--budget-seconds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message", ["boom", "x" * 5000])
+def test_unexpected_exception_exits_5_without_a_traceback(monkeypatch, capsys, message):
+    from squaregap import cli
+
+    def broken(args):
+        raise RuntimeError(message)
+
+    monkeypatch.setitem(cli._HANDLERS, "construct", broken)
+    code, out, err = run_cli(capsys, "construct", "--n", "3")
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[0] == ("squaregap construct: internal error: RuntimeError: "
+                                   + clip(message))
+    assert len(err) < 1000
+    assert envelope_of(err)["outcome"] == "error"
+
+
 def test_envelope_refuses_non_finite_numbers():
     report = RunReport(command="certify", parameters={"budget_seconds": float("nan")},
                        outcome="pass", elapsed_ms=0)
@@ -178,7 +197,7 @@ def write_instance(tmp_path, satisfiable):
 
     g = SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     graph_path = tmp_path / "tri.col"
-    graph_path.write_text(serialize.graph_to_dimacs(g))
+    graph_path.write_text(serialize.graph_to_dimacs(g.n, g.edges()))
     if satisfiable:
         lists = {0: frozenset({1, 2}), 1: frozenset({2, 3}), 2: frozenset({1, 3})}
     else:
@@ -217,7 +236,7 @@ def write_vetrik_k3x5(tmp_path):
 
     g, witness = complete_multipartite([3] * 5)
     graph_path = tmp_path / "k3x5.col"
-    graph_path.write_text(serialize.graph_to_dimacs(g))
+    graph_path.write_text(serialize.graph_to_dimacs(g.n, g.edges()))
     lists_path = tmp_path / "k3x5.json"
     lists_path.write_text(serialize.json_dumps(
         serialize.lists_to_json_dict(coloring.vetrik_assignment(witness)[1])))
@@ -280,7 +299,7 @@ def test_solve_list_path_deeper_than_the_recursion_limit(tmp_path, capsys):
     g = SimpleGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
     a = ListAssignment(universe=(3, 7), lists={v: frozenset({3, 7}) for v in range(n)})
     graph_path = tmp_path / "path.col"
-    graph_path.write_text(serialize.graph_to_dimacs(g))
+    graph_path.write_text(serialize.graph_to_dimacs(g.n, g.edges()))
     lists_path = tmp_path / "lists.json"
     lists_path.write_text(serialize.json_dumps(serialize.lists_to_json_dict(a)))
     code, out, _ = run_cli(capsys, "solve-list", "--graph", str(graph_path),

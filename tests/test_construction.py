@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from oracles import is_clique
@@ -6,6 +8,25 @@ from squaregap.construction import (
     construct_counterexample,
     neighbors_of_w,
 )
+from squaregap.graphcore import SimpleGraph
+
+PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+# SHA-256 of the hex digits of (n, *adj), joined by commas, from the construction
+# that built every row by setting both bits of each edge in SimpleGraph.from_edges.
+ROW_DIGESTS = {
+    3: "061ac814e34ff44d6c9fb45e0551d137e5c6f42183825c0f1b6dd1e0ff15bb1f",
+    5: "020075cc1932ae34de0b9572f6e6b2e50feeca20520730f547019f2fc7868f1a",
+    7: "595c0e1fc6bafd5afc3e96ee34dd96817678e4940194735ebeb38141e3b99981",
+    11: "6a5d03201f6c3bde079418ec02404476934af3c986b4f0a93c6d18cb056de7c4",
+    13: "2a0593324a21a5e59be311162035c16db463cf92cd9994d0a04f18c0121b2b93",
+    17: "28f60bb7201f4975f4cdffa4f85f77b3b01516da2358075a8fd03aef61a3d257",
+    19: "37f34f951b811d950817c00175619fff941dcdd2a2f6283429ea0904245e6fba",
+    23: "a3dcb7b353bc100ea001bce9dacd291a7a13ff6e79bb403b1d160065473d3df4",
+    29: "1a7d17a786578f14908817a2cebf506db00de8587776f78fbde0e99894381516",
+    31: "e172f9c14583ec942aab8657fd77e57e1484869560e41c3fd78c14c261f8f3af",
+    61: "31b89bb6d08b9b1dc7d9c51c12309f3d1dcdb790ed50c339c59010184f120ccb",
+}
 
 # Frozen neighbor lists of all six w-vertices at n=3: row j of square i,
 # read as column positions.
@@ -120,3 +141,23 @@ def test_rejects_bad_orders():
         neighbors_of_w(4, 1, 1)
     with pytest.raises(ValueError):
         neighbors_of_w(3, 3, 1)
+
+
+@pytest.mark.parametrize("n", PRIMES_TO_31 + [61])
+def test_rows_match_their_pinned_digest(n):
+    g = construct_counterexample(n).graph
+    digest = hashlib.sha256(",".join(map(hex, (g.n,) + g.adj)).encode()).hexdigest()
+    assert digest == ROW_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", PRIMES_TO_31)
+def test_rows_pass_the_checked_constructor(n):
+    # symmetric, loop-free and in range, though construction stores them unchecked
+    g = construct_counterexample(n).graph
+    assert SimpleGraph(g.n, g.adj) == g
+
+
+@pytest.mark.parametrize("n", PRIMES_TO_31 + [61])
+def test_construction_edges_are_the_rows_edges(n):
+    gc = construct_counterexample(n)
+    assert gc.edges() == gc.graph.edges()

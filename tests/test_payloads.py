@@ -135,7 +135,7 @@ def test_stdout_digest(tmp_path, capsys, argv, code, digest):
     if argv[0] == "solve-list":
         g, assignment = SOLVE_INSTANCES[argv[1]]()
         graph_path = tmp_path / "graph.col"
-        graph_path.write_text(serialize.graph_to_dimacs(g))
+        graph_path.write_text(serialize.graph_to_dimacs(g.n, g.edges()))
         lists_path = tmp_path / "lists.json"
         lists_path.write_text(serialize.json_dumps(serialize.lists_to_json_dict(assignment)))
         argv = ["solve-list", "--graph", str(graph_path), "--lists", str(lists_path)]

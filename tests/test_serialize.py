@@ -25,7 +25,11 @@ _STRINGS = st.text() | st.sampled_from(["", 'say "hi"', "two\nlines", "back\\sla
 _INTS = st.integers() | st.integers(min_value=-(10**40), max_value=10**40)
 _SCALARS = st.none() | st.booleans() | _INTS | st.floats() | _STRINGS
 _INT_LISTS = st.lists(_INTS | st.booleans(), max_size=6)
-_INT_MATRICES = st.lists(st.lists(_INTS, max_size=4), max_size=5)
+# Rows of any width (1 included, widths unequal), as lists or tuples: the
+# matrix path joins them all in one pass whatever their widths.
+_INT_MATRICES = st.lists(st.lists(_INTS, max_size=4)
+                         | st.lists(_INTS, min_size=1, max_size=4).map(tuple)
+                         | st.lists(_INTS, min_size=1, max_size=1), max_size=5)
 _TREES = st.recursive(
     _SCALARS | _INT_LISTS | _INT_MATRICES,
     lambda children: (st.lists(children, max_size=5)
@@ -45,6 +49,7 @@ def test_json_dumps_matches_the_standard_library(obj):
     [], {}, [[]], [[1], []], [[], [1]], [True, 1], [[1, 2], [False]], [[1, 2], (3,)],
     {"a": {}, "b": [], "c": [[]]}, {"x": [[1, 2], [3, 4]], "y": [5, -6]}, [1.0, 2],
     {1: [1, 2], 2: {"z": None}}, [[10**30, -(10**30)]], ["\n", 'q"q'],
+    [(0, 1), (0, 2)], [[1], [2]], [(7,)], [[1, 2, 3], (4,), [5, 6]],
 ])
 def test_json_dumps_matches_the_standard_library_on_edge_cases(obj):
     assert serialize.json_dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -52,7 +57,7 @@ def test_json_dumps_matches_the_standard_library_on_edge_cases(obj):
 
 def test_dimacs_header_for_n3():
     gc = construct_counterexample(3)
-    text = serialize.graph_to_dimacs(gc.graph)
+    text = serialize.graph_to_dimacs(gc.graph.n, gc.graph.edges())
     lines = text.splitlines()
     assert lines[0] == "p edge 15 27"
     assert len(lines) == 28
@@ -62,11 +67,11 @@ def test_dimacs_header_for_n3():
 def test_dimacs_round_trip():
     for n in (3, 5):
         g = construct_counterexample(n).graph
-        assert serialize.parse_dimacs(serialize.graph_to_dimacs(g)) == g
+        assert serialize.parse_dimacs(serialize.graph_to_dimacs(g.n, g.edges())) == g
 
 
 def test_dimacs_edges_are_one_based_sorted():
-    text = serialize.graph_to_dimacs(triangle())
+    text = serialize.graph_to_dimacs(3, triangle().edges())
     assert text == "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 
 
@@ -137,7 +142,7 @@ def test_parse_dimacs_clips_what_its_errors_echo():
 
 
 def test_dot_output():
-    text = serialize.graph_to_dot(triangle(), {0: "a", 1: "b"})
+    text = serialize.graph_to_dot(3, triangle().edges(), {0: "a", 1: "b"})
     assert text == ('graph G {\n  0 [label="a"];\n  1 [label="b"];\n  2;\n'
                     "  0 -- 1;\n  0 -- 2;\n  1 -- 2;\n}\n")
 
