@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from . import coloring, serialize, verification
-from .construction import construct_counterexample
+from .construction import construct_counterexample, construct_with_edges
 from .errors import SearchBudgetExceeded, clip
 from .graphcore import SimpleGraph, square
 from .latin import are_orthogonal, build_mols_family, is_latin
@@ -109,14 +109,13 @@ def _parse_args(argv):
 
 
 def _cmd_construct(args) -> tuple[str, str]:
-    gc = construct_counterexample(args.n)
+    gc, edges = construct_with_edges(args.n)
     if args.format == "dimacs":
-        payload = serialize.graph_to_dimacs(gc.graph.n, gc.edges())
+        payload = serialize.graph_to_dimacs(gc.graph.n, edges)
     elif args.format == "dot":
-        payload = serialize.graph_to_dot(gc.graph.n, gc.edges(),
-                                         serialize.constructed_labels(gc))
+        payload = serialize.graph_to_dot(gc.graph.n, edges, serialize.constructed_labels(gc))
     else:
-        payload = serialize.json_dumps(serialize.constructed_to_json_dict(gc))
+        payload = serialize.json_dumps(serialize.constructed_to_json_dict(gc, edges))
     return "pass", payload
 
 

@@ -10,6 +10,7 @@ in every P_k and one in every T_k.
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add
+from typing import Optional
 
 from .graphcore import SimpleGraph, mask_of
 from .latin import LatinSquare, build_latin, build_mols_family, require_prime
@@ -61,10 +62,8 @@ class ConstructedGraph:
         """The sorted (u, v) list of graph.edges(), read from the squares without
         walking any row: each v's later clique partners, then its w-neighbours.
         A mutant made by dataclasses.replace(gc, graph=...) keeps these edges."""
-        n, nn = self.n, self.n * self.n
-        w_nbrs = _w_neighbours(n, [row for sq in self.squares for row in sq.entries])
-        return list(chain.from_iterable(
-            zip(repeat(v), chain(range(v + n, nn, n), w_nbrs[v])) for v in range(nn)))
+        rows = [row for sq in self.squares for row in sq.entries]
+        return _edges(self.n, _w_neighbours(self.n, rows))
 
 
 def _labels(n: int) -> tuple[VertexLabel, ...]:
@@ -87,6 +86,13 @@ def _w_neighbours(n: int, latin_rows: list[tuple[int, ...]]) -> list[list[int]]:
     return out
 
 
+def _edges(n: int, w_nbrs: list[list[int]]) -> list[tuple[int, int]]:
+    """ConstructedGraph.edges() from the transposed Latin rows."""
+    nn = n * n
+    return list(chain.from_iterable(
+        zip(repeat(v), chain(range(v + n, nn, n), w_nbrs[v])) for v in range(nn)))
+
+
 def construct_counterexample(n: int) -> ConstructedGraph:
     """Build the 2n^2 - n vertex graph for prime n >= 3.
 
@@ -95,6 +101,21 @@ def construct_counterexample(n: int) -> ConstructedGraph:
     A w's row is the mask of its Latin row and a v's row is its column
     clique without itself plus its w-neighbours: symmetric and loop-free.
     """
+    return _build(n, with_edges=False)[0]
+
+
+def construct_with_edges(n: int) -> tuple[ConstructedGraph, list[tuple[int, int]]]:
+    """construct_counterexample(n) and its edges(), transposing the Latin rows once.
+
+    The graph itself keeps no transposition, so what verify and certify
+    hold stays as small as the rows.
+    """
+    return _build(n, with_edges=True)
+
+
+def _build(n: int, with_edges: bool) -> tuple[ConstructedGraph, Optional[list[tuple[int, int]]]]:
+    """The graph, and its edges() when asked for.  The transposition is dropped
+    before the labels are built, so it never adds to the graph's footprint."""
     require_prime(n)
     if n < 3:
         raise ValueError(f"n must be a prime >= 3, got {n}")
@@ -102,15 +123,18 @@ def construct_counterexample(n: int) -> ConstructedGraph:
     nn = n * n
     latin_rows = [row for sq in family.squares for row in sq.entries]
     column = mask_of(range(0, nn, n))
-    rows = [(column << v % n) & ~(1 << v) | mask_of(ws)
-            for v, ws in enumerate(_w_neighbours(n, latin_rows))]
+    w_nbrs = _w_neighbours(n, latin_rows)
+    rows = [(column << v % n) & ~(1 << v) | mask_of(ws) for v, ws in enumerate(w_nbrs)]
+    edges = _edges(n, w_nbrs) if with_edges else None
+    del w_nbrs
     rows += [mask_of(map(add, range(-1, nn, n), row)) for row in latin_rows]
     graph = SimpleGraph._from_rows(2 * nn - n, tuple(rows))
     p_sets = tuple(tuple(range(k, k + n)) for k in range(0, nn, n))
     q_sets = tuple(tuple(range(k, k + n)) for k in range(nn, 2 * nn - n, n))
     t_sets = tuple(tuple(range(j, nn, n)) for j in range(n))
-    return ConstructedGraph(n=n, graph=graph, labels=_labels(n), p_sets=p_sets,
-                            q_sets=q_sets, t_sets=t_sets, squares=family.squares)
+    gc = ConstructedGraph(n=n, graph=graph, labels=_labels(n), p_sets=p_sets,
+                          q_sets=q_sets, t_sets=t_sets, squares=family.squares)
+    return gc, edges
 
 
 def neighbors_of_w(n: int, i: int, j: int) -> list[VertexLabel]:

@@ -8,6 +8,7 @@ payload.
 import itertools
 import json
 from json.encoder import encode_basestring_ascii as _encode_str
+from typing import Optional
 
 from .coloring import GapCertificate, ListAssignment
 from .construction import ConstructedGraph
@@ -130,11 +131,15 @@ def constructed_labels(gc: ConstructedGraph) -> dict[int, str]:
     return {v: str(lab) for v, lab in enumerate(gc.labels)}
 
 
-def constructed_to_json_dict(gc: ConstructedGraph) -> dict:
+def constructed_to_json_dict(gc: ConstructedGraph,
+                             edges: Optional[list[tuple[int, int]]] = None) -> dict:
+    """The graph JSON of gc; edges, when given, must be gc.edges()."""
     parts = {f"P_{i}": list(s) for i, s in enumerate(gc.p_sets, start=1)}
     parts.update({f"Q_{i}": list(s) for i, s in enumerate(gc.q_sets, start=1)})
     cliques = {f"T_{j}": list(s) for j, s in enumerate(gc.t_sets, start=1)}
-    return graph_to_json_dict(gc.graph.n, gc.edges(), constructed_labels(gc), parts, cliques)
+    if edges is None:
+        edges = gc.edges()
+    return graph_to_json_dict(gc.graph.n, edges, constructed_labels(gc), parts, cliques)
 
 
 def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:

@@ -3,14 +3,23 @@
 Every check covers its full case space, never stops at the first
 violation, and reports the first witness per item plus a failure count,
 so a broken construction comes back with a concrete counterexample
-tuple instead of a bare False.  The pair claims (nw3, nv2) are settled
-by bitset arithmetic one vertex at a time, and that pass also names the
-failing pairs in the order of a pair-by-pair walk, so counts and
-witnesses are those of the full enumeration.
+tuple instead of a bare False.  Counts and witnesses are always those of
+the case-by-case enumeration, but whole families of cases are settled by
+bitset counts:
+
+- "exactly one neighbour in each set" (nw1, nw2, nv1) is read off each
+  set's member rows at once, by the vertices they cover once and twice;
+- the pair claims (nw3, nv2) follow from the square by one counting
+  identity (see _no_two_w_share_two).
+
+Only when that identity fails does a walk over the neighbourhoods name
+the failing pairs.
 """
 
 from dataclasses import dataclass
-from math import comb
+from itertools import chain
+from math import comb, inf
+from operator import add, itemgetter
 from typing import Optional
 
 from .construction import ConstructedGraph
@@ -48,6 +57,15 @@ class _Collector:
         self.failures += 1
         self.first.setdefault(item, witness)
 
+    def merge(self, *found: tuple):
+        """Add _one_neighbour_in_each results, items in the order their first
+        failures come in the case-by-case enumeration, x by x."""
+        for _, cases, failures, witness in sorted(found, key=itemgetter(0)):
+            self.cases += cases
+            self.failures += failures
+            if witness is not None:
+                self.first.setdefault(witness[0], witness)
+
     def report(self) -> LemmaReport:
         items = tuple(self.first.values())
         return LemmaReport(
@@ -64,38 +82,88 @@ def _label(gc: ConstructedGraph, v: int) -> str:
     return str(gc.labels[v])
 
 
-def _one_neighbour_in_each(col: _Collector, item: str, gc: ConstructedGraph, x: int,
-                           name: str, masks: list[int]):
-    """Check that x has exactly one neighbour in each of name_1, name_2, ..."""
-    row = gc.graph.adj[x]
-    for k, m in enumerate(masks, start=1):
-        got = (row & m).bit_count()
-        if got == 1:
-            col.passed()
-        else:
-            col.fail(item, (item, _label(gc, x), f"{name}_{k}", got))
+def _one_neighbour_in_each(gc: ConstructedGraph, item: str, xs: tuple[int, ...],
+                           name: str, sets: tuple[tuple[int, ...], ...]) -> tuple:
+    """Settle "x has exactly one neighbour in name_k" for every x in xs and every set.
+
+    x has one neighbour in a set exactly when it lies in one of the rows
+    adj[c] & xs, c in the set (the rows are symmetric), so masks of the xs
+    seen once and twice over those rows give all failing xs of the set.
+    Returns (first failing x or inf, cases, failures, first witness), the
+    witness being the first failure met x by x, sets in order.
+    """
+    adj = gc.graph.adj
+    xs_mask = mask_of(xs)
+    failures = 0
+    first_x, first_k = inf, 0
+    for k, members in enumerate(sets, start=1):
+        once = twice = 0
+        for c in members:
+            row = adj[c] & xs_mask
+            twice |= once & row
+            once |= row
+        bad = (xs_mask & ~once) | twice  # = xs & ~(once & ~twice)
+        if bad:
+            failures += bad.bit_count()
+            x = (bad & -bad).bit_length() - 1
+            if x < first_x:
+                first_x, first_k = x, k
+    if not failures:
+        return inf, len(xs) * len(sets), 0, None
+    got = (adj[first_x] & mask_of(sets[first_k - 1])).bit_count()
+    return (first_x, len(xs) * len(sets), failures,
+            (item, _label(gc, first_x), f"{name}_{first_k}", got))
+
+
+def _no_two_w_share_two(gc: ConstructedGraph, sq: SimpleGraph) -> bool:
+    """True when the square sq of gc.graph shows that no two w-vertices share two
+    neighbours, nor (dually) any two v-vertices two w-neighbours.
+
+    If no w-vertex has a w-neighbour, every common neighbour of two w's is
+    a v, and a w-pair is joined in the square exactly when it shares one.
+    Then the w-pairs joined in the square number at most the sum over the
+    v's c of C(|N(c) & Q|, 2), which counts each pair once per shared
+    neighbour, with equality exactly when no pair shares two.  Two v's
+    sharing w's a and b would make a and b share two v's.  False means
+    only that these counts settle nothing.
+    """
+    adj, sq_adj = gc.graph.adj, sq.adj
+    q = tuple(chain.from_iterable(gc.q_sets))  # the parts' own ints, no new ones
+    q_mask = mask_of(q)
+    if any(adj[x] & q_mask for x in q):
+        return False
+    joined = sum((sq_adj[x] & q_mask >> (x + 1) << (x + 1)).bit_count() for x in q)
+    shared = sum(comb((adj[c] & q_mask).bit_count(), 2) for c in chain.from_iterable(gc.p_sets))
+    return joined == shared
 
 
 def _share_at_most_one(col: _Collector, item: str, gc: ConstructedGraph,
                        xs: tuple[int, ...], centres: int, group_of: dict[int, int]):
-    """Check every pair x < y of xs: at most one common neighbour in centres,
-    none when y lies in group_of[x].
+    """Count and name the pairs x < y of xs (ascending) with more than one common
+    neighbour in centres, or any when y lies in group_of[x].
 
-    y shares k such neighbours with x exactly when it lies in k of the rows
-    adj[c] & later, c in N(x) & centres: masks of the vertices seen once and
-    twice over those rows find every failing y with one AND/OR per edge
-    instead of one AND per pair.  Relies on the rows being symmetric.
+    Runs only when _no_two_w_share_two cannot settle the pairs, that is
+    when some pair fails or the graph has a w-w edge, and records every
+    failing pair as the pair-by-pair enumeration would.  y shares k such
+    neighbours with x exactly when it lies in k of the rows adj[c] & later,
+    c in N(x) & centres: masks of the vertices seen once and twice over
+    those rows find every failing y with one AND/OR per edge instead of
+    one AND per pair.  Relies on the rows being symmetric.
     """
     adj = gc.graph.adj
     xs_mask = mask_of(xs)
     good = comb(len(xs), 2)
-    for x in bits(xs_mask):
+    for x in xs:
         later = xs_mask >> (x + 1) << (x + 1)
         once = twice = 0
-        for c in bits(adj[x] & centres):
-            row = adj[c] & later
+        s = bin(adj[x] & centres)  # bit c of the row is s[len(s) - 1 - c]
+        top = len(s) - 1
+        i = s.find("1", 2)
+        while i != -1:
+            row = adj[top - i] & later
             twice |= once & row
             once |= row
+            i = s.find("1", i + 1)
         crowded = twice | (once & group_of.get(x, 0))
         good -= crowded.bit_count()
         for y in bits(crowded):
@@ -104,7 +172,7 @@ def _share_at_most_one(col: _Collector, item: str, gc: ConstructedGraph,
     col.passed(good)
 
 
-def check_lemma_nw(gc: ConstructedGraph) -> LemmaReport:
+def check_lemma_nw(gc: ConstructedGraph, sq: Optional[SimpleGraph] = None) -> LemmaReport:
     """Neighborhood facts for w-vertices.
 
     (0) the neighborhood of w_{i,j} is exactly the v-set named by row j
@@ -116,40 +184,50 @@ def check_lemma_nw(gc: ConstructedGraph) -> LemmaReport:
 
     Item (0) is what makes the check sensitive to edges added between
     w-vertices; those leave the square and all intersection counts alone.
+    Item (3) is settled from sq, square(gc.graph) (computed when not
+    given), unless some pair fails.
     """
     g = gc.graph
+    n, nn = gc.n, gc.n * gc.n
     col = _Collector("nw")
-    p_masks = [mask_of(s) for s in gc.p_sets]
-    t_masks = [mask_of(s) for s in gc.t_sets]
     q = gc.q_vertices
-    for qs, latin in zip(gc.q_sets, gc.squares):
-        for x, row in zip(qs, latin.entries):
-            want = mask_of(gc.v_index(k, e) for k, e in enumerate(row, start=1))
-            if g.adj[x] == want:
-                col.passed()
-            else:
-                col.fail("nw0", ("nw0", _label(gc, x), "neighborhood differs from Latin row"))
-    for x in q:
-        _one_neighbour_in_each(col, "nw1", gc, x, "P", p_masks)
-        _one_neighbour_in_each(col, "nw2", gc, x, "T", t_masks)
+    latin_rows = (row for latin in gc.squares for row in latin.entries)
+    for x, row in zip(q, latin_rows):
+        # entry e at position k names v_index(k, e) = (k - 1)n + e - 1
+        if g.adj[x] == mask_of(map(add, range(-1, nn, n), row)):
+            col.passed()
+        else:
+            col.fail("nw0", ("nw0", _label(gc, x), "neighborhood differs from Latin row"))
+    col.merge(_one_neighbour_in_each(gc, "nw1", q, "P", gc.p_sets),
+              _one_neighbour_in_each(gc, "nw2", q, "T", gc.t_sets))
     group_mask = {x: m for qs, m in zip(gc.q_sets, map(mask_of, gc.q_sets)) for x in qs}
-    _share_at_most_one(col, "nw3", gc, q, (1 << g.n) - 1, group_mask)
+    if sq is None:
+        sq = square(g)
+    if _no_two_w_share_two(gc, sq) and not any(sq.adj[x] & m for x, m in group_mask.items()):
+        col.passed(comb(len(q), 2))
+    else:
+        _share_at_most_one(col, "nw3", gc, q, (1 << g.n) - 1, group_mask)
     return col.report()
 
 
-def check_lemma_nv(gc: ConstructedGraph) -> LemmaReport:
+def check_lemma_nv(gc: ConstructedGraph, sq: Optional[SimpleGraph] = None) -> LemmaReport:
     """Neighborhood facts for v-vertices.
 
     (1) every v-vertex has exactly one neighbor in each Q_k,
     (2) two distinct v-vertices share at most one w-neighbor.
+
+    Item (2) is settled from sq, square(gc.graph) (computed when not
+    given), unless some pair fails.
     """
     col = _Collector("nv")
-    q_masks = [mask_of(s) for s in gc.q_sets]
-    q_all = mask_of(gc.q_vertices)
     p = gc.p_vertices
-    for x in p:
-        _one_neighbour_in_each(col, "nv1", gc, x, "Q", q_masks)
-    _share_at_most_one(col, "nv2", gc, p, q_all, {})
+    col.merge(_one_neighbour_in_each(gc, "nv1", p, "Q", gc.q_sets))
+    if sq is None:
+        sq = square(gc.graph)
+    if _no_two_w_share_two(gc, sq):
+        col.passed(comb(len(p), 2))
+    else:
+        _share_at_most_one(col, "nv2", gc, p, mask_of(gc.q_vertices), {})
     return col.report()
 
 
@@ -219,8 +297,8 @@ def run_all_checks(gc: ConstructedGraph) -> dict[str, LemmaReport]:
     """All five lemma checks keyed by their CLI selector names."""
     sq = square(gc.graph)
     return {
-        "nw": check_lemma_nw(gc),
-        "nv": check_lemma_nv(gc),
+        "nw": check_lemma_nw(gc, sq),
+        "nv": check_lemma_nv(gc, sq),
         "independence": check_independence(sq, gc),
         "pq": check_pq_adjacency(sq, gc),
         "structure": check_square_structure(sq, gc)[1],

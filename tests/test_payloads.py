@@ -87,6 +87,8 @@ PINNED = [
      "f45605048b34c950d34f9ad82493cb7312df4b1663763829b0dd0fcf5b342655"),
     (["verify", "--n", "17", "--lemma", "all"], 0,
      "2772307f6d6d17e2e39a3b674964e8e8583203d86a387c8cbe6255db61c401b7"),
+    (["verify", "--n", "31", "--lemma", "all"], 0,
+     "22dd8c2f7b3f4a6bb113740afa39287d23ada8ac6c9de894157e37ecc527f8fd"),
     (["verify", "--n", "7", "--lemma", "nw"], 0,
      "c50c741700ac0a3b4a1dde9f1a047ab939135cae56d86517b10afa3d4d291f34"),
     (["verify", "--n", "7", "--lemma", "nv"], 0,

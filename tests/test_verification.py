@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import random
 from math import comb
 
 import pytest
 
 from oracles import neighbourhood_reports_by_walk
 from squaregap.construction import construct_counterexample
+from squaregap import verification
 from squaregap.graphcore import SimpleGraph, square
 from squaregap.verification import (
     LemmaReport,
@@ -34,6 +36,16 @@ def test_all_checks_pass(n):
         assert report.passed, f"{name}: {report.witness}"
         assert report.failure_count == 0
         assert report.witness is None
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_the_square_settles_the_pair_items_without_a_walk(n, monkeypatch):
+    def walk(*args):
+        raise AssertionError("the pair walk ran although every pair passes")
+
+    monkeypatch.setattr(verification, "_share_at_most_one", walk)
+    reports = run_all_checks(construct_counterexample(n))
+    assert reports["nw"].passed and reports["nv"].passed
 
 
 def test_structure_witness_shape():
@@ -150,20 +162,107 @@ def test_every_single_edge_mutation_is_caught():
                 f"undetected mutation {gc.labels[u]} ~ {gc.labels[v]}"
 
 
+def pair_lemma_reports(mutant):
+    """{(lemma, caller): (checked_cases, failure_count, witness, item_witnesses)}
+    for nw and nv, from run_all_checks (as verify --lemma all) and alone."""
+    everything = run_all_checks(mutant)
+    out = {}
+    for name, check in (("nw", check_lemma_nw), ("nv", check_lemma_nv)):
+        for caller, r in (("all", everything[name]), ("alone", check(mutant))):
+            out[name, caller] = (r.checked_cases, r.failure_count, r.witness, r.item_witnesses)
+    return out
+
+
+def shapes(mutant, want):
+    """The routes a mutant sends the pair checks down, named as in the tests below."""
+    adj = mutant.graph.adj
+    q_mask = sum(1 << x for x in mutant.q_vertices)
+    items = [w[0] for w in want["nw"][3]]
+    return {
+        # a w-neighbour of a w: the counting identity cannot apply
+        "w-w edge": any(adj[x] & q_mask for x in mutant.q_vertices),
+        # two w's of one Q-group meet in the square: nw3 fails, nv2 may not
+        "shared within a group": any(adj[x] & adj[y] for qs in mutant.q_sets
+                                     for x, y in itertools.combinations(qs, 2)),
+        # item_witnesses put nw2 first although nw1 fails too
+        "nw2 before nw1": "nw1" in items and "nw2" in items
+                          and items.index("nw2") < items.index("nw1"),
+        # every pair passes, so the square settles both pair items, yet
+        # another item fails
+        "settled by the square": not any(adj[x] & q_mask for x in mutant.q_vertices)
+                                 and want["nw"][1] + want["nv"][1] > 0
+                                 and all(w[0] not in ("nw3", "nv2")
+                                         for w in want["nw"][3] + want["nv"][3]),
+    }
+
+
 def test_pair_lemmas_match_the_pair_walk_on_every_single_edge_toggle():
-    # failures, their count and their witnesses come from the pass that
-    # settles the pairs; the oracle walks every pair by itself
+    # failures, their count and their witnesses come from the square and
+    # the walk that names failing pairs; the oracle walks every pair by itself
     gc = construct_counterexample(3)
-    checks = {"nw": check_lemma_nw, "nv": check_lemma_nv}
     failing = 0
+    reached = dict.fromkeys(["w-w edge", "shared within a group", "settled by the square"], 0)
     for u, v in itertools.combinations(range(gc.graph.n), 2):
         mutant = toggled(gc, u, v)
         want = neighbourhood_reports_by_walk(mutant)
-        for name, check in checks.items():
-            r = check(mutant)
-            assert (r.checked_cases, r.failure_count, r.witness, r.item_witnesses) == want[name]
-            failing += r.failure_count > 0
-    assert failing > 100  # most toggles break nw or nv, so the failure path is exercised
+        for (name, caller), got in pair_lemma_reports(mutant).items():
+            assert got == want[name], (gc.labels[u], gc.labels[v], name, caller)
+            failing += got[1] > 0
+        for shape, hit in shapes(mutant, want).items():
+            if shape in reached:
+                reached[shape] += hit
+    assert failing > 200  # most toggles break nw or nv, so the failure path is exercised
+    assert all(reached.values()), reached
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_pair_lemmas_match_the_pair_walk_on_seeded_multi_edge_toggles(n):
+    # 2 and 3 toggled pairs at random; every third mutant starts with a star
+    # edge of one w moved inside its P-row (that w keeps one neighbour in each
+    # P_k but not in each T_k), and every third with one w joined to two w's
+    # of two other groups (those two then share a w and a v)
+    gc = construct_counterexample(n)
+    rng = random.Random(n)
+    reached = dict.fromkeys(["w-w edge", "shared within a group", "nw2 before nw1",
+                             "settled by the square"], 0)
+    for m in range(150):
+        pairs = set()
+        if m % 3 == 0:
+            x = rng.choice(gc.q_vertices)
+            v = rng.choice([v for v in gc.graph.neighbors(x)])
+            moved = rng.choice([u for u in range(v - v % n, v - v % n + n) if u != v])
+            pairs |= {(v, x), (moved, x)}
+        elif m % 3 == 1:
+            x, y, z = (rng.choice(qs) for qs in rng.sample(gc.q_sets, 3))
+            pairs |= {tuple(sorted((x, y))), tuple(sorted((x, z)))}
+        while len(pairs) < 2 + m % 2:
+            u, v = sorted(rng.sample(range(gc.graph.n), 2))
+            pairs.add((u, v))
+        edges = set(gc.graph.edges()) ^ pairs
+        mutant = dataclasses.replace(gc, graph=SimpleGraph.from_edges(gc.graph.n, sorted(edges)))
+        want = neighbourhood_reports_by_walk(mutant)
+        for (name, caller), got in pair_lemma_reports(mutant).items():
+            assert got == want[name], (sorted(pairs), name, caller)
+        for shape, hit in shapes(mutant, want).items():
+            reached[shape] += hit
+    assert all(reached.values()), reached
+
+
+def test_a_shared_neighbour_within_a_group_fails_nw3_when_no_pair_shares_two():
+    # w_1_1 gives up v_1_1 for v_2_3; at n = 3 the one group-2 neighbour of
+    # both is w_2_1, so w_1_1 now shares v_2_3 with w_1_2 in its own group
+    # while no two w's share two neighbours: the counting identity holds
+    # and only the same-group test stops the square from settling nw3
+    gc = construct_counterexample(3)
+    x, v, moved = gc.w_index(1, 1), gc.v_index(1, 1), gc.v_index(2, 3)
+    mutant = edited(gc, add=[(x, moved)], remove=[(x, v)])
+    adj = mutant.graph.adj
+    assert all((adj[a] & adj[b]).bit_count() <= 1
+               for a, b in itertools.combinations(mutant.q_vertices, 2))
+    want = neighbourhood_reports_by_walk(mutant)
+    for (name, caller), got in pair_lemma_reports(mutant).items():
+        assert got == want[name], (name, caller)
+    assert ("nw3", "w_1_1", "w_1_2", 1) in want["nw"][3]
 
 
 def test_nv2_counts_only_shared_w_neighbours():
