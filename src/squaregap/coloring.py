@@ -8,6 +8,12 @@ bitmasks throughout; the list solvers give bit i to the i-th smallest
 color of the universe, so large color values cost nothing.  One
 iterative engine, _search, serves both the exact chromatic number and
 generic list coloring, so no search depth hits Python's recursion limit.
+It keeps the graph the other way round as well, one vertex mask per
+color (has[c]: the uncolored vertices that still have color c) and per
+count of colors left (buckets[k]), so forward checking a node takes a
+few mask operations instead of a walk over the neighbors: the dense
+squares this package refutes cost no more per node than sparse graphs
+of the same order.
 """
 
 import time
@@ -154,7 +160,7 @@ def _search(g: SimpleGraph, avail: list[int], budget: _Budget,
             clique: Iterable[int] = (), opened: int = -1) -> Optional[list[int]]:
     """DSATUR-style backtracking (Brelaz, CACM 1979) on an explicit stack.
 
-    avail[v] (consumed) is the mask of colors v may still take; clique is
+    avail[v] (consumed) is the mask of colors v may take; clique is
     pre-colored 0, 1, 2, ... in order.  The most constrained uncolored vertex
     goes first (ties by index), its colors ascending, one budget tick each,
     with forward checking: a neighbor left with no color fails the branch.
@@ -162,72 +168,97 @@ def _search(g: SimpleGraph, avail: list[int], budget: _Budget,
     interchangeable colors pass the used ones plus one, and each color tried
     opens the next.  Returns the coloring or None.
 
-    Invariant: buckets[k] is the mask of the uncolored vertices with exactly
-    k colors left.  Forward checking moves each neighbor it touches down one
-    bucket, in one move per run of equal counts; the vertex branched on
-    leaves its bucket; backtracking undoes both.  The vertex to branch on is
-    then the low bit of the first non-empty bucket, and the scan for it
-    starts at the parent's count minus one, below which no count can fall.
-    It passes (fewest count) - (parent's count) empty buckets at most, which
-    sum to no more than the longest list along any branch.  So a node costs
-    O(degree) operations on masks and no pass over all n vertices, and a
-    stack level holds O(degree) entries: the neighbors touched and their
-    moves.  A branch that wipes a neighbor out moves no bucket at all.
+    Forward checking works on vertex masks, as in bitset DSATUR (San
+    Segundo, Comput. Oper. Res. 2012).  Invariant, for every uncolored
+    vertex u: u is in free; u is in has[c] exactly when color c is still
+    left to it; and u is in buckets[k] exactly when k colors are left.  A
+    colored vertex is in no bucket and not in free, and its has bits stay
+    as they were when it was branched on, so its colors left are read
+    back as the bits c of avail[v] with v in has[c], in O(list size).
+
+    Coloring v with c takes t = has[c] & adj[v] & free from has[c].  If t
+    meets buckets[1], a neighbor had c as its only color left: the node
+    fails and changes nothing.  Otherwise t moves down one bucket, bucket
+    by bucket from 2 upward so that no vertex moves twice.  The undo
+    record is the frame's (color, t, moves), each move a (count, mask)
+    pair; backtracking ORs t back into has[c] and each mask back up one
+    bucket.  The vertex to branch on is the low bit of the first
+    non-empty bucket, and the scan for it starts at the parent's count
+    minus one, below which no count can fall.  So a node costs O(list
+    size) mask operations, whatever its degree, and no pass over all n
+    vertices; setup costs one OR per vertex and one per color of each
+    distinct list.
     """
-    nbrs: list[Optional[list[int]]] = [None] * g.n  # filled when a vertex is first branched on
+    adj = g.adj
     colors = [-1] * g.n
+    free = (1 << g.n) - 1
     for c, v in enumerate(clique):
         colors[v] = c
-        avail[v] = 0  # no color bit: forward checking passes a colored vertex by
-        for u in bits(g.adj[v]):
+        free ^= 1 << v
+        avail[v] = 0
+        for u in bits(adj[v]):
             avail[u] &= ~(1 << c)
-    buckets = [0] * (max(map(int.bit_count, avail), default=0) + 1)
+    # Group the vertices by mask, so each distinct list costs one OR per color.
+    same: dict[int, int] = {}
     for v, a in enumerate(avail):
-        if colors[v] < 0:
-            buckets[a.bit_count()] |= 1 << v
-    left = colors.count(-1)
+        same[a] = same.get(a, 0) | 1 << v
+    buckets = [0] * (max(map(int.bit_count, same), default=0) + 1)
+    has = [0] * max(map(int.bit_length, same), default=0)
+    for a, vs in same.items():
+        buckets[a.bit_count()] |= vs
+        while a:
+            low = a & -a
+            has[low.bit_length() - 1] |= vs
+            a ^= low
+    buckets[0] &= free  # the clique is colored, not wiped out
+    left = free.bit_count()
     nodes, stride = budget.nodes, _DEADLINE_STRIDE
     check_at = -1 if budget.deadline is None else (nodes // stride + 1) * stride
-    # frame: [vertex, its mask, its count, colors not yet tried, opened,
-    #         color tried, neighbors it took from, their (count, mask) moves]
+    # frame: [vertex, its count, colors not yet tried, opened,
+    #         color tried, the neighbors it took that color from (t), their moves]
     stack: list[list] = []
     descend = True
     while True:
         if descend:
             if not left:
-                for v, _, _, _, _, low, _, _ in stack:
+                for v, _, _, _, low, _, _ in stack:
                     colors[v] = low.bit_length() - 1
                 budget.nodes = nodes
                 return colors
-            k = stack[-1][2] - 1 if stack else 0
+            k = stack[-1][1] - 1 if stack else 0
             while not buckets[k]:
                 k += 1
             if k:  # bucket 0 holds a vertex only at a root wipeout
                 b = buckets[k]
-                low = b & -b
-                buckets[k] = b ^ low
-                v = low.bit_length() - 1
+                bit = b & -b
+                buckets[k] = b ^ bit
+                free ^= bit
+                v = bit.bit_length() - 1
+                own, a = 0, avail[v]
+                while a:
+                    low = a & -a
+                    if has[low.bit_length() - 1] & bit:
+                        own |= low
+                    a ^= low
                 if stack:  # the root frame takes the caller's opened
-                    opened = stack[-1][4] | (stack[-1][5] << 1)
-                stack.append([v, avail[v], k, avail[v] & opened, opened, 0, (), ()])
-                if nbrs[v] is None:
-                    nbrs[v] = list(bits(g.adj[v]))
-                avail[v] = 0
+                    opened = stack[-1][3] | (stack[-1][4] << 1)
+                stack.append([v, k, own & opened, opened, 0, 0, ()])
                 left -= 1
         if not stack:
             budget.nodes = nodes
             return None
         frame = stack[-1]
-        v, own, count, untried, _, low, touched, moves = frame
-        for u in touched:
-            avail[u] |= low
-        for k, m in moves:
-            buckets[k - 1] ^= m
-            buckets[k] |= m
+        v, count, untried, _, low, t, moves = frame
+        if t:
+            has[low.bit_length() - 1] |= t
+            for k, m in moves:
+                buckets[k - 1] ^= m
+                buckets[k] |= m
         if not untried:
             stack.pop()
-            avail[v] = own
-            buckets[count] |= 1 << v
+            bit = 1 << v
+            buckets[count] |= bit
+            free |= bit
             left += 1
             descend = False
             continue
@@ -237,35 +268,28 @@ def _search(g: SimpleGraph, avail: list[int], budget: _Budget,
             budget.nodes = nodes
             budget._check()
             check_at += stride
-        touched = []
+        c = low.bit_length() - 1
+        t = has[c] & adj[v] & free
         moves = []
-        k = m = 0
-        for u in nbrs[v]:
-            a = avail[u]
-            if a & low:
-                if a == low:  # u would be left with no color
-                    descend = False
-                    moves = ()
-                    break
-                avail[u] = a ^ low
-                touched.append(u)
-                c = a.bit_count()
-                if c != k:
-                    if m:
-                        moves.append((k, m))
-                    k, m = c, 0
-                m |= 1 << u
+        if t & buckets[1]:  # a neighbor would be left with no color
+            descend = False
+            t = 0
         else:
             descend = True
-            if m:
-                moves.append((k, m))
-            for k, m in moves:
-                buckets[k] ^= m
-                buckets[k - 1] |= m
-        frame[3] = untried ^ low
-        frame[5] = low
-        frame[6] = touched
-        frame[7] = moves
+            has[c] ^= t
+            rest, k = t, 2
+            while rest:
+                m = rest & buckets[k]
+                if m:
+                    buckets[k] ^= m
+                    buckets[k - 1] |= m
+                    moves.append((k, m))
+                    rest ^= m
+                k += 1
+        frame[2] = untried ^ low
+        frame[4] = low
+        frame[5] = t
+        frame[6] = moves
 
 
 def chromatic_number_exact(g: SimpleGraph, *,

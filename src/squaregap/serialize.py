@@ -17,7 +17,9 @@ from .graphcore import SimpleGraph
 from .verification import LemmaReport
 
 # Larger vertex counts are refused before any row is allocated: n bit rows can
-# take up to n^2/8 bytes, even when the file that asks for them is small.
+# take up to n^2/8 bytes, even when the file that asks for them is small.  The
+# same bound caps a list file's colour universe, since the list search keeps
+# one vertex mask per colour.
 MAX_INPUT_VERTICES = 2**16
 
 
@@ -186,18 +188,35 @@ def lists_to_json_dict(assignment: ListAssignment) -> dict:
     }
 
 
+def _distinct(values: list, what: str) -> frozenset:
+    """values as a set, refused if any colour appears twice."""
+    found = frozenset(values)
+    if len(found) != len(values):
+        seen = set()
+        for x in values:
+            if x in seen:
+                raise ValueError(f"{what} repeats colour {clip(x)}")
+            seen.add(x)
+    return found
+
+
 def parse_lists_json(text: str) -> ListAssignment:
     doc = _read_json(text, "lists", ("universe", "lists"))
     lists = doc["lists"]
     if not isinstance(lists, dict):
         raise ValueError("lists JSON must map vertices to colour lists")
-    universe = tuple(sorted(_ints(doc["universe"], "lists JSON universe")))
+    universe = _ints(doc["universe"], "lists JSON universe")
+    if len(universe) > MAX_INPUT_VERTICES:
+        raise ValueError(f"lists JSON universe has {len(universe)} colours, "
+                         f"over the limit of {MAX_INPUT_VERTICES}")
+    universe = tuple(sorted(_distinct(universe, "lists JSON universe")))
     converted = {}
     for key, colors in lists.items():
         v = int(key)
         if str(v) != key:
             raise ValueError(f"vertex key {clip(key)} is not a canonical integer")
-        converted[v] = frozenset(_ints(colors, "each list in lists JSON"))
+        converted[v] = _distinct(_ints(colors, "each list in lists JSON"),
+                                 f"the list of vertex {clip(v)}")
     return ListAssignment(universe=universe, lists=converted)
 
 

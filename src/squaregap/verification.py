@@ -172,7 +172,8 @@ def _share_at_most_one(col: _Collector, item: str, gc: ConstructedGraph,
     col.passed(good)
 
 
-def check_lemma_nw(gc: ConstructedGraph, sq: Optional[SimpleGraph] = None) -> LemmaReport:
+def check_lemma_nw(gc: ConstructedGraph, sq: Optional[SimpleGraph] = None,
+                   identity: Optional[bool] = None) -> LemmaReport:
     """Neighborhood facts for w-vertices.
 
     (0) the neighborhood of w_{i,j} is exactly the v-set named by row j
@@ -185,7 +186,8 @@ def check_lemma_nw(gc: ConstructedGraph, sq: Optional[SimpleGraph] = None) -> Le
     Item (0) is what makes the check sensitive to edges added between
     w-vertices; those leave the square and all intersection counts alone.
     Item (3) is settled from sq, square(gc.graph) (computed when not
-    given), unless some pair fails.
+    given), unless some pair fails; identity is _no_two_w_share_two(gc, sq),
+    computed when not given.
     """
     g = gc.graph
     n, nn = gc.n, gc.n * gc.n
@@ -203,28 +205,33 @@ def check_lemma_nw(gc: ConstructedGraph, sq: Optional[SimpleGraph] = None) -> Le
     group_mask = {x: m for qs, m in zip(gc.q_sets, map(mask_of, gc.q_sets)) for x in qs}
     if sq is None:
         sq = square(g)
-    if _no_two_w_share_two(gc, sq) and not any(sq.adj[x] & m for x, m in group_mask.items()):
+    if identity is None:
+        identity = _no_two_w_share_two(gc, sq)
+    if identity and not any(sq.adj[x] & m for x, m in group_mask.items()):
         col.passed(comb(len(q), 2))
     else:
         _share_at_most_one(col, "nw3", gc, q, (1 << g.n) - 1, group_mask)
     return col.report()
 
 
-def check_lemma_nv(gc: ConstructedGraph, sq: Optional[SimpleGraph] = None) -> LemmaReport:
+def check_lemma_nv(gc: ConstructedGraph, sq: Optional[SimpleGraph] = None,
+                   identity: Optional[bool] = None) -> LemmaReport:
     """Neighborhood facts for v-vertices.
 
     (1) every v-vertex has exactly one neighbor in each Q_k,
     (2) two distinct v-vertices share at most one w-neighbor.
 
     Item (2) is settled from sq, square(gc.graph) (computed when not
-    given), unless some pair fails.
+    given), unless some pair fails; identity is as for check_lemma_nw.
     """
     col = _Collector("nv")
     p = gc.p_vertices
     col.merge(_one_neighbour_in_each(gc, "nv1", p, "Q", gc.q_sets))
     if sq is None:
         sq = square(gc.graph)
-    if _no_two_w_share_two(gc, sq):
+    if identity is None:
+        identity = _no_two_w_share_two(gc, sq)
+    if identity:
         col.passed(comb(len(p), 2))
     else:
         _share_at_most_one(col, "nv2", gc, p, mask_of(gc.q_vertices), {})
@@ -296,9 +303,10 @@ def check_square_structure(sq: SimpleGraph, gc: ConstructedGraph
 def run_all_checks(gc: ConstructedGraph) -> dict[str, LemmaReport]:
     """All five lemma checks keyed by their CLI selector names."""
     sq = square(gc.graph)
+    identity = _no_two_w_share_two(gc, sq)
     return {
-        "nw": check_lemma_nw(gc, sq),
-        "nv": check_lemma_nv(gc, sq),
+        "nw": check_lemma_nw(gc, sq, identity),
+        "nv": check_lemma_nv(gc, sq, identity),
         "independence": check_independence(sq, gc),
         "pq": check_pq_adjacency(sq, gc),
         "structure": check_square_structure(sq, gc)[1],

@@ -180,9 +180,10 @@ def rescan_search(g: SimpleGraph, avail: list[int], budget,
                   clique: Iterable[int] = (), opened: int = -1) -> Optional[list[int]]:
     """DSATUR-style backtracking (Brelaz, CACM 1979) on an explicit stack.
 
-    coloring._search without its count buckets: every node rescans the
-    counts of all n vertices to pick the most constrained one.  Both must
-    pick the same vertices, so they agree on every coloring and node count.
+    coloring._search without its count buckets and color masks: every node
+    rescans the counts of all n vertices to pick the most constrained one,
+    and forward checks its neighbors one by one.  Both must pick the same
+    vertices, so they agree on every coloring and node count.
 
     avail[v] (consumed) is the mask of colors v may still take; clique is
     pre-colored 0, 1, 2, ... in order.  The most constrained uncolored vertex

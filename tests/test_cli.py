@@ -9,6 +9,7 @@ import pytest
 from squaregap import coloring
 from squaregap.cli import RunReport, main
 from squaregap.errors import clip
+from squaregap.serialize import MAX_INPUT_VERTICES
 
 
 def run_cli(capsys, *argv):
@@ -367,6 +368,11 @@ TRIANGLE = '{"n_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}'
     (TRIANGLE, '{"universe": [1, 2, 3], "lists": {"0": [1], "01": [2], "2": [3]}}'),
     (TRIANGLE, '{"universe": [1, 2, 3], "lists": {"0": [1], " 1": [2], "2": [3]}}'),
     (TRIANGLE, '{"universe": [1, 2, 3], "lists": {"0": [1], "+1": [2], "2": [3]}}'),
+    # each was once read as a set; the universe also sizes one mask per colour
+    (TRIANGLE, '{"universe": [1, 2, 3], "lists": {"0": [1, 1], "1": [2], "2": [3]}}'),
+    (TRIANGLE, '{"universe": [1, 2, 2, 3], "lists": {"0": [1], "1": [2], "2": [3]}}'),
+    ('{"n_vertices": 1, "edges": []}',
+     json.dumps({"universe": list(range(MAX_INPUT_VERTICES + 1)), "lists": {"0": [1]}})),
 ], ids=["edge-not-a-pair", "null-vertex-count", "list-not-iterable",
         "universe-not-iterable", "lists-not-a-map", "infinite-vertex-count",
         "overflowing-vertex-count", "infinite-colour", "graph-nested-too-deep",
@@ -374,7 +380,8 @@ TRIANGLE = '{"n_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}'
         "edge-a-string-and-a-float", "edge-end-a-bool", "edge-an-object", "edge-of-three",
         "edge-of-one", "edges-an-object", "vertex-count-a-string", "vertex-count-a-float",
         "vertex-count-a-bool", "universe-not-integers", "colour-a-bool", "colour-a-float",
-        "key-with-leading-zero", "key-with-space", "key-with-plus"])
+        "key-with-leading-zero", "key-with-space", "key-with-plus", "colour-twice-in-a-list",
+        "colour-twice-in-the-universe", "universe-over-the-limit"])
 def test_solve_list_malformed_json_is_param_error(tmp_path, capsys, graph_text, lists_text):
     graph_path = tmp_path / "g.json"
     graph_path.write_text(graph_text)
@@ -418,8 +425,11 @@ NINES = "9" * 4300  # the longest integer int() and the JSON decoder accept
     (f"p edge -{NINES} 0\n", THREE_LISTS),
     (f'{{"n_vertices": -{NINES}, "edges": []}}', THREE_LISTS),
     (TRIANGLE, f'{{"universe": [1], "lists": {{"{NINES}": [5]}}}}'),
+    (TRIANGLE, f'{{"universe": [{NINES}], "lists": {{"0": [{NINES}, {NINES}]}}}}'),
+    (TRIANGLE, f'{{"universe": [{NINES}, 1, {NINES}], "lists": {{"0": [1]}}}}'),
 ], ids=["dimacs-edge", "json-edge", "dimacs-count", "dimacs-negative-count",
-        "json-negative-count", "list-key-outside-the-universe"])
+        "json-negative-count", "list-key-outside-the-universe", "colour-twice-in-a-list",
+        "colour-twice-in-the-universe"])
 def test_long_integers_in_input_errors_are_clipped(tmp_path, capsys, graph_text, lists_text):
     graph_path = tmp_path / "g.txt"
     graph_path.write_text(graph_text)

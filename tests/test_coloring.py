@@ -270,7 +270,7 @@ def test_bucket_engine_matches_the_rescan_oracle_on_seeded_lists():
 def test_bucket_engine_matches_the_rescan_oracle_on_chromatic_search(n, seed):
     # the pre-colored clique and opened, as chromatic_number_exact passes them
     rng = random.Random(seed)
-    g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+    g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 1.0]))
     clique = greedy_clique(g)
     for k in range(len(clique), len(clique) + 3):
         assert_engines_agree(g, [(1 << k) - 1] * n, 0, clique, (2 << len(clique)) - 1)
@@ -284,6 +284,79 @@ def test_bucket_engine_matches_the_rescan_oracle_at_a_root_wipeout():
     k4 = SimpleGraph.from_edges(4, list(itertools.combinations(range(4), 2)))
     assert assert_engines_agree(k4, [7] * 4, 0, [0, 1, 2], 15) == (None, 0)
     assert assert_engines_agree(SimpleGraph.empty(0), []) == ([], 0)
+
+
+def relabelled_multipartite(rng, m, r):
+    """K_{m x r} with its vertices shuffled, and its parts under the new labels."""
+    g, witness = complete_multipartite([m] * r)
+    perm = rng.sample(range(g.n), g.n)
+    h = SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return h, PartitionWitness(parts=tuple(tuple(sorted(perm[v] for v in part))
+                                           for part in witness.parts))
+
+
+@pytest.mark.parametrize("m,r", [(2, 4), (2, 6), (3, 4), (3, 5), (4, 4), (4, 7)])
+def test_bucket_engine_matches_the_rescan_oracle_on_vetrik_multipartite(m, r):
+    # every list meets most of its neighbors' lists: the densest forward checks
+    rng = random.Random(m * 100 + r)
+    for g, witness in [complete_multipartite([m] * r), relabelled_multipartite(rng, m, r)]:
+        masks, _ = coloring._dense_masks(vetrik_assignment(witness)[1])
+        for start in (0, rng.randrange(ORACLE_NODE_CAP)):
+            result, _ = assert_engines_agree(g, [masks[v] for v in range(g.n)], start)
+            assert result in (None, "stopped")
+
+
+def test_bucket_engine_matches_the_rescan_oracle_on_multipartite_random_lists():
+    rng = random.Random(77)
+    outcomes = collections.Counter()
+    for _ in range(150):
+        m, r = rng.randint(1, 4), rng.randint(2, 7)
+        g, _ = relabelled_multipartite(rng, m, r)
+        width = rng.randint(r, 2 * r + 1)
+        size = rng.randint(2, max(2, width - 2))
+        avail = [mask_of(rng.sample(range(width), size)) for _ in range(g.n)]
+        result, nodes = assert_engines_agree(g, avail)
+        if isinstance(result, list):
+            assert all(avail[v] >> c & 1 for v, c in enumerate(result))
+            assert validate_coloring(g, result)
+        outcomes["stopped" if result == "stopped" else "sat" if result else "unsat"] += 1
+        outcomes["backtracked"] += nodes > g.n
+    assert min(outcomes[k] for k in ("sat", "unsat", "backtracked")) >= 10, outcomes
+
+
+FANO_LINES = [{i, (i + 1) % 7, (i + 3) % 7} for i in range(7)]
+
+
+def fano_blow_up(r):
+    """K_{7 x r} with lists that no two colors hit a whole part of.
+
+    The 3r - 1 colors split into 7 consecutive groups, one per point of the
+    Fano plane; the k-th vertex of each part loses the groups on line k.
+    Every two points share a line, so each part needs three colors, 3r in
+    all, one more than there are.
+    """
+    g, witness = complete_multipartite([7] * r)
+    colours = 3 * r - 1
+    size, extra = divmod(colours, 7)
+    starts = [b * size + min(b, extra) for b in range(8)]
+    groups = [set(range(a, b)) for a, b in zip(starts, starts[1:])]
+    lists = {v: frozenset(range(colours)).difference(*(groups[p] for p in FANO_LINES[k]))
+             for part in witness.parts for k, v in enumerate(part)}
+    return g, ListAssignment(universe=tuple(range(colours)), lists=lists)
+
+
+def test_a_fano_blow_up_on_k7x3_is_refuted_in_1025_nodes():
+    # the node count of the engine before forward checking went to color masks
+    g, a = fano_blow_up(3)
+    result = is_list_colorable(g, a)
+    assert not result.satisfiable
+    assert result.attestation.nodes == 1025
+    masks, _ = coloring._dense_masks(a)
+    assert assert_engines_agree(g, [masks[v] for v in range(g.n)]) == (None, 1025)
+    new = len(a.universe)  # 3r colors: now each part can take three
+    bigger = dataclasses.replace(a, universe=a.universe + (new,),
+                                 lists={v: cs | {new} for v, cs in a.lists.items()})
+    assert is_list_colorable(g, bigger).satisfiable
 
 
 def test_a_20000_vertex_path_takes_one_node_per_vertex():

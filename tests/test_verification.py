@@ -43,9 +43,18 @@ def test_the_square_settles_the_pair_items_without_a_walk(n, monkeypatch):
     def walk(*args):
         raise AssertionError("the pair walk ran although every pair passes")
 
+    identities = []
+    settle = verification._no_two_w_share_two
+
+    def counted(*args):
+        identities.append(settle(*args))
+        return identities[-1]
+
     monkeypatch.setattr(verification, "_share_at_most_one", walk)
+    monkeypatch.setattr(verification, "_no_two_w_share_two", counted)
     reports = run_all_checks(construct_counterexample(n))
     assert reports["nw"].passed and reports["nv"].passed
+    assert identities == [True]  # one count serves both pair lemmas
 
 
 def test_structure_witness_shape():
