@@ -18,7 +18,8 @@ import time
 from dataclasses import dataclass
 
 from . import coloring, serialize, verification
-from .construction import construct_counterexample, construct_with_edges
+from .construction import (construct_counterexample, counterexample_upper, part_sets,
+                           vertex_names)
 from .errors import SearchBudgetExceeded, clip
 from .graphcore import SimpleGraph, square
 from .latin import are_orthogonal, build_mols_family, is_latin
@@ -109,14 +110,16 @@ def _parse_args(argv):
 
 
 def _cmd_construct(args) -> tuple[str, str]:
-    gc, edges = construct_with_edges(args.n)
+    # the payload reads only the upper rows, labels and sets, all without the graph
+    upper = counterexample_upper(args.n)
     if args.format == "dimacs":
-        payload = serialize.graph_to_dimacs(gc.graph.n, edges)
-    elif args.format == "dot":
-        payload = serialize.graph_to_dot(gc.graph.n, edges, serialize.constructed_labels(gc))
-    else:
-        payload = serialize.json_dumps(serialize.constructed_to_json_dict(gc, edges))
-    return "pass", payload
+        return "pass", serialize.graph_to_dimacs(len(upper), upper)
+    labels = dict(enumerate(vertex_names(args.n)))
+    if args.format == "dot":
+        return "pass", serialize.graph_to_dot(len(upper), upper, labels)
+    doc = serialize.graph_to_json_dict(len(upper), upper, labels,
+                                       *serialize.named_sets(*part_sets(args.n)))
+    return "pass", serialize.json_dumps(doc)
 
 
 def _cmd_verify(args) -> tuple[str, str]:

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from .construction import construct_counterexample
 from .errors import CapacityError, SearchBudgetExceeded, clip
-from .graphcore import PartitionWitness, SimpleGraph, bits, mask_of, square
+from .graphcore import PartitionWitness, SimpleGraph, bits, square
 from .verification import check_square_structure
 
 CHROMATIC_MAX_VERTICES = 128
@@ -328,11 +328,14 @@ def _dense_masks(assignment: ListAssignment) -> tuple[dict[int, int], list[int]]
 
     Bit i stands for the i-th smallest color, so masks stay |universe| bits
     wide and colors keep their order: searches branch as on the raw colors.
+    Lists often repeat, so each distinct list is converted once; its colors
+    are distinct, so the sum of their bits is their mask.
     """
     palette = sorted(set(assignment.universe))
-    pos = {c: i for i, c in enumerate(palette)}
-    return ({v: mask_of(pos[c] for c in colors) for v, colors in assignment.lists.items()},
-            palette)
+    bit = {c: 1 << i for i, c in enumerate(palette)}
+    lists = assignment.lists
+    mask = {colors: sum(map(bit.__getitem__, colors)) for colors in set(lists.values())}
+    return dict(zip(lists, map(mask.__getitem__, lists.values()))), palette
 
 
 def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,

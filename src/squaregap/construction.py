@@ -8,9 +8,7 @@ in every P_k and one in every T_k.
 """
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from operator import add
-from typing import Optional
 
 from .graphcore import SimpleGraph, mask_of
 from .latin import LatinSquare, build_latin, build_mols_family, require_prime
@@ -58,18 +56,34 @@ class ConstructedGraph:
     def q_vertices(self) -> tuple[int, ...]:
         return tuple(range(self.n * self.n, 2 * self.n * self.n - self.n))
 
-    def edges(self) -> list[tuple[int, int]]:
-        """The sorted (u, v) list of graph.edges(), read from the squares without
-        walking any row: each v's later clique partners, then its w-neighbours.
-        A mutant made by dataclasses.replace(gc, graph=...) keeps these edges."""
-        rows = [row for sq in self.squares for row in sq.entries]
-        return _edges(self.n, _w_neighbours(self.n, rows))
+
+def _require_order(n: int) -> None:
+    """Raise ValueError unless n is a prime >= 3."""
+    require_prime(n)
+    if n < 3:
+        raise ValueError(f"n must be a prime >= 3, got {n}")
 
 
 def _labels(n: int) -> tuple[VertexLabel, ...]:
     out = [VertexLabel("v", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     out += [VertexLabel("w", i, j) for i in range(1, n) for j in range(1, n + 1)]
     return tuple(out)
+
+
+def vertex_names(n: int) -> list[str]:
+    """str(label) for each vertex of the graph for n, in order, built without
+    the VertexLabel objects."""
+    out = [f"v_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    out += [f"w_{i}_{j}" for i in range(1, n) for j in range(1, n + 1)]
+    return out
+
+
+def part_sets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(P_1..P_n, Q_1..Q_{n-1}, T_1..T_n) of the graph for n, in closed form."""
+    nn = n * n
+    return (tuple(tuple(range(k, k + n)) for k in range(0, nn, n)),
+            tuple(tuple(range(k, k + n)) for k in range(nn, 2 * nn - n, n)),
+            tuple(tuple(range(j, nn, n)) for j in range(n)))
 
 
 def _w_neighbours(n: int, latin_rows: list[tuple[int, ...]]) -> list[list[int]]:
@@ -86,11 +100,19 @@ def _w_neighbours(n: int, latin_rows: list[tuple[int, ...]]) -> list[list[int]]:
     return out
 
 
-def _edges(n: int, w_nbrs: list[list[int]]) -> list[tuple[int, int]]:
-    """ConstructedGraph.edges() from the transposed Latin rows."""
+def counterexample_upper(n: int) -> list[list[int]]:
+    """construct_counterexample(n).graph.upper(), built with no bit row.
+
+    Every neighbour above a v is a later v of its column or a w, and a w
+    has none: so v's upper row is range(v + n, n^2, n) followed by its
+    w-neighbours, both ascending, and each w's upper row is empty.
+    """
+    _require_order(n)
     nn = n * n
-    return list(chain.from_iterable(
-        zip(repeat(v), chain(range(v + n, nn, n), w_nbrs[v])) for v in range(nn)))
+    latin_rows = [row for sq in build_mols_family(n).squares for row in sq.entries]
+    out = [[*range(v + n, nn, n), *ws] for v, ws in enumerate(_w_neighbours(n, latin_rows))]
+    out += [[] for _ in range(nn - n)]
+    return out
 
 
 def construct_counterexample(n: int) -> ConstructedGraph:
@@ -100,48 +122,27 @@ def construct_counterexample(n: int) -> ConstructedGraph:
     v-vertices on row j of square i) and the column cliques T_1..T_n.
     A w's row is the mask of its Latin row and a v's row is its column
     clique without itself plus its w-neighbours: symmetric and loop-free.
+    The transposition is dropped before the labels are built, so it never
+    adds to the graph's footprint.
     """
-    return _build(n, with_edges=False)[0]
-
-
-def construct_with_edges(n: int) -> tuple[ConstructedGraph, list[tuple[int, int]]]:
-    """construct_counterexample(n) and its edges(), transposing the Latin rows once.
-
-    The graph itself keeps no transposition, so what verify and certify
-    hold stays as small as the rows.
-    """
-    return _build(n, with_edges=True)
-
-
-def _build(n: int, with_edges: bool) -> tuple[ConstructedGraph, Optional[list[tuple[int, int]]]]:
-    """The graph, and its edges() when asked for.  The transposition is dropped
-    before the labels are built, so it never adds to the graph's footprint."""
-    require_prime(n)
-    if n < 3:
-        raise ValueError(f"n must be a prime >= 3, got {n}")
+    _require_order(n)
     family = build_mols_family(n)
     nn = n * n
     latin_rows = [row for sq in family.squares for row in sq.entries]
     column = mask_of(range(0, nn, n))
     w_nbrs = _w_neighbours(n, latin_rows)
     rows = [(column << v % n) & ~(1 << v) | mask_of(ws) for v, ws in enumerate(w_nbrs)]
-    edges = _edges(n, w_nbrs) if with_edges else None
     del w_nbrs
     rows += [mask_of(map(add, range(-1, nn, n), row)) for row in latin_rows]
     graph = SimpleGraph._from_rows(2 * nn - n, tuple(rows))
-    p_sets = tuple(tuple(range(k, k + n)) for k in range(0, nn, n))
-    q_sets = tuple(tuple(range(k, k + n)) for k in range(nn, 2 * nn - n, n))
-    t_sets = tuple(tuple(range(j, nn, n)) for j in range(n))
-    gc = ConstructedGraph(n=n, graph=graph, labels=_labels(n), p_sets=p_sets,
-                          q_sets=q_sets, t_sets=t_sets, squares=family.squares)
-    return gc, edges
+    p_sets, q_sets, t_sets = part_sets(n)
+    return ConstructedGraph(n=n, graph=graph, labels=_labels(n), p_sets=p_sets,
+                            q_sets=q_sets, t_sets=t_sets, squares=family.squares)
 
 
 def neighbors_of_w(n: int, i: int, j: int) -> list[VertexLabel]:
     """The neighbor list of w_{i,j}: row j of square i read as column positions."""
-    require_prime(n)
-    if n < 3:
-        raise ValueError(f"n must be a prime >= 3, got {n}")
+    _require_order(n)
     if not (1 <= i <= n - 1 and 1 <= j <= n):
         raise ValueError(f"w_{{{i},{j}}} out of range for n={n}")
     row = build_latin(n, i).entries[j - 1]

@@ -91,14 +91,13 @@ class SimpleGraph:
     def neighbors(self, v: int) -> Iterator[int]:
         return bits(self.adj[v])
 
+    def upper(self) -> list[list[int]]:
+        """The upper rows: upper()[u] lists u's neighbours above u, ascending."""
+        return [list(bits(row >> (u + 1) << (u + 1))) for u, row in enumerate(self.adj)]
+
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1)
-            for d in bits(row):
-                out.append((u, u + 1 + d))
-        return out
+        return [(u, v) for u, row in enumerate(self.upper()) for v in row]
 
     @property
     def edge_count(self) -> int:

@@ -2,13 +2,15 @@
 
 Everything here is byte-stable: edges sorted (u, v) with u < v, JSON
 emitted with sorted keys, no timestamps or machine-local data in any
-payload.
+payload.  The graph writers take a graph as its upper rows (upper[u] is
+the ascending list of u's neighbours above u, as SimpleGraph.upper()
+gives them) and write one vertex's edge lines with a single str.join.
 """
 
 import itertools
 import json
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Optional
 
 from .coloring import GapCertificate, ListAssignment
 from .construction import ConstructedGraph
@@ -30,8 +32,33 @@ def _vertex_count(n: int) -> int:
     return n
 
 
+def _edge_lines(upper: list[list[int]], names: list[str], template: str,
+                sep: str = "\n") -> list[str]:
+    """One string per vertex u with neighbours above it: template with {u} and
+    {v} replaced by names[u] and names[v], for each v in upper[u], joined by sep."""
+    head, _, tail = template.partition("{v}")
+    out = []
+    for u, row in enumerate(upper):
+        if row:
+            lead = head.replace("{u}", names[u])
+            out.append(lead + f"{tail}{sep}{lead}".join(map(names.__getitem__, row)) + tail)
+    return out
+
+
+@dataclass(frozen=True)
+class EdgeRows:
+    """A graph's edges as its upper rows, which json_dumps writes as the sorted
+    list of [u, v] pairs that json.dumps would write for them."""
+
+    upper: list[list[int]]
+
+    def __len__(self) -> int:
+        return sum(map(len, self.upper))
+
+
 def json_dumps(obj) -> str:
-    """The text of json.dumps(obj, sort_keys=True, indent=2) plus a newline.
+    """The text of json.dumps(obj, sort_keys=True, indent=2) plus a newline,
+    where an EdgeRows value stands for its list of [u, v] pairs.
 
     The standard library indents only in its pure-Python encoder, one
     generator step per token.  This writer joins whole lists of ints (and
@@ -49,6 +76,13 @@ def _indented(obj, pad: str) -> str:
     if kind is int:
         return str(obj)
     inner = pad + "  "
+    if kind is EdgeRows:
+        if not any(obj.upper):
+            return "[]"
+        deeper = inner + "  "
+        pairs = _edge_lines(obj.upper, list(map(str, range(len(obj.upper)))),
+                            f"{inner}[\n{deeper}{{u}},\n{deeper}{{v}}\n{inner}]", ",\n")
+        return "[\n" + ",\n".join(pairs) + f"\n{pad}]"
     if (kind is list or kind is tuple) and obj:
         kinds = set(map(type, obj))
         if kinds == {int}:
@@ -72,9 +106,10 @@ def _indented(obj, pad: str) -> str:
 # -- DIMACS .col --------------------------------------------------------------
 
 
-def graph_to_dimacs(n: int, edges: list[tuple[int, int]]) -> str:
-    lines = [f"p edge {n} {len(edges)}"]
-    lines += [f"e {u + 1} {v + 1}" for u, v in edges]
+def graph_to_dimacs(n: int, upper: list[list[int]]) -> str:
+    """DIMACS .col text of the graph on n vertices with upper rows upper, 1-based."""
+    lines = [f"p edge {n} {sum(map(len, upper))}"]
+    lines += _edge_lines(upper, list(map(str, range(1, n + 1))), "e {u} {v}")
     return "\n".join(lines) + "\n"
 
 
@@ -104,13 +139,15 @@ def parse_dimacs(text: str) -> SimpleGraph:
 # -- DOT ----------------------------------------------------------------------
 
 
-def graph_to_dot(n: int, edges: list[tuple[int, int]],
+def graph_to_dot(n: int, upper: list[list[int]],
                  labels: dict[int, str] | None = None) -> str:
+    """DOT text of the graph on n vertices with upper rows upper; a vertex with
+    a non-empty label gets it as its label attribute."""
     lines = ["graph G {"]
     for v in range(n):
         name = labels.get(v) if labels else None
         lines.append(f'  {v} [label="{name}"];' if name else f"  {v};")
-    lines += [f"  {u} -- {v};" for u, v in edges]
+    lines += _edge_lines(upper, list(map(str, range(n))), "  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -118,30 +155,33 @@ def graph_to_dot(n: int, edges: list[tuple[int, int]],
 # -- graph JSON ---------------------------------------------------------------
 
 
-def graph_to_json_dict(n: int, edges: list[tuple[int, int]], labels: dict[int, str],
+def graph_to_json_dict(n: int, upper: list[list[int]], labels: dict[int, str],
                        parts: dict[str, list[int]], cliques: dict[str, list[int]]) -> dict:
+    """The graph JSON document, for json_dumps: its edges are EdgeRows(upper)."""
     return {
         "n_vertices": n,
-        "edges": edges,
+        "edges": EdgeRows(upper),
         "labels": {str(v): name for v, name in labels.items()},
         "parts": {name: sorted(vs) for name, vs in parts.items()},
         "cliques": {name: sorted(vs) for name, vs in cliques.items()},
     }
 
 
+def named_sets(p_sets, q_sets, t_sets) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """The counterexample's graph JSON "parts" (P_i, Q_i) and "cliques" (T_j)."""
+    parts = {f"P_{i}": list(s) for i, s in enumerate(p_sets, start=1)}
+    parts.update({f"Q_{i}": list(s) for i, s in enumerate(q_sets, start=1)})
+    return parts, {f"T_{j}": list(s) for j, s in enumerate(t_sets, start=1)}
+
+
 def constructed_labels(gc: ConstructedGraph) -> dict[int, str]:
     return {v: str(lab) for v, lab in enumerate(gc.labels)}
 
 
-def constructed_to_json_dict(gc: ConstructedGraph,
-                             edges: Optional[list[tuple[int, int]]] = None) -> dict:
-    """The graph JSON of gc; edges, when given, must be gc.edges()."""
-    parts = {f"P_{i}": list(s) for i, s in enumerate(gc.p_sets, start=1)}
-    parts.update({f"Q_{i}": list(s) for i, s in enumerate(gc.q_sets, start=1)})
-    cliques = {f"T_{j}": list(s) for j, s in enumerate(gc.t_sets, start=1)}
-    if edges is None:
-        edges = gc.edges()
-    return graph_to_json_dict(gc.graph.n, edges, constructed_labels(gc), parts, cliques)
+def constructed_to_json_dict(gc: ConstructedGraph) -> dict:
+    """The graph JSON document of gc."""
+    return graph_to_json_dict(gc.graph.n, gc.graph.upper(), constructed_labels(gc),
+                              *named_sets(gc.p_sets, gc.q_sets, gc.t_sets))
 
 
 def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:

@@ -252,3 +252,38 @@ def rescan_search(g: SimpleGraph, avail: list[int], budget,
         frame[2] = untried ^ low
         frame[4] = low
         frame[5] = touched
+
+
+# -- writers over a sorted pair list ------------------------------------------
+#
+# The graph writers as they were when edges travelled as sorted (u, v) tuples,
+# one line per tuple; serialize's upper-row writers must give the same bytes.
+
+
+def pairs_to_dimacs(n: int, edges: list[tuple[int, int]]) -> str:
+    lines = [f"p edge {n} {len(edges)}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in edges]
+    return "\n".join(lines) + "\n"
+
+
+def pairs_to_dot(n: int, edges: list[tuple[int, int]],
+                 labels: Optional[dict[int, str]] = None) -> str:
+    lines = ["graph G {"]
+    for v in range(n):
+        name = labels.get(v) if labels else None
+        lines.append(f'  {v} [label="{name}"];' if name else f"  {v};")
+    lines += [f"  {u} -- {v};" for u, v in edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def pairs_to_json_dict(n: int, edges: list[tuple[int, int]], labels: dict[int, str],
+                       parts: dict[str, list[int]], cliques: dict[str, list[int]]) -> dict:
+    """The graph JSON document with its edges as a plain pair list, for json.dumps."""
+    return {
+        "n_vertices": n,
+        "edges": edges,
+        "labels": {str(v): name for v, name in labels.items()},
+        "parts": {name: sorted(vs) for name, vs in parts.items()},
+        "cliques": {name: sorted(vs) for name, vs in cliques.items()},
+    }

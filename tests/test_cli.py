@@ -198,7 +198,7 @@ def write_instance(tmp_path, satisfiable):
 
     g = SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     graph_path = tmp_path / "tri.col"
-    graph_path.write_text(serialize.graph_to_dimacs(g.n, g.edges()))
+    graph_path.write_text(serialize.graph_to_dimacs(g.n, g.upper()))
     if satisfiable:
         lists = {0: frozenset({1, 2}), 1: frozenset({2, 3}), 2: frozenset({1, 3})}
     else:
@@ -237,7 +237,7 @@ def write_vetrik_k3x5(tmp_path):
 
     g, witness = complete_multipartite([3] * 5)
     graph_path = tmp_path / "k3x5.col"
-    graph_path.write_text(serialize.graph_to_dimacs(g.n, g.edges()))
+    graph_path.write_text(serialize.graph_to_dimacs(g.n, g.upper()))
     lists_path = tmp_path / "k3x5.json"
     lists_path.write_text(serialize.json_dumps(
         serialize.lists_to_json_dict(coloring.vetrik_assignment(witness)[1])))
@@ -300,7 +300,7 @@ def test_solve_list_path_deeper_than_the_recursion_limit(tmp_path, capsys):
     g = SimpleGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
     a = ListAssignment(universe=(3, 7), lists={v: frozenset({3, 7}) for v in range(n)})
     graph_path = tmp_path / "path.col"
-    graph_path.write_text(serialize.graph_to_dimacs(g.n, g.edges()))
+    graph_path.write_text(serialize.graph_to_dimacs(g.n, g.upper()))
     lists_path = tmp_path / "lists.json"
     lists_path.write_text(serialize.json_dumps(serialize.lists_to_json_dict(a)))
     code, out, _ = run_cli(capsys, "solve-list", "--graph", str(graph_path),

@@ -6,7 +6,9 @@ from oracles import is_clique
 from squaregap.construction import (
     VertexLabel,
     construct_counterexample,
+    counterexample_upper,
     neighbors_of_w,
+    vertex_names,
 )
 from squaregap.graphcore import SimpleGraph
 
@@ -135,8 +137,11 @@ def test_no_edges_between_w_vertices(n):
 
 def test_rejects_bad_orders():
     for n in (0, 1, 2, 4, 6, 9):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as graph_error:
             construct_counterexample(n)
+        with pytest.raises(ValueError) as rows_error:
+            counterexample_upper(n)
+        assert str(rows_error.value) == str(graph_error.value)
     with pytest.raises(ValueError):
         neighbors_of_w(4, 1, 1)
     with pytest.raises(ValueError):
@@ -158,6 +163,10 @@ def test_rows_pass_the_checked_constructor(n):
 
 
 @pytest.mark.parametrize("n", PRIMES_TO_31 + [61])
-def test_construction_edges_are_the_rows_edges(n):
-    gc = construct_counterexample(n)
-    assert gc.edges() == gc.graph.edges()
+def test_upper_rows_are_the_graphs_upper_rows(n):
+    assert counterexample_upper(n) == construct_counterexample(n).graph.upper()
+
+
+@pytest.mark.parametrize("n", [3, 5, 31])
+def test_vertex_names_are_the_labels(n):
+    assert vertex_names(n) == list(map(str, construct_counterexample(n).labels))

@@ -78,6 +78,7 @@ def test_unchecked_builders_yield_rows_the_checked_constructor_accepts():
 def test_edges_sorted_and_counted():
     g = SimpleGraph.from_edges(4, [(2, 3), (0, 1), (1, 3)])
     assert g.edges() == [(0, 1), (1, 3), (2, 3)]
+    assert g.upper() == [[1], [3], [3], []]
     assert g.edge_count == 3
     assert g.degree(1) == 2 and g.degree(2) == 1
     assert sorted(g.neighbors(3)) == [1, 2]

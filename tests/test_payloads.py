@@ -13,7 +13,7 @@ import random
 import pytest
 
 from oracles import complete_multipartite
-from squaregap import serialize
+from squaregap import cli, construction, serialize
 from squaregap.cli import main
 from squaregap.coloring import ListAssignment, vetrik_assignment
 from squaregap.graphcore import SimpleGraph
@@ -137,10 +137,29 @@ def test_stdout_digest(tmp_path, capsys, argv, code, digest):
     if argv[0] == "solve-list":
         g, assignment = SOLVE_INSTANCES[argv[1]]()
         graph_path = tmp_path / "graph.col"
-        graph_path.write_text(serialize.graph_to_dimacs(g.n, g.edges()))
+        graph_path.write_text(serialize.graph_to_dimacs(g.n, g.upper()))
         lists_path = tmp_path / "lists.json"
         lists_path.write_text(serialize.json_dumps(serialize.lists_to_json_dict(assignment)))
         argv = ["solve-list", "--graph", str(graph_path), "--lists", str(lists_path)]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CONSTRUCT_PINNED = [entry for entry in PINNED if entry[0][0] == "construct"]
+
+
+@pytest.mark.parametrize("argv,code,digest", CONSTRUCT_PINNED,
+                         ids=[" ".join(a) for a, _, _ in CONSTRUCT_PINNED])
+def test_construct_builds_no_graph(monkeypatch, capsys, argv, code, digest):
+    # construct writes from the upper rows alone: no SimpleGraph, no bit row
+    def refuse(*args, **kwargs):
+        raise AssertionError("construct built a graph")
+    monkeypatch.setattr(SimpleGraph, "__init__", refuse)
+    monkeypatch.setattr(SimpleGraph, "_from_rows", refuse)
+    monkeypatch.setattr(construction, "construct_counterexample", refuse)
+    monkeypatch.setattr(cli, "construct_counterexample", refuse)
+    monkeypatch.setattr(construction, "mask_of", refuse)
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

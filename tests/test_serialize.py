@@ -1,8 +1,9 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import pairs_to_dimacs, pairs_to_dot, pairs_to_json_dict
 from squaregap import serialize
 from squaregap.coloring import ListAssignment, certify_gap
 from squaregap.construction import construct_counterexample
@@ -57,7 +58,7 @@ def test_json_dumps_matches_the_standard_library_on_edge_cases(obj):
 
 def test_dimacs_header_for_n3():
     gc = construct_counterexample(3)
-    text = serialize.graph_to_dimacs(gc.graph.n, gc.graph.edges())
+    text = serialize.graph_to_dimacs(gc.graph.n, gc.graph.upper())
     lines = text.splitlines()
     assert lines[0] == "p edge 15 27"
     assert len(lines) == 28
@@ -67,11 +68,11 @@ def test_dimacs_header_for_n3():
 def test_dimacs_round_trip():
     for n in (3, 5):
         g = construct_counterexample(n).graph
-        assert serialize.parse_dimacs(serialize.graph_to_dimacs(g.n, g.edges())) == g
+        assert serialize.parse_dimacs(serialize.graph_to_dimacs(g.n, g.upper())) == g
 
 
 def test_dimacs_edges_are_one_based_sorted():
-    text = serialize.graph_to_dimacs(3, triangle().edges())
+    text = serialize.graph_to_dimacs(3, triangle().upper())
     assert text == "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 
 
@@ -142,9 +143,47 @@ def test_parse_dimacs_clips_what_its_errors_echo():
 
 
 def test_dot_output():
-    text = serialize.graph_to_dot(3, triangle().edges(), {0: "a", 1: "b"})
+    text = serialize.graph_to_dot(3, triangle().upper(), {0: "a", 1: "b"})
     assert text == ('graph G {\n  0 [label="a"];\n  1 [label="b"];\n  2;\n'
                     "  0 -- 1;\n  0 -- 2;\n  1 -- 2;\n}\n")
+
+
+@st.composite
+def _labelled_graphs(draw):
+    """A graph on up to 12 vertices and a label map that may miss vertices or
+    give them "" or None."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picks = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    g = SimpleGraph.from_edges(n, [e for e, take in zip(slots, picks) if take])
+    names = st.none() | st.sampled_from(["", "a", "v_1_2", "w 3"])
+    labels = draw(st.dictionaries(st.integers(min_value=0, max_value=max(n - 1, 0)), names,
+                                  max_size=n))
+    return g, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labelled_graphs())
+@example((SimpleGraph.empty(0), {}))
+@example((SimpleGraph.empty(3), {0: "a", 1: "", 2: None}))
+@example((SimpleGraph.from_edges(5, [(1, 2), (1, 3), (2, 3)]), {4: "last"}))
+def test_writers_match_the_pair_list_oracles(graph_and_labels):
+    g, labels = graph_and_labels
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
+    upper = g.upper()
+    assert serialize.graph_to_dimacs(g.n, upper) == pairs_to_dimacs(g.n, pairs)
+    assert serialize.graph_to_dot(g.n, upper, labels) == pairs_to_dot(g.n, pairs, labels)
+    assert serialize.graph_to_dot(g.n, upper) == pairs_to_dot(g.n, pairs)
+    parts = {"P_1": list(range(g.n))[::-1], "Q_1": []}
+    cliques = {"T_1": [v for v, _ in pairs[:1]]}
+    doc = serialize.graph_to_json_dict(g.n, upper, labels, parts, cliques)
+    want = pairs_to_json_dict(g.n, pairs, labels, parts, cliques)
+    assert serialize.json_dumps(doc) == json.dumps(want, sort_keys=True, indent=2) + "\n"
+    assert len(doc["edges"]) == len(pairs)
+    # EdgeRows indents to its depth anywhere in a document
+    nested = {"a": [serialize.EdgeRows(upper), {"b": serialize.EdgeRows(upper)}]}
+    assert serialize.json_dumps(nested) == json.dumps(
+        {"a": [pairs, {"b": pairs}]}, sort_keys=True, indent=2) + "\n"
 
 
 def test_constructed_json_shape():
