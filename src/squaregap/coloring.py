@@ -6,16 +6,20 @@ count attached, because the verdicts are consumed as mathematical
 certificates rather than best-effort answers.  Color sets live in int
 bitmasks throughout; the list solvers give bit i to the i-th smallest
 color of the universe, so large color values cost nothing.  One
-iterative engine, _search, serves both the exact chromatic number and
-generic list coloring, so no search depth hits Python's recursion limit.
-It keeps the graph the other way round as well, one vertex mask per
-color (has[c]: the uncolored vertices that still have color c) and per
-count of colors left (buckets[k]), so forward checking a node takes a
-few mask operations instead of a walk over the neighbors: the dense
-squares this package refutes cost no more per node than sparse graphs
-of the same order.
+iterative engine, _search, serves the exact chromatic number and both
+list solvers, and no function here recurses, so no input depth hits
+Python's recursion limit.  The complete multipartite solver only adds a
+part-demand bound at the root, which refutes the certificate's lists
+there, and hands what it does not refute to _search.  The engine keeps
+the graph the other way round as well, one vertex mask per color
+(has[c]: the uncolored vertices that still have color c) and per count
+of colors left (buckets[k]), so forward checking a node takes a few mask
+operations instead of a walk over the neighbors: the dense squares this
+package refutes cost no more per node than sparse graphs of the same
+order.
 """
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -92,28 +96,19 @@ class GapCertificate:
 
 
 class _Budget:
-    """Counts search nodes and enforces an optional wall-clock deadline.
+    """Counts search nodes and checks an optional wall-clock deadline every
+    _DEADLINE_STRIDE nodes; _search keeps the count in a local and writes it
+    back here whenever it checks or returns."""
 
-    spend() meters work that is not a node: it checks the deadline at the
-    same stride but leaves the node count, which payloads print, alone.
-    """
-
-    __slots__ = ("nodes", "work", "deadline")
+    __slots__ = ("nodes", "deadline")
 
     def __init__(self, deadline: Optional[float]):
         self.nodes = 0
-        self.work = 0
         self.deadline = deadline
 
     def tick(self):
         self.nodes += 1
         if self.deadline is not None and self.nodes % _DEADLINE_STRIDE == 0:
-            self._check()
-
-    def spend(self, work: int):
-        self.work += work
-        if self.deadline is not None and self.work >= _DEADLINE_STRIDE:
-            self.work = 0
             self._check()
 
     def _check(self):
@@ -338,6 +333,28 @@ def _dense_masks(assignment: ListAssignment) -> tuple[dict[int, int], list[int]]
     return dict(zip(lists, map(mask.__getitem__, lists.values()))), palette
 
 
+def _decide_lists(order: list[int], assignment: ListAssignment,
+                  deadline: Optional[float], decide) -> ListColoringResult:
+    """What the list solvers share around their search.
+
+    An empty list is UNSAT at no node.  Otherwise decide(avail, budget) gets
+    the color mask of each vertex of order, in that order, and returns one
+    color position per vertex or None; the attestation carries the nodes it
+    ticked on budget.
+    """
+    for v in order:
+        if not assignment.lists[v]:
+            return ListColoringResult(
+                False, None, SearchAttestation(nodes=0, complete=True, empty_list_vertex=v))
+    masks, palette = _dense_masks(assignment)
+    budget = _Budget(deadline)
+    colors = decide([masks[v] for v in order], budget)
+    attestation = SearchAttestation(nodes=budget.nodes, complete=True)
+    if colors is None:
+        return ListColoringResult(False, None, attestation)
+    return ListColoringResult(True, {v: palette[c] for v, c in zip(order, colors)}, attestation)
+
+
 def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
                       deadline: Optional[float] = None) -> ListColoringResult:
     """Complete decision for proper coloring from per-vertex lists, by _search.
@@ -347,114 +364,47 @@ def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
     """
     if set(assignment.lists) != set(range(g.n)):
         raise ValueError("assignment must cover exactly the graph's vertices")
-    for v in range(g.n):
-        if not assignment.lists[v]:
-            return ListColoringResult(
-                False, None, SearchAttestation(nodes=0, complete=True, empty_list_vertex=v))
-    masks, palette = _dense_masks(assignment)
-    budget = _Budget(deadline)
-    colors = _search(g, [masks[v] for v in range(g.n)], budget)
-    attestation = SearchAttestation(nodes=budget.nodes, complete=True)
-    if colors is None:
-        return ListColoringResult(False, None, attestation)
-    return ListColoringResult(True, {v: palette[c] for v, c in enumerate(colors)}, attestation)
-
-
-def _minimal_covers(avails: list[int], budget: _Budget) -> list[int]:
-    """All minimal color sets hitting every mask in avails, smallest first.
-
-    In a complete multipartite graph a part can be colored from exactly the
-    color sets that hit all of its lists, and trying only the minimal ones
-    preserves completeness: whatever a larger set can do, its minimal
-    subset leaves more colors for the remaining parts.  There can be
-    exponentially many, so enumeration and filter both spend from budget.
-    """
-    found: set[int] = set()
-
-    def grow(chosen: int, remaining: list[int]):
-        budget.spend(1)
-        rem = [m for m in remaining if not m & chosen]
-        if not rem:
-            found.add(chosen)
-            return
-        pivot = min(rem, key=lambda m: (m.bit_count(), m))
-        m = pivot
-        while m:
-            low = m & -m
-            m ^= low
-            grow(chosen | low, rem)
-
-    grow(0, avails)
-    minimal: list[int] = []
-    for s in sorted(found, key=lambda s: (s.bit_count(), s)):
-        budget.spend(len(minimal) + 1)
-        if not any(t & s == t for t in minimal):
-            minimal.append(s)
-    return minimal
+    return _decide_lists(list(range(g.n)), assignment, deadline,
+                         lambda avail, budget: _search(g, avail, budget))
 
 
 def multipartite_list_colorable(witness: PartitionWitness, assignment: ListAssignment,
                                 *, deadline: Optional[float] = None) -> ListColoringResult:
-    """List-colorability decision specialized to complete multipartite graphs.
+    """List-colorability decision on the complete multipartite graph of witness.
 
-    Searches part by part over minimal covering color sets.  Soundness of
-    the part-level view: distinct parts must use disjoint colors, since
-    every cross-part pair is adjacent.  Two pruning rules: a branch dies
-    when some vertex has no colors left, or when the distinct colors still
-    available fall short of the per-part demand (1 if a remaining color is
-    common to the whole part, else 2).
+    Distinct parts must use disjoint colors, since every cross-part pair is
+    adjacent, and a part needs one color if its lists share one, else two.
+    So the root node refutes the lists outright when all of them together
+    hold fewer colors than the parts demand in total.  Otherwise the graph
+    is built on the witness's vertices, relabelled 0, 1, ... part by part,
+    and _search decides it on the same budget: 1 + its nodes in all.
     """
     verts = [v for part in witness.parts for v in part]
     if len(set(verts)) != len(verts) or any(not p for p in witness.parts):
         raise ValueError("witness parts must be disjoint and nonempty")
     if set(assignment.lists) != set(verts):
         raise ValueError("lists do not cover exactly the witness vertices")
-    for v in verts:
-        if not assignment.lists[v]:
-            return ListColoringResult(
-                False, None, SearchAttestation(nodes=0, complete=True, empty_list_vertex=v))
-    parts = witness.parts
-    masks, palette = _dense_masks(assignment)
-    budget = _Budget(deadline)
-    chosen: list[int] = []  # cover mask per already-colored part
 
-    def demand_met(used: int) -> bool:
-        need, union = 0, 0
-        for pi in range(len(chosen), len(parts)):
-            common = -1
-            for v in parts[pi]:
-                av = masks[v] & ~used
-                if av == 0:
-                    return False
-                union |= av
-                common &= av
-            need += 1 if common else 2
-        return union.bit_count() >= need
+    starts = list(itertools.accumulate(map(len, witness.parts), initial=0))
+    spans = list(zip(starts, starts[1:]))
 
-    def solve(used: int) -> bool:
+    def decide(avail: list[int], budget: _Budget) -> Optional[list[int]]:
         budget.tick()
-        if len(chosen) == len(parts):
-            return True
-        if not demand_met(used):
-            return False
-        part = parts[len(chosen)]
-        for cover in _minimal_covers([masks[v] & ~used for v in part], budget):
-            chosen.append(cover)
-            if solve(used | cover):
-                return True
-            chosen.pop()
-        return False
+        need, union = 0, 0
+        for a, b in spans:
+            common = -1
+            for m in avail[a:b]:
+                union |= m
+                common &= m
+            need += 1 if common else 2
+        if union.bit_count() < need:
+            return None
+        full, rows = (1 << len(avail)) - 1, []
+        for a, b in spans:
+            rows += [full ^ ((1 << b) - (1 << a))] * (b - a)
+        return _search(SimpleGraph._from_rows(len(avail), tuple(rows)), avail, budget)
 
-    if solve(0):
-        coloring = {}
-        for part, cover in zip(parts, chosen):
-            for v in part:
-                pick = masks[v] & cover
-                coloring[v] = palette[(pick & -pick).bit_length() - 1]
-        return ListColoringResult(True, coloring,
-                                  SearchAttestation(nodes=budget.nodes, complete=True))
-    return ListColoringResult(False, None,
-                              SearchAttestation(nodes=budget.nodes, complete=True))
+    return _decide_lists(verts, assignment, deadline, decide)
 
 
 # -- the adversarial assignment and the certificate ---------------------------

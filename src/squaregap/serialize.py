@@ -7,7 +7,6 @@ the ascending list of u's neighbours above u, as SimpleGraph.upper()
 gives them) and write one vertex's edge lines with a single str.join.
 """
 
-import itertools
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -61,10 +60,10 @@ def json_dumps(obj) -> str:
     where an EdgeRows value stands for its list of [u, v] pairs.
 
     The standard library indents only in its pure-Python encoder, one
-    generator step per token.  This writer joins whole lists of ints (and
-    lists of non-empty int lists) in one str.join and walks str-keyed dicts
-    itself; every other value goes to json.dumps, re-indented to its depth,
-    which is safe because encoded JSON holds no raw newline inside a string.
+    generator step per token.  This writer joins each list of ints in one
+    str.join and walks other lists and str-keyed dicts itself; every other
+    value goes to json.dumps, re-indented to its depth, which is safe
+    because encoded JSON holds no raw newline inside a string.
     """
     return _indented(obj, "") + "\n"
 
@@ -84,15 +83,8 @@ def _indented(obj, pad: str) -> str:
                             f"{inner}[\n{deeper}{{u}},\n{deeper}{{v}}\n{inner}]", ",\n")
         return "[\n" + ",\n".join(pairs) + f"\n{pad}]"
     if (kind is list or kind is tuple) and obj:
-        kinds = set(map(type, obj))
-        if kinds == {int}:
+        if set(map(type, obj)) == {int}:
             return f"[\n{inner}" + f",\n{inner}".join(map(str, obj)) + f"\n{pad}]"
-        if (kinds <= {list, tuple} and all(obj)
-                and set(map(type, itertools.chain.from_iterable(obj))) == {int}):
-            deeper = inner + "  "
-            rows = f"\n{inner}],\n{inner}[\n{deeper}".join(
-                map(f",\n{deeper}".join, map(map, itertools.repeat(str), obj)))
-            return f"[\n{inner}[\n{deeper}{rows}\n{inner}]\n{pad}]"
         return (f"[\n{inner}" + f",\n{inner}".join([_indented(x, inner) for x in obj])
                 + f"\n{pad}]")
     if kind is dict and obj and all(type(k) is str for k in obj):

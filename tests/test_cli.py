@@ -5,6 +5,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from squaregap import coloring
 from squaregap.cli import RunReport, main
@@ -492,6 +493,80 @@ def test_solve_list_vertex_count_above_the_limit_is_param_error(tmp_path, capsys
     assert out == ""
     assert "exceeds the limit" in err
     assert envelope_of(err)["outcome"] == "error"
+
+
+# -- the exit-code contract on generated input files -----------------------
+
+DEEP = "@DEEP@"  # stands for a nested array, spliced into the encoded text
+SMALL = st.integers(min_value=-2, max_value=6)
+COUNT = st.one_of(SMALL, st.sampled_from([MAX_INPUT_VERTICES, MAX_INPUT_VERTICES + 1,
+                                          2**63, -(2**63), 10**400]))
+SCALAR = st.one_of(st.none(), st.booleans(), COUNT, st.floats(), st.text(max_size=4),
+                   st.just(DEEP))
+VALUE = st.recursive(SCALAR, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=12)
+COLOURS = st.one_of(st.lists(st.one_of(SMALL, SMALL, SCALAR), max_size=5), VALUE)
+KEY = st.one_of(SMALL.map(str), st.sampled_from(["01", " 1", "+1", "-0", "1.0", "x", "", "1_0",
+                                                 "\u0663", "9" * 4301]))
+GRAPH_DOC = st.one_of(
+    st.fixed_dictionaries({"n_vertices": st.one_of(COUNT, VALUE),
+                           "edges": st.one_of(st.lists(st.lists(st.one_of(SMALL, SCALAR),
+                                                                max_size=3), max_size=6),
+                                              VALUE)}),
+    VALUE)
+LISTS_DOC = st.one_of(
+    st.fixed_dictionaries({"universe": COLOURS,
+                           "lists": st.one_of(st.dictionaries(KEY, COLOURS, max_size=6), VALUE)}),
+    VALUE)
+TOKEN = st.one_of(st.integers(min_value=-1, max_value=7).map(str), COUNT.map(str),
+                  st.sampled_from(["x", "1.5", "true", "+2", "NaN", "e", "p", "edge", "{"]))
+DIMACS = st.lists(st.one_of(
+    st.tuples(st.just("p edge"), TOKEN, TOKEN).map(" ".join),
+    st.tuples(st.just("e"), TOKEN, TOKEN).map(" ".join),
+    st.just("c a comment"),
+    st.lists(TOKEN, max_size=5).map(" ".join)), max_size=8).map("\n".join)
+
+
+@st.composite
+def well_formed(draw):
+    """A graph on up to six vertices and lists for exactly its vertices."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=tuple) if pairs else st.just([]))
+    lists = {str(v): draw(st.lists(st.integers(1, 4), unique=True)) for v in range(n)}
+    return ({"n_vertices": n, "edges": edges},
+            {"universe": [1, 2, 3, 4], "lists": lists})
+
+
+def spliced(doc, depth):
+    return json.dumps(doc).replace(json.dumps(DEEP), "[" * depth + "]" * depth)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(files=st.one_of(well_formed(), st.tuples(
+           st.one_of(GRAPH_DOC, DIMACS, well_formed().map(lambda pair: pair[0])),
+           st.one_of(LISTS_DOC, well_formed().map(lambda pair: pair[1])))),
+       depth=st.sampled_from([1, 64, 100_000]), junk=st.sampled_from([b""] * 7 + [b"\xff"]))
+def test_solve_list_exit_codes_hold_on_any_input(tmp_path, capsys, files, depth, junk):
+    # every input file gets one of the documented exit codes, never 5
+    # (internal error), and the envelope as its last stderr line
+    graph, lists = files
+    graph_text = graph if isinstance(graph, str) else spliced(graph, depth)
+    graph_path = tmp_path / "g.in"
+    graph_path.write_bytes(graph_text.encode() + junk)
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text(spliced(lists, depth))
+    code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                             "--lists", str(lists_path), "--budget-seconds", "1")
+    assert code in {0, 1, 2, 3, 4}, err
+    env = envelope_of(err)
+    assert env["command"] == "solve-list"
+    assert env["outcome"] == {0: "pass", 1: "fail"}.get(code, "error")
+    assert "Traceback" not in err
+    assert (out != "") == (code in {0, 1})
 
 
 def test_mols_output_and_check(capsys):

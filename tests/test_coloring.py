@@ -374,30 +374,62 @@ def test_a_20000_vertex_path_takes_one_node_per_vertex():
 # -- multipartite specialization ----------------------------------------------
 
 
-def brute_minimal_hitting_sets(masks, width):
-    hitting = [s for s in range(1 << width) if all(s & m for m in masks)]
-    return sorted((s for s in hitting
-                   if not any(t != s and t & s == t for t in hitting)),
-                  key=lambda s: (bin(s).count("1"), s))
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=63), min_size=1, max_size=5))
-def test_minimal_covers_complete_and_minimal(masks):
-    got = coloring._minimal_covers(masks, coloring._Budget(None))
-    assert got == brute_minimal_hitting_sets(masks, 6)
-
-
-def test_minimal_covers_honour_the_deadline(monkeypatch):
-    # one part of twelve disjoint 2-lists has 2^12 minimal covers; an expired
-    # deadline must stop their enumeration before the search's next node
+def test_multipartite_deadline_stops_inside_the_search(monkeypatch):
+    # one part of twelve disjoint 2-lists passes the root bound (two colors
+    # needed, 24 there); an expired deadline stops the search at its first
+    # checked node, the one after the root
     monkeypatch.setattr(coloring, "_DEADLINE_STRIDE", 2)
     part = tuple(range(12))
     a = assignment_from(range(24), {v: {2 * v, 2 * v + 1} for v in part})
+    assert multipartite_list_colorable(PartitionWitness(parts=(part,)), a).satisfiable
     with pytest.raises(SearchBudgetExceeded) as info:
         multipartite_list_colorable(PartitionWitness(parts=(part,)), a,
                                     deadline=time.monotonic() - 1.0)
-    assert info.value.nodes == 1  # enumerating covers adds no search nodes
+    assert info.value.nodes == 2
+
+
+def test_multipartite_takes_1100_singleton_parts_without_recursion():
+    # K_1100 with lists {v, v+1}: the part-by-part search recursed once per
+    # part and hit Python's recursion limit; now the root plus one node per vertex
+    n = 1100
+    witness = PartitionWitness(parts=tuple((v,) for v in range(n)))
+    a = assignment_from(range(n), {v: {v, (v + 1) % n} for v in range(n)})
+    result = multipartite_list_colorable(witness, a)
+    assert result.satisfiable
+    assert result.attestation.nodes == n + 1
+    assert sorted(result.coloring.values()) == list(range(n))
+    assert all(c in a.lists[v] for v, c in result.coloring.items())
+
+
+def test_multipartite_root_bound_never_refutes_a_colourable_instance():
+    # K_{a x b} on shuffled, non-contiguous labels against full enumeration;
+    # a refutation at node 1 is the root bound's, and must be right
+    rng = random.Random(4242)
+    outcomes = collections.Counter()
+    for trial in range(400):
+        parts_n, size = rng.randint(1, 4), rng.randint(1, 3)
+        if parts_n * size > 8:
+            size = 8 // parts_n
+        labels = rng.sample(range(1000), parts_n * size)
+        parts = [sorted(labels[i * size:(i + 1) * size]) for i in range(parts_n)]
+        witness = PartitionWitness(parts=tuple(map(tuple, parts)))
+        universe = rng.sample(range(50), rng.randint(1, 2 * parts_n))
+        lists = {v: frozenset(rng.sample(universe, rng.randint(1, min(3, len(universe)))))
+                 for v in labels}
+        result = multipartite_list_colorable(
+            witness, ListAssignment(universe=tuple(universe), lists=lists))
+        g, canonical = complete_multipartite([size] * parts_n)
+        index = {v: i for part, block in zip(parts, canonical.parts)
+                 for v, i in zip(part, block)}
+        indexed = {index[v]: cs for v, cs in lists.items()}
+        assert result.satisfiable == enumerate_list_colorable(g, indexed), f"trial {trial}"
+        if result.satisfiable:
+            assert validate_coloring(g, {index[v]: c for v, c in result.coloring.items()},
+                                     ListAssignment(universe=tuple(universe), lists=indexed))
+            outcomes["sat"] += 1
+        else:
+            outcomes["root" if result.attestation.nodes == 1 else "searched"] += 1
+    assert min(outcomes[k] for k in ("sat", "root", "searched")) >= 20, outcomes
 
 
 def test_certify_refutation_stops_at_its_first_node(monkeypatch):
