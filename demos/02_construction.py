@@ -20,12 +20,12 @@ def main():
     print("\nw-vertex neighborhoods (rows of the Latin squares):")
     for i in range(1, n):
         for j in range(1, n + 1):
-            names = ", ".join(str(lab) for lab in neighbors_of_w(n, i, j))
+            names = ", ".join(neighbors_of_w(n, i, j))
             print(f"  N(w_{i}_{j}) = {{{names}}}")
 
     print("\ncolumn cliques:")
     for j, col in enumerate(gc.t_sets, start=1):
-        names = ", ".join(str(gc.labels[v]) for v in col)
+        names = ", ".join(gc.labels[v] for v in col)
         print(f"  T_{j} = {{{names}}}")
 
     print("\nscaling:")

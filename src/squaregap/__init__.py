@@ -32,7 +32,6 @@ from .graphcore import (
 )
 from .construction import (
     ConstructedGraph,
-    VertexLabel,
     construct_counterexample,
     neighbors_of_w,
 )

@@ -11,26 +11,14 @@ from dataclasses import dataclass
 from operator import add
 
 from .graphcore import SimpleGraph, mask_of
-from .latin import LatinSquare, build_latin, build_mols_family, require_prime
-
-
-@dataclass(frozen=True)
-class VertexLabel:
-    """1-based (kind, i, j) name of a vertex; kind is "v" or "w"."""
-
-    kind: str
-    i: int
-    j: int
-
-    def __str__(self):
-        return f"{self.kind}_{self.i}_{self.j}"
+from .latin import LatinSquare, build_mols_family
 
 
 @dataclass(frozen=True)
 class ConstructedGraph:
     n: int
     graph: SimpleGraph
-    labels: tuple[VertexLabel, ...]  # index -> label
+    labels: tuple[str, ...]  # index -> name, from vertex_names
     p_sets: tuple[tuple[int, ...], ...]  # P_1..P_n
     q_sets: tuple[tuple[int, ...], ...]  # Q_1..Q_{n-1}
     t_sets: tuple[tuple[int, ...], ...]  # T_1..T_n
@@ -57,22 +45,9 @@ class ConstructedGraph:
         return tuple(range(self.n * self.n, 2 * self.n * self.n - self.n))
 
 
-def _require_order(n: int) -> None:
-    """Raise ValueError unless n is a prime >= 3."""
-    require_prime(n)
-    if n < 3:
-        raise ValueError(f"n must be a prime >= 3, got {n}")
-
-
-def _labels(n: int) -> tuple[VertexLabel, ...]:
-    out = [VertexLabel("v", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    out += [VertexLabel("w", i, j) for i in range(1, n) for j in range(1, n + 1)]
-    return tuple(out)
-
-
 def vertex_names(n: int) -> list[str]:
-    """str(label) for each vertex of the graph for n, in order, built without
-    the VertexLabel objects."""
+    """The name of each vertex of the graph for n, in index order: v_i_j for
+    row i, position j, then w_i_j for group i, position j (1-based)."""
     out = [f"v_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
     out += [f"w_{i}_{j}" for i in range(1, n) for j in range(1, n + 1)]
     return out
@@ -107,7 +82,6 @@ def counterexample_upper(n: int) -> list[list[int]]:
     has none: so v's upper row is range(v + n, n^2, n) followed by its
     w-neighbours, both ascending, and each w's upper row is empty.
     """
-    _require_order(n)
     nn = n * n
     latin_rows = [row for sq in build_mols_family(n).squares for row in sq.entries]
     out = [[*range(v + n, nn, n), *ws] for v, ws in enumerate(_w_neighbours(n, latin_rows))]
@@ -125,7 +99,6 @@ def construct_counterexample(n: int) -> ConstructedGraph:
     The transposition is dropped before the labels are built, so it never
     adds to the graph's footprint.
     """
-    _require_order(n)
     family = build_mols_family(n)
     nn = n * n
     latin_rows = [row for sq in family.squares for row in sq.entries]
@@ -136,14 +109,14 @@ def construct_counterexample(n: int) -> ConstructedGraph:
     rows += [mask_of(map(add, range(-1, nn, n), row)) for row in latin_rows]
     graph = SimpleGraph._from_rows(2 * nn - n, tuple(rows))
     p_sets, q_sets, t_sets = part_sets(n)
-    return ConstructedGraph(n=n, graph=graph, labels=_labels(n), p_sets=p_sets,
+    return ConstructedGraph(n=n, graph=graph, labels=tuple(vertex_names(n)), p_sets=p_sets,
                             q_sets=q_sets, t_sets=t_sets, squares=family.squares)
 
 
-def neighbors_of_w(n: int, i: int, j: int) -> list[VertexLabel]:
-    """The neighbor list of w_{i,j}: row j of square i read as column positions."""
-    _require_order(n)
+def neighbors_of_w(n: int, i: int, j: int) -> list[str]:
+    """The neighbor names of w_{i,j}: row j of square i read as column positions."""
+    squares = build_mols_family(n).squares
     if not (1 <= i <= n - 1 and 1 <= j <= n):
         raise ValueError(f"w_{{{i},{j}}} out of range for n={n}")
-    row = build_latin(n, i).entries[j - 1]
-    return [VertexLabel("v", k, x) for k, x in enumerate(row, start=1)]
+    names, row = vertex_names(n), squares[i - 1].entries[j - 1]
+    return [names[base + x] for base, x in zip(range(-1, n * n, n), row)]  # (k-1)n + x - 1

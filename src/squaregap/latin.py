@@ -97,7 +97,7 @@ def build_mols_family(n: int) -> MolsFamily:
     is_latin and are_orthogonal, and verify proves the same facts on the
     constructed graph.
     """
-    require_prime(n)
     if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+        raise ValueError(f"n must be a prime >= 3, got {n}")
+    require_prime(n)
     return MolsFamily(order=n, squares=tuple(build_latin(n, i) for i in range(1, n)))

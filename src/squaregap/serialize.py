@@ -167,7 +167,7 @@ def named_sets(p_sets, q_sets, t_sets) -> tuple[dict[str, list[int]], dict[str, 
 
 
 def constructed_labels(gc: ConstructedGraph) -> dict[int, str]:
-    return {v: str(lab) for v, lab in enumerate(gc.labels)}
+    return dict(enumerate(gc.labels))
 
 
 def constructed_to_json_dict(gc: ConstructedGraph) -> dict:

@@ -78,10 +78,6 @@ class _Collector:
         )
 
 
-def _label(gc: ConstructedGraph, v: int) -> str:
-    return str(gc.labels[v])
-
-
 def _one_neighbour_in_each(gc: ConstructedGraph, item: str, xs: tuple[int, ...],
                            name: str, sets: tuple[tuple[int, ...], ...]) -> tuple:
     """Settle "x has exactly one neighbour in name_k" for every x in xs and every set.
@@ -112,7 +108,7 @@ def _one_neighbour_in_each(gc: ConstructedGraph, item: str, xs: tuple[int, ...],
         return inf, len(xs) * len(sets), 0, None
     got = (adj[first_x] & mask_of(sets[first_k - 1])).bit_count()
     return (first_x, len(xs) * len(sets), failures,
-            (item, _label(gc, first_x), f"{name}_{first_k}", got))
+            (item, gc.labels[first_x], f"{name}_{first_k}", got))
 
 
 def _no_two_w_share_two(gc: ConstructedGraph, sq: SimpleGraph) -> bool:
@@ -167,7 +163,7 @@ def _share_at_most_one(col: _Collector, item: str, gc: ConstructedGraph,
         crowded = twice | (once & group_of.get(x, 0))
         good -= crowded.bit_count()
         for y in bits(crowded):
-            col.fail(item, (item, _label(gc, x), _label(gc, y),
+            col.fail(item, (item, gc.labels[x], gc.labels[y],
                             (adj[x] & adj[y] & centres).bit_count()))
     col.passed(good)
 
@@ -199,7 +195,7 @@ def check_lemma_nw(gc: ConstructedGraph, sq: Optional[SimpleGraph] = None,
         if g.adj[x] == mask_of(map(add, range(-1, nn, n), row)):
             col.passed()
         else:
-            col.fail("nw0", ("nw0", _label(gc, x), "neighborhood differs from Latin row"))
+            col.fail("nw0", ("nw0", gc.labels[x], "neighborhood differs from Latin row"))
     col.merge(_one_neighbour_in_each(gc, "nw1", q, "P", gc.p_sets),
               _one_neighbour_in_each(gc, "nw2", q, "T", gc.t_sets))
     group_mask = {x: m for qs, m in zip(gc.q_sets, map(mask_of, gc.q_sets)) for x in qs}
@@ -249,8 +245,8 @@ def check_independence(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
         if bad is None:
             col.passed()
         else:
-            col.fail("independence", ("independence", name, _label(gc, bad),
-                                      _label(gc, next(bits(sq.adj[bad] & m)))))
+            col.fail("independence", ("independence", name, gc.labels[bad],
+                                      gc.labels[next(bits(sq.adj[bad] & m))]))
     return col.report()
 
 
@@ -263,7 +259,7 @@ def check_pq_adjacency(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
         missing = q_mask & ~sq.adj[x]
         col.passed(len(q) - missing.bit_count())
         for y in bits(missing):
-            col.fail("pq", ("pq", _label(gc, x), _label(gc, y)))
+            col.fail("pq", ("pq", gc.labels[x], gc.labels[y]))
     return col.report()
 
 
@@ -285,7 +281,7 @@ def check_square_structure(sq: SimpleGraph, gc: ConstructedGraph
             if sq.adj[v] == want:
                 col.passed()
             else:
-                col.fail("structure", ("structure", _label(gc, v), "adjacency row mismatch"))
+                col.fail("structure", ("structure", gc.labels[v], "adjacency row mismatch"))
     p_mask = mask_of(gc.p_vertices)
     q_mask = mask_of(gc.q_vertices)
     e_p = sum((sq.adj[v] & p_mask).bit_count() for v in gc.p_vertices) // 2

@@ -139,6 +139,15 @@ def test_huge_order_is_refused_before_any_work(capsys, command):
     assert "exceed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["construct", "verify", "certify", "mols"])
+@pytest.mark.parametrize("n", ["-1", "0", "1", "2"])
+def test_orders_below_3_get_one_message(capsys, command, n):
+    code, out, err = run_cli(capsys, command, "--n", n)
+    assert code == 2
+    assert out == ""
+    assert f"n must be a prime >= 3, got {n}" in err
+
+
 def test_largest_order_within_the_vertex_limit():
     from squaregap.cli import _order
     from squaregap.serialize import MAX_INPUT_VERTICES

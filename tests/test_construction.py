@@ -4,7 +4,6 @@ import pytest
 
 from oracles import is_clique
 from squaregap.construction import (
-    VertexLabel,
     construct_counterexample,
     counterexample_upper,
     neighbors_of_w,
@@ -71,7 +70,7 @@ def test_frozen_w_neighborhoods_at_n3():
     gc = construct_counterexample(3)
     for (i, j), expected in W_NEIGHBORS_N3.items():
         w = gc.w_index(i, j)
-        got = {str(gc.labels[v]) for v in gc.graph.neighbors(w)}
+        got = {gc.labels[v] for v in gc.graph.neighbors(w)}
         assert got == expected, f"w_{i}_{j}"
 
 
@@ -80,9 +79,8 @@ def test_neighbors_of_w_matches_graph():
         gc = construct_counterexample(n)
         for i in range(1, n):
             for j in range(1, n + 1):
-                from_helper = {str(lab) for lab in neighbors_of_w(n, i, j)}
-                from_graph = {str(gc.labels[v])
-                              for v in gc.graph.neighbors(gc.w_index(i, j))}
+                from_helper = set(neighbors_of_w(n, i, j))
+                from_graph = {gc.labels[v] for v in gc.graph.neighbors(gc.w_index(i, j))}
                 assert from_helper == from_graph
 
 
@@ -92,9 +90,9 @@ def test_vertex_indexing_and_labels():
     assert gc.v_index(3, 3) == 8
     assert gc.w_index(1, 1) == 9
     assert gc.w_index(2, 3) == 14
-    assert str(gc.labels[0]) == "v_1_1"
-    assert str(gc.labels[14]) == "w_2_3"
-    assert gc.labels[4] == VertexLabel("v", 2, 2)
+    assert gc.labels[0] == "v_1_1"
+    assert gc.labels[14] == "w_2_3"
+    assert gc.labels[4] == "v_2_2"
 
 
 def test_index_bounds():
@@ -167,6 +165,13 @@ def test_upper_rows_are_the_graphs_upper_rows(n):
     assert counterexample_upper(n) == construct_counterexample(n).graph.upper()
 
 
-@pytest.mark.parametrize("n", [3, 5, 31])
+def test_vertex_names_at_n3():
+    assert vertex_names(3) == [
+        "v_1_1", "v_1_2", "v_1_3", "v_2_1", "v_2_2", "v_2_3", "v_3_1", "v_3_2", "v_3_3",
+        "w_1_1", "w_1_2", "w_1_3", "w_2_1", "w_2_2", "w_2_3",
+    ]
+
+
+@pytest.mark.parametrize("n", PRIMES_TO_31)
 def test_vertex_names_are_the_labels(n):
-    assert vertex_names(n) == list(map(str, construct_counterexample(n).labels))
+    assert construct_counterexample(n).labels == tuple(vertex_names(n))

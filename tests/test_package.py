@@ -10,7 +10,7 @@ from squaregap.graphcore import SimpleGraph
 PUBLIC = [
     "CapacityError", "ConstructedGraph", "ExpandedGraph", "GapCertificate", "LatinSquare",
     "LemmaReport", "ListAssignment", "ListColoringResult", "MolsFamily", "PartitionWitness",
-    "SearchAttestation", "SearchBudgetExceeded", "SimpleGraph", "VertexLabel",
+    "SearchAttestation", "SearchBudgetExceeded", "SimpleGraph",
     "are_orthogonal", "build_latin", "build_mols_family", "certify_gap",
     "check_independence", "check_lemma_nv", "check_lemma_nw", "check_pq_adjacency",
     "check_square_structure", "chromatic_number_exact", "construct_counterexample",
