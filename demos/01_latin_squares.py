@@ -23,10 +23,10 @@ def show_superposition(a, b):
     """Print the ordered pairs; orthogonality means no pair repeats."""
     n = a.order
     print("\nsuperposition of L_1 and L_2:")
-    for j in range(1, n + 1):
-        cells = [f"({a(j, k)},{b(j, k)})" for k in range(1, n + 1)]
-        print("  " + " ".join(cells))
-    pairs = {(a(j, k), b(j, k)) for j in range(1, n + 1) for k in range(1, n + 1)}
+    rows = list(zip(a.entries, b.entries))
+    for ra, rb in rows:
+        print("  " + " ".join(f"({x},{y})" for x, y in zip(ra, rb)))
+    pairs = {pair for ra, rb in rows for pair in zip(ra, rb)}
     print(f"distinct pairs: {len(pairs)} of {n * n}")
 
 

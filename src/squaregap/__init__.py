@@ -7,7 +7,8 @@ with 2n - 1 parts of size n.  Once that is verified, coloring by part
 and one vertex per part (a clique) pin the chromatic number of the square
 at 2n - 1, and an exhaustive refutation of a structured list assignment
 shows the list chromatic number is at least 3(n - 1) + 1, so the gap is
-at least n - 1.  The exact chromatic solver stays available as a
+at least n - 1.  The exact chromatic solver, which asks the list-coloring
+search one question per candidate color count, stays available as a
 cross-check.
 """
 
@@ -52,7 +53,6 @@ from .coloring import (
     certify_gap,
     chromatic_number_exact,
     greedy_clique,
-    greedy_coloring,
     is_list_colorable,
     multipartite_list_colorable,
     validate_coloring,

@@ -6,23 +6,24 @@ count attached, because the verdicts are consumed as mathematical
 certificates rather than best-effort answers.  Color sets live in int
 bitmasks throughout; the list solvers give bit i to the i-th smallest
 color of the universe, so large color values cost nothing.  One
-iterative engine, _search, serves the exact chromatic number and both
-list solvers, and no function here recurses, so no input depth hits
-Python's recursion limit.  The complete multipartite solver only adds a
-part-demand bound at the root, which refutes the certificate's lists
-there, and hands what it does not refute to _search.  The engine keeps
-the graph the other way round as well, one vertex mask per color
-(has[c]: the uncolored vertices that still have color c) and per count
-of colors left (buckets[k]), so forward checking a node takes a few mask
-operations instead of a walk over the neighbors: the dense squares this
-package refutes cost no more per node than sparse graphs of the same
-order.
+iterative engine, _search, decides list coloring and nothing else: both
+list solvers call it, and the exact chromatic number asks it one list
+question per candidate color count.  No function here recurses, so no
+input depth hits Python's recursion limit.  The complete multipartite
+solver only adds a part-demand bound at the root, which refutes the
+certificate's lists there, and hands what it does not refute to _search.
+The engine keeps the graph the other way round as well, one vertex mask
+per color (has[c]: the uncolored vertices that still have color c) and
+per count of colors left (buckets[k]), so forward checking a node takes
+a few mask operations instead of a walk over the neighbors: the dense
+squares this package refutes cost no more per node than sparse graphs of
+the same order.
 """
 
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .construction import construct_counterexample
 from .errors import CapacityError, SearchBudgetExceeded, clip
@@ -133,35 +134,13 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
     return clique
 
 
-def greedy_coloring(g: SimpleGraph) -> tuple[int, list[int]]:
-    """Saturation-first greedy upper bound; returns (colors used, coloring)."""
-    colors = [-1] * g.n
-    neighbor_colors = [0] * g.n  # bitmask of colors seen on neighbors
-    for _ in range(g.n):
-        v = min((u for u in range(g.n) if colors[u] < 0),
-                key=lambda u: (-neighbor_colors[u].bit_count(), -g.degree(u), u))
-        c = 0
-        seen = neighbor_colors[v]
-        while seen & 1:
-            seen >>= 1
-            c += 1
-        colors[v] = c
-        for u in bits(g.adj[v]):
-            neighbor_colors[u] |= 1 << c
-    return (max(colors) + 1 if colors else 0), colors
-
-
-def _search(g: SimpleGraph, avail: list[int], budget: _Budget,
-            clique: Iterable[int] = (), opened: int = -1) -> Optional[list[int]]:
+def _search(g: SimpleGraph, avail: list[int], budget: _Budget) -> Optional[list[int]]:
     """DSATUR-style backtracking (Brelaz, CACM 1979) on an explicit stack.
 
-    avail[v] (consumed) is the mask of colors v may take; clique is
-    pre-colored 0, 1, 2, ... in order.  The most constrained uncolored vertex
-    goes first (ties by index), its colors ascending, one budget tick each,
-    with forward checking: a neighbor left with no color fails the branch.
-    opened masks the colors a vertex may take, -1 for list coloring; for
-    interchangeable colors pass the used ones plus one, and each color tried
-    opens the next.  Returns the coloring or None.
+    avail[v] (consumed) is the mask of colors v may take.  The most
+    constrained uncolored vertex goes first (ties by index), its colors
+    ascending, one budget tick each, with forward checking: a neighbor left
+    with no color fails the branch.  Returns the coloring or None.
 
     Forward checking works on vertex masks, as in bitset DSATUR (San
     Segundo, Comput. Oper. Res. 2012).  Invariant, for every uncolored
@@ -185,14 +164,7 @@ def _search(g: SimpleGraph, avail: list[int], budget: _Budget,
     distinct list.
     """
     adj = g.adj
-    colors = [-1] * g.n
     free = (1 << g.n) - 1
-    for c, v in enumerate(clique):
-        colors[v] = c
-        free ^= 1 << v
-        avail[v] = 0
-        for u in bits(adj[v]):
-            avail[u] &= ~(1 << c)
     # Group the vertices by mask, so each distinct list costs one OR per color.
     same: dict[int, int] = {}
     for v, a in enumerate(avail):
@@ -205,18 +177,18 @@ def _search(g: SimpleGraph, avail: list[int], budget: _Budget,
             low = a & -a
             has[low.bit_length() - 1] |= vs
             a ^= low
-    buckets[0] &= free  # the clique is colored, not wiped out
-    left = free.bit_count()
+    left = g.n
     nodes, stride = budget.nodes, _DEADLINE_STRIDE
     check_at = -1 if budget.deadline is None else (nodes // stride + 1) * stride
-    # frame: [vertex, its count, colors not yet tried, opened,
+    # frame: [vertex, its count, colors not yet tried,
     #         color tried, the neighbors it took that color from (t), their moves]
     stack: list[list] = []
     descend = True
     while True:
         if descend:
             if not left:
-                for v, _, _, _, low, _, _ in stack:
+                colors = [0] * g.n
+                for v, _, _, low, _, _ in stack:
                     colors[v] = low.bit_length() - 1
                 budget.nodes = nodes
                 return colors
@@ -235,15 +207,13 @@ def _search(g: SimpleGraph, avail: list[int], budget: _Budget,
                     if has[low.bit_length() - 1] & bit:
                         own |= low
                     a ^= low
-                if stack:  # the root frame takes the caller's opened
-                    opened = stack[-1][3] | (stack[-1][4] << 1)
-                stack.append([v, k, own & opened, opened, 0, 0, ()])
+                stack.append([v, k, own, 0, 0, ()])
                 left -= 1
         if not stack:
             budget.nodes = nodes
             return None
         frame = stack[-1]
-        v, count, untried, _, low, t, moves = frame
+        v, count, untried, low, t, moves = frame
         if t:
             has[low.bit_length() - 1] |= t
             for k, m in moves:
@@ -282,37 +252,33 @@ def _search(g: SimpleGraph, avail: list[int], budget: _Budget,
                     rest ^= m
                 k += 1
         frame[2] = untried ^ low
-        frame[4] = low
-        frame[5] = t
-        frame[6] = moves
+        frame[3] = low
+        frame[4] = t
+        frame[5] = moves
 
 
 def chromatic_number_exact(g: SimpleGraph, *,
                            deadline: Optional[float] = None) -> tuple[int, list[int]]:
-    """Minimum proper coloring, branch-and-bound between greedy clique and greedy bounds.
+    """Minimum proper coloring, as list-coloring questions to _search.
 
-    Raises CapacityError above the vertex guard and SearchBudgetExceeded
-    (carrying the best bounds found) if the deadline passes mid-search.
+    For k = |clique|, |clique| + 1, ... with clique from greedy_clique, every
+    vertex may take the colors 0..k-1, except that the clique's i-th vertex
+    may take color i alone; the first k that _search colors is the answer.
+    Raises CapacityError above the vertex guard and SearchBudgetExceeded if
+    the deadline passes mid-search, one budget spanning every k.
     """
     if g.n > CHROMATIC_MAX_VERTICES:
         raise CapacityError(
             f"exact chromatic search limited to {CHROMATIC_MAX_VERTICES} vertices, got {g.n}")
-    if g.n == 0:
-        return 0, []
     clique = greedy_clique(g)
-    lower = len(clique)
-    upper, best = greedy_coloring(g)
     budget = _Budget(deadline)
-    for k in range(lower, upper):
-        try:
-            witness = _search(g, [(1 << k) - 1] * g.n, budget, clique, (2 << lower) - 1)
-        except SearchBudgetExceeded as exc:
-            raise SearchBudgetExceeded(
-                f"chromatic search stopped between bounds {k} and {upper}",
-                nodes=exc.nodes, lower_bound=k, upper_bound=upper) from None
+    for k in itertools.count(len(clique)):
+        avail = [(1 << k) - 1] * g.n
+        for i, v in enumerate(clique):
+            avail[v] = 1 << i
+        witness = _search(g, avail, budget)
         if witness is not None:
             return k, witness
-    return upper, best
 
 
 # -- list coloring ------------------------------------------------------------

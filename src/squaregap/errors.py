@@ -14,15 +14,12 @@ class CapacityError(Exception):
 
 
 class SearchBudgetExceeded(Exception):
-    """A solver ran out of its node or time budget before reaching a verdict.
+    """A solver ran out of its time budget before reaching a verdict.
 
-    Carries whatever partial knowledge the search had accumulated so callers
-    can report best-known bounds instead of silently discarding work.
+    nodes is the number of search nodes it had ticked, 0 if it stopped
+    between phases rather than inside a search.
     """
 
-    def __init__(self, message: str, *, nodes: int = 0,
-                 lower_bound: int | None = None, upper_bound: int | None = None):
+    def __init__(self, message: str, *, nodes: int = 0):
         super().__init__(message)
         self.nodes = nodes
-        self.lower_bound = lower_bound
-        self.upper_bound = upper_bound

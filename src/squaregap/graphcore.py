@@ -78,18 +78,8 @@ class SimpleGraph:
             rows[v] |= 1 << u
         return cls._from_rows(n, tuple(rows))
 
-    @classmethod
-    def empty(cls, n: int) -> "SimpleGraph":
-        return cls(n, (0,) * n)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] & (1 << v))
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        return bits(self.adj[v])
 
     def upper(self) -> list[list[int]]:
         """The upper rows: upper()[u] lists u's neighbours above u, ascending."""

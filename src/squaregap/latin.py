@@ -44,10 +44,6 @@ class LatinSquare:
             raise ValueError(f"entries are not {self.order} rows of {self.order}")
         object.__setattr__(self, "entries", rows)
 
-    def __call__(self, j: int, k: int) -> int:
-        """Entry at 1-based row j, column k."""
-        return self.entries[j - 1][k - 1]
-
 
 @dataclass(frozen=True)
 class MolsFamily:

@@ -116,7 +116,9 @@ def parse_dimacs(text: str) -> SimpleGraph:
         if not fields or fields[0].startswith("c"):
             continue
         if fields[0] == "p":
-            if len(fields) != 4 or fields[1] != "edge":
+            # the edge count must be a count, but it is not matched against
+            # the e lines: files from other tools often disagree with them
+            if len(fields) != 4 or fields[1] != "edge" or not fields[3].isdecimal():
                 raise ValueError(f"line {lineno}: malformed problem line {clip(raw.strip())}")
             n = _vertex_count(int(fields[2]))
         elif fields[0] == "e":

@@ -18,7 +18,7 @@ SQUARE_ORACLE_MAX_VERTICES = 512
 
 def bfs_square(g: SimpleGraph) -> SimpleGraph:
     """Distance-at-most-2 power computed by two-level BFS from every vertex."""
-    adjacency = [sorted(g.neighbors(v)) for v in range(g.n)]
+    adjacency = [list(bits(g.adj[v])) for v in range(g.n)]
     edges = set()
     for s in range(g.n):
         reach = set(adjacency[s])
@@ -82,7 +82,7 @@ def neighbourhood_reports_by_walk(gc) -> dict[str, tuple]:
     index order.
     """
     g = gc.graph
-    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    nbrs = [set(bits(g.adj[v])) for v in range(g.n)]
 
     def one_in_each(item, x, name, sets):
         for k, s in enumerate(sets, start=1):

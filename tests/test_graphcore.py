@@ -81,8 +81,8 @@ def test_edges_sorted_and_counted():
     assert g.upper() == [[1], [3], [3], []]
     assert g.edge_count == 3
     assert g.degree(1) == 2 and g.degree(2) == 1
-    assert sorted(g.neighbors(3)) == [1, 2]
-    assert g.has_edge(3, 1) and not g.has_edge(0, 2)
+    assert list(bits(g.adj[3])) == [1, 2]
+    assert g.adj[3] >> 1 & 1 and not g.adj[0] >> 2 & 1
 
 
 def test_square_of_path():
@@ -103,7 +103,7 @@ def test_square_of_star_is_complete():
 def test_square_fixed_points():
     # squaring is the identity on complete graphs and on edgeless graphs
     assert square(complete(4)) == complete(4)
-    assert square(SimpleGraph.empty(6)) == SimpleGraph.empty(6)
+    assert square(SimpleGraph(6, (0,) * 6)) == SimpleGraph(6, (0,) * 6)
 
 
 def test_square_three_ways_on_random_graphs():
@@ -119,8 +119,8 @@ def test_square_three_ways_on_random_graphs():
 
 def test_square_oracle_capacity_guard():
     with pytest.raises(CapacityError):
-        square_oracle(SimpleGraph.empty(513))
-    assert square_oracle(SimpleGraph.empty(512)) == SimpleGraph.empty(512)
+        square_oracle(SimpleGraph(513, (0,) * 513))
+    assert square_oracle(SimpleGraph(512, (0,) * 512)) == SimpleGraph(512, (0,) * 512)
 
 
 def test_induced_subgraph():
@@ -140,7 +140,7 @@ def test_induced_subgraph_preserves_adjacency():
         sub, old = induced_subgraph(g, keep)
         for a in range(sub.n):
             for b in range(a + 1, sub.n):
-                assert sub.has_edge(a, b) == g.has_edge(old[a], old[b])
+                assert sub.adj[a] >> b & 1 == g.adj[old[a]] >> old[b] & 1
 
 
 def test_independent_set_and_clique():

@@ -8,7 +8,7 @@ import pytest
 from oracles import neighbourhood_reports_by_walk
 from squaregap.construction import construct_counterexample
 from squaregap import verification
-from squaregap.graphcore import SimpleGraph, square
+from squaregap.graphcore import SimpleGraph, bits, square
 from squaregap.verification import (
     LemmaReport,
     check_independence,
@@ -99,7 +99,7 @@ def test_claim_congruence_exhaustive(n):
             shared = adj[gc.w_index(i, j)] & adj[gc.w_index(i2, j2)]
             sq = gc.squares[i - 1]
             for k in range(1, n + 1):
-                member = bool(shared >> gc.v_index(k, sq(j, k)) & 1)
+                member = bool(shared >> gc.v_index(k, sq.entries[j - 1][k - 1]) & 1)
                 congruent = (i - i2) * (k - 1) % n == (j2 - j) % n
                 assert member == congruent, (i, i2, j, j2, k)
 
@@ -107,7 +107,7 @@ def test_claim_congruence_exhaustive(n):
 def test_deleted_star_edge_is_caught_by_nw():
     gc = construct_counterexample(3)
     w = gc.w_index(1, 1)
-    v = next(gc.graph.neighbors(w))
+    v = next(bits(gc.graph.adj[w]))
     report = check_lemma_nw(toggled(gc, w, v))
     assert not report.passed
     assert report.witness is not None
@@ -119,7 +119,7 @@ def test_spurious_star_edge_is_caught_by_nv():
     # w_1_1 is not adjacent to v_1_2 (index 1); adding that edge gives
     # v_1_2 two neighbors in Q_1
     w, v = gc.w_index(1, 1), gc.v_index(1, 2)
-    assert not gc.graph.has_edge(w, v)
+    assert not gc.graph.adj[w] >> v & 1
     assert not check_lemma_nv(toggled(gc, w, v)).passed
 
 
@@ -146,7 +146,7 @@ def test_complete_square_fails_independence():
 def test_reports_collect_all_failures():
     gc = construct_counterexample(3)
     w = gc.w_index(1, 1)
-    neighbors = list(gc.graph.neighbors(w))
+    neighbors = list(bits(gc.graph.adj[w]))
     mutated = gc
     for v in neighbors:  # isolate w_1_1 entirely
         mutated = toggled(mutated, w, v)
@@ -238,7 +238,7 @@ def test_pair_lemmas_match_the_pair_walk_on_seeded_multi_edge_toggles(n):
         pairs = set()
         if m % 3 == 0:
             x = rng.choice(gc.q_vertices)
-            v = rng.choice([v for v in gc.graph.neighbors(x)])
+            v = rng.choice(list(bits(gc.graph.adj[x])))
             moved = rng.choice([u for u in range(v - v % n, v - v % n + n) if u != v])
             pairs |= {(v, x), (moved, x)}
         elif m % 3 == 1:
@@ -279,7 +279,7 @@ def test_nv2_counts_only_shared_w_neighbours():
     # joining v_2_1 to two w-neighbours of v_1_1 makes them share two w's
     gc = construct_counterexample(3)
     x, y = gc.v_index(1, 1), gc.v_index(2, 1)
-    ws = [w for w in gc.graph.neighbors(x) if w in gc.q_vertices][:2]
+    ws = [w for w in bits(gc.graph.adj[x]) if w in gc.q_vertices][:2]
     mutant = edited(gc, add=[(w, y) for w in ws])
     r = check_lemma_nv(mutant)
     assert (r.checked_cases, r.failure_count, r.witness, r.item_witnesses) == \
