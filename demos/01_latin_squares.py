@@ -11,8 +11,8 @@ from squaregap import are_orthogonal, build_mols_family
 
 def show_family(n):
     family = build_mols_family(n)
-    print(f"order {n}: {len(family.squares)} squares")
-    for i, sq in enumerate(family.squares, start=1):
+    print(f"order {n}: {len(family)} squares")
+    for i, sq in enumerate(family, start=1):
         print(f"\nL_{i} (slope {i})")
         for row in sq.entries:
             print("  " + " ".join(f"{x:2d}" for x in row))
@@ -32,17 +32,17 @@ def show_superposition(a, b):
 
 def main():
     family = show_family(3)
-    show_superposition(family.squares[0], family.squares[1])
+    show_superposition(family[0], family[1])
 
     print("\norder 7, pairwise orthogonality:")
     family = build_mols_family(7)
-    for x in range(len(family.squares)):
+    for x in range(len(family)):
         row = []
-        for y in range(len(family.squares)):
+        for y in range(len(family)):
             if x == y:
                 row.append(".")
             else:
-                orthogonal = are_orthogonal(family.squares[x].entries, family.squares[y].entries)
+                orthogonal = are_orthogonal(family[x].entries, family[y].entries)
                 row.append("+" if orthogonal else "!")
         print("  " + " ".join(row))
 

@@ -7,7 +7,8 @@ the n v-vertices named by row j of the i-th Latin square, so it touches
 every row and every column exactly once.
 """
 
-from squaregap import construct_counterexample, neighbors_of_w
+from squaregap import construct_counterexample
+from squaregap.graphcore import bits
 
 
 def main():
@@ -20,7 +21,7 @@ def main():
     print("\nw-vertex neighborhoods (rows of the Latin squares):")
     for i in range(1, n):
         for j in range(1, n + 1):
-            names = ", ".join(neighbors_of_w(n, i, j))
+            names = ", ".join(gc.labels[v] for v in bits(g.adj[gc.w_index(i, j)]))
             print(f"  N(w_{i}_{j}) = {{{names}}}")
 
     print("\ncolumn cliques:")

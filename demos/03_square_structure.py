@@ -20,11 +20,10 @@ def main():
     for n in (3, 5, 7):
         gc = construct_counterexample(n)
         sq = square(gc.graph)
-        witness, _ = check_square_structure(sq, gc)
-        ok = is_complete_multipartite(sq, witness)
-        parts = len(witness.parts)
+        parts, _ = check_square_structure(sq, gc)
+        ok = is_complete_multipartite(sq, parts)
         print(f"n={n}: square has {sq.n} vertices, {sq.edge_count} edges; "
-              f"complete {parts}-partite with parts of size {n}: {ok}")
+              f"complete {len(parts)}-partite with parts of size {n}: {ok}")
 
     print("\nper-lemma verification at n=3:")
     gc = construct_counterexample(3)

@@ -24,8 +24,7 @@ def describe(n):
     print(f"  list chromatic number at least: {cert.list_bound + 1}")
     print(f"  gap at least:                   {cert.gap_lower}")
     print(f"  color blocks: {cert.blocks}")
-    print(f"  refutation: complete={cert.attestation.complete}, "
-          f"nodes={cert.attestation.nodes}")
+    print(f"  refutation: exhausted in {cert.attestation.nodes} node(s)")
     return cert
 
 

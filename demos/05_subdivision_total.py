@@ -13,9 +13,7 @@ from squaregap import SimpleGraph, square, subdivision, total_graph
 
 
 def show(name, g):
-    sub = subdivision(g)
-    tot = total_graph(g)
-    same = square(sub.graph) == tot.graph
+    same = square(subdivision(g)[0]) == total_graph(g)[0]
     print(f"{name}: {g.n} vertices + {g.edge_count} edge-vertices -> "
           f"square of subdivision == total graph: {same}")
 
@@ -29,9 +27,9 @@ def main():
     # the subdivision of a triangle is a six-cycle; its square is the
     # octahedron, which is K_{2,2,2}, the smallest complete multipartite
     # example in this whole story
-    tot = total_graph(SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
-    print(f"\ntotal graph of a triangle: {tot.graph.n} vertices, "
-          f"{tot.graph.edge_count} edges (the octahedron)")
+    tot, _ = total_graph(SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
+    print(f"\ntotal graph of a triangle: {tot.n} vertices, "
+          f"{tot.edge_count} edges (the octahedron)")
 
     rng = random.Random(1)
     checked = 0
@@ -39,7 +37,7 @@ def main():
         n = rng.randint(1, 8)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
         g = SimpleGraph.from_edges(n, edges)
-        assert square(subdivision(g).graph) == total_graph(g).graph
+        assert square(subdivision(g)[0]) == total_graph(g)[0]
         checked += 1
     print(f"identity re-checked on {checked} random graphs")
 

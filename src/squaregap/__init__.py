@@ -1,9 +1,10 @@
 """Graphs whose squares are complete multipartite, and certificates that
 their squares separate list chromatic number from chromatic number.
 
-The pipeline: orthogonal Latin squares of prime order n give a graph G
-on 2n^2 - n vertices whose square is the complete multipartite graph
-with 2n - 1 parts of size n.  Once that is verified, coloring by part
+The pipeline: the n - 1 orthogonal Latin squares of prime order n, a
+plain tuple, give a graph G on 2n^2 - n vertices whose square is the
+complete multipartite graph with 2n - 1 parts of size n, handed on as a
+tuple of vertex tuples.  Once that is verified, coloring by part
 and one vertex per part (a clique) pin the chromatic number of the square
 at 2n - 1, and an exhaustive refutation of a structured list assignment
 shows the list chromatic number is at least 3(n - 1) + 1, so the gap is
@@ -15,7 +16,6 @@ cross-check.
 from .errors import CapacityError, SearchBudgetExceeded
 from .latin import (
     LatinSquare,
-    MolsFamily,
     are_orthogonal,
     build_latin,
     build_mols_family,
@@ -23,19 +23,13 @@ from .latin import (
     require_prime,
 )
 from .graphcore import (
-    ExpandedGraph,
-    PartitionWitness,
     SimpleGraph,
     is_complete_multipartite,
     square,
     subdivision,
     total_graph,
 )
-from .construction import (
-    ConstructedGraph,
-    construct_counterexample,
-    neighbors_of_w,
-)
+from .construction import ConstructedGraph, construct_counterexample
 from .verification import (
     LemmaReport,
     check_independence,

@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import coloring, serialize, verification
 from .construction import (construct_counterexample, counterexample_upper, part_sets,
@@ -34,20 +33,10 @@ EXIT_INTERNAL = 5
 log = logging.getLogger("squaregap")
 
 
-@dataclass
-class RunReport:
-    command: str
-    parameters: dict
-    outcome: str  # pass | fail | error
-    elapsed_ms: int
-
-    def envelope(self) -> str:
-        return json.dumps({
-            "command": self.command,
-            "parameters": self.parameters,
-            "outcome": self.outcome,
-            "elapsed_ms": self.elapsed_ms,
-        }, sort_keys=True, allow_nan=False)
+def _envelope(command: str, parameters: dict, outcome: str, elapsed_ms: int) -> str:
+    """The run envelope's JSON line; outcome is pass, fail or error."""
+    return json.dumps({"command": command, "parameters": parameters, "outcome": outcome,
+                       "elapsed_ms": elapsed_ms}, sort_keys=True, allow_nan=False)
 
 
 def _budget_seconds(text: str) -> float:
@@ -174,7 +163,7 @@ def _cmd_solve_list(args) -> tuple[str, str]:
     doc = {
         "satisfiable": result.satisfiable,
         "nodes": result.attestation.nodes,
-        "complete": result.attestation.complete,
+        "complete": True,  # a budget stop raises instead of returning
     }
     if result.satisfiable:
         doc["coloring"] = {str(v): c for v, c in result.coloring.items()}
@@ -184,18 +173,18 @@ def _cmd_solve_list(args) -> tuple[str, str]:
 
 
 def _cmd_mols(args) -> tuple[str, str]:
-    family = build_mols_family(args.n)
+    squares = build_mols_family(args.n)
     lines = []
-    for i, sq in enumerate(family.squares, start=1):
+    for i, sq in enumerate(squares, start=1):
         lines.append(f"L_{i}")
         for row in sq.entries:
             lines.append(" ".join(map(str, row)))
         lines.append("")
     outcome = "pass"
     if args.check:
-        latin_ok = all(is_latin(sq.entries) for sq in family.squares)
+        latin_ok = all(is_latin(sq.entries) for sq in squares)
         orth_ok = all(are_orthogonal(a.entries, b.entries)
-                      for a, b in itertools.combinations(family.squares, 2))
+                      for a, b in itertools.combinations(squares, 2))
         lines.append(f"latin: {'ok' if latin_ok else 'FAILED'}")
         lines.append(f"orthogonal: {'ok' if orth_ok else 'FAILED'}")
         if not (latin_ok and orth_ok):
@@ -214,8 +203,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    level = os.environ.get("SQUAREGAP_LOG", "warning").upper()
-    logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING))
+    # getLevelName maps a level name to its int and anything else to a str
+    level = logging.getLevelName(os.environ.get("SQUAREGAP_LOG", "warning").upper())
+    logging.basicConfig(stream=sys.stderr, level=level if isinstance(level, int) else "WARNING")
     started = time.perf_counter()
     parameters = {k: v for k, v in vars(args).items() if k != "command"}
     try:
@@ -247,10 +237,8 @@ def main(argv=None) -> int:
             print(f"squaregap {args.command}: {exc}", file=sys.stderr)
             outcome, code = "error", EXIT_IO
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    report = RunReport(command=args.command, parameters=parameters,
-                       outcome=outcome, elapsed_ms=elapsed_ms)
-    print(report.envelope(), file=sys.stderr)
-    log.debug("finished %s with outcome %s", args.command, outcome)
+    log.debug("finished %s with outcome %s", args.command, outcome)  # the envelope stays last
+    print(_envelope(args.command, parameters, outcome, elapsed_ms), file=sys.stderr)
     return code
 
 

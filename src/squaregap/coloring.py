@@ -27,7 +27,7 @@ from typing import Optional
 
 from .construction import construct_counterexample
 from .errors import CapacityError, SearchBudgetExceeded, clip
-from .graphcore import PartitionWitness, SimpleGraph, bits, square
+from .graphcore import SimpleGraph, bits, square
 from .verification import check_square_structure
 
 CHROMATIC_MAX_VERTICES = 128
@@ -56,10 +56,9 @@ class ListAssignment:
 
 @dataclass(frozen=True)
 class SearchAttestation:
-    """What a completed (or aborted) search can attest to."""
+    """What a finished search attests to; a budget stop raises instead."""
 
     nodes: int
-    complete: bool
     empty_list_vertex: Optional[int] = None
 
 
@@ -77,7 +76,7 @@ class GapCertificate:
     chromatic comes with a validated proper coloring; list_bound is a size
     s such that the refuted assignment has all lists of size s and admits
     no proper coloring (full exhaustion attested), so the list chromatic
-    number is at least s + 1.
+    number is at least s + 1 and exceeds chromatic by at least gap_lower.
     """
 
     n: int
@@ -87,11 +86,12 @@ class GapCertificate:
     refuted_assignment: ListAssignment
     blocks: tuple[tuple[int, ...], ...]
     attestation: SearchAttestation
-    gap_lower: int
+
+    @property
+    def gap_lower(self) -> int:
+        return self.list_bound + 1 - self.chromatic
 
     def __post_init__(self):
-        if self.gap_lower != self.list_bound + 1 - self.chromatic:
-            raise ValueError("gap_lower is not (list_bound + 1) - chromatic")
         if self.gap_lower < self.n - 1:
             raise ValueError(f"certificate gap {self.gap_lower} below n-1 = {self.n - 1}")
 
@@ -311,11 +311,11 @@ def _decide_lists(order: list[int], assignment: ListAssignment,
     for v in order:
         if not assignment.lists[v]:
             return ListColoringResult(
-                False, None, SearchAttestation(nodes=0, complete=True, empty_list_vertex=v))
+                False, None, SearchAttestation(nodes=0, empty_list_vertex=v))
     masks, palette = _dense_masks(assignment)
     budget = _Budget(deadline)
     colors = decide([masks[v] for v in order], budget)
-    attestation = SearchAttestation(nodes=budget.nodes, complete=True)
+    attestation = SearchAttestation(nodes=budget.nodes)
     if colors is None:
         return ListColoringResult(False, None, attestation)
     return ListColoringResult(True, {v: palette[c] for v, c in zip(order, colors)}, attestation)
@@ -334,24 +334,24 @@ def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
                          lambda avail, budget: _search(g, avail, budget))
 
 
-def multipartite_list_colorable(witness: PartitionWitness, assignment: ListAssignment,
+def multipartite_list_colorable(parts: tuple[tuple[int, ...], ...], assignment: ListAssignment,
                                 *, deadline: Optional[float] = None) -> ListColoringResult:
-    """List-colorability decision on the complete multipartite graph of witness.
+    """List-colorability decision on the complete multipartite graph on parts.
 
     Distinct parts must use disjoint colors, since every cross-part pair is
     adjacent, and a part needs one color if its lists share one, else two.
     So the root node refutes the lists outright when all of them together
     hold fewer colors than the parts demand in total.  Otherwise the graph
-    is built on the witness's vertices, relabelled 0, 1, ... part by part,
+    is built on the parts' vertices, relabelled 0, 1, ... part by part,
     and _search decides it on the same budget: 1 + its nodes in all.
     """
-    verts = [v for part in witness.parts for v in part]
-    if len(set(verts)) != len(verts) or any(not p for p in witness.parts):
-        raise ValueError("witness parts must be disjoint and nonempty")
+    verts = [v for part in parts for v in part]
+    if len(set(verts)) != len(verts) or not all(parts):
+        raise ValueError("parts must be disjoint and nonempty")
     if set(assignment.lists) != set(verts):
-        raise ValueError("lists do not cover exactly the witness vertices")
+        raise ValueError("lists do not cover exactly the parts' vertices")
 
-    starts = list(itertools.accumulate(map(len, witness.parts), initial=0))
+    starts = list(itertools.accumulate(map(len, parts), initial=0))
     spans = list(zip(starts, starts[1:]))
 
     def decide(avail: list[int], budget: _Budget) -> Optional[list[int]]:
@@ -383,9 +383,9 @@ def vetrik_lower_bound(n: int, r: int) -> int:
     return (n - 1) * ((2 * r - 1) // n)
 
 
-def vetrik_assignment(witness: PartitionWitness
+def vetrik_assignment(parts: tuple[tuple[int, ...], ...]
                       ) -> tuple[tuple[tuple[int, ...], ...], ListAssignment]:
-    """The color blocks and the adversarial lists on a witness of r parts of size n.
+    """The color blocks and the adversarial lists on r parts of size n.
 
     The colors 1..2r-1 are split into n consecutive blocks, larger blocks
     first; the k-th smallest vertex of every part gets the colors outside
@@ -394,17 +394,17 @@ def vetrik_assignment(witness: PartitionWitness
     colors per part: 2r in total, one more than there are.  Trimming is
     sound: removing colors can only make coloring harder.
     """
-    sizes = {len(part) for part in witness.parts}
+    sizes = {len(part) for part in parts}
     if len(sizes) != 1:
-        raise ValueError("witness parts must all have the same size")
-    n, r = sizes.pop(), len(witness.parts)
+        raise ValueError("parts must all have the same size")
+    n, r = sizes.pop(), len(parts)
     bound = vetrik_lower_bound(n, r)
     size, extra = divmod(2 * r - 1, n)
     starts = [1 + b * size + min(b, extra) for b in range(n + 1)]
     blocks = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
     positions = [frozenset([*range(1, a), *range(b, 2 * r)][:bound])
                  for a, b in zip(starts, starts[1:])]
-    lists = {v: positions[k] for part in witness.parts for k, v in enumerate(sorted(part))}
+    lists = {v: positions[k] for part in parts for k, v in enumerate(sorted(part))}
     return blocks, ListAssignment(universe=tuple(range(1, 2 * r)), lists=lists)
 
 
@@ -444,28 +444,26 @@ def certify_gap(n: int, budget_seconds: Optional[float] = None) -> GapCertificat
     reached("construct")
     sq = square(gc.graph)
     reached("square")
-    witness, report = check_square_structure(sq, gc)
+    parts, report = check_square_structure(sq, gc)
     if not report.passed:
         raise RuntimeError(f"square structure check failed: {report.witness}")
     reached("structure check")
-    r = len(witness.parts)
-    part_of = {v: c for c, part in enumerate(witness.parts) for v in part}
+    r = len(parts)
+    part_of = {v: c for c, part in enumerate(parts) for v in part}
     coloring = [part_of[v] for v in range(sq.n)]
     if not validate_coloring(sq, coloring):
         raise RuntimeError("part coloring failed independent validation")
     reached("colouring validation")
-    blocks, refuted = vetrik_assignment(witness)
-    result = multipartite_list_colorable(witness, refuted, deadline=deadline)
+    blocks, refuted = vetrik_assignment(parts)
+    result = multipartite_list_colorable(parts, refuted, deadline=deadline)
     if result.satisfiable:
         raise RuntimeError("adversarial assignment was unexpectedly colorable")
-    bound = vetrik_lower_bound(n, r)
     return GapCertificate(
         n=n,
         chromatic=r,
         chromatic_coloring=tuple(coloring),
-        list_bound=bound,
+        list_bound=vetrik_lower_bound(n, r),
         refuted_assignment=refuted,
         blocks=blocks,
         attestation=result.attestation,
-        gap_lower=bound + 1 - r,
     )

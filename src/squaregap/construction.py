@@ -83,7 +83,7 @@ def counterexample_upper(n: int) -> list[list[int]]:
     w-neighbours, both ascending, and each w's upper row is empty.
     """
     nn = n * n
-    latin_rows = [row for sq in build_mols_family(n).squares for row in sq.entries]
+    latin_rows = [row for sq in build_mols_family(n) for row in sq.entries]
     out = [[*range(v + n, nn, n), *ws] for v, ws in enumerate(_w_neighbours(n, latin_rows))]
     out += [[] for _ in range(nn - n)]
     return out
@@ -99,9 +99,9 @@ def construct_counterexample(n: int) -> ConstructedGraph:
     The transposition is dropped before the labels are built, so it never
     adds to the graph's footprint.
     """
-    family = build_mols_family(n)
+    squares = build_mols_family(n)
     nn = n * n
-    latin_rows = [row for sq in family.squares for row in sq.entries]
+    latin_rows = [row for sq in squares for row in sq.entries]
     column = mask_of(range(0, nn, n))
     w_nbrs = _w_neighbours(n, latin_rows)
     rows = [(column << v % n) & ~(1 << v) | mask_of(ws) for v, ws in enumerate(w_nbrs)]
@@ -110,13 +110,5 @@ def construct_counterexample(n: int) -> ConstructedGraph:
     graph = SimpleGraph._from_rows(2 * nn - n, tuple(rows))
     p_sets, q_sets, t_sets = part_sets(n)
     return ConstructedGraph(n=n, graph=graph, labels=tuple(vertex_names(n)), p_sets=p_sets,
-                            q_sets=q_sets, t_sets=t_sets, squares=family.squares)
+                            q_sets=q_sets, t_sets=t_sets, squares=squares)
 
-
-def neighbors_of_w(n: int, i: int, j: int) -> list[str]:
-    """The neighbor names of w_{i,j}: row j of square i read as column positions."""
-    squares = build_mols_family(n).squares
-    if not (1 <= i <= n - 1 and 1 <= j <= n):
-        raise ValueError(f"w_{{{i},{j}}} out of range for n={n}")
-    names, row = vertex_names(n), squares[i - 1].entries[j - 1]
-    return [names[base + x] for base, x in zip(range(-1, n * n, n), row)]  # (k-1)n + x - 1

@@ -12,7 +12,6 @@ build symmetric, loop-free rows by construction, so these builders store
 their rows unchecked.
 """
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import clip
@@ -104,26 +103,6 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, m={self.edge_count})"
 
 
-@dataclass(frozen=True)
-class PartitionWitness:
-    """Ordered disjoint nonempty vertex sets covering a whole vertex set."""
-
-    parts: tuple[tuple[int, ...], ...]  # each part sorted ascending
-
-    def covers(self, n: int) -> bool:
-        seen: set[int] = set()
-        total = 0
-        for part in self.parts:
-            if not part:
-                return False
-            seen.update(part)
-            total += len(part)
-        return total == n and seen == set(range(n))
-
-    def part_masks(self) -> list[int]:
-        return [mask_of(part) for part in self.parts]
-
-
 def square(g: SimpleGraph) -> SimpleGraph:
     """The distance-<=2 power: u ~ v iff adjacent or sharing a neighbor in g."""
     adj = g.adj
@@ -142,16 +121,18 @@ def square(g: SimpleGraph) -> SimpleGraph:
     return SimpleGraph._from_rows(g.n, tuple(rows))
 
 
-def is_complete_multipartite(g: SimpleGraph, w: PartitionWitness) -> bool:
+def is_complete_multipartite(g: SimpleGraph, parts: tuple[tuple[int, ...], ...]) -> bool:
     """True iff every part is independent and every cross-part pair is adjacent.
 
     Equivalently: each vertex's adjacency row is exactly "everything outside
-    my part", which is what gets checked.
+    my part", which is what gets checked.  Raises ValueError unless the
+    parts are nonempty and partition 0..g.n-1.
     """
-    if not w.covers(g.n):
-        raise ValueError("witness is not a partition of the vertex set")
+    if (not all(parts) or sum(map(len, parts)) != g.n
+            or {v for part in parts for v in part} != set(range(g.n))):
+        raise ValueError("parts are not a partition of the vertex set")
     full = (1 << g.n) - 1
-    for part_mask in w.part_masks():
+    for part_mask in map(mask_of, parts):
         want = full & ~part_mask
         for v in bits(part_mask):
             if g.adj[v] != want:
@@ -161,20 +142,13 @@ def is_complete_multipartite(g: SimpleGraph, w: PartitionWitness) -> bool:
 
 # -- subdivision and total graph ------------------------------------------
 #
-# Both place the original vertices first and one vertex per edge after them,
+# Both return (graph, labels), labels[x] naming the origin of vertex x.  They
+# place the original vertices first and one vertex per edge after them,
 # edge vertices ordered by lexicographic (u, v) with u < v.  The shared
 # deterministic labeling makes "square of subdivision equals total graph"
 # an exact graph equality rather than an isomorphism search.
 
 VertexKind = tuple[str, object]  # ("vertex", v) or ("edge", (u, v))
-
-
-@dataclass(frozen=True)
-class ExpandedGraph:
-    """A graph over V(g) plus one vertex per edge of g, with origin labels."""
-
-    graph: SimpleGraph
-    labels: tuple[VertexKind, ...]
 
 
 def _expansion_labels(g: SimpleGraph) -> tuple[list[tuple[int, int]], tuple[VertexKind, ...]]:
@@ -184,7 +158,7 @@ def _expansion_labels(g: SimpleGraph) -> tuple[list[tuple[int, int]], tuple[Vert
     return edge_list, labels
 
 
-def subdivision(g: SimpleGraph) -> ExpandedGraph:
+def subdivision(g: SimpleGraph) -> tuple[SimpleGraph, tuple[VertexKind, ...]]:
     """Replace every edge uv by the path u - m_uv - v through a fresh midpoint."""
     edge_list, labels = _expansion_labels(g)
     edges = []
@@ -192,10 +166,10 @@ def subdivision(g: SimpleGraph) -> ExpandedGraph:
         m = g.n + idx
         edges.append((u, m))
         edges.append((v, m))
-    return ExpandedGraph(SimpleGraph.from_edges(g.n + len(edge_list), edges), labels)
+    return SimpleGraph.from_edges(g.n + len(edge_list), edges), labels
 
 
-def total_graph(g: SimpleGraph) -> ExpandedGraph:
+def total_graph(g: SimpleGraph) -> tuple[SimpleGraph, tuple[VertexKind, ...]]:
     """Vertices plus edges of g; adjacency by vertex-adjacency, edge-adjacency, incidence."""
     edge_list, labels = _expansion_labels(g)
     edges = list(g.edges())
@@ -207,4 +181,4 @@ def total_graph(g: SimpleGraph) -> ExpandedGraph:
             x, y = edge_list[jdx]
             if x in (u, v) or y in (u, v):
                 edges.append((m, g.n + jdx))
-    return ExpandedGraph(SimpleGraph.from_edges(g.n + len(edge_list), edges), labels)
+    return SimpleGraph.from_edges(g.n + len(edge_list), edges), labels

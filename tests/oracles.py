@@ -11,7 +11,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from squaregap.errors import CapacityError
-from squaregap.graphcore import PartitionWitness, SimpleGraph, bits, mask_of
+from squaregap.graphcore import SimpleGraph, bits, mask_of
 
 SQUARE_ORACLE_MAX_VERTICES = 512
 
@@ -149,7 +149,7 @@ def is_clique(g: SimpleGraph, s) -> bool:
     return all((g.adj[v] | (1 << v)) & m == m for v in bits(m))
 
 
-def complete_multipartite(part_sizes) -> tuple[SimpleGraph, PartitionWitness]:
+def complete_multipartite(part_sizes) -> tuple[SimpleGraph, tuple[tuple[int, ...], ...]]:
     """Canonical K with the given part sizes; parts are consecutive index blocks.
 
     Built through the checked constructor SimpleGraph(n, rows).
@@ -158,14 +158,13 @@ def complete_multipartite(part_sizes) -> tuple[SimpleGraph, PartitionWitness]:
     if any(s <= 0 for s in sizes):
         raise ValueError(f"part sizes must be positive, got {sizes}")
     starts = list(itertools.accumulate(sizes, initial=0))
-    witness = PartitionWitness(parts=tuple(tuple(range(a, b))
-                                           for a, b in zip(starts, starts[1:])))
+    parts = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
     n = starts[-1]
     full = (1 << n) - 1
     rows = []
-    for part in witness.parts:
+    for part in parts:
         rows += [full & ~mask_of(part)] * len(part)
-    return SimpleGraph(n, tuple(rows)), witness
+    return SimpleGraph(n, tuple(rows)), parts
 
 
 def random_graph(rng, n: int, p: float) -> SimpleGraph:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from squaregap import coloring
-from squaregap.cli import RunReport, main
+from squaregap.cli import _envelope, main
 from squaregap.errors import clip
 from squaregap.serialize import MAX_INPUT_VERTICES
 
@@ -185,10 +186,8 @@ def test_unexpected_exception_exits_5_without_a_traceback(monkeypatch, capsys, m
 
 
 def test_envelope_refuses_non_finite_numbers():
-    report = RunReport(command="certify", parameters={"budget_seconds": float("nan")},
-                       outcome="pass", elapsed_ms=0)
     with pytest.raises(ValueError):
-        report.envelope()
+        _envelope("certify", {"budget_seconds": float("nan")}, "pass", 0)
 
 
 def test_budget_stop_reports_nodes(capsys):
@@ -245,12 +244,12 @@ def write_vetrik_k3x5(tmp_path):
     from oracles import complete_multipartite
     from squaregap import serialize
 
-    g, witness = complete_multipartite([3] * 5)
+    g, parts = complete_multipartite([3] * 5)
     graph_path = tmp_path / "k3x5.col"
     graph_path.write_text(serialize.graph_to_dimacs(g.n, g.upper()))
     lists_path = tmp_path / "k3x5.json"
     lists_path.write_text(serialize.json_dumps(
-        serialize.lists_to_json_dict(coloring.vetrik_assignment(witness)[1])))
+        serialize.lists_to_json_dict(coloring.vetrik_assignment(parts)[1])))
     return str(graph_path), str(lists_path)
 
 
@@ -606,3 +605,15 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "L_1"
     assert json.loads(proc.stderr.strip().splitlines()[-1])["outcome"] == "pass"
+
+
+@pytest.mark.parametrize("level", ["basic_format", "debug"])
+def test_any_log_level_keeps_the_envelope_last(level):
+    # a fresh interpreter, since pytest's root handlers make basicConfig a no-op
+    # in process; BASIC_FORMAT names a format string in logging, not a level
+    proc = subprocess.run([sys.executable, "-m", "squaregap.cli", "mols", "--n", "3"],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, SQUAREGAP_LOG=level))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stderr.strip().splitlines()[-1])["outcome"] == "pass"
+    assert ("finished mols with outcome pass" in proc.stderr) == (level == "debug")

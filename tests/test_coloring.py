@@ -33,7 +33,7 @@ from squaregap.coloring import (
 )
 from squaregap.construction import construct_counterexample
 from squaregap.errors import CapacityError, SearchBudgetExceeded
-from squaregap.graphcore import PartitionWitness, SimpleGraph, mask_of, square
+from squaregap.graphcore import SimpleGraph, mask_of, square
 from squaregap.verification import check_square_structure
 
 
@@ -157,7 +157,6 @@ def test_list_coloring_small_examples():
     res = is_list_colorable(tri, unsat)
     assert not res.satisfiable
     assert res.coloring is None
-    assert res.attestation.complete
     assert res.attestation.nodes > 0
 
 
@@ -309,19 +308,18 @@ def test_bucket_engine_matches_the_rescan_oracle_at_a_root_wipeout():
 
 def relabelled_multipartite(rng, m, r):
     """K_{m x r} with its vertices shuffled, and its parts under the new labels."""
-    g, witness = complete_multipartite([m] * r)
+    g, parts = complete_multipartite([m] * r)
     perm = rng.sample(range(g.n), g.n)
     h = SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    return h, PartitionWitness(parts=tuple(tuple(sorted(perm[v] for v in part))
-                                           for part in witness.parts))
+    return h, tuple(tuple(sorted(perm[v] for v in part)) for part in parts)
 
 
 @pytest.mark.parametrize("m,r", [(2, 4), (2, 6), (3, 4), (3, 5), (4, 4), (4, 7)])
 def test_bucket_engine_matches_the_rescan_oracle_on_vetrik_multipartite(m, r):
     # every list meets most of its neighbors' lists: the densest forward checks
     rng = random.Random(m * 100 + r)
-    for g, witness in [complete_multipartite([m] * r), relabelled_multipartite(rng, m, r)]:
-        masks, _ = coloring._dense_masks(vetrik_assignment(witness)[1])
+    for g, parts in [complete_multipartite([m] * r), relabelled_multipartite(rng, m, r)]:
+        masks, _ = coloring._dense_masks(vetrik_assignment(parts)[1])
         for start in (0, rng.randrange(ORACLE_NODE_CAP)):
             result, _ = assert_engines_agree(g, [masks[v] for v in range(g.n)], start)
             assert result in (None, "stopped")
@@ -356,13 +354,13 @@ def fano_blow_up(r):
     Every two points share a line, so each part needs three colors, 3r in
     all, one more than there are.
     """
-    g, witness = complete_multipartite([7] * r)
+    g, parts = complete_multipartite([7] * r)
     colours = 3 * r - 1
     size, extra = divmod(colours, 7)
     starts = [b * size + min(b, extra) for b in range(8)]
     groups = [set(range(a, b)) for a, b in zip(starts, starts[1:])]
     lists = {v: frozenset(range(colours)).difference(*(groups[p] for p in FANO_LINES[k]))
-             for part in witness.parts for k, v in enumerate(part)}
+             for part in parts for k, v in enumerate(part)}
     return g, ListAssignment(universe=tuple(range(colours)), lists=lists)
 
 
@@ -402,10 +400,9 @@ def test_multipartite_deadline_stops_inside_the_search(monkeypatch):
     monkeypatch.setattr(coloring, "_DEADLINE_STRIDE", 2)
     part = tuple(range(12))
     a = assignment_from(range(24), {v: {2 * v, 2 * v + 1} for v in part})
-    assert multipartite_list_colorable(PartitionWitness(parts=(part,)), a).satisfiable
+    assert multipartite_list_colorable((part,), a).satisfiable
     with pytest.raises(SearchBudgetExceeded) as info:
-        multipartite_list_colorable(PartitionWitness(parts=(part,)), a,
-                                    deadline=time.monotonic() - 1.0)
+        multipartite_list_colorable((part,), a, deadline=time.monotonic() - 1.0)
     assert info.value.nodes == 2
 
 
@@ -413,9 +410,8 @@ def test_multipartite_takes_1100_singleton_parts_without_recursion():
     # K_1100 with lists {v, v+1}: the part-by-part search recursed once per
     # part and hit Python's recursion limit; now the root plus one node per vertex
     n = 1100
-    witness = PartitionWitness(parts=tuple((v,) for v in range(n)))
     a = assignment_from(range(n), {v: {v, (v + 1) % n} for v in range(n)})
-    result = multipartite_list_colorable(witness, a)
+    result = multipartite_list_colorable(tuple((v,) for v in range(n)), a)
     assert result.satisfiable
     assert result.attestation.nodes == n + 1
     assert sorted(result.coloring.values()) == list(range(n))
@@ -433,14 +429,13 @@ def test_multipartite_root_bound_never_refutes_a_colourable_instance():
             size = 8 // parts_n
         labels = rng.sample(range(1000), parts_n * size)
         parts = [sorted(labels[i * size:(i + 1) * size]) for i in range(parts_n)]
-        witness = PartitionWitness(parts=tuple(map(tuple, parts)))
         universe = rng.sample(range(50), rng.randint(1, 2 * parts_n))
         lists = {v: frozenset(rng.sample(universe, rng.randint(1, min(3, len(universe)))))
                  for v in labels}
         result = multipartite_list_colorable(
-            witness, ListAssignment(universe=tuple(universe), lists=lists))
+            tuple(map(tuple, parts)), ListAssignment(universe=tuple(universe), lists=lists))
         g, canonical = complete_multipartite([size] * parts_n)
-        index = {v: i for part, block in zip(parts, canonical.parts)
+        index = {v: i for part, block in zip(parts, canonical)
                  for v, i in zip(part, block)}
         indexed = {index[v]: cs for v, cs in lists.items()}
         assert result.satisfiable == enumerate_list_colorable(g, indexed), f"trial {trial}"
@@ -458,10 +453,10 @@ def test_certify_refutation_stops_at_its_first_node(monkeypatch):
     # first node, whatever phase the budget ran out in
     monkeypatch.setattr(coloring, "_DEADLINE_STRIDE", 1)
     gc = construct_counterexample(3)
-    witness, _ = check_square_structure(square(gc.graph), gc)
-    _, lists = vetrik_assignment(witness)
+    parts, _ = check_square_structure(square(gc.graph), gc)
+    _, lists = vetrik_assignment(parts)
     with pytest.raises(SearchBudgetExceeded) as info:
-        multipartite_list_colorable(witness, lists, deadline=time.monotonic() - 1.0)
+        multipartite_list_colorable(parts, lists, deadline=time.monotonic() - 1.0)
     assert info.value.nodes == 1
 
 
@@ -510,9 +505,8 @@ def test_multipartite_validates_inputs():
     with pytest.raises(ValueError):
         multipartite_list_colorable(w, assignment_from(range(2), {0: {0}, 1: {1}}))
     a = assignment_from(range(2), {v: {0, 1} for v in range(4)})
-    bad = dataclasses.replace(w, parts=((0, 1), (1, 2, 3)))
     with pytest.raises(ValueError):
-        multipartite_list_colorable(bad, a)
+        multipartite_list_colorable(((0, 1), (1, 2, 3)), a)
 
 
 def test_multipartite_empty_list_short_circuits():
@@ -598,7 +592,7 @@ def test_vetrik_no_common_color_within_a_part():
     for n, r in ((3, 5), (5, 9), (4, 7), (3, 4)):
         _, w = complete_multipartite([n] * r)
         _, a = vetrik_assignment(w)
-        for part in w.parts:
+        for part in w:
             assert not frozenset.intersection(*(a.lists[v] for v in part))
 
 
@@ -610,7 +604,7 @@ def test_vetrik_assignment_positions_on_shuffled_parts():
     for n, r in itertools.product(range(2, 9), range(2, 41)):
         labels = rng.sample(range(3 * n * r), n * r)
         parts = tuple(tuple(labels[i:i + n]) for i in range(0, n * r, n))
-        blocks, a = vetrik_assignment(PartitionWitness(parts=parts))
+        blocks, a = vetrik_assignment(parts)
         size, extra = divmod(2 * r - 1, n)
         colors = iter(range(1, 2 * r))
         assert blocks == tuple(tuple(itertools.islice(colors, size + (k < extra)))
@@ -637,7 +631,6 @@ def test_vetrik_refutations_by_both_solvers():
     _, a = vetrik_assignment(w)
     special = multipartite_list_colorable(w, a)
     assert not special.satisfiable
-    assert special.attestation.complete
     generic = is_list_colorable(g, a)
     assert not generic.satisfiable
     assert generic.attestation.nodes > special.attestation.nodes
@@ -648,7 +641,6 @@ def test_vetrik_5_9_refuted():
     _, a = vetrik_assignment(w)
     res = multipartite_list_colorable(w, a)
     assert not res.satisfiable
-    assert res.attestation.complete
 
 
 def test_enlarged_vetrik_lists_become_colorable():
@@ -675,7 +667,6 @@ def test_certify_gap_n3():
     assert cert.list_bound == 6
     assert cert.gap_lower == 2
     assert cert.blocks == ((1, 2, 3), (4, 5, 6), (7, 8, 9))
-    assert cert.attestation.complete
     assert len(cert.chromatic_coloring) == 15
     assert len(set(cert.chromatic_coloring)) == 5
 
@@ -717,7 +708,7 @@ def test_exact_solver_agrees_with_the_part_coloring(n):
 def test_certificate_tamper_detection():
     cert = certify_gap(3)
     with pytest.raises(ValueError):
-        dataclasses.replace(cert, gap_lower=3)
+        dataclasses.replace(cert, list_bound=5)
     with pytest.raises(ValueError):
         dataclasses.replace(cert, chromatic=6)
 

@@ -6,7 +6,6 @@ from oracles import is_clique
 from squaregap.construction import (
     construct_counterexample,
     counterexample_upper,
-    neighbors_of_w,
     vertex_names,
 )
 from squaregap.graphcore import SimpleGraph, bits
@@ -74,14 +73,16 @@ def test_frozen_w_neighborhoods_at_n3():
         assert got == expected, f"w_{i}_{j}"
 
 
-def test_neighbors_of_w_matches_graph():
+def test_w_neighbours_read_their_latin_row():
+    # w_{i,j} is joined to v_{k,x} for each entry x at position k of row j of square i
     for n in (3, 5):
         gc = construct_counterexample(n)
         for i in range(1, n):
             for j in range(1, n + 1):
-                from_helper = set(neighbors_of_w(n, i, j))
+                row = gc.squares[i - 1].entries[j - 1]
+                from_row = {f"v_{k}_{x}" for k, x in enumerate(row, start=1)}
                 from_graph = {gc.labels[v] for v in bits(gc.graph.adj[gc.w_index(i, j)])}
-                assert from_helper == from_graph
+                assert from_row == from_graph
 
 
 def test_vertex_indexing_and_labels():
@@ -140,10 +141,6 @@ def test_rejects_bad_orders():
         with pytest.raises(ValueError) as rows_error:
             counterexample_upper(n)
         assert str(rows_error.value) == str(graph_error.value)
-    with pytest.raises(ValueError):
-        neighbors_of_w(4, 1, 1)
-    with pytest.raises(ValueError):
-        neighbors_of_w(3, 3, 1)
 
 
 @pytest.mark.parametrize("n", PRIMES_TO_31 + [61])

@@ -1,10 +1,15 @@
-"""The narrative demos run to completion, and the CLI starts without numpy.
+"""The narrative demos and README's library tour run to completion, the CLI
+starts without numpy, and the bench tracer reads what it wraps.
 
 Each check runs in a fresh interpreter with PYTHONPATH=src, so it sees
-the package exactly as a user of the source tree does.
+the package exactly as a user of the source tree does.  It writes no
+bytecode, so the bench directory the tracer check imports from is left
+as it was.
 """
 
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +21,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def run_python(*args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, cwd=ROOT, timeout=120)
 
@@ -31,3 +36,47 @@ def test_cli_import_leaves_numpy_out():
     proc = run_python("-c", "import sys, squaregap.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
+
+
+TRACED_RUN = """
+import contextlib, io, json, sys
+from squaregap import cli, serialize
+sys.path.insert(0, "bench")
+import spans
+tracer = spans.Tracer()
+tracer.install()
+tmp = sys.argv[1]
+with open(f"{tmp}/g.col", "w") as fh:
+    fh.write("p edge 2 1\\ne 1 2\\n")
+with open(f"{tmp}/lists.json", "w") as fh:
+    fh.write('{"universe": [1, 2], "lists": {"0": [1, 2], "1": [1, 2]}}')
+runs = [["verify", "--n", "3"], ["certify", "--n", "3"],
+        ["construct", "--n", "3", "--output", f"{tmp}/g.json"],
+        ["solve-list", "--graph", f"{tmp}/g.col", "--lists", f"{tmp}/lists.json"]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+with open(f"{tmp}/g.json") as fh:
+    serialize.parse_graph_json(fh.read())
+print(json.dumps({"codes": codes, "counts": tracer.counts}))
+"""
+
+
+def test_the_bench_tracer_reads_every_hooked_result(tmp_path):
+    # spans._observe reads the return shapes of the checks, solvers, writers
+    # and readers it wraps; a changed shape would otherwise surface only in
+    # a traced bench run
+    proc = run_python("-c", TRACED_RUN, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0, 0, 0]
+    for count in ("verification.cases", "coloring.nodes", "serialize.bytes_written",
+                  "serialize.bytes_read"):
+        assert got["counts"].get(count, 0) > 0, count
+
+
+def test_the_readme_library_tour_runs_as_written():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"## Library tour\n\n```python\n(.*?)```", readme, re.S)
+    assert tour, "README has no python block under Library tour"
+    proc = run_python("-c", tour.group(1))
+    assert proc.returncode == 0, proc.stderr[-2000:]

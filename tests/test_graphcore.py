@@ -13,7 +13,6 @@ from oracles import (
 )
 from squaregap.errors import CapacityError
 from squaregap.graphcore import (
-    PartitionWitness,
     SimpleGraph,
     bits,
     is_complete_multipartite,
@@ -155,19 +154,19 @@ def test_independent_set_and_clique():
         is_clique(g, [0, 9])
 
 
-def test_partition_witness_covers():
-    w = PartitionWitness(parts=((0, 1), (2,)))
-    assert w.covers(3)
-    assert not w.covers(4)
-    assert not PartitionWitness(parts=((0, 1), (1, 2))).covers(3)  # overlap
-    assert not PartitionWitness(parts=((0,), ())).covers(1)  # empty part
+def test_recognizer_refuses_overlap_empty_part_and_missing_vertex():
+    g, parts = complete_multipartite([2, 1])
+    assert is_complete_multipartite(g, parts)
+    for bad in (((0, 1), (1, 2)), ((0, 1), (2,), ()), ((0, 1),), ((0, 1), (3,))):
+        with pytest.raises(ValueError):
+            is_complete_multipartite(g, bad)
 
 
 def test_complete_multipartite_builder_and_recognizer():
     g, w = complete_multipartite([2, 3, 1])
     assert g.n == 6
     assert g.edge_count == 2 * 3 + 2 * 1 + 3 * 1
-    assert w.parts == ((0, 1), (2, 3, 4), (5,))
+    assert w == ((0, 1), (2, 3, 4), (5,))
     assert is_complete_multipartite(g, w)
 
 
@@ -180,14 +179,13 @@ def test_recognizer_rejects_perturbations():
     bad2 = SimpleGraph.from_edges(4, [e for e in g.edges() if e != (0, 2)])
     assert not is_complete_multipartite(bad2, w)
     # wrong witness for the right graph
-    with_swapped = PartitionWitness(parts=((0, 2), (1, 3)))
-    assert not is_complete_multipartite(g, with_swapped)
+    assert not is_complete_multipartite(g, ((0, 2), (1, 3)))
 
 
 def test_recognizer_requires_partition():
     g, _ = complete_multipartite([2, 2])
     with pytest.raises(ValueError):
-        is_complete_multipartite(g, PartitionWitness(parts=((0, 1),)))
+        is_complete_multipartite(g, ((0, 1),))
 
 
 def test_complete_multipartite_rejects_empty_part():
@@ -196,28 +194,27 @@ def test_complete_multipartite_rejects_empty_part():
 
 
 def test_subdivision_of_triangle_is_six_cycle():
-    sub = subdivision(complete(3))
-    assert sub.graph.n == 6
-    assert sub.graph.edge_count == 6
-    assert all(sub.graph.degree(v) == 2 for v in range(6))
-    assert sub.labels[:3] == (("vertex", 0), ("vertex", 1), ("vertex", 2))
-    assert sub.labels[3:] == (("edge", (0, 1)), ("edge", (0, 2)), ("edge", (1, 2)))
+    sub, labels = subdivision(complete(3))
+    assert sub.n == 6
+    assert sub.edge_count == 6
+    assert all(sub.degree(v) == 2 for v in range(6))
+    assert labels[:3] == (("vertex", 0), ("vertex", 1), ("vertex", 2))
+    assert labels[3:] == (("edge", (0, 1)), ("edge", (0, 2)), ("edge", (1, 2)))
 
 
 def test_total_graph_of_triangle_is_octahedron():
-    tot = total_graph(complete(3))
-    assert tot.graph.n == 6
-    assert tot.graph.edge_count == 12
-    assert all(tot.graph.degree(v) == 4 for v in range(6))
+    tot, _ = total_graph(complete(3))
+    assert tot.n == 6
+    assert tot.edge_count == 12
+    assert all(tot.degree(v) == 4 for v in range(6))
     # complete tripartite with parts {vertex, opposite edge}
-    w = PartitionWitness(parts=((0, 5), (1, 4), (2, 3)))
-    assert is_complete_multipartite(tot.graph, w)
+    assert is_complete_multipartite(tot, ((0, 5), (1, 4), (2, 3)))
 
 
 def test_total_graph_of_path():
     # P3 = 0-1-2: total graph is vertices {0,1,2} plus midpoints {3,4}
-    tot = total_graph(path(3))
-    assert tot.graph.edges() == [(0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]
+    tot, _ = total_graph(path(3))
+    assert tot.edges() == [(0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]
 
 
 def test_square_of_subdivision_is_total_graph_exhaustive():
@@ -225,14 +222,14 @@ def test_square_of_subdivision_is_total_graph_exhaustive():
     slots = list(itertools.combinations(range(5), 2))
     for picks in itertools.product([0, 1], repeat=len(slots)):
         g = SimpleGraph.from_edges(5, [e for e, take in zip(slots, picks) if take])
-        sub = subdivision(g)
-        tot = total_graph(g)
-        assert sub.labels == tot.labels
-        assert square(sub.graph) == tot.graph
+        sub, sub_labels = subdivision(g)
+        tot, tot_labels = total_graph(g)
+        assert sub_labels == tot_labels
+        assert square(sub) == tot
 
 
 def test_square_of_subdivision_on_random_larger_graphs():
     rng = random.Random(99)
     for _ in range(100):
         g = random_graph(rng, rng.randint(6, 9), 0.5)
-        assert square(subdivision(g).graph) == total_graph(g).graph
+        assert square(subdivision(g)[0]) == total_graph(g)[0]

@@ -75,17 +75,17 @@ def test_first_column_is_identity():
 @pytest.mark.parametrize("n", PRIMES)
 def test_family_is_latin_and_pairwise_orthogonal(n):
     family = build_mols_family(n)
-    assert len(family.squares) == n - 1
-    for sq in family.squares:
+    assert len(family) == n - 1
+    for sq in family:
         assert is_latin(sq.entries)
     for a in range(n - 1):
         for b in range(a + 1, n - 1):
-            assert are_orthogonal(family.squares[a].entries, family.squares[b].entries)
+            assert are_orthogonal(family[a].entries, family[b].entries)
 
 
 def test_orthogonality_is_symmetric():
     family = build_mols_family(5)
-    a, b = family.squares[0].entries, family.squares[2].entries
+    a, b = family[0].entries, family[2].entries
     assert are_orthogonal(a, b) == are_orthogonal(b, a)
 
 

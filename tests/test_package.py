@@ -8,14 +8,14 @@ import squaregap
 from squaregap.graphcore import SimpleGraph
 
 PUBLIC = [
-    "CapacityError", "ConstructedGraph", "ExpandedGraph", "GapCertificate", "LatinSquare",
-    "LemmaReport", "ListAssignment", "ListColoringResult", "MolsFamily", "PartitionWitness",
-    "SearchAttestation", "SearchBudgetExceeded", "SimpleGraph",
+    "CapacityError", "ConstructedGraph", "GapCertificate", "LatinSquare", "LemmaReport",
+    "ListAssignment", "ListColoringResult", "SearchAttestation", "SearchBudgetExceeded",
+    "SimpleGraph",
     "are_orthogonal", "build_latin", "build_mols_family", "certify_gap",
     "check_independence", "check_lemma_nv", "check_lemma_nw", "check_pq_adjacency",
     "check_square_structure", "chromatic_number_exact", "construct_counterexample",
     "greedy_clique", "is_complete_multipartite", "is_latin",
-    "is_list_colorable", "multipartite_list_colorable", "neighbors_of_w", "require_prime",
+    "is_list_colorable", "multipartite_list_colorable", "require_prime",
     "run_all_checks", "serialize", "square", "subdivision", "total_graph",
     "validate_coloring", "vetrik_assignment", "vetrik_lower_bound",
 ]

@@ -109,11 +109,15 @@ DIMACS_SEMANTICS = {
     "bad-p": ("c\n  p edge 3\n", "line 2: malformed problem line 'p edge 3'"),
     "bad-p-kind": ("p col 3 1\n", "line 1: malformed problem line 'p col 3 1'"),
     "unknown": ("p edge 3 1\nx 1 2\n", "line 2: unknown record 'x'"),
-    "non-int": ("p edge 3 1\ne 1 x\n", "invalid literal for int() with base 10: 'x'"),
+    "non-int": ("p edge 3 1\ne 1 x\n", "line 2: malformed edge line 'e 1 x'"),
+    "non-int-count": ("p edge x 1\n", "line 1: malformed problem line 'p edge x 1'"),
+    "decimal-endpoint": ("p edge 3 1\ne 1 2.5\n", "line 2: malformed edge line 'e 1 2.5'"),
     "out-of-range": ("p edge 3 1\ne 1 4\n", "edge (0,3) out of range for 3 vertices"),
     "self-loop": ("p edge 3 1\ne 2 2\n", "self-loop at 1 not allowed"),
     "no-p": ("c only\ne 1 2\n", "missing 'p edge' problem line"),
     "two-p": ("p edge 2 1\np edge 4 1\ne 3 4\n", (4, [(2, 3)])),
+    # only the problem line in effect is held to the vertex limit
+    "overridden-huge-p": ("p edge 70000 0\np edge 2 1\ne 1 2\n", (2, [(0, 1)])),
     "vertical-tab": ("p edge 2 1\x0be 1 2\n", (2, [(0, 1)])),
     "word-edge-count": ("p edge 3 banana\ne 1 2\n",
                         "line 1: malformed problem line 'p edge 3 banana'"),
@@ -139,6 +143,8 @@ def test_parse_dimacs_clips_what_its_errors_echo():
         ("x" * 300_000, f"line 1: unknown record {'x' * 60!r}... (300000 characters)"),
         ("e" + " 1" * 40, f"line 1: malformed edge line {('e' + ' 1' * 40)[:60]!r}"
                           "... (81 characters)"),
+        ("e 1 " + "x" * 300, f"line 1: malformed edge line {('e 1 ' + 'x' * 300)[:60]!r}"
+                             "... (304 characters)"),
     ]:
         with pytest.raises(ValueError) as info:
             serialize.parse_dimacs(text)

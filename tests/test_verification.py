@@ -60,10 +60,10 @@ def test_the_square_settles_the_pair_items_without_a_walk(n, monkeypatch):
 def test_structure_witness_shape():
     for n in (3, 5, 7):
         gc = construct_counterexample(n)
-        witness, report = check_square_structure(square(gc.graph), gc)
+        parts, report = check_square_structure(square(gc.graph), gc)
         assert report.passed
-        assert len(witness.parts) == 2 * n - 1
-        assert all(len(p) == n for p in witness.parts)
+        assert len(parts) == 2 * n - 1
+        assert all(len(p) == n for p in parts)
 
 
 def test_nw_case_count_at_n3():
