@@ -3,17 +3,34 @@
 Subdividing every edge of G and then squaring gives exactly the total
 graph of G, provided both sides name their vertices the same way
 (originals first, then one vertex per edge in sorted order).  The
-identity is what connects squares of graphs to total colorings.
+identity is what connects squares of graphs to total colorings.  The two
+operations are spelled out here; the package itself needs neither.
 """
 
 import itertools
 import random
 
-from squaregap import SimpleGraph, square, subdivision, total_graph
+from squaregap import SimpleGraph, square
+
+
+def subdivision(g):
+    """Every edge uv becomes the path u - m - v, m = n + (index of uv in g.edges())."""
+    edges = g.edges()
+    return SimpleGraph.from_edges(
+        g.n + len(edges), [(x, g.n + i) for i, e in enumerate(edges) for x in e])
+
+
+def total_graph(g):
+    """The vertices and edges of g, on subdivision's numbering: two are adjacent
+    when they are adjacent vertices, incident, or edges sharing an end."""
+    edges = g.edges()
+    meet = [(g.n + i, g.n + j) for (i, e), (j, f) in itertools.combinations(enumerate(edges), 2)
+            if set(e) & set(f)]
+    return SimpleGraph.from_edges(g.n + len(edges), edges + subdivision(g).edges() + meet)
 
 
 def show(name, g):
-    same = square(subdivision(g)[0]) == total_graph(g)[0]
+    same = square(subdivision(g)) == total_graph(g)
     print(f"{name}: {g.n} vertices + {g.edge_count} edge-vertices -> "
           f"square of subdivision == total graph: {same}")
 
@@ -27,7 +44,7 @@ def main():
     # the subdivision of a triangle is a six-cycle; its square is the
     # octahedron, which is K_{2,2,2}, the smallest complete multipartite
     # example in this whole story
-    tot, _ = total_graph(SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
+    tot = total_graph(SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
     print(f"\ntotal graph of a triangle: {tot.n} vertices, "
           f"{tot.edge_count} edges (the octahedron)")
 
@@ -37,7 +54,7 @@ def main():
         n = rng.randint(1, 8)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
         g = SimpleGraph.from_edges(n, edges)
-        assert square(subdivision(g)[0]) == total_graph(g)[0]
+        assert square(subdivision(g)) == total_graph(g)
         checked += 1
     print(f"identity re-checked on {checked} random graphs")
 

@@ -26,8 +26,6 @@ from .graphcore import (
     SimpleGraph,
     is_complete_multipartite,
     square,
-    subdivision,
-    total_graph,
 )
 from .construction import ConstructedGraph, construct_counterexample
 from .verification import (

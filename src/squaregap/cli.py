@@ -78,8 +78,7 @@ def _parse_args(argv):
 
     p = sub.add_parser("verify", help="run the structural checks")
     p.add_argument("--n", type=_order, required=True)
-    p.add_argument("--lemma", choices=["all", "nw", "nv", "independence", "pq", "structure"],
-                   default="all")
+    p.add_argument("--lemma", choices=["all", *verification.LEMMAS], default="all")
 
     p = sub.add_parser("certify", help="emit a choosability-gap certificate")
     p.add_argument("--n", type=_order, required=True)
@@ -113,17 +112,9 @@ def _cmd_construct(args) -> tuple[str, str]:
 
 def _cmd_verify(args) -> tuple[str, str]:
     gc = construct_counterexample(args.n)
-    if args.lemma == "all":
-        reports = verification.run_all_checks(gc)
-    else:
-        check = {
-            "nw": lambda: verification.check_lemma_nw(gc),
-            "nv": lambda: verification.check_lemma_nv(gc),
-            "independence": lambda: verification.check_independence(square(gc.graph), gc),
-            "pq": lambda: verification.check_pq_adjacency(square(gc.graph), gc),
-            "structure": lambda: verification.check_square_structure(square(gc.graph), gc)[1],
-        }[args.lemma]
-        reports = {args.lemma: check()}
+    sq = square(gc.graph)
+    lemmas = verification.LEMMAS if args.lemma == "all" else (args.lemma,)
+    reports = {lemma: verification.run_check(lemma, sq, gc) for lemma in lemmas}
     all_passed = all(r.passed for r in reports.values())
     doc = {
         "n": args.n,

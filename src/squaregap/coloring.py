@@ -12,12 +12,15 @@ question per candidate color count.  No function here recurses, so no
 input depth hits Python's recursion limit.  The complete multipartite
 solver only adds a part-demand bound at the root, which refutes the
 certificate's lists there, and hands what it does not refute to _search.
-The engine keeps the graph the other way round as well, one vertex mask
-per color (has[c]: the uncolored vertices that still have color c) and
-per count of colors left (buckets[k]), so forward checking a node takes
-a few mask operations instead of a walk over the neighbors: the dense
-squares this package refutes cost no more per node than sparse graphs of
-the same order.
+The engine takes the node count so far and returns the count at the end
+with its coloring, so the chromatic number's questions and the
+multipartite root share one count and one deadline.  The engine keeps
+the graph the other way round as well, one vertex mask per color
+(has[c]: the uncolored vertices that still have color c) and per count
+of colors left (buckets[k]), so forward checking a node takes a few mask
+operations instead of a walk over the neighbors: the dense squares this
+package refutes cost no more per node than sparse graphs of the same
+order.
 """
 
 import itertools
@@ -64,9 +67,12 @@ class SearchAttestation:
 
 @dataclass(frozen=True)
 class ListColoringResult:
-    satisfiable: bool
     coloring: Optional[dict[int, int]]
     attestation: SearchAttestation
+
+    @property
+    def satisfiable(self) -> bool:
+        return self.coloring is not None
 
 
 @dataclass(frozen=True)
@@ -96,25 +102,11 @@ class GapCertificate:
             raise ValueError(f"certificate gap {self.gap_lower} below n-1 = {self.n - 1}")
 
 
-class _Budget:
-    """Counts search nodes and checks an optional wall-clock deadline every
-    _DEADLINE_STRIDE nodes; _search keeps the count in a local and writes it
-    back here whenever it checks or returns."""
-
-    __slots__ = ("nodes", "deadline")
-
-    def __init__(self, deadline: Optional[float]):
-        self.nodes = 0
-        self.deadline = deadline
-
-    def tick(self):
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % _DEADLINE_STRIDE == 0:
-            self._check()
-
-    def _check(self):
-        if time.monotonic() > self.deadline:
-            raise SearchBudgetExceeded("search budget exhausted", nodes=self.nodes)
+def _check_deadline(deadline: Optional[float], nodes: int):
+    """Raise SearchBudgetExceeded if deadline has passed, reading the clock
+    only when nodes is a multiple of _DEADLINE_STRIDE."""
+    if deadline is not None and nodes % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
+        raise SearchBudgetExceeded("search budget exhausted", nodes=nodes)
 
 
 # -- exact chromatic number -------------------------------------------------
@@ -134,13 +126,16 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
     return clique
 
 
-def _search(g: SimpleGraph, avail: list[int], budget: _Budget) -> Optional[list[int]]:
+def _search(g: SimpleGraph, avail: list[int], deadline: Optional[float],
+            nodes: int) -> tuple[Optional[list[int]], int]:
     """DSATUR-style backtracking (Brelaz, CACM 1979) on an explicit stack.
 
     avail[v] (consumed) is the mask of colors v may take.  The most
     constrained uncolored vertex goes first (ties by index), its colors
-    ascending, one budget tick each, with forward checking: a neighbor left
-    with no color fails the branch.  Returns the coloring or None.
+    ascending, one node each, with forward checking: a neighbor left with no
+    color fails the branch.  The count goes on from nodes, and the deadline
+    is checked by _check_deadline.  Returns (the coloring or None, the
+    count at the end).
 
     Forward checking works on vertex masks, as in bitset DSATUR (San
     Segundo, Comput. Oper. Res. 2012).  Invariant, for every uncolored
@@ -178,8 +173,8 @@ def _search(g: SimpleGraph, avail: list[int], budget: _Budget) -> Optional[list[
             has[low.bit_length() - 1] |= vs
             a ^= low
     left = g.n
-    nodes, stride = budget.nodes, _DEADLINE_STRIDE
-    check_at = -1 if budget.deadline is None else (nodes // stride + 1) * stride
+    stride = _DEADLINE_STRIDE
+    check_at = -1 if deadline is None else (nodes // stride + 1) * stride
     # frame: [vertex, its count, colors not yet tried,
     #         color tried, the neighbors it took that color from (t), their moves]
     stack: list[list] = []
@@ -190,8 +185,7 @@ def _search(g: SimpleGraph, avail: list[int], budget: _Budget) -> Optional[list[
                 colors = [0] * g.n
                 for v, _, _, low, _, _ in stack:
                     colors[v] = low.bit_length() - 1
-                budget.nodes = nodes
-                return colors
+                return colors, nodes
             k = stack[-1][1] - 1 if stack else 0
             while not buckets[k]:
                 k += 1
@@ -210,8 +204,7 @@ def _search(g: SimpleGraph, avail: list[int], budget: _Budget) -> Optional[list[
                 stack.append([v, k, own, 0, 0, ()])
                 left -= 1
         if not stack:
-            budget.nodes = nodes
-            return None
+            return None, nodes
         frame = stack[-1]
         v, count, untried, low, t, moves = frame
         if t:
@@ -230,8 +223,7 @@ def _search(g: SimpleGraph, avail: list[int], budget: _Budget) -> Optional[list[
         low = untried & -untried
         nodes += 1
         if nodes == check_at:
-            budget.nodes = nodes
-            budget._check()
+            _check_deadline(deadline, nodes)
             check_at += stride
         c = low.bit_length() - 1
         t = has[c] & adj[v] & free
@@ -265,18 +257,18 @@ def chromatic_number_exact(g: SimpleGraph, *,
     vertex may take the colors 0..k-1, except that the clique's i-th vertex
     may take color i alone; the first k that _search colors is the answer.
     Raises CapacityError above the vertex guard and SearchBudgetExceeded if
-    the deadline passes mid-search, one budget spanning every k.
+    the deadline passes mid-search, one node count spanning every k.
     """
     if g.n > CHROMATIC_MAX_VERTICES:
         raise CapacityError(
             f"exact chromatic search limited to {CHROMATIC_MAX_VERTICES} vertices, got {g.n}")
     clique = greedy_clique(g)
-    budget = _Budget(deadline)
+    nodes = 0
     for k in itertools.count(len(clique)):
         avail = [(1 << k) - 1] * g.n
         for i, v in enumerate(clique):
             avail[v] = 1 << i
-        witness = _search(g, avail, budget)
+        witness, nodes = _search(g, avail, deadline, nodes)
         if witness is not None:
             return k, witness
 
@@ -299,26 +291,21 @@ def _dense_masks(assignment: ListAssignment) -> tuple[dict[int, int], list[int]]
     return dict(zip(lists, map(mask.__getitem__, lists.values()))), palette
 
 
-def _decide_lists(order: list[int], assignment: ListAssignment,
-                  deadline: Optional[float], decide) -> ListColoringResult:
+def _decide_lists(order: list[int], assignment: ListAssignment, decide) -> ListColoringResult:
     """What the list solvers share around their search.
 
-    An empty list is UNSAT at no node.  Otherwise decide(avail, budget) gets
-    the color mask of each vertex of order, in that order, and returns one
-    color position per vertex or None; the attestation carries the nodes it
-    ticked on budget.
+    An empty list is UNSAT at no node.  Otherwise decide(avail) gets the
+    color mask of each vertex of order, in that order, and returns one color
+    position per vertex or None, and the nodes it searched, which the
+    attestation carries.
     """
     for v in order:
         if not assignment.lists[v]:
-            return ListColoringResult(
-                False, None, SearchAttestation(nodes=0, empty_list_vertex=v))
+            return ListColoringResult(None, SearchAttestation(nodes=0, empty_list_vertex=v))
     masks, palette = _dense_masks(assignment)
-    budget = _Budget(deadline)
-    colors = decide([masks[v] for v in order], budget)
-    attestation = SearchAttestation(nodes=budget.nodes)
-    if colors is None:
-        return ListColoringResult(False, None, attestation)
-    return ListColoringResult(True, {v: palette[c] for v, c in zip(order, colors)}, attestation)
+    colors, nodes = decide([masks[v] for v in order])
+    coloring = None if colors is None else {v: palette[c] for v, c in zip(order, colors)}
+    return ListColoringResult(coloring, SearchAttestation(nodes=nodes))
 
 
 def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
@@ -330,8 +317,8 @@ def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
     """
     if set(assignment.lists) != set(range(g.n)):
         raise ValueError("assignment must cover exactly the graph's vertices")
-    return _decide_lists(list(range(g.n)), assignment, deadline,
-                         lambda avail, budget: _search(g, avail, budget))
+    return _decide_lists(list(range(g.n)), assignment,
+                         lambda avail: _search(g, avail, deadline, 0))
 
 
 def multipartite_list_colorable(parts: tuple[tuple[int, ...], ...], assignment: ListAssignment,
@@ -343,7 +330,7 @@ def multipartite_list_colorable(parts: tuple[tuple[int, ...], ...], assignment: 
     So the root node refutes the lists outright when all of them together
     hold fewer colors than the parts demand in total.  Otherwise the graph
     is built on the parts' vertices, relabelled 0, 1, ... part by part,
-    and _search decides it on the same budget: 1 + its nodes in all.
+    and _search decides it, counting on from the root: 1 + its nodes in all.
     """
     verts = [v for part in parts for v in part]
     if len(set(verts)) != len(verts) or not all(parts):
@@ -354,8 +341,8 @@ def multipartite_list_colorable(parts: tuple[tuple[int, ...], ...], assignment: 
     starts = list(itertools.accumulate(map(len, parts), initial=0))
     spans = list(zip(starts, starts[1:]))
 
-    def decide(avail: list[int], budget: _Budget) -> Optional[list[int]]:
-        budget.tick()
+    def decide(avail: list[int]) -> tuple[Optional[list[int]], int]:
+        _check_deadline(deadline, 1)  # the root is node 1
         need, union = 0, 0
         for a, b in spans:
             common = -1
@@ -364,13 +351,13 @@ def multipartite_list_colorable(parts: tuple[tuple[int, ...], ...], assignment: 
                 common &= m
             need += 1 if common else 2
         if union.bit_count() < need:
-            return None
+            return None, 1
         full, rows = (1 << len(avail)) - 1, []
         for a, b in spans:
             rows += [full ^ ((1 << b) - (1 << a))] * (b - a)
-        return _search(SimpleGraph._from_rows(len(avail), tuple(rows)), avail, budget)
+        return _search(SimpleGraph._from_rows(len(avail), tuple(rows)), avail, deadline, 1)
 
-    return _decide_lists(verts, assignment, deadline, decide)
+    return _decide_lists(verts, assignment, decide)
 
 
 # -- the adversarial assignment and the certificate ---------------------------

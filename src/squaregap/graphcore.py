@@ -139,46 +139,3 @@ def is_complete_multipartite(g: SimpleGraph, parts: tuple[tuple[int, ...], ...])
                 return False
     return True
 
-
-# -- subdivision and total graph ------------------------------------------
-#
-# Both return (graph, labels), labels[x] naming the origin of vertex x.  They
-# place the original vertices first and one vertex per edge after them,
-# edge vertices ordered by lexicographic (u, v) with u < v.  The shared
-# deterministic labeling makes "square of subdivision equals total graph"
-# an exact graph equality rather than an isomorphism search.
-
-VertexKind = tuple[str, object]  # ("vertex", v) or ("edge", (u, v))
-
-
-def _expansion_labels(g: SimpleGraph) -> tuple[list[tuple[int, int]], tuple[VertexKind, ...]]:
-    edge_list = g.edges()
-    labels = tuple(("vertex", v) for v in range(g.n)) + tuple(
-        ("edge", e) for e in edge_list)
-    return edge_list, labels
-
-
-def subdivision(g: SimpleGraph) -> tuple[SimpleGraph, tuple[VertexKind, ...]]:
-    """Replace every edge uv by the path u - m_uv - v through a fresh midpoint."""
-    edge_list, labels = _expansion_labels(g)
-    edges = []
-    for idx, (u, v) in enumerate(edge_list):
-        m = g.n + idx
-        edges.append((u, m))
-        edges.append((v, m))
-    return SimpleGraph.from_edges(g.n + len(edge_list), edges), labels
-
-
-def total_graph(g: SimpleGraph) -> tuple[SimpleGraph, tuple[VertexKind, ...]]:
-    """Vertices plus edges of g; adjacency by vertex-adjacency, edge-adjacency, incidence."""
-    edge_list, labels = _expansion_labels(g)
-    edges = list(g.edges())
-    for idx, (u, v) in enumerate(edge_list):
-        m = g.n + idx
-        edges.append((u, m))
-        edges.append((v, m))
-        for jdx in range(idx + 1, len(edge_list)):
-            x, y = edge_list[jdx]
-            if x in (u, v) or y in (u, v):
-                edges.append((m, g.n + jdx))
-    return SimpleGraph.from_edges(g.n + len(edge_list), edges), labels

@@ -30,14 +30,17 @@ from .graphcore import SimpleGraph, bits, mask_of, square
 class LemmaReport:
     lemma_id: str
     checked_cases: int
-    passed: bool
-    witness: Optional[tuple] = None  # first failing tuple, tagged with its item
     failure_count: int = 0
     item_witnesses: tuple[tuple, ...] = ()  # first witness of each failing item
 
-    def __post_init__(self):
-        if not self.passed and self.witness is None:
-            raise ValueError("failing report must carry a witness")
+    @property
+    def passed(self) -> bool:
+        return self.failure_count == 0
+
+    @property
+    def witness(self) -> Optional[tuple]:
+        """The first failing tuple, tagged with its item, or None."""
+        return self.item_witnesses[0] if self.item_witnesses else None
 
 
 class _Collector:
@@ -67,15 +70,7 @@ class _Collector:
                 self.first.setdefault(witness[0], witness)
 
     def report(self) -> LemmaReport:
-        items = tuple(self.first.values())
-        return LemmaReport(
-            lemma_id=self.lemma_id,
-            checked_cases=self.cases,
-            passed=self.failures == 0,
-            witness=items[0] if items else None,
-            failure_count=self.failures,
-            item_witnesses=items,
-        )
+        return LemmaReport(self.lemma_id, self.cases, self.failures, tuple(self.first.values()))
 
 
 def _one_neighbour_in_each(gc: ConstructedGraph, item: str, xs: tuple[int, ...],
@@ -168,8 +163,7 @@ def _share_at_most_one(col: _Collector, item: str, gc: ConstructedGraph,
     col.passed(good)
 
 
-def check_lemma_nw(gc: ConstructedGraph, sq: Optional[SimpleGraph] = None,
-                   identity: Optional[bool] = None) -> LemmaReport:
+def check_lemma_nw(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
     """Neighborhood facts for w-vertices.
 
     (0) the neighborhood of w_{i,j} is exactly the v-set named by row j
@@ -181,9 +175,8 @@ def check_lemma_nw(gc: ConstructedGraph, sq: Optional[SimpleGraph] = None,
 
     Item (0) is what makes the check sensitive to edges added between
     w-vertices; those leave the square and all intersection counts alone.
-    Item (3) is settled from sq, square(gc.graph) (computed when not
-    given), unless some pair fails; identity is _no_two_w_share_two(gc, sq),
-    computed when not given.
+    sq is square(gc.graph); item (3) is settled from it by
+    _no_two_w_share_two unless some pair fails.
     """
     g = gc.graph
     n, nn = gc.n, gc.n * gc.n
@@ -199,35 +192,25 @@ def check_lemma_nw(gc: ConstructedGraph, sq: Optional[SimpleGraph] = None,
     col.merge(_one_neighbour_in_each(gc, "nw1", q, "P", gc.p_sets),
               _one_neighbour_in_each(gc, "nw2", q, "T", gc.t_sets))
     group_mask = {x: m for qs, m in zip(gc.q_sets, map(mask_of, gc.q_sets)) for x in qs}
-    if sq is None:
-        sq = square(g)
-    if identity is None:
-        identity = _no_two_w_share_two(gc, sq)
-    if identity and not any(sq.adj[x] & m for x, m in group_mask.items()):
+    if _no_two_w_share_two(gc, sq) and not any(sq.adj[x] & m for x, m in group_mask.items()):
         col.passed(comb(len(q), 2))
     else:
         _share_at_most_one(col, "nw3", gc, q, (1 << g.n) - 1, group_mask)
     return col.report()
 
 
-def check_lemma_nv(gc: ConstructedGraph, sq: Optional[SimpleGraph] = None,
-                   identity: Optional[bool] = None) -> LemmaReport:
+def check_lemma_nv(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
     """Neighborhood facts for v-vertices.
 
     (1) every v-vertex has exactly one neighbor in each Q_k,
     (2) two distinct v-vertices share at most one w-neighbor.
 
-    Item (2) is settled from sq, square(gc.graph) (computed when not
-    given), unless some pair fails; identity is as for check_lemma_nw.
+    sq is square(gc.graph); item (2) is settled from it as in check_lemma_nw.
     """
     col = _Collector("nv")
     p = gc.p_vertices
     col.merge(_one_neighbour_in_each(gc, "nv1", p, "Q", gc.q_sets))
-    if sq is None:
-        sq = square(gc.graph)
-    if identity is None:
-        identity = _no_two_w_share_two(gc, sq)
-    if identity:
+    if _no_two_w_share_two(gc, sq):
         col.passed(comb(len(p), 2))
     else:
         _share_at_most_one(col, "nv2", gc, p, mask_of(gc.q_vertices), {})
@@ -297,14 +280,19 @@ def check_square_structure(sq: SimpleGraph, gc: ConstructedGraph
     return parts, col.report()
 
 
+# Each check by its CLI selector name.  The functions are named, not held, so that
+# run_check finds them when called: the bench tracer rebinds the module's names.
+LEMMAS = {"nw": "check_lemma_nw", "nv": "check_lemma_nv", "independence": "check_independence",
+          "pq": "check_pq_adjacency", "structure": "check_square_structure"}
+
+
+def run_check(lemma: str, sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
+    """The report of the check LEMMAS names lemma; sq is square(gc.graph)."""
+    result = globals()[LEMMAS[lemma]](sq, gc)
+    return result[1] if lemma == "structure" else result
+
+
 def run_all_checks(gc: ConstructedGraph) -> dict[str, LemmaReport]:
     """All five lemma checks keyed by their CLI selector names."""
     sq = square(gc.graph)
-    identity = _no_two_w_share_two(gc, sq)
-    return {
-        "nw": check_lemma_nw(gc, sq, identity),
-        "nv": check_lemma_nv(gc, sq, identity),
-        "independence": check_independence(sq, gc),
-        "pq": check_pq_adjacency(sq, gc),
-        "structure": check_square_structure(sq, gc)[1],
-    }
+    return {lemma: run_check(lemma, sq, gc) for lemma in LEMMAS}

@@ -6,10 +6,11 @@ exist to disagree with the fast code, not to replace it.
 """
 
 import itertools
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
+from squaregap import coloring
 from squaregap.errors import CapacityError
 from squaregap.graphcore import SimpleGraph, bits, mask_of
 
@@ -173,8 +174,52 @@ def random_graph(rng, n: int, p: float) -> SimpleGraph:
     return SimpleGraph.from_edges(n, edges)
 
 
-def rescan_search(g: SimpleGraph, avail: list[int], budget,
-                  clique: Iterable[int] = (), opened: int = -1) -> Optional[list[int]]:
+# -- subdivision and total graph ------------------------------------------
+#
+# Both return (graph, labels), labels[x] naming the origin of vertex x.  They
+# place the original vertices first and one vertex per edge after them,
+# edge vertices ordered by lexicographic (u, v) with u < v.  The shared
+# deterministic labeling makes "square of subdivision equals total graph"
+# an exact graph equality rather than an isomorphism search.
+
+VertexKind = tuple[str, object]  # ("vertex", v) or ("edge", (u, v))
+
+
+def _expansion_labels(g: SimpleGraph) -> tuple[list[tuple[int, int]], tuple[VertexKind, ...]]:
+    edge_list = g.edges()
+    labels = tuple(("vertex", v) for v in range(g.n)) + tuple(
+        ("edge", e) for e in edge_list)
+    return edge_list, labels
+
+
+def subdivision(g: SimpleGraph) -> tuple[SimpleGraph, tuple[VertexKind, ...]]:
+    """Replace every edge uv by the path u - m_uv - v through a fresh midpoint."""
+    edge_list, labels = _expansion_labels(g)
+    edges = []
+    for idx, (u, v) in enumerate(edge_list):
+        m = g.n + idx
+        edges.append((u, m))
+        edges.append((v, m))
+    return SimpleGraph.from_edges(g.n + len(edge_list), edges), labels
+
+
+def total_graph(g: SimpleGraph) -> tuple[SimpleGraph, tuple[VertexKind, ...]]:
+    """Vertices plus edges of g; adjacency by vertex-adjacency, edge-adjacency, incidence."""
+    edge_list, labels = _expansion_labels(g)
+    edges = list(g.edges())
+    for idx, (u, v) in enumerate(edge_list):
+        m = g.n + idx
+        edges.append((u, m))
+        edges.append((v, m))
+        for jdx in range(idx + 1, len(edge_list)):
+            x, y = edge_list[jdx]
+            if x in (u, v) or y in (u, v):
+                edges.append((m, g.n + jdx))
+    return SimpleGraph.from_edges(g.n + len(edge_list), edges), labels
+
+
+def rescan_search(g: SimpleGraph, avail: list[int], deadline: Optional[float],
+                  nodes: int) -> tuple[Optional[list[int]], int]:
     """DSATUR-style backtracking (Brelaz, CACM 1979) on an explicit stack.
 
     coloring._search without its count buckets and color masks: every node
@@ -182,50 +227,42 @@ def rescan_search(g: SimpleGraph, avail: list[int], budget,
     and forward checks its neighbors one by one.  Both must pick the same
     vertices, so they agree on every coloring and node count.
 
-    avail[v] (consumed) is the mask of colors v may still take; clique is
-    pre-colored 0, 1, 2, ... in order.  The most constrained uncolored vertex
-    goes first (ties by index), its colors ascending, one budget tick each,
-    with forward checking: a neighbor left with no color fails the branch.
-    opened masks the colors a vertex may take, -1 for list coloring; for
-    interchangeable colors pass the used ones plus one, and each color tried
-    opens the next.  Returns the coloring or None.
+    avail[v] (consumed) is the mask of colors v may still take.  The most
+    constrained uncolored vertex goes first (ties by index), its colors
+    ascending, one node each, with forward checking: a neighbor left with
+    no color fails the branch.  The count goes on from nodes, and the
+    deadline is checked by coloring._check_deadline.  Returns (the coloring
+    or None, the count at the end).
     """
     nbrs: list[Optional[list[int]]] = [None] * g.n  # filled when a vertex is first branched on
     # More set bits than any list and no color bit: a colored vertex is never
     # the most constrained one and never loses a color to forward checking.
     done = ((2 << max(map(int.bit_count, avail), default=0)) - 1
             << max(map(int.bit_length, avail), default=0))
-    colors = [-1] * g.n
-    for c, v in enumerate(clique):
-        colors[v] = c
-        avail[v] = done
-        for u in bits(g.adj[v]):
-            avail[u] &= ~(1 << c)
-    left = colors.count(-1)
-    # frame: [vertex, its mask, colors not yet tried, opened, color tried, touched]
+    left = g.n
+    # frame: [vertex, its mask, colors not yet tried, color tried, touched]
     stack: list[list] = []
     descend = True
     while True:
         if descend:
             if not left:
-                for v, _, _, _, low, _ in stack:
+                colors = [0] * g.n
+                for v, _, _, low, _ in stack:
                     colors[v] = low.bit_length() - 1
-                return colors
+                return colors, nodes
             counts = list(map(int.bit_count, avail))
             fewest = min(counts)
             if fewest:
                 v = counts.index(fewest)
-                if stack:  # the root frame takes the caller's opened
-                    opened = stack[-1][3] | (stack[-1][4] << 1)
-                stack.append([v, avail[v], avail[v] & opened, opened, 0, ()])
+                stack.append([v, avail[v], avail[v], 0, ()])
                 if nbrs[v] is None:
                     nbrs[v] = list(bits(g.adj[v]))
                 avail[v] = done
                 left -= 1
         if not stack:
-            return None
+            return None, nodes
         frame = stack[-1]
-        v, own, untried, _, low, touched = frame
+        v, own, untried, low, touched = frame
         for u in touched:
             avail[u] |= low
         if not untried:
@@ -235,7 +272,8 @@ def rescan_search(g: SimpleGraph, avail: list[int], budget,
             descend = False
             continue
         low = untried & -untried
-        budget.tick()
+        nodes += 1
+        coloring._check_deadline(deadline, nodes)
         touched = []
         descend = True
         for u in nbrs[v]:
@@ -247,8 +285,8 @@ def rescan_search(g: SimpleGraph, avail: list[int], budget,
                     descend = False
                     break
         frame[2] = untried ^ low
-        frame[4] = low
-        frame[5] = touched
+        frame[3] = low
+        frame[4] = touched
 
 
 # -- writers over a sorted pair list ------------------------------------------

@@ -18,6 +18,8 @@ from oracles import (
     induced_subgraph,
     random_graph,
     square_oracle,
+    subdivision,
+    total_graph,
 )
 from squaregap.cli import main as cli_main
 from squaregap.coloring import (
@@ -28,7 +30,7 @@ from squaregap.coloring import (
     validate_coloring,
 )
 from squaregap.construction import construct_counterexample
-from squaregap.graphcore import SimpleGraph, square, subdivision, total_graph
+from squaregap.graphcore import SimpleGraph, square
 from squaregap.latin import are_orthogonal, build_latin, build_mols_family, is_latin
 from squaregap.verification import run_all_checks
 

@@ -223,20 +223,16 @@ ORACLE_NODE_CAP = 4096  # both engines stop at this node, with the same count
 
 
 def run_engine(search, g, avail, start):
-    """(coloring or None or "stopped", nodes) of one search from a budget at start nodes.
+    """(coloring or None or "stopped", nodes) of one search counting on from start nodes.
 
     The deadline has passed already, so the stride, patched to the cap, stops
     both engines at the same node of a long search.
     """
-    budget = coloring._Budget(-math.inf)
-    budget.nodes = start
     with mock.patch.object(coloring, "_DEADLINE_STRIDE", ORACLE_NODE_CAP):
         try:
-            result = search(g, list(avail), budget)
+            return search(g, list(avail), -math.inf, start)
         except SearchBudgetExceeded as exc:
-            assert exc.nodes == budget.nodes
-            result = "stopped"
-    return result, budget.nodes
+            return "stopped", exc.nodes
 
 
 def assert_engines_agree(g, avail, start=0):

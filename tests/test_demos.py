@@ -39,39 +39,58 @@ def test_cli_import_leaves_numpy_out():
 
 
 TRACED_RUN = """
-import contextlib, io, json, sys
+import collections, contextlib, io, json, sys
 from squaregap import cli, serialize
 sys.path.insert(0, "bench")
 import spans
 tracer = spans.Tracer()
-tracer.install()
 tmp = sys.argv[1]
 with open(f"{tmp}/g.col", "w") as fh:
     fh.write("p edge 2 1\\ne 1 2\\n")
 with open(f"{tmp}/lists.json", "w") as fh:
     fh.write('{"universe": [1, 2], "lists": {"0": [1, 2], "1": [1, 2]}}')
-runs = [["verify", "--n", "3"], ["certify", "--n", "3"],
-        ["construct", "--n", "3", "--output", f"{tmp}/g.json"],
-        ["solve-list", "--graph", f"{tmp}/g.col", "--lists", f"{tmp}/lists.json"]]
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    codes = [cli.main(argv) for argv in runs]
+solve = ["solve-list", "--graph", f"{tmp}/g.col", "--lists", f"{tmp}/lists.json"]
+runs = [["verify", "--n", "3"], ["verify", "--n", "3", "--lemma", "nw"], ["certify", "--n", "3"],
+        ["construct", "--n", "3", "--output", f"{tmp}/g.json"], solve]
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv), out.getvalue()
+
+untraced = json.loads(run(solve)[1])["nodes"]
+tracer.install()
+done = []
+for argv in runs:
+    first, before = len(tracer.spans), collections.Counter(tracer.counts)
+    code, out = run(argv)
+    done.append({"code": code, "stdout": out, "counts": tracer.counts - before,
+                 "spans": sorted({s[0] for s in tracer.spans[first:]})})
 with open(f"{tmp}/g.json") as fh:
     serialize.parse_graph_json(fh.read())
-print(json.dumps({"codes": codes, "counts": tracer.counts}))
+print(json.dumps({"runs": done, "counts": tracer.counts, "untraced_nodes": untraced}))
 """
+CHECKS = ("check_lemma_nw", "check_lemma_nv", "check_independence", "check_pq_adjacency",
+          "check_square_structure")
 
 
 def test_the_bench_tracer_reads_every_hooked_result(tmp_path):
     # spans._observe reads the return shapes of the checks, solvers, writers
     # and readers it wraps; a changed shape would otherwise surface only in
-    # a traced bench run
+    # a traced bench run.  Each check must get a span, which a table of the
+    # checks built at import (before the tracer rebinds them) would miss.
     proc = run_python("-c", TRACED_RUN, str(tmp_path))
     assert proc.returncode == 0, proc.stderr[-2000:]
     got = json.loads(proc.stdout)
-    assert got["codes"] == [0, 0, 0, 0]
+    verify_all, verify_nw, _, _, solve = got["runs"]
+    assert [r["code"] for r in got["runs"]] == [0, 0, 0, 0, 0]
     for count in ("verification.cases", "coloring.nodes", "serialize.bytes_written",
                   "serialize.bytes_read"):
         assert got["counts"].get(count, 0) > 0, count
+    assert {f"verification.{name}" for name in CHECKS} <= set(verify_all["spans"])
+    assert "verification.check_lemma_nw" in verify_nw["spans"]
+    traced_nodes = json.loads(solve["stdout"])["nodes"]
+    assert traced_nodes == got["untraced_nodes"] == solve["counts"]["coloring.nodes"]
 
 
 def test_the_readme_library_tour_runs_as_written():

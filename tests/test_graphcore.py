@@ -10,6 +10,8 @@ from oracles import (
     is_clique,
     random_graph,
     square_oracle,
+    subdivision,
+    total_graph,
 )
 from squaregap.errors import CapacityError
 from squaregap.graphcore import (
@@ -17,8 +19,6 @@ from squaregap.graphcore import (
     bits,
     is_complete_multipartite,
     square,
-    subdivision,
-    total_graph,
 )
 
 

@@ -16,7 +16,7 @@ PUBLIC = [
     "check_square_structure", "chromatic_number_exact", "construct_counterexample",
     "greedy_clique", "is_complete_multipartite", "is_latin",
     "is_list_colorable", "multipartite_list_colorable", "require_prime",
-    "run_all_checks", "serialize", "square", "subdivision", "total_graph",
+    "run_all_checks", "serialize", "square",
     "validate_coloring", "vetrik_assignment", "vetrik_lower_bound",
 ]
 

@@ -7,7 +7,7 @@ from oracles import pairs_to_dimacs, pairs_to_dot, pairs_to_json_dict
 from squaregap import serialize
 from squaregap.coloring import ListAssignment, certify_gap
 from squaregap.construction import construct_counterexample
-from squaregap.graphcore import SimpleGraph
+from squaregap.graphcore import SimpleGraph, square
 from squaregap.verification import check_lemma_nw
 
 
@@ -251,7 +251,7 @@ def test_parse_lists_json_rejects_missing_fields():
 
 def test_report_json():
     gc = construct_counterexample(3)
-    doc = serialize.report_to_json_dict(check_lemma_nw(gc))
+    doc = serialize.report_to_json_dict(check_lemma_nw(square(gc.graph), gc))
     assert doc == {"lemma_id": "nw", "checked_cases": 57, "passed": True,
                    "witness": None, "failure_count": 0}
 

@@ -10,7 +10,6 @@ from squaregap.construction import construct_counterexample
 from squaregap import verification
 from squaregap.graphcore import SimpleGraph, bits, square
 from squaregap.verification import (
-    LemmaReport,
     check_independence,
     check_lemma_nv,
     check_lemma_nw,
@@ -54,7 +53,7 @@ def test_the_square_settles_the_pair_items_without_a_walk(n, monkeypatch):
     monkeypatch.setattr(verification, "_no_two_w_share_two", counted)
     reports = run_all_checks(construct_counterexample(n))
     assert reports["nw"].passed and reports["nv"].passed
-    assert identities == [True]  # one count serves both pair lemmas
+    assert identities == [True, True]  # each pair lemma reads the count itself
 
 
 def test_structure_witness_shape():
@@ -68,15 +67,16 @@ def test_structure_witness_shape():
 
 def test_nw_case_count_at_n3():
     # 6 neighborhood equations + 6*3 row counts + 6*3 column counts + 15 pairs
-    report = check_lemma_nw(construct_counterexample(3))
+    gc = construct_counterexample(3)
+    report = check_lemma_nw(square(gc.graph), gc)
     assert report.checked_cases == 57
 
 
 def test_nv_and_pq_case_counts_at_n3():
     gc = construct_counterexample(3)
-    # 9 vertices * 2 groups + C(9,2) shared-neighbor pairs
-    assert check_lemma_nv(gc).checked_cases == 18 + 36
     sq = square(gc.graph)
+    # 9 vertices * 2 groups + C(9,2) shared-neighbor pairs
+    assert check_lemma_nv(sq, gc).checked_cases == 18 + 36
     assert check_pq_adjacency(sq, gc).checked_cases == 9 * 6
     assert check_independence(sq, gc).checked_cases == 5
 
@@ -108,7 +108,8 @@ def test_deleted_star_edge_is_caught_by_nw():
     gc = construct_counterexample(3)
     w = gc.w_index(1, 1)
     v = next(bits(gc.graph.adj[w]))
-    report = check_lemma_nw(toggled(gc, w, v))
+    mutant = toggled(gc, w, v)
+    report = check_lemma_nw(square(mutant.graph), mutant)
     assert not report.passed
     assert report.witness is not None
     assert report.failure_count > 0
@@ -120,7 +121,8 @@ def test_spurious_star_edge_is_caught_by_nv():
     # v_1_2 two neighbors in Q_1
     w, v = gc.w_index(1, 1), gc.v_index(1, 2)
     assert not gc.graph.adj[w] >> v & 1
-    assert not check_lemma_nv(toggled(gc, w, v)).passed
+    mutant = toggled(gc, w, v)
+    assert not check_lemma_nv(square(mutant.graph), mutant).passed
 
 
 def test_w_w_edge_is_caught_by_neighborhood_equation():
@@ -128,7 +130,7 @@ def test_w_w_edge_is_caught_by_neighborhood_equation():
     # square untouched; only the exact-neighborhood item notices
     gc = construct_counterexample(3)
     mutated = toggled(gc, gc.w_index(1, 1), gc.w_index(2, 2))
-    report = check_lemma_nw(mutated)
+    report = check_lemma_nw(square(mutated.graph), mutated)
     assert not report.passed
     assert report.witness[0] == "nw0"
     assert square(mutated.graph) == square(gc.graph)
@@ -150,15 +152,10 @@ def test_reports_collect_all_failures():
     mutated = gc
     for v in neighbors:  # isolate w_1_1 entirely
         mutated = toggled(mutated, w, v)
-    report = check_lemma_nw(mutated)
+    report = check_lemma_nw(square(mutated.graph), mutated)
     assert not report.passed
     assert report.failure_count >= 3  # every row count broken, at least
     assert len(report.item_witnesses) >= 2  # nw0 and nw1 both report
-
-
-def test_failing_report_requires_witness():
-    with pytest.raises(ValueError):
-        LemmaReport(lemma_id="x", checked_cases=1, passed=False)
 
 
 def test_every_single_edge_mutation_is_caught():
@@ -175,9 +172,10 @@ def pair_lemma_reports(mutant):
     """{(lemma, caller): (checked_cases, failure_count, witness, item_witnesses)}
     for nw and nv, from run_all_checks (as verify --lemma all) and alone."""
     everything = run_all_checks(mutant)
+    sq = square(mutant.graph)
     out = {}
     for name, check in (("nw", check_lemma_nw), ("nv", check_lemma_nv)):
-        for caller, r in (("all", everything[name]), ("alone", check(mutant))):
+        for caller, r in (("all", everything[name]), ("alone", check(sq, mutant))):
             out[name, caller] = (r.checked_cases, r.failure_count, r.witness, r.item_witnesses)
     return out
 
@@ -281,7 +279,7 @@ def test_nv2_counts_only_shared_w_neighbours():
     x, y = gc.v_index(1, 1), gc.v_index(2, 1)
     ws = [w for w in bits(gc.graph.adj[x]) if w in gc.q_vertices][:2]
     mutant = edited(gc, add=[(w, y) for w in ws])
-    r = check_lemma_nv(mutant)
+    r = check_lemma_nv(square(mutant.graph), mutant)
     assert (r.checked_cases, r.failure_count, r.witness, r.item_witnesses) == \
         neighbourhood_reports_by_walk(mutant)["nv"]
     assert ("nv2", "v_1_1", "v_2_1", 2) in r.item_witnesses
