@@ -19,7 +19,7 @@ from squaregap import (
 def main():
     for n in (3, 5, 7):
         gc = construct_counterexample(n)
-        sq = square(gc.graph)
+        sq = square(gc.graph, n)  # walks one row per P_k and Q_i, as verify does
         parts, _ = check_square_structure(sq, gc)
         ok = is_complete_multipartite(sq, parts)
         print(f"n={n}: square has {sq.n} vertices, {sq.edge_count} edges; "

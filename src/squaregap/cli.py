@@ -112,7 +112,7 @@ def _cmd_construct(args) -> tuple[str, str]:
 
 def _cmd_verify(args) -> tuple[str, str]:
     gc = construct_counterexample(args.n)
-    sq = square(gc.graph)
+    sq = square(gc.graph, gc.n)
     lemmas = verification.LEMMAS if args.lemma == "all" else (args.lemma,)
     reports = {lemma: verification.run_check(lemma, sq, gc) for lemma in lemmas}
     all_passed = all(r.passed for r in reports.values())

@@ -429,7 +429,7 @@ def certify_gap(n: int, budget_seconds: Optional[float] = None) -> GapCertificat
 
     gc = construct_counterexample(n)
     reached("construct")
-    sq = square(gc.graph)
+    sq = square(gc.graph, gc.n)
     reached("square")
     parts, report = check_square_structure(sq, gc)
     if not report.passed:

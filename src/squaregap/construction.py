@@ -5,12 +5,20 @@ P_1..P_n and into columns T_1..T_n, plus n(n-1) "w" vertices grouped
 into Q_1..Q_{n-1}.  Each column T_j is a clique, and w_{i,j} is joined
 to the v-vertices named by row j of the i-th Latin square: one neighbor
 in every P_k and one in every T_k.
+
+Since entry (j, k) of the i-th square is j + i(k-1) mod n, shifting every
+position by one (v_{k,c} to v_{k,c+1}, w_{i,j} to w_{i,j+1}, mod n) maps
+the graph onto itself.  With vertices numbered in blocks of n, one block
+per P_k and per Q_i, that shift rotates every block up by one, so the bit
+rows are built in closed form for position 1 of each block and rotated
+(graphcore.rotated_rows) into the rest.  The Latin squares are built
+separately, by latin.build_mols_family, so verify's nw0 compares the
+rows with the squares rather than with themselves.
 """
 
 from dataclasses import dataclass
-from operator import add
 
-from .graphcore import SimpleGraph, mask_of
+from .graphcore import SimpleGraph, mask_of, rotated_rows
 from .latin import LatinSquare, build_mols_family
 
 
@@ -61,30 +69,22 @@ def part_sets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             tuple(tuple(range(j, nn, n)) for j in range(n)))
 
 
-def _w_neighbours(n: int, latin_rows: list[tuple[int, ...]]) -> list[list[int]]:
-    """Each v-vertex's w-neighbours, ascending: the Latin rows transposed.
-
-    w_{i,j} is vertex nn + (i-1)n + (j-1), so the w's follow the rows of the
-    squares in order, and entry x at position k names v_{k,x} = (k-1)n + x - 1.
-    """
-    nn = n * n
-    out: list[list[int]] = [[] for _ in range(nn)]
-    for w, row in enumerate(latin_rows, start=nn):
-        for base, x in zip(range(-1, nn, n), row):  # base = (k-1)n - 1
-            out[base + x].append(w)
-    return out
-
-
 def counterexample_upper(n: int) -> list[list[int]]:
     """construct_counterexample(n).graph.upper(), built with no bit row.
 
     Every neighbour above a v is a later v of its column or a w, and a w
     has none: so v's upper row is range(v + n, n^2, n) followed by its
-    w-neighbours, both ascending, and each w's upper row is empty.
+    w-neighbours, both ascending, and each w's upper row is empty.  The
+    w-neighbours come from the Latin rows transposed: w_{i,j} is vertex
+    n^2 + (i-1)n + (j-1), so the w's follow the rows of the squares in
+    order, and entry x at position k names v_{k,x} = (k-1)n + x - 1.
     """
     nn = n * n
-    latin_rows = [row for sq in build_mols_family(n) for row in sq.entries]
-    out = [[*range(v + n, nn, n), *ws] for v, ws in enumerate(_w_neighbours(n, latin_rows))]
+    out = [[*range(v + n, nn, n)] for v in range(nn)]
+    latin_rows = (row for sq in build_mols_family(n) for row in sq.entries)
+    for w, row in enumerate(latin_rows, start=nn):
+        for base, x in zip(range(-1, nn, n), row):  # base = (k-1)n - 1
+            out[base + x].append(w)
     out += [[] for _ in range(nn - n)]
     return out
 
@@ -94,21 +94,20 @@ def construct_counterexample(n: int) -> ConstructedGraph:
 
     Edge set is the union of the Latin-row stars (each w_{i,j} to the
     v-vertices on row j of square i) and the column cliques T_1..T_n.
-    A w's row is the mask of its Latin row and a v's row is its column
-    clique without itself plus its w-neighbours: symmetric and loop-free.
-    The transposition is dropped before the labels are built, so it never
-    adds to the graph's footprint.
+    In 0-based terms w(i, j) ~ v(k, j + ik mod n).  So v(k, 0)'s row is
+    column 0 without itself plus w(i, -ik mod n) for each i, w(i, 0)'s row
+    is v(k, ik mod n) for each k, and rotating a block's first row gives
+    the others: symmetric and loop-free.
     """
-    squares = build_mols_family(n)
+    squares = build_mols_family(n)  # rejects every n but a prime >= 3
     nn = n * n
-    latin_rows = [row for sq in squares for row in sq.entries]
     column = mask_of(range(0, nn, n))
-    w_nbrs = _w_neighbours(n, latin_rows)
-    rows = [(column << v % n) & ~(1 << v) | mask_of(ws) for v, ws in enumerate(w_nbrs)]
-    del w_nbrs
-    rows += [mask_of(map(add, range(-1, nn, n), row)) for row in latin_rows]
-    graph = SimpleGraph._from_rows(2 * nn - n, tuple(rows))
+    firsts = [column & ~(1 << k * n)
+              | mask_of(nn + (i - 1) * n + (-i * k) % n for i in range(1, n)) for k in range(n)]
+    firsts += [mask_of(k * n + i * k % n for k in range(n)) for i in range(1, n)]
+    count = 2 * nn - n
+    rows = tuple(rotated_rows(firsts, count, n))
     p_sets, q_sets, t_sets = part_sets(n)
-    return ConstructedGraph(n=n, graph=graph, labels=tuple(vertex_names(n)), p_sets=p_sets,
-                            q_sets=q_sets, t_sets=t_sets, squares=squares)
-
+    return ConstructedGraph(n=n, graph=SimpleGraph._from_rows(count, rows),
+                            labels=tuple(vertex_names(n)), p_sets=p_sets, q_sets=q_sets,
+                            t_sets=t_sets, squares=squares)

@@ -10,9 +10,19 @@ range, self-loops and symmetry.  from_edges checks each edge instead and
 sets both bits, and square() and construction.construct_counterexample
 build symmetric, loop-free rows by construction, so these builders store
 their rows unchecked.
+
+Rows can also come from a symmetry.  block_rotation(n, b) rotates every
+b-bit block of a row up by one, which on adjacency rows sends each vertex
+to the next one of its block (the last to the first), and rotated_rows
+expands the first row of each block into the whole block with it.
+square(g, b) trusts that only after checking, on every row, that the
+rotation of adj[u] is the row of u's image: then the rotation is an
+automorphism of g, hence of g's square, and only the first row of each
+block is walked.
 """
 
-from typing import Iterable, Iterator
+from operator import eq
+from typing import Callable, Iterable, Iterator
 
 from .errors import clip
 
@@ -103,22 +113,60 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, m={self.edge_count})"
 
 
-def square(g: SimpleGraph) -> SimpleGraph:
-    """The distance-<=2 power: u ~ v iff adjacent or sharing a neighbor in g."""
-    adj = g.adj
-    rows = []
-    for u, row in enumerate(adj):
-        # str.find over bin(row) reads the set bits about twice as fast as
-        # bits() on long rows; bit v of the row is s[len(s) - 1 - v]
-        s = bin(row)
-        top = len(s) - 1
-        reach = row
-        i = s.find("1", 2)
-        while i != -1:
-            reach |= adj[top - i]
-            i = s.find("1", i + 1)
-        rows.append(reach & ~(1 << u))
-    return SimpleGraph._from_rows(g.n, tuple(rows))
+def block_rotation(n: int, block: int) -> Callable[[int], int]:
+    """The map taking an n-bit row to the row with every block-bit block
+    rotated up by one: bit b*block + c moves to b*block + (c + 1) % block.
+
+    On adjacency rows this is the vertex map u -> u + 1 within u's block.
+    Requires block >= 1 dividing n.
+    """
+    low = mask_of(range(0, n, block))  # bit 0 of each block
+    keep = ((1 << n) - 1) & ~low
+    shift = block - 1
+    return lambda m: (m << 1) & keep | (m >> shift) & low
+
+
+def rotated_rows(firsts: Iterable[int], n: int, block: int) -> Iterator[int]:
+    """Each n-bit row of firsts followed by its block - 1 successive
+    block_rotation(n, block) images: n // block rows give all n rows."""
+    rotate = block_rotation(n, block)
+    for row in firsts:
+        yield row
+        for _ in range(block - 1):
+            row = rotate(row)
+            yield row
+
+
+def _reach(adj: tuple[int, ...], u: int) -> int:
+    """u's row of the square: u's neighbours and theirs, without u."""
+    row = adj[u]
+    # str.find over bin(row) reads the set bits about twice as fast as
+    # bits() on long rows; bit v of the row is s[len(s) - 1 - v]
+    s = bin(row)
+    top = len(s) - 1
+    reach = row
+    i = s.find("1", 2)
+    while i != -1:
+        reach |= adj[top - i]
+        i = s.find("1", i + 1)
+    return reach & ~(1 << u)
+
+
+def square(g: SimpleGraph, block: int = 0) -> SimpleGraph:
+    """The distance-<=2 power: u ~ v iff adjacent or sharing a neighbor in g.
+
+    With block > 1 dividing g.n, the rotation of each block of that many
+    vertices (block_rotation) is checked first: if it maps every row adj[u]
+    to adj[u + 1 within u's block], it is an automorphism of g and of its
+    square, so only the first row of each block is walked and the rest are
+    its rotations.  Otherwise every row is walked.  Either way the result
+    is the same.
+    """
+    n, adj = g.n, g.adj
+    if 1 < block and n % block == 0 and all(map(eq, rotated_rows(adj[::block], n, block), adj)):
+        firsts = (_reach(adj, u) for u in range(0, n, block))
+        return SimpleGraph._from_rows(n, tuple(rotated_rows(firsts, n, block)))
+    return SimpleGraph._from_rows(n, tuple(_reach(adj, u) for u in range(n)))
 
 
 def is_complete_multipartite(g: SimpleGraph, parts: tuple[tuple[int, ...], ...]) -> bool:

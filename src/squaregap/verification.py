@@ -294,5 +294,5 @@ def run_check(lemma: str, sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
 
 def run_all_checks(gc: ConstructedGraph) -> dict[str, LemmaReport]:
     """All five lemma checks keyed by their CLI selector names."""
-    sq = square(gc.graph)
+    sq = square(gc.graph, gc.n)
     return {lemma: run_check(lemma, sq, gc) for lemma in LEMMAS}

@@ -150,7 +150,7 @@ def test_rows_match_their_pinned_digest(n):
     assert digest == ROW_DIGESTS[n]
 
 
-@pytest.mark.parametrize("n", PRIMES_TO_31)
+@pytest.mark.parametrize("n", PRIMES_TO_31 + [61])
 def test_rows_pass_the_checked_constructor(n):
     # symmetric, loop-free and in range, though construction stores them unchecked
     g = construct_counterexample(n).graph

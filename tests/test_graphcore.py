@@ -1,7 +1,9 @@
+import contextlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     bfs_square,
@@ -13,13 +15,18 @@ from oracles import (
     subdivision,
     total_graph,
 )
+from squaregap import graphcore
+from squaregap.construction import construct_counterexample
 from squaregap.errors import CapacityError
 from squaregap.graphcore import (
     SimpleGraph,
     bits,
+    block_rotation,
     is_complete_multipartite,
     square,
 )
+
+PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 def path(n):
@@ -114,6 +121,88 @@ def test_square_three_ways_on_random_graphs():
         fast = square(g)
         assert fast == square_oracle(g), f"trial {trial}"
         assert fast == bfs_square(g), f"trial {trial}"
+
+
+@contextlib.contextmanager
+def walks():
+    """Collects, in order, the vertices whose rows square() walks while open."""
+    seen = []
+    walk = graphcore._reach
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphcore, "_reach", lambda adj, u: seen.append(u) or walk(adj, u))
+        yield seen
+
+
+def test_block_rotation_moves_each_bit_up_within_its_block():
+    rotate = block_rotation(6, 3)
+    assert [rotate(1 << u) for u in range(6)] == [1 << v for v in (1, 2, 0, 4, 5, 3)]
+    assert rotate(0b110_011) == 0b101_110
+    assert block_rotation(5, 5)(0b10001) == 0b00011
+
+
+@pytest.mark.parametrize("n", PRIMES_TO_31 + [61])
+def test_square_by_blocks_on_constructed_graphs(n):
+    g = construct_counterexample(n).graph
+    with walks() as seen:
+        fast = square(g, n)
+    assert len(seen) == 2 * n - 1 and seen == list(range(0, g.n, n))
+    assert fast == square(g)
+
+
+def tampered(g, u, v):
+    """g with the edge uv removed if present, else added."""
+    edges = set(g.edges())
+    return SimpleGraph.from_edges(g.n, edges ^ {(min(u, v), max(u, v))})
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_square_by_blocks_falls_back_on_a_tampered_graph(n):
+    # one edge more or less breaks the rotation symmetry: every row is walked
+    rng = random.Random(n)
+    g = construct_counterexample(n).graph
+    edge = rng.choice(g.edges())
+    non_edge = rng.choice([(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                           if not g.adj[u] >> v & 1])
+    for u, v in (edge, non_edge):
+        h = tampered(g, u, v)
+        with walks() as seen:
+            fast = square(h, n)
+        assert len(seen) == h.n == 2 * n * n - n
+        assert fast == square(h) == bfs_square(h)
+
+
+@pytest.mark.parametrize("block", [0, 1, 2, 4, 6, 12, 13, -3])
+def test_square_by_blocks_any_block_size(block):
+    # 2, 4, 6 and 12 divide 12: the cycle is invariant only under the
+    # rotation of one 12-vertex block; 0, 1, 13 and -3 walk every row
+    for g in (cycle(12), path(12), complete(12), SimpleGraph(12, (0,) * 12)):
+        assert square(g, block) == square(g), (g, block)
+
+
+def test_square_by_blocks_walks_one_row_of_a_cycle():
+    with walks() as seen:
+        fast = square(cycle(12), 12)
+    assert seen == [0]
+    assert fast == square(cycle(12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(count=st.integers(1, 4), block=st.integers(2, 7), data=st.data())
+def test_square_by_blocks_on_rotation_invariant_graphs(count, block, data):
+    # random base edges, each closed under the block rotation: the fast path runs
+    n = count * block
+    base = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n))
+
+    def shifted(u, t):
+        return u - u % block + (u + t) % block
+
+    edges = {(shifted(u, t), shifted(v, t)) for u, v in base if u != v for t in range(block)}
+    g = SimpleGraph.from_edges(n, edges)
+    with walks() as seen:
+        fast = square(g, block)
+    assert seen == list(range(0, n, block))
+    assert fast == square(g) == bfs_square(g)
 
 
 def test_square_oracle_capacity_guard():
