@@ -14,16 +14,16 @@ def show_family(n):
     print(f"order {n}: {len(family)} squares")
     for i, sq in enumerate(family, start=1):
         print(f"\nL_{i} (slope {i})")
-        for row in sq.entries:
+        for row in sq:
             print("  " + " ".join(f"{x:2d}" for x in row))
     return family
 
 
 def show_superposition(a, b):
     """Print the ordered pairs; orthogonality means no pair repeats."""
-    n = a.order
+    n = len(a)
     print("\nsuperposition of L_1 and L_2:")
-    rows = list(zip(a.entries, b.entries))
+    rows = list(zip(a, b))
     for ra, rb in rows:
         print("  " + " ".join(f"({x},{y})" for x, y in zip(ra, rb)))
     pairs = {pair for ra, rb in rows for pair in zip(ra, rb)}
@@ -42,7 +42,7 @@ def main():
             if x == y:
                 row.append(".")
             else:
-                orthogonal = are_orthogonal(family[x].entries, family[y].entries)
+                orthogonal = are_orthogonal(family[x], family[y])
                 row.append("+" if orthogonal else "!")
         print("  " + " ".join(row))
 

@@ -15,7 +15,6 @@ cross-check.
 
 from .errors import CapacityError, SearchBudgetExceeded
 from .latin import (
-    LatinSquare,
     are_orthogonal,
     build_latin,
     build_mols_family,

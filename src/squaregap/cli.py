@@ -52,13 +52,13 @@ def _budget_seconds(text: str) -> float:
 
 
 def _order(text: str) -> int:
-    """argparse type for --n: an integer whose 2n^2 - n vertex graph is within
-    serialize.MAX_INPUT_VERTICES, checked before any primality test or allocation."""
+    """argparse type for --n: an integer whose 2n^2 - n vertex graph, if n > 0, is
+    within serialize.MAX_INPUT_VERTICES, checked before any primality test or allocation."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {clip(text)}") from None
-    if 2 * value * value - value > serialize.MAX_INPUT_VERTICES:
+    if value > 0 and 2 * value * value - value > serialize.MAX_INPUT_VERTICES:
         raise argparse.ArgumentTypeError(
             f"the graph for n = {clip(value)} would exceed {serialize.MAX_INPUT_VERTICES} vertices")
     return value
@@ -168,13 +168,13 @@ def _cmd_mols(args) -> tuple[str, str]:
     lines = []
     for i, sq in enumerate(squares, start=1):
         lines.append(f"L_{i}")
-        for row in sq.entries:
+        for row in sq:
             lines.append(" ".join(map(str, row)))
         lines.append("")
     outcome = "pass"
     if args.check:
-        latin_ok = all(is_latin(sq.entries) for sq in squares)
-        orth_ok = all(are_orthogonal(a.entries, b.entries)
+        latin_ok = all(map(is_latin, squares))
+        orth_ok = all(are_orthogonal(a, b)
                       for a, b in itertools.combinations(squares, 2))
         lines.append(f"latin: {'ok' if latin_ok else 'FAILED'}")
         lines.append(f"orthogonal: {'ok' if orth_ok else 'FAILED'}")
@@ -198,7 +198,9 @@ def main(argv=None) -> int:
     level = logging.getLevelName(os.environ.get("SQUAREGAP_LOG", "warning").upper())
     logging.basicConfig(stream=sys.stderr, level=level if isinstance(level, int) else "WARNING")
     started = time.perf_counter()
-    parameters = {k: v for k, v in vars(args).items() if k != "command"}
+    # an order below 3 reaches require_prime at any length; the envelope clips it too
+    parameters = {k: clip(v) if isinstance(v, int) and len(str(v)) > 60 else v
+                  for k, v in vars(args).items() if k != "command"}
     try:
         outcome, payload = _HANDLERS[args.command](args)
         code = EXIT_PASS if outcome == "pass" else EXIT_FAIL

@@ -11,15 +11,15 @@ position by one (v_{k,c} to v_{k,c+1}, w_{i,j} to w_{i,j+1}, mod n) maps
 the graph onto itself.  With vertices numbered in blocks of n, one block
 per P_k and per Q_i, that shift rotates every block up by one, so the bit
 rows are built in closed form for position 1 of each block and rotated
-(graphcore.rotated_rows) into the rest.  The Latin squares are built
-separately, by latin.build_mols_family, so verify's nw0 compares the
-rows with the squares rather than with themselves.
+(graphcore.rotated_rows) into the rest.  No Latin square is built here:
+verify's nw0 builds the squares and compares the rows with them, so the
+two definitions check each other.
 """
 
 from dataclasses import dataclass
 
 from .graphcore import SimpleGraph, mask_of, rotated_rows
-from .latin import LatinSquare, build_mols_family
+from .latin import require_prime
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class ConstructedGraph:
     p_sets: tuple[tuple[int, ...], ...]  # P_1..P_n
     q_sets: tuple[tuple[int, ...], ...]  # Q_1..Q_{n-1}
     t_sets: tuple[tuple[int, ...], ...]  # T_1..T_n
-    squares: tuple[LatinSquare, ...]
 
     def v_index(self, i: int, j: int) -> int:
         """Vertex index of v_{i,j} (row i, position j), 1-based arguments."""
@@ -69,24 +68,23 @@ def part_sets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             tuple(tuple(range(j, nn, n)) for j in range(n)))
 
 
+def _w_neighbours(n: int, k: int, c: int) -> list[int]:
+    """The w-neighbours of v(k, c) (0-based), ascending: w(i, c - ik mod n)
+    for i = 1..n-1, one in the block of each Q_i, which starts at q."""
+    return [q + (c - i * k) % n for i, q in enumerate(range(n * n, 2 * n * n - n, n), start=1)]
+
+
 def counterexample_upper(n: int) -> list[list[int]]:
     """construct_counterexample(n).graph.upper(), built with no bit row.
 
     Every neighbour above a v is a later v of its column or a w, and a w
     has none: so v's upper row is range(v + n, n^2, n) followed by its
-    w-neighbours, both ascending, and each w's upper row is empty.  The
-    w-neighbours come from the Latin rows transposed: w_{i,j} is vertex
-    n^2 + (i-1)n + (j-1), so the w's follow the rows of the squares in
-    order, and entry x at position k names v_{k,x} = (k-1)n + x - 1.
+    w-neighbours, both ascending, and each w's upper row is empty.
     """
+    require_prime(n)
     nn = n * n
-    out = [[*range(v + n, nn, n)] for v in range(nn)]
-    latin_rows = (row for sq in build_mols_family(n) for row in sq.entries)
-    for w, row in enumerate(latin_rows, start=nn):
-        for base, x in zip(range(-1, nn, n), row):  # base = (k-1)n - 1
-            out[base + x].append(w)
-    out += [[] for _ in range(nn - n)]
-    return out
+    out = [[*range(v + n, nn, n), *_w_neighbours(n, *divmod(v, n))] for v in range(nn)]
+    return out + [[] for _ in range(nn - n)]
 
 
 def construct_counterexample(n: int) -> ConstructedGraph:
@@ -99,15 +97,14 @@ def construct_counterexample(n: int) -> ConstructedGraph:
     is v(k, ik mod n) for each k, and rotating a block's first row gives
     the others: symmetric and loop-free.
     """
-    squares = build_mols_family(n)  # rejects every n but a prime >= 3
+    require_prime(n)
     nn = n * n
     column = mask_of(range(0, nn, n))
-    firsts = [column & ~(1 << k * n)
-              | mask_of(nn + (i - 1) * n + (-i * k) % n for i in range(1, n)) for k in range(n)]
+    firsts = [column & ~(1 << k * n) | mask_of(_w_neighbours(n, k, 0)) for k in range(n)]
     firsts += [mask_of(k * n + i * k % n for k in range(n)) for i in range(1, n)]
     count = 2 * nn - n
     rows = tuple(rotated_rows(firsts, count, n))
     p_sets, q_sets, t_sets = part_sets(n)
     return ConstructedGraph(n=n, graph=SimpleGraph._from_rows(count, rows),
                             labels=tuple(vertex_names(n)), p_sets=p_sets, q_sets=q_sets,
-                            t_sets=t_sets, squares=squares)
+                            t_sets=t_sets)

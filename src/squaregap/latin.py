@@ -6,8 +6,9 @@ column k of the i-th square is j + i*(k-1) modulo n, shifted into the
 are pairwise orthogonal.
 """
 
-from dataclasses import dataclass
 from typing import Sequence
+
+from .errors import clip
 
 
 def smallest_divisor(n: int) -> int:
@@ -23,39 +24,25 @@ def smallest_divisor(n: int) -> int:
 
 
 def require_prime(n: int) -> None:
-    """Raise ValueError unless n is prime; the message names a witness divisor."""
-    if n < 2:
-        raise ValueError(f"n must be a prime >= 2, got {n}")
+    """Raise ValueError unless n is a prime >= 3; the message names a witness divisor."""
+    if n < 3:
+        raise ValueError(f"n must be a prime >= 3, got {clip(n)}")
     d = smallest_divisor(n)
     if d != n:
         raise ValueError(f"n must be prime, but {n} = {d} * {n // d}")
 
 
-@dataclass(frozen=True)
-class LatinSquare:
-    """An n x n array over {1, ..., n} with no repeat in any row or column."""
+def build_latin(n: int, i: int) -> tuple[tuple[int, ...], ...]:
+    """The n rows of the Latin square of prime order n >= 3 with entry
+    (j,k) = j + i*(k-1) mod n.
 
-    order: int
-    entries: tuple[tuple[int, ...], ...]  # n rows of n values in 1..n
-
-    def __post_init__(self):
-        rows = tuple(map(tuple, self.entries))
-        if len(rows) != self.order or any(len(row) != self.order for row in rows):
-            raise ValueError(f"entries are not {self.order} rows of {self.order}")
-        object.__setattr__(self, "entries", rows)
-
-
-def build_latin(n: int, i: int) -> LatinSquare:
-    """Latin square of prime order n with entry (j,k) = j + i*(k-1) mod n.
-
-    Arithmetic runs over residues 0..n-1; stored values are the 1-based
+    Arithmetic runs over residues 0..n-1; the entries are the 1-based
     representatives, so the first column is always 1, 2, ..., n.
     """
     require_prime(n)
     if not 1 <= i <= n - 1:
         raise ValueError(f"slope i must be in 1..{n - 1}, got {i}")
-    rows = tuple(tuple((j + i * k) % n + 1 for k in range(n)) for j in range(n))
-    return LatinSquare(order=n, entries=rows)
+    return tuple(tuple((j + i * k) % n + 1 for k in range(n)) for j in range(n))
 
 
 def is_latin(rows: Sequence[Sequence[int]]) -> bool:
@@ -77,7 +64,7 @@ def are_orthogonal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bo
     return len(pairs) == len(a) * len(a)
 
 
-def build_mols_family(n: int) -> tuple[LatinSquare, ...]:
+def build_mols_family(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The full family (L_1, ..., L_{n-1}) for prime n >= 3; index i-1 has slope i.
 
     The squares are Latin and pairwise orthogonal by construction, so
@@ -85,7 +72,5 @@ def build_mols_family(n: int) -> tuple[LatinSquare, ...]:
     is_latin and are_orthogonal, and verify proves the same facts on the
     constructed graph.
     """
-    if n < 3:
-        raise ValueError(f"n must be a prime >= 3, got {n}")
     require_prime(n)
     return tuple(build_latin(n, i) for i in range(1, n))

@@ -24,6 +24,7 @@ from typing import Optional
 
 from .construction import ConstructedGraph
 from .graphcore import SimpleGraph, bits, mask_of, square
+from .latin import build_mols_family
 
 
 @dataclass(frozen=True)
@@ -182,8 +183,7 @@ def check_lemma_nw(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
     n, nn = gc.n, gc.n * gc.n
     col = _Collector("nw")
     q = gc.q_vertices
-    latin_rows = (row for latin in gc.squares for row in latin.entries)
-    for x, row in zip(q, latin_rows):
+    for x, row in zip(q, chain.from_iterable(build_mols_family(n))):
         # entry e at position k names v_index(k, e) = (k - 1)n + e - 1
         if g.adj[x] == mask_of(map(add, range(-1, nn, n), row)):
             col.passed()

@@ -13,6 +13,7 @@ import numpy as np
 from squaregap import coloring
 from squaregap.errors import CapacityError
 from squaregap.graphcore import SimpleGraph, bits, mask_of
+from squaregap.latin import build_mols_family
 
 SQUARE_ORACLE_MAX_VERTICES = 512
 
@@ -97,8 +98,8 @@ def neighbourhood_reports_by_walk(gc) -> dict[str, tuple]:
             yield item, None if shared <= limit(x, y) else witness
 
     def nw_cases():
-        for qs, latin in zip(gc.q_sets, gc.squares):
-            for x, row in zip(qs, latin.entries):
+        for qs, latin in zip(gc.q_sets, build_mols_family(gc.n)):
+            for x, row in zip(qs, latin):
                 want = {gc.v_index(k, e) for k, e in enumerate(row, start=1)}
                 yield "nw0", None if nbrs[x] == want else (
                     "nw0", gc.labels[x], "neighborhood differs from Latin row")
@@ -125,6 +126,22 @@ def neighbourhood_reports_by_walk(gc) -> dict[str, tuple]:
         return count, failures, (items[0] if items else None), items
 
     return {"nw": tally(nw_cases()), "nv": tally(nv_cases())}
+
+
+def latin_upper(n: int) -> list[list[int]]:
+    """The upper rows of the graph for n, read off the Latin squares as defined.
+
+    w_{i,j} is vertex n^2 + (i-1)n + (j-1), so the w's follow the rows of
+    the squares in order, and entry x at position k of w's row names its
+    neighbour v_{k,x} = (k-1)n + x - 1; the rest of a v's upper row is the
+    later v's of its column.  Each w's upper row is empty.
+    """
+    nn = n * n
+    out = [[*range(v + n, nn, n)] for v in range(nn)]
+    for w, row in enumerate(itertools.chain.from_iterable(build_mols_family(n)), start=nn):
+        for base, x in zip(range(-1, nn, n), row):  # base = (k-1)n - 1
+            out[base + x].append(w)
+    return out + [[] for _ in range(nn - n)]
 
 
 def _check_subset(g: SimpleGraph, s) -> int:

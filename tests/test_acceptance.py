@@ -118,13 +118,13 @@ def test_criterion_5_mols_correctness():
         family = build_mols_family(n)
         assert len(family) == n - 1
         for sq in family:
-            assert is_latin(sq.entries)
+            assert is_latin(sq)
         for a, b in itertools.combinations(family, 2):
-            assert are_orthogonal(a.entries, b.entries)
+            assert are_orthogonal(a, b)
     for slope, expected in PUBLISHED_ORDER3.items():
-        assert build_latin(3, slope).entries == tuple(map(tuple, expected))
+        assert build_latin(3, slope) == tuple(map(tuple, expected))
     for slope, expected in PUBLISHED_ORDER5.items():
-        assert build_latin(5, slope).entries == tuple(map(tuple, expected))
+        assert build_latin(5, slope) == tuple(map(tuple, expected))
     print("PASS criterion 5: families Latin and pairwise orthogonal for "
           "primes up to 13; orders 3 and 5 match the published squares cell-for-cell")
 

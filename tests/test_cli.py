@@ -141,12 +141,15 @@ def test_huge_order_is_refused_before_any_work(capsys, command):
 
 
 @pytest.mark.parametrize("command", ["construct", "verify", "certify", "mols"])
-@pytest.mark.parametrize("n", ["-1", "0", "1", "2"])
+@pytest.mark.parametrize("n", ["-1", "0", "1", "2", "-200",
+                               pytest.param("-" + "1" * 1000, id="-1000-digits")])
 def test_orders_below_3_get_one_message(capsys, command, n):
+    # the vertex limit is for positive n only: a large negative n is still below 3
     code, out, err = run_cli(capsys, command, "--n", n)
     assert code == 2
     assert out == ""
-    assert f"n must be a prime >= 3, got {n}" in err
+    assert f"n must be a prime >= 3, got {clip(int(n))}\n" in err
+    assert envelope_of(err)["outcome"] == "error"
 
 
 def test_largest_order_within_the_vertex_limit():
@@ -461,9 +464,12 @@ def test_long_integers_in_input_errors_are_clipped(tmp_path, capsys, graph_text,
     ["solve-list", "--graph", "g", "--lists", "l", "--budget-seconds", "x" * 5000],
 ], ids=["order", "negative-order", "order-not-an-integer", "budget", "solve-list-budget"])
 def test_long_arguments_in_usage_errors_are_clipped(capsys, argv):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
+    # argparse refuses all but the negative order, which require_prime refuses
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
     assert "characters)" in err
     assert len(err.encode()) < 1024

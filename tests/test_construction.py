@@ -2,13 +2,14 @@ import hashlib
 
 import pytest
 
-from oracles import is_clique
+from oracles import is_clique, latin_upper
 from squaregap.construction import (
     construct_counterexample,
     counterexample_upper,
     vertex_names,
 )
 from squaregap.graphcore import SimpleGraph, bits
+from squaregap.latin import build_latin
 
 PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -78,8 +79,7 @@ def test_w_neighbours_read_their_latin_row():
     for n in (3, 5):
         gc = construct_counterexample(n)
         for i in range(1, n):
-            for j in range(1, n + 1):
-                row = gc.squares[i - 1].entries[j - 1]
+            for j, row in enumerate(build_latin(n, i), start=1):
                 from_row = {f"v_{k}_{x}" for k, x in enumerate(row, start=1)}
                 from_graph = {gc.labels[v] for v in bits(gc.graph.adj[gc.w_index(i, j)])}
                 assert from_row == from_graph
@@ -157,9 +157,12 @@ def test_rows_pass_the_checked_constructor(n):
     assert SimpleGraph(g.n, g.adj) == g
 
 
-@pytest.mark.parametrize("n", PRIMES_TO_31 + [61])
+@pytest.mark.parametrize("n", PRIMES_TO_31 + [37, 41, 43, 47, 53, 59, 61])
 def test_upper_rows_are_the_graphs_upper_rows(n):
-    assert counterexample_upper(n) == construct_counterexample(n).graph.upper()
+    # both closed forms against the Latin squares as the paper defines the graph
+    upper = latin_upper(n)
+    assert counterexample_upper(n) == upper
+    assert construct_counterexample(n).graph.upper() == upper
 
 
 def test_vertex_names_at_n3():

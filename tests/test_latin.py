@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from squaregap.latin import (
-    LatinSquare,
     are_orthogonal,
     build_latin,
     build_mols_family,
@@ -42,6 +41,11 @@ def test_is_prime():
 
 def test_require_prime_names_a_witness_divisor():
     require_prime(7)  # no exception
+    for n in (2, 1, 0, -7):
+        with pytest.raises(ValueError, match=f"n must be a prime >= 3, got {n}$"):
+            require_prime(n)
+    with pytest.raises(ValueError, match=r"got -10{58}\.\.\. \(1002 characters\)$"):
+        require_prime(-10 ** 1000)
     with pytest.raises(ValueError, match=r"9 = 3 \* 3"):
         require_prime(9)
     with pytest.raises(ValueError, match=r"91 = 7 \* 13"):
@@ -49,26 +53,26 @@ def test_require_prime_names_a_witness_divisor():
 
 
 def test_order3_family_matches_frozen_squares():
-    assert build_latin(3, 1).entries == tuple(map(tuple, ORDER3_L1))
-    assert build_latin(3, 2).entries == tuple(map(tuple, ORDER3_L2))
+    assert build_latin(3, 1) == tuple(map(tuple, ORDER3_L1))
+    assert build_latin(3, 2) == tuple(map(tuple, ORDER3_L2))
 
 
 def test_order5_family_matches_frozen_squares():
     for slope, expected in ORDER5.items():
-        assert build_latin(5, slope).entries == tuple(map(tuple, expected))
+        assert build_latin(5, slope) == tuple(map(tuple, expected))
 
 
 def test_entry_accessor_is_one_based():
     sq = build_latin(3, 1)
     for j, k in [(1, 1), (2, 3), (3, 2)]:  # row j, column k, counted from 1
-        assert sq.entries[j - 1][k - 1] == 1
+        assert sq[j - 1][k - 1] == 1
 
 
 def test_first_column_is_identity():
     # k = 1 contributes nothing, so column 1 reads 1..n in every square
     for n in PRIMES:
         for i in range(1, n):
-            col = [row[0] for row in build_latin(n, i).entries]
+            col = [row[0] for row in build_latin(n, i)]
             assert col == list(range(1, n + 1))
 
 
@@ -77,20 +81,20 @@ def test_family_is_latin_and_pairwise_orthogonal(n):
     family = build_mols_family(n)
     assert len(family) == n - 1
     for sq in family:
-        assert is_latin(sq.entries)
+        assert is_latin(sq)
     for a in range(n - 1):
         for b in range(a + 1, n - 1):
-            assert are_orthogonal(family[a].entries, family[b].entries)
+            assert are_orthogonal(family[a], family[b])
 
 
 def test_orthogonality_is_symmetric():
     family = build_mols_family(5)
-    a, b = family[0].entries, family[2].entries
+    a, b = family[0], family[2]
     assert are_orthogonal(a, b) == are_orthogonal(b, a)
 
 
 def test_square_not_orthogonal_to_itself():
-    sq = build_latin(5, 2).entries
+    sq = build_latin(5, 2)
     assert not are_orthogonal(sq, sq)
 
 
@@ -126,7 +130,7 @@ def test_slope_out_of_range_rejected():
 def test_entries_are_read_only():
     sq = build_latin(3, 1)
     with pytest.raises(TypeError):
-        sq.entries[0][0] = 9
+        sq[0][0] = 9
 
 
 def test_latin_square_equality_and_hash():
@@ -135,25 +139,17 @@ def test_latin_square_equality_and_hash():
     c = build_latin(5, 3)
     assert a == b and hash(a) == hash(b)
     assert a != c
-    # rows given as lists are stored as tuples, so they compare and hash alike
-    from_lists = LatinSquare(order=5, entries=[list(row) for row in a.entries])
-    assert from_lists == a and hash(from_lists) == hash(a)
-
-
-def test_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
-        LatinSquare(order=3, entries=((1, 1, 1), (1, 1, 1)))
 
 
 @given(st.sampled_from(PRIMES), st.data())
 def test_any_slope_gives_a_latin_square(n, data):
     i = data.draw(st.integers(min_value=1, max_value=n - 1))
-    assert is_latin(build_latin(n, i).entries)
+    assert is_latin(build_latin(n, i))
 
 
 @given(st.sampled_from([5, 7, 11]), st.data())
 def test_distinct_slopes_are_orthogonal(n, data):
     i = data.draw(st.integers(min_value=1, max_value=n - 1))
     j = data.draw(st.integers(min_value=1, max_value=n - 1))
-    result = are_orthogonal(build_latin(n, i).entries, build_latin(n, j).entries)
+    result = are_orthogonal(build_latin(n, i), build_latin(n, j))
     assert result == (i != j)

@@ -8,7 +8,7 @@ import squaregap
 from squaregap.graphcore import SimpleGraph
 
 PUBLIC = [
-    "CapacityError", "ConstructedGraph", "GapCertificate", "LatinSquare", "LemmaReport",
+    "CapacityError", "ConstructedGraph", "GapCertificate", "LemmaReport",
     "ListAssignment", "ListColoringResult", "SearchAttestation", "SearchBudgetExceeded",
     "SimpleGraph",
     "are_orthogonal", "build_latin", "build_mols_family", "certify_gap",

@@ -9,11 +9,12 @@ stays the same.
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
 from oracles import complete_multipartite
-from squaregap import cli, construction, serialize
+from squaregap import cli, construction, latin, serialize
 from squaregap.cli import main
 from squaregap.coloring import ListAssignment, vetrik_assignment
 from squaregap.graphcore import SimpleGraph
@@ -146,13 +147,23 @@ def test_stdout_digest(tmp_path, capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def refuse_latin(monkeypatch):
+    """Make latin.build_latin raise in every squaregap module that binds it;
+    build_mols_family calls it, so no Latin square can be built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Latin square")
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "squaregap" and vars(module).get("build_latin") is latin.build_latin:
+            monkeypatch.setattr(module, "build_latin", refuse)
+
+
 CONSTRUCT_PINNED = [entry for entry in PINNED if entry[0][0] == "construct"]
 
 
 @pytest.mark.parametrize("argv,code,digest", CONSTRUCT_PINNED,
                          ids=[" ".join(a) for a, _, _ in CONSTRUCT_PINNED])
 def test_construct_builds_no_graph(monkeypatch, capsys, argv, code, digest):
-    # construct writes from the upper rows alone: no SimpleGraph, no bit row
+    # construct writes from the upper rows alone: no SimpleGraph, no bit row, no Latin square
     def refuse(*args, **kwargs):
         raise AssertionError("construct built a graph")
     monkeypatch.setattr(SimpleGraph, "__init__", refuse)
@@ -160,6 +171,18 @@ def test_construct_builds_no_graph(monkeypatch, capsys, argv, code, digest):
     monkeypatch.setattr(construction, "construct_counterexample", refuse)
     monkeypatch.setattr(cli, "construct_counterexample", refuse)
     monkeypatch.setattr(construction, "mask_of", refuse)
+    refuse_latin(monkeypatch)
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_certify_builds_no_latin_square(monkeypatch, capsys):
+    # certify checks the square's structure, not nw0, so it needs no Latin square
+    argv, code, digest = next(entry for entry in PINNED if entry[0] == ["certify", "--n", "5"])
+    refuse_latin(monkeypatch)
+    with pytest.raises(AssertionError, match="built a Latin square"):
+        latin.build_mols_family(5)
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -9,6 +9,7 @@ from oracles import neighbourhood_reports_by_walk
 from squaregap.construction import construct_counterexample
 from squaregap import verification
 from squaregap.graphcore import SimpleGraph, bits, square
+from squaregap.latin import build_latin
 from squaregap.verification import (
     check_independence,
     check_lemma_nv,
@@ -95,11 +96,11 @@ def test_claim_congruence_exhaustive(n):
     gc = construct_counterexample(n)
     adj = gc.graph.adj
     for i, i2 in itertools.product(range(1, n), repeat=2):
+        sq = build_latin(n, i)
         for j, j2 in itertools.product(range(1, n + 1), repeat=2):
             shared = adj[gc.w_index(i, j)] & adj[gc.w_index(i2, j2)]
-            sq = gc.squares[i - 1]
             for k in range(1, n + 1):
-                member = bool(shared >> gc.v_index(k, sq.entries[j - 1][k - 1]) & 1)
+                member = bool(shared >> gc.v_index(k, sq[j - 1][k - 1]) & 1)
                 congruent = (i - i2) * (k - 1) % n == (j2 - j) % n
                 assert member == congruent, (i, i2, j, j2, k)
 
