@@ -39,6 +39,13 @@ def _envelope(command: str, parameters: dict, outcome: str, elapsed_ms: int) -> 
                        "elapsed_ms": elapsed_ms}, sort_keys=True, allow_nan=False)
 
 
+def _os_message(exc: OSError) -> str:
+    """str(exc), with the file name in it clipped: a path can be any length."""
+    if exc.strerror is None or not isinstance(exc.filename, str):
+        return str(exc)
+    return f"[Errno {exc.errno}] {exc.strerror}: {clip(exc.filename)}"
+
+
 def _budget_seconds(text: str) -> float:
     """argparse type for --budget-seconds: a finite number of seconds, at least 0."""
     try:
@@ -198,8 +205,8 @@ def main(argv=None) -> int:
     level = logging.getLevelName(os.environ.get("SQUAREGAP_LOG", "warning").upper())
     logging.basicConfig(stream=sys.stderr, level=level if isinstance(level, int) else "WARNING")
     started = time.perf_counter()
-    # an order below 3 reaches require_prime at any length; the envelope clips it too
-    parameters = {k: clip(v) if isinstance(v, int) and len(str(v)) > 60 else v
+    # an order below 3 or a path reaches here at any length; the envelope clips it
+    parameters = {k: clip(v) if isinstance(v, (int, str)) and len(str(v)) > 60 else v
                   for k, v in vars(args).items() if k != "command"}
     try:
         outcome, payload = _HANDLERS[args.command](args)
@@ -211,7 +218,7 @@ def main(argv=None) -> int:
         print(f"squaregap {args.command}: {exc} (nodes={exc.nodes})", file=sys.stderr)
         outcome, code = "error", EXIT_BUDGET
     except OSError as exc:
-        print(f"squaregap {args.command}: {exc}", file=sys.stderr)
+        print(f"squaregap {args.command}: {_os_message(exc)}", file=sys.stderr)
         outcome, code = "error", EXIT_IO
     except Exception as exc:  # last resort: exit 1 would read as UNSAT
         log.debug("internal error in %s", args.command, exc_info=True)
@@ -227,7 +234,7 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(payload)
         except OSError as exc:
-            print(f"squaregap {args.command}: {exc}", file=sys.stderr)
+            print(f"squaregap {args.command}: {_os_message(exc)}", file=sys.stderr)
             outcome, code = "error", EXIT_IO
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     log.debug("finished %s with outcome %s", args.command, outcome)  # the envelope stays last

@@ -9,24 +9,26 @@ color of the universe, so large color values cost nothing.  One
 iterative engine, _search, decides list coloring and nothing else: both
 list solvers call it, and the exact chromatic number asks it one list
 question per candidate color count.  No function here recurses, so no
-input depth hits Python's recursion limit.  The complete multipartite
-solver only adds a part-demand bound at the root, which refutes the
-certificate's lists there, and hands what it does not refute to _search.
-The engine takes the node count so far and returns the count at the end
-with its coloring, so the chromatic number's questions and the
-multipartite root share one count and one deadline.  The engine keeps
-the graph the other way round as well, one vertex mask per color
-(has[c]: the uncolored vertices that still have color c) and per count
-of colors left (buckets[k]), so forward checking a node takes a few mask
-operations instead of a walk over the neighbors: the dense squares this
-package refutes cost no more per node than sparse graphs of the same
-order.
+input depth hits Python's recursion limit.  Both list solvers put one
+part-demand bound at a root node in front of it, on the parts they are
+given or, in is_list_colorable, on twin classes (equal rows), so both
+refute the certificate's lists at node 1.  The engine takes the node
+count so far and returns the count at the end with its coloring, so the
+chromatic number's questions and a root share one count and one
+deadline.  The engine keeps the graph the other way round as well, one
+vertex mask per color (has[c]: the uncolored vertices that still have
+color c) and per count of colors left (buckets[k]), so forward checking
+a node takes a few mask operations instead of a walk over the neighbors:
+the dense squares this package refutes cost no more per node than sparse
+graphs of the same order.
 """
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Optional
+from operator import and_
+from typing import Iterable, Optional
 
 from .construction import construct_counterexample
 from .errors import CapacityError, SearchBudgetExceeded, clip
@@ -308,29 +310,83 @@ def _decide_lists(order: list[int], assignment: ListAssignment, decide) -> ListC
     return ListColoringResult(coloring, SearchAttestation(nodes=nodes))
 
 
+def _demand_exceeds(groups: Iterable[Iterable[int]]) -> bool:
+    """The part-demand bound on independent sets, every two completely joined,
+    each given as its vertices' color masks: they use disjoint colors, one
+    needs one color if its lists share one, else two, and True means their
+    lists hold fewer colors than that, so no proper coloring exists."""
+    need, union = 0, 0
+    for masks in groups:
+        common = -1
+        for m in masks:
+            union |= m
+            common &= m
+        need += 1 if common else 2
+    return union.bit_count() < need
+
+
+def _search_with_twins(g: SimpleGraph, avail: list[int],
+                       deadline: Optional[float]) -> tuple[Optional[list[int]], int]:
+    """_search, behind the part-demand bound on twin classes where it can fire.
+
+    Twins (equal rows) are never adjacent, and two twin classes are joined
+    completely or not at all.  If some class of two or more vertices has no
+    color common to its lists, the root, node 1, takes those classes and
+    then the class of the lowest vertex joined to all chosen, greedily, and
+    _demand_exceeds may refute the clique of classes; else _search goes on
+    from the root.  Otherwise _search counts from 0.  On a complete
+    multipartite graph the classes are the parts and the clique is all.
+    """
+    adj = g.adj
+    if len(set(adj)) == g.n:
+        return _search(g, avail, deadline, 0)
+    last = dict(zip(adj, range(g.n)))  # each row to the last vertex that has it
+    twins: dict[int, list[int]] = {}  # each duplicated row to its vertices
+    for v, row in enumerate(adj):
+        if last[row] != v:
+            twins.setdefault(row, [last[row]]).append(v)
+    needy = [vs for vs in twins.values() if not functools.reduce(and_, map(avail.__getitem__, vs))]
+    if not needy:
+        return _search(g, avail, deadline, 0)
+    _check_deadline(deadline, 1)  # the root is node 1
+    clique, joined = [], -1  # joined: the vertices joined to every class chosen
+    for vs in needy:
+        if joined >> vs[0] & 1:
+            clique.append(vs)
+            joined &= adj[vs[0]]
+    while joined:
+        v = (joined & -joined).bit_length() - 1
+        clique.append(twins.get(adj[v], [v]))
+        joined &= adj[v]
+    if _demand_exceeds([avail[v] for v in vs] for vs in clique):
+        return None, 1
+    return _search(g, avail, deadline, 1)
+
+
 def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
                       deadline: Optional[float] = None) -> ListColoringResult:
-    """Complete decision for proper coloring from per-vertex lists, by _search.
+    """Complete decision for proper coloring from per-vertex lists.
 
-    UNSAT is returned only after the whole search space is exhausted; the
-    attestation carries the node count.
+    The part-demand bound on twin classes may refute at the root
+    (_search_with_twins); otherwise UNSAT is returned only after _search
+    has exhausted the whole search space.  The attestation carries the
+    node count.
     """
     if set(assignment.lists) != set(range(g.n)):
         raise ValueError("assignment must cover exactly the graph's vertices")
     return _decide_lists(list(range(g.n)), assignment,
-                         lambda avail: _search(g, avail, deadline, 0))
+                         lambda avail: _search_with_twins(g, avail, deadline))
 
 
 def multipartite_list_colorable(parts: tuple[tuple[int, ...], ...], assignment: ListAssignment,
                                 *, deadline: Optional[float] = None) -> ListColoringResult:
     """List-colorability decision on the complete multipartite graph on parts.
 
-    Distinct parts must use disjoint colors, since every cross-part pair is
-    adjacent, and a part needs one color if its lists share one, else two.
-    So the root node refutes the lists outright when all of them together
-    hold fewer colors than the parts demand in total.  Otherwise the graph
-    is built on the parts' vertices, relabelled 0, 1, ... part by part,
-    and _search decides it, counting on from the root: 1 + its nodes in all.
+    The root node applies the part-demand bound (_demand_exceeds) to the
+    parts, as given, and refutes the lists outright if it fires.  Otherwise
+    the graph is built on the parts' vertices, relabelled 0, 1, ... part by
+    part, and _search decides it, counting on from the root: 1 + its nodes
+    in all.
     """
     verts = [v for part in parts for v in part]
     if len(set(verts)) != len(verts) or not all(parts):
@@ -343,14 +399,7 @@ def multipartite_list_colorable(parts: tuple[tuple[int, ...], ...], assignment: 
 
     def decide(avail: list[int]) -> tuple[Optional[list[int]], int]:
         _check_deadline(deadline, 1)  # the root is node 1
-        need, union = 0, 0
-        for a, b in spans:
-            common = -1
-            for m in avail[a:b]:
-                union |= m
-                common &= m
-            need += 1 if common else 2
-        if union.bit_count() < need:
+        if _demand_exceeds(avail[a:b] for a, b in spans):
             return None, 1
         full, rows = (1 << len(avail)) - 1, []
         for a, b in spans:

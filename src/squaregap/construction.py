@@ -17,6 +17,7 @@ two definitions check each other.
 """
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graphcore import SimpleGraph, mask_of, rotated_rows
 from .latin import require_prime
@@ -68,10 +69,12 @@ def part_sets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             tuple(tuple(range(j, nn, n)) for j in range(n)))
 
 
-def _w_neighbours(n: int, k: int, c: int) -> list[int]:
+def _w_neighbours(n: int, k: int, c: int, ids: Sequence[int]) -> list[int]:
     """The w-neighbours of v(k, c) (0-based), ascending: w(i, c - ik mod n)
-    for i = 1..n-1, one in the block of each Q_i, which starts at q."""
-    return [q + (c - i * k) % n for i, q in enumerate(range(n * n, 2 * n * n - n, n), start=1)]
+    for i = 1..n-1, one in the block of each Q_i, which starts at q.  Each
+    vertex x is given as ids[x]."""
+    return [ids[q + (c - i * k) % n]
+            for i, q in enumerate(range(n * n, 2 * n * n - n, n), start=1)]
 
 
 def counterexample_upper(n: int) -> list[list[int]]:
@@ -79,11 +82,13 @@ def counterexample_upper(n: int) -> list[list[int]]:
 
     Every neighbour above a v is a later v of its column or a w, and a w
     has none: so v's upper row is range(v + n, n^2, n) followed by its
-    w-neighbours, both ascending, and each w's upper row is empty.
+    w-neighbours, both ascending, and each w's upper row is empty.  The
+    rows hold n^3 entries in all, but share one int object per vertex.
     """
     require_prime(n)
     nn = n * n
-    out = [[*range(v + n, nn, n), *_w_neighbours(n, *divmod(v, n))] for v in range(nn)]
+    ids = list(range(2 * nn - n))
+    out = [[*ids[v + n:nn:n], *_w_neighbours(n, *divmod(v, n), ids)] for v in range(nn)]
     return out + [[] for _ in range(nn - n)]
 
 
@@ -99,10 +104,11 @@ def construct_counterexample(n: int) -> ConstructedGraph:
     """
     require_prime(n)
     nn = n * n
-    column = mask_of(range(0, nn, n))
-    firsts = [column & ~(1 << k * n) | mask_of(_w_neighbours(n, k, 0)) for k in range(n)]
-    firsts += [mask_of(k * n + i * k % n for k in range(n)) for i in range(1, n)]
     count = 2 * nn - n
+    column = mask_of(range(0, nn, n))
+    firsts = [column & ~(1 << k * n) | mask_of(_w_neighbours(n, k, 0, range(count)))
+              for k in range(n)]
+    firsts += [mask_of(k * n + i * k % n for k in range(n)) for i in range(1, n)]
     rows = tuple(rotated_rows(firsts, count, n))
     p_sets, q_sets, t_sets = part_sets(n)
     return ConstructedGraph(n=n, graph=SimpleGraph._from_rows(count, rows),

@@ -185,6 +185,25 @@ def complete_multipartite(part_sizes) -> tuple[SimpleGraph, tuple[tuple[int, ...
     return SimpleGraph(n, tuple(rows)), parts
 
 
+def vetrik_k3x5(pendant: bool = False) -> tuple[SimpleGraph, coloring.ListAssignment]:
+    """The n = 3 square K_{3x5} with its Vetrik lists, parts 3p..3p+2: UNSAT,
+    refuted by the twin-class bound at node 1.
+
+    With pendant, vertex 15 is joined to vertex 0 with the list {10}.  Vertex 0
+    then leaves its part's twin class, so the bound needs 9 colors against 9
+    and does not fire: the search refutes the lists after 35,797 nodes, which
+    with the root make 35,798.
+    """
+    g, parts = complete_multipartite([3] * 5)
+    _, a = coloring.vetrik_assignment(parts)
+    if not pendant:
+        return g, a
+    rows = (g.adj[0] | 1 << 15, *g.adj[1:], 1)
+    return (SimpleGraph(16, rows),
+            coloring.ListAssignment(universe=a.universe + (10,),
+                                    lists={**a.lists, 15: frozenset({10})}))
+
+
 def random_graph(rng, n: int, p: float) -> SimpleGraph:
     """G(n, p) with edges drawn from the supplied seeded Random instance."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]

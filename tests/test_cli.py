@@ -242,22 +242,30 @@ def test_solve_list_unsat_exits_1(tmp_path, capsys):
     assert envelope_of(err)["outcome"] == "fail"
 
 
-def write_vetrik_k3x5(tmp_path):
-    """The n = 3 square K_{3x5} with its Vetrik lists, UNSAT after 35,796 nodes."""
-    from oracles import complete_multipartite
+def write_vetrik_k3x5(tmp_path, pendant=False):
+    """The files of oracles.vetrik_k3x5: K_{3x5} with its Vetrik lists, refuted at
+    node 1, or with the pendant vertex that leaves it to a 35,798-node search."""
+    from oracles import vetrik_k3x5
     from squaregap import serialize
 
-    g, parts = complete_multipartite([3] * 5)
+    g, a = vetrik_k3x5(pendant)
     graph_path = tmp_path / "k3x5.col"
     graph_path.write_text(serialize.graph_to_dimacs(g.n, g.upper()))
     lists_path = tmp_path / "k3x5.json"
-    lists_path.write_text(serialize.json_dumps(
-        serialize.lists_to_json_dict(coloring.vetrik_assignment(parts)[1])))
+    lists_path.write_text(serialize.json_dumps(serialize.lists_to_json_dict(a)))
     return str(graph_path), str(lists_path)
 
 
-def test_solve_list_zero_budget_stops_at_the_first_deadline_check(tmp_path, capsys):
+def test_solve_list_refutes_k3x5_at_its_root(tmp_path, capsys):
+    # the twin-class bound fires at node 1, before the first deadline check
     graph_path, lists_path = write_vetrik_k3x5(tmp_path)
+    code, out, _ = run_cli(capsys, "solve-list", "--graph", graph_path, "--lists", lists_path,
+                           "--budget-seconds", "0")
+    assert (code, json.loads(out)["nodes"]) == (1, 1)
+
+
+def test_solve_list_zero_budget_stops_at_the_first_deadline_check(tmp_path, capsys):
+    graph_path, lists_path = write_vetrik_k3x5(tmp_path, pendant=True)
     code, out, err = run_cli(capsys, "solve-list", "--graph", graph_path,
                              "--lists", lists_path, "--budget-seconds", "0")
     assert code == 4
@@ -269,10 +277,10 @@ def test_solve_list_zero_budget_stops_at_the_first_deadline_check(tmp_path, caps
 
 
 def test_solve_list_ample_budget_prints_the_unbudgeted_payload(tmp_path, capsys):
-    graph_path, lists_path = write_vetrik_k3x5(tmp_path)
+    graph_path, lists_path = write_vetrik_k3x5(tmp_path, pendant=True)
     argv = ["solve-list", "--graph", graph_path, "--lists", lists_path]
     code, out, _ = run_cli(capsys, *argv)
-    assert (code, json.loads(out)["nodes"]) == (1, 35_796)
+    assert (code, json.loads(out)["nodes"]) == (1, 35_798)
     assert run_cli(capsys, *argv, "--budget-seconds", "3600")[:2] == (code, out)
 
 
@@ -473,6 +481,30 @@ def test_long_arguments_in_usage_errors_are_clipped(capsys, argv):
     err = capsys.readouterr().err
     assert "characters)" in err
     assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("option", ["--output", "--graph"])
+def test_long_paths_are_clipped_on_stderr(tmp_path, capsys, option):
+    # both the OSError message and the envelope printed the path whole: about 6 KB
+    path = str(tmp_path / ("x" * 3000))
+    argv = (["construct", "--n", "5", "--output", path] if option == "--output"
+            else ["solve-list", "--graph", path, "--lists", "l"])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "characters)" in err
+    assert envelope_of(err)["outcome"] == "error"
+    assert len(err.encode()) < 1024
+
+
+def test_short_paths_in_io_errors_read_as_python_prints_them(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = "nope.col"
+    code, _, err = run_cli(capsys, "solve-list", "--graph", path, "--lists", "l")
+    assert code == 3
+    with pytest.raises(OSError) as info:
+        open(path)
+    assert err.splitlines()[0] == f"squaregap solve-list: {info.value}"
+    assert envelope_of(err)["parameters"]["graph"] == path
 
 
 def test_solve_list_huge_colours_get_a_quick_verdict(tmp_path, capsys):

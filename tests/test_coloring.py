@@ -17,6 +17,7 @@ from oracles import (
     is_clique,
     random_graph,
     rescan_search,
+    vetrik_k3x5,
 )
 from squaregap import coloring
 from squaregap.coloring import (
@@ -33,7 +34,7 @@ from squaregap.coloring import (
 )
 from squaregap.construction import construct_counterexample
 from squaregap.errors import CapacityError, SearchBudgetExceeded
-from squaregap.graphcore import SimpleGraph, mask_of, square
+from squaregap.graphcore import SimpleGraph, bits, mask_of, square
 from squaregap.verification import check_square_structure
 
 
@@ -361,11 +362,13 @@ def fano_blow_up(r):
 
 
 def test_a_fano_blow_up_on_k7x3_is_refuted_in_1025_nodes():
-    # the node count of the engine before forward checking went to color masks
+    # 1025 is the node count of the engine before forward checking went to
+    # color masks; the twin-class bound runs at the root (each part needs
+    # two colors, 6 against 8) without firing, and counts it as node 1
     g, a = fano_blow_up(3)
     result = is_list_colorable(g, a)
     assert not result.satisfiable
-    assert result.attestation.nodes == 1025
+    assert result.attestation.nodes == 1 + 1025
     masks, _ = coloring._dense_masks(a)
     assert assert_engines_agree(g, [masks[v] for v in range(g.n)]) == (None, 1025)
     new = len(a.universe)  # 3r colors: now each part can take three
@@ -539,6 +542,85 @@ def test_list_solvers_see_only_the_order_of_colours():
                 assert moved.coloring is None
 
 
+# -- the twin-class bound -----------------------------------------------------
+
+
+def search_alone(g, a):
+    """_search's (colors by vertex or None, nodes) on g and a, counting from 0."""
+    masks, palette = coloring._dense_masks(a)
+    colors, nodes = coloring._search(g, [masks[v] for v in range(g.n)], None, 0)
+    return None if colors is None else dict(enumerate(map(palette.__getitem__, colors))), nodes
+
+
+def bound_runs(g, a):
+    """True iff some class of two or more identical rows has no color common
+    to its lists: the condition under which the root runs the bound."""
+    classes = collections.defaultdict(list)
+    for v, row in enumerate(g.adj):
+        classes[row].append(a.lists[v])
+    return any(len(ls) > 1 and not frozenset.intersection(*ls) for ls in classes.values())
+
+
+def test_twin_class_bound_never_refutes_a_colourable_instance():
+    # random graphs on 1-4 vertices blown up into classes of 1-3 twins, on
+    # shuffled labels, against full enumeration: the bound at node 1, then
+    # the same search as _search alone, counting on from the root
+    rng = random.Random(2121)
+    outcomes = collections.Counter()
+    for trial in range(1000):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        while sum(sizes) > 8:
+            sizes.pop()
+        base = random_graph(rng, len(sizes), rng.choice([0.5, 0.8, 1.0]))
+        label = rng.sample(range(sum(sizes)), sum(sizes))
+        blocks = [label[a:b] for a, b in itertools.pairwise(itertools.accumulate(sizes, initial=0))]
+        g = SimpleGraph.from_edges(sum(sizes), [(u, v) for x, y in base.edges()
+                                                for u in blocks[x] for v in blocks[y]])
+        universe = range(rng.randint(2, 2 * len(sizes)))
+        size = min(3, len(universe))
+        a = assignment_from(universe, {v: rng.sample(universe, rng.randint(1, size))
+                                       for v in range(g.n)})
+        result = is_list_colorable(g, a)
+        assert result.satisfiable == enumerate_list_colorable(g, a.lists), f"trial {trial}"
+        colors, nodes = search_alone(g, a)
+        got = result.coloring, result.attestation.nodes
+        if not bound_runs(g, a):
+            assert got == (colors, nodes), f"trial {trial}"
+        elif got[1] != 1:
+            assert got == (colors, 1 + nodes), f"trial {trial}"
+        if result.satisfiable:
+            assert validate_coloring(g, result.coloring, a)
+            outcomes["sat"] += 1
+        else:
+            outcomes["root" if result.attestation.nodes == 1 < nodes else "searched"] += 1
+    assert min(outcomes[k] for k in ("sat", "root", "searched")) >= 20, outcomes
+
+
+@pytest.mark.parametrize("m,r", [(2, 6), (3, 4), (3, 5), (5, 9)])
+def test_shuffled_vetrik_multipartite_is_refuted_at_the_root(m, r):
+    rng = random.Random(m * 100 + r)
+    g, parts = complete_multipartite([m] * r)
+    label = rng.sample(range(g.n), g.n)
+    g = SimpleGraph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])
+    _, a = vetrik_assignment(tuple(tuple(label[v] for v in part) for part in parts))
+    result = is_list_colorable(g, a)
+    assert (result.satisfiable, result.attestation.nodes) == (False, 1)
+
+
+def test_without_twins_the_search_is_searched_alone():
+    rng = random.Random(77)
+    checked = 0
+    while checked < 100:
+        g, avail = random_lists(rng, rng.randint(1, 16))
+        if len(set(g.adj)) < g.n or 0 in avail:
+            continue
+        a = assignment_from(range(max(avail).bit_length()),
+                            {v: bits(m) for v, m in enumerate(avail)})
+        result = is_list_colorable(g, a)
+        assert (result.coloring, result.attestation.nodes) == search_alone(g, a)
+        checked += 1
+
+
 # -- the adversarial assignment -----------------------------------------------
 
 
@@ -621,15 +703,18 @@ def test_vetrik_assignment_refuses_other_witnesses(sizes):
 
 
 def test_vetrik_refutations_by_both_solvers():
-    # the specialized solver kills (3,5) at the root; the generic solver
-    # reaches the same verdict by exhausting the whole tree
+    # both solvers kill (3,5) at the root, the generic one from the twin
+    # classes; with vertex 0 out of its part's class the bound does not
+    # fire and the generic solver exhausts the whole tree
     g, w = complete_multipartite([3] * 5)
     _, a = vetrik_assignment(w)
-    special = multipartite_list_colorable(w, a)
-    assert not special.satisfiable
-    generic = is_list_colorable(g, a)
-    assert not generic.satisfiable
-    assert generic.attestation.nodes > special.attestation.nodes
+    for result in multipartite_list_colorable(w, a), is_list_colorable(g, a):
+        assert (result.satisfiable, result.attestation.nodes) == (False, 1)
+    g, a = vetrik_k3x5(pendant=True)
+    searched = is_list_colorable(g, a)
+    assert (searched.satisfiable, searched.attestation.nodes) == (False, 35_798)
+    masks, _ = coloring._dense_masks(a)
+    assert coloring._search(g, [masks[v] for v in range(g.n)], None, 0) == (None, 35_797)
 
 
 def test_vetrik_5_9_refuted():

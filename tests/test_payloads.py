@@ -13,17 +13,11 @@ import sys
 
 import pytest
 
-from oracles import complete_multipartite
+from oracles import vetrik_k3x5
 from squaregap import cli, construction, latin, serialize
 from squaregap.cli import main
-from squaregap.coloring import ListAssignment, vetrik_assignment
+from squaregap.coloring import ListAssignment
 from squaregap.graphcore import SimpleGraph
-
-
-def vetrik_k3x5():
-    """The n = 3 square K_{3x5} with its Vetrik lists: UNSAT after 35,796 nodes."""
-    g, witness = complete_multipartite([3] * 5)
-    return g, vetrik_assignment(witness)[1]
 
 
 def backtracking_sat():
@@ -66,8 +60,10 @@ def planted_800():
             ListAssignment(universe=tuple(range(colours)), lists=lists))
 
 
-SOLVE_INSTANCES = {"vetrik-K3x5": vetrik_k3x5, "backtracking-sat": backtracking_sat,
-                   "path-1100": path_1100, "planted-800": planted_800}
+SOLVE_INSTANCES = {"vetrik-K3x5": vetrik_k3x5,
+                   "vetrik-K3x5-pendant": lambda: vetrik_k3x5(pendant=True),
+                   "backtracking-sat": backtracking_sat, "path-1100": path_1100,
+                   "planted-800": planted_800}
 
 PINNED = [
     (["certify", "--n", "3"], 0,
@@ -101,7 +97,9 @@ PINNED = [
     (["verify", "--n", "7", "--lemma", "structure"], 0,
      "18d84776b69fb2e2960bb59474daff8da447c092aea3978d2a1a5929dd2e1330"),
     (["solve-list", "vetrik-K3x5"], 1,
-     "05807e3620a77ff567a055a1111f15a9407b071ea23be9208ec5f2f8042aad2d"),
+     "e819d898de0b648999ff6d9170815dcd484ed7acc80168ab3599f11391c6e1fa"),
+    (["solve-list", "vetrik-K3x5-pendant"], 1,
+     "e3ee81de3f19f6e5735d3b089b3c5522ad428780730ade9e337abdbaf6fa9682"),
     (["solve-list", "backtracking-sat"], 0,
      "0558ba923dd998995ea840642598e23e3d2852396448d4c053831f10b3b88655"),
     (["solve-list", "path-1100"], 0,
