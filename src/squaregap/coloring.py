@@ -9,12 +9,13 @@ color of the universe, so large color values cost nothing.  One
 iterative engine, _search, decides list coloring and nothing else: both
 list solvers call it, and the exact chromatic number asks it one list
 question per candidate color count.  No function here recurses, so no
-input depth hits Python's recursion limit.  Both list solvers put one
-part-demand bound at a root node in front of it, on the parts they are
-given or, in is_list_colorable, on twin classes (equal rows), so both
+input depth hits Python's recursion limit.  Both list solvers enter it
+through one root rule, _search_with_twins, on twin classes (equal rows;
+multipartite_list_colorable's are its parts): when some class has no
+color common to its lists, node 1 applies a part-demand bound, so both
 refute the certificate's lists at node 1.  The engine takes the node
 count so far and returns the count at the end with its coloring, so the
-chromatic number's questions and a root share one count and one
+chromatic number's questions and the root share one count and one
 deadline.  The engine keeps the graph the other way round as well, one
 vertex mask per color (has[c]: the uncolored vertices that still have
 color c) and per count of colors left (buckets[k]), so forward checking
@@ -28,7 +29,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from operator import and_
-from typing import Iterable, Optional
+from typing import Optional
 
 from .construction import construct_counterexample
 from .errors import CapacityError, SearchBudgetExceeded, clip
@@ -293,59 +294,25 @@ def _dense_masks(assignment: ListAssignment) -> tuple[dict[int, int], list[int]]
     return dict(zip(lists, map(mask.__getitem__, lists.values()))), palette
 
 
-def _decide_lists(order: list[int], assignment: ListAssignment, decide) -> ListColoringResult:
-    """What the list solvers share around their search.
-
-    An empty list is UNSAT at no node.  Otherwise decide(avail) gets the
-    color mask of each vertex of order, in that order, and returns one color
-    position per vertex or None, and the nodes it searched, which the
-    attestation carries.
-    """
-    for v in order:
-        if not assignment.lists[v]:
-            return ListColoringResult(None, SearchAttestation(nodes=0, empty_list_vertex=v))
-    masks, palette = _dense_masks(assignment)
-    colors, nodes = decide([masks[v] for v in order])
-    coloring = None if colors is None else {v: palette[c] for v, c in zip(order, colors)}
-    return ListColoringResult(coloring, SearchAttestation(nodes=nodes))
-
-
-def _demand_exceeds(groups: Iterable[Iterable[int]]) -> bool:
-    """The part-demand bound on independent sets, every two completely joined,
-    each given as its vertices' color masks: they use disjoint colors, one
-    needs one color if its lists share one, else two, and True means their
-    lists hold fewer colors than that, so no proper coloring exists."""
-    need, union = 0, 0
-    for masks in groups:
-        common = -1
-        for m in masks:
-            union |= m
-            common &= m
-        need += 1 if common else 2
-    return union.bit_count() < need
-
-
-def _search_with_twins(g: SimpleGraph, avail: list[int],
-                       deadline: Optional[float]) -> tuple[Optional[list[int]], int]:
+def _search_with_twins(g: SimpleGraph, avail: list[int], deadline: Optional[float],
+                       classes: dict[int, list[int]]) -> tuple[Optional[list[int]], int]:
     """_search, behind the part-demand bound on twin classes where it can fire.
 
-    Twins (equal rows) are never adjacent, and two twin classes are joined
-    completely or not at all.  If some class of two or more vertices has no
-    color common to its lists, the root, node 1, takes those classes and
-    then the class of the lowest vertex joined to all chosen, greedily, and
-    _demand_exceeds may refute the clique of classes; else _search goes on
-    from the root.  Otherwise _search counts from 0.  On a complete
-    multipartite graph the classes are the parts and the clique is all.
+    classes maps each row of g to its vertices.  Twins (equal rows) are
+    never adjacent, and two twin classes are joined completely or not at
+    all, so the classes of a clique of classes use disjoint colors: one
+    needs one color if its lists share one, else two.  If some class of
+    two or more vertices is needy (no color common to its lists; a single
+    vertex's list is not empty), the root, node 1, takes the needy classes
+    and then the class of the lowest vertex joined to all chosen, greedily,
+    and refutes the lists if the clique's lists hold fewer colors than it
+    needs; else _search goes on from the root.  Otherwise _search counts
+    from 0.  On a complete multipartite graph the classes are the parts
+    and the clique is all.
     """
     adj = g.adj
-    if len(set(adj)) == g.n:
-        return _search(g, avail, deadline, 0)
-    last = dict(zip(adj, range(g.n)))  # each row to the last vertex that has it
-    twins: dict[int, list[int]] = {}  # each duplicated row to its vertices
-    for v, row in enumerate(adj):
-        if last[row] != v:
-            twins.setdefault(row, [last[row]]).append(v)
-    needy = [vs for vs in twins.values() if not functools.reduce(and_, map(avail.__getitem__, vs))]
+    needy = [vs for vs in classes.values()
+             if len(vs) > 1 and not functools.reduce(and_, map(avail.__getitem__, vs))]
     if not needy:
         return _search(g, avail, deadline, 0)
     _check_deadline(deadline, 1)  # the root is node 1
@@ -355,12 +322,36 @@ def _search_with_twins(g: SimpleGraph, avail: list[int],
             clique.append(vs)
             joined &= adj[vs[0]]
     while joined:
-        v = (joined & -joined).bit_length() - 1
-        clique.append(twins.get(adj[v], [v]))
-        joined &= adj[v]
-    if _demand_exceeds([avail[v] for v in vs] for vs in clique):
+        row = adj[(joined & -joined).bit_length() - 1]
+        clique.append(classes[row])
+        joined &= row
+    need, union = 0, 0
+    for vs in clique:
+        common = -1
+        for v in vs:
+            union |= avail[v]
+            common &= avail[v]
+        need += 1 if common else 2
+    if union.bit_count() < need:
         return None, 1
     return _search(g, avail, deadline, 1)
+
+
+def _decide_lists(g: SimpleGraph, classes: dict[int, list[int]], order: list[int],
+                  assignment: ListAssignment, deadline: Optional[float]) -> ListColoringResult:
+    """What the list solvers share: vertex i of g is order[i] of the assignment.
+
+    An empty list is UNSAT at no node.  Otherwise _search_with_twins decides
+    g on the color masks, with classes as its twin classes, and the
+    attestation carries the nodes it searched.
+    """
+    for v in order:
+        if not assignment.lists[v]:
+            return ListColoringResult(None, SearchAttestation(nodes=0, empty_list_vertex=v))
+    masks, palette = _dense_masks(assignment)
+    colors, nodes = _search_with_twins(g, [masks[v] for v in order], deadline, classes)
+    coloring = None if colors is None else {v: palette[c] for v, c in zip(order, colors)}
+    return ListColoringResult(coloring, SearchAttestation(nodes=nodes))
 
 
 def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
@@ -374,39 +365,33 @@ def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
     """
     if set(assignment.lists) != set(range(g.n)):
         raise ValueError("assignment must cover exactly the graph's vertices")
-    return _decide_lists(list(range(g.n)), assignment,
-                         lambda avail: _search_with_twins(g, avail, deadline))
+    classes: dict[int, list[int]] = {}  # each row to the vertices that have it
+    for v, row in enumerate(g.adj):
+        classes.setdefault(row, []).append(v)
+    return _decide_lists(g, classes, list(range(g.n)), assignment, deadline)
 
 
 def multipartite_list_colorable(parts: tuple[tuple[int, ...], ...], assignment: ListAssignment,
                                 *, deadline: Optional[float] = None) -> ListColoringResult:
     """List-colorability decision on the complete multipartite graph on parts.
 
-    The root node applies the part-demand bound (_demand_exceeds) to the
-    parts, as given, and refutes the lists outright if it fires.  Otherwise
-    the graph is built on the parts' vertices, relabelled 0, 1, ... part by
-    part, and _search decides it, counting on from the root: 1 + its nodes
-    in all.
+    The graph is built on the parts' vertices, relabelled 0, 1, ... part by
+    part, and decided as is_list_colorable decides it, with the parts as
+    the twin classes: the root bound refutes the lists at node 1 if it
+    fires, and _search decides the rest.
     """
     verts = [v for part in parts for v in part]
     if len(set(verts)) != len(verts) or not all(parts):
         raise ValueError("parts must be disjoint and nonempty")
     if set(assignment.lists) != set(verts):
         raise ValueError("lists do not cover exactly the parts' vertices")
-
-    starts = list(itertools.accumulate(map(len, parts), initial=0))
-    spans = list(zip(starts, starts[1:]))
-
-    def decide(avail: list[int]) -> tuple[Optional[list[int]], int]:
-        _check_deadline(deadline, 1)  # the root is node 1
-        if _demand_exceeds(avail[a:b] for a, b in spans):
-            return None, 1
-        full, rows = (1 << len(avail)) - 1, []
-        for a, b in spans:
-            rows += [full ^ ((1 << b) - (1 << a))] * (b - a)
-        return _search(SimpleGraph._from_rows(len(avail), tuple(rows)), avail, deadline, 1)
-
-    return _decide_lists(verts, assignment, decide)
+    full, rows, classes = (1 << len(verts)) - 1, [], {}
+    for a, b in itertools.pairwise(itertools.accumulate(map(len, parts), initial=0)):
+        row = full ^ ((1 << b) - (1 << a))
+        rows += [row] * (b - a)
+        classes[row] = list(range(a, b))
+    g = SimpleGraph._from_rows(len(verts), tuple(rows))
+    return _decide_lists(g, classes, verts, assignment, deadline)
 
 
 # -- the adversarial assignment and the certificate ---------------------------

@@ -407,12 +407,13 @@ def test_multipartite_deadline_stops_inside_the_search(monkeypatch):
 
 def test_multipartite_takes_1100_singleton_parts_without_recursion():
     # K_1100 with lists {v, v+1}: the part-by-part search recursed once per
-    # part and hit Python's recursion limit; now the root plus one node per vertex
+    # part and hit Python's recursion limit; now one node per vertex, and no
+    # root, since no part is needy
     n = 1100
     a = assignment_from(range(n), {v: {v, (v + 1) % n} for v in range(n)})
     result = multipartite_list_colorable(tuple((v,) for v in range(n)), a)
     assert result.satisfiable
-    assert result.attestation.nodes == n + 1
+    assert result.attestation.nodes == n
     assert sorted(result.coloring.values()) == list(range(n))
     assert all(c in a.lists[v] for v, c in result.coloring.items())
 
@@ -497,6 +498,24 @@ def test_multipartite_agrees_with_generic_on_k33():
             sat_count += 1
             assert validate_coloring(g, special.coloring, a)
     assert 50 < sat_count < 450
+
+
+def test_both_list_solvers_share_one_root_rule():
+    # on consecutive parts relabelling is the identity, so the solvers see one
+    # graph and one set of twin classes: the same answer at the same node
+    rng = random.Random(2222)
+    outcomes = collections.Counter()
+    for trial in range(300):
+        g, parts = complete_multipartite([rng.randint(1, 3) for _ in range(rng.randint(1, 5))])
+        universe = range(rng.randint(2, 2 * len(parts) + 1))
+        a = assignment_from(universe, {v: rng.sample(universe, rng.randint(1, min(3, len(universe))))
+                                       for v in range(g.n)})
+        special, generic = multipartite_list_colorable(parts, a), is_list_colorable(g, a)
+        assert (special.coloring, special.attestation) == (generic.coloring, generic.attestation), \
+            f"trial {trial}"
+        outcomes["root" if bound_runs(g, a) else "no root"] += 1
+        outcomes["sat" if special.satisfiable else "unsat"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_multipartite_validates_inputs():
