@@ -72,10 +72,6 @@ PINNED = [
      "6f76db7f9fc8bbd74ba35e75abbce868bc61e1c52dbc40c9dc1bcbfba6a4a8bb"),
     (["certify", "--n", "7"], 0,
      "35fd3ed39ffe775a8682809c77c9f670bebc4651f7666e323d9957e65cbcf031"),
-    (["certify", "--n", "11"], 0,
-     "2ce1552a389135812e0ab6538c5e4e0700bce58bac01b4d262ea29e6073807f9"),
-    (["certify", "--n", "31"], 0,
-     "96dd3effc75afc0bc9e524ca246b5836b90ed6ee31e4c20623690cd557945021"),
     (["verify", "--n", "3", "--lemma", "all"], 0,
      "b3fcf6e751748f758582fde12e8d3be1de9b91cb5d9f127d9470fc0f66489d98"),
     (["verify", "--n", "5", "--lemma", "all"], 0,
