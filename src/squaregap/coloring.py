@@ -10,7 +10,7 @@ iterative engine, _search, decides list coloring and nothing else: both
 list solvers call it, and the exact chromatic number asks it one list
 question per candidate color count.  No function here recurses, so no
 input depth hits Python's recursion limit.  Both list solvers enter it
-through one root rule, _search_with_twins, on twin classes (equal rows;
+through one root function, _decide_lists, on twin classes (equal rows;
 multipartite_list_colorable's are its parts): when some class has no
 color common to its lists, node 1 applies a part-demand bound, so both
 refute the certificate's lists at node 1.  The engine takes the node
@@ -21,7 +21,8 @@ vertex mask per color (has[c]: the uncolored vertices that still have
 color c) and per count of colors left (buckets[k]), so forward checking
 a node takes a few mask operations instead of a walk over the neighbors:
 the dense squares this package refutes cost no more per node than sparse
-graphs of the same order.
+graphs of the same order.  certify_gap colors by the verified parts and
+checks that coloring no further: the structure check is its proof.
 """
 
 import functools
@@ -82,7 +83,7 @@ class ListColoringResult:
 class GapCertificate:
     """Machine-checked record that choosability exceeds the chromatic number.
 
-    chromatic comes with a validated proper coloring; list_bound is a size
+    chromatic comes with a verified proper coloring; list_bound is a size
     s such that the refuted assignment has all lists of size s and admits
     no proper coloring (full exhaustion attested), so the list chromatic
     number is at least s + 1 and exceeds chromatic by at least gap_lower.
@@ -294,62 +295,53 @@ def _dense_masks(assignment: ListAssignment) -> tuple[dict[int, int], list[int]]
     return dict(zip(lists, map(mask.__getitem__, lists.values()))), palette
 
 
-def _search_with_twins(g: SimpleGraph, avail: list[int], deadline: Optional[float],
-                       classes: dict[int, list[int]]) -> tuple[Optional[list[int]], int]:
-    """_search, behind the part-demand bound on twin classes where it can fire.
-
-    classes maps each row of g to its vertices.  Twins (equal rows) are
-    never adjacent, and two twin classes are joined completely or not at
-    all, so the classes of a clique of classes use disjoint colors: one
-    needs one color if its lists share one, else two.  If some class of
-    two or more vertices is needy (no color common to its lists; a single
-    vertex's list is not empty), the root, node 1, takes the needy classes
-    and then the class of the lowest vertex joined to all chosen, greedily,
-    and refutes the lists if the clique's lists hold fewer colors than it
-    needs; else _search goes on from the root.  Otherwise _search counts
-    from 0.  On a complete multipartite graph the classes are the parts
-    and the clique is all.
-    """
-    adj = g.adj
-    needy = [vs for vs in classes.values()
-             if len(vs) > 1 and not functools.reduce(and_, map(avail.__getitem__, vs))]
-    if not needy:
-        return _search(g, avail, deadline, 0)
-    _check_deadline(deadline, 1)  # the root is node 1
-    clique, joined = [], -1  # joined: the vertices joined to every class chosen
-    for vs in needy:
-        if joined >> vs[0] & 1:
-            clique.append(vs)
-            joined &= adj[vs[0]]
-    while joined:
-        row = adj[(joined & -joined).bit_length() - 1]
-        clique.append(classes[row])
-        joined &= row
-    need, union = 0, 0
-    for vs in clique:
-        common = -1
-        for v in vs:
-            union |= avail[v]
-            common &= avail[v]
-        need += 1 if common else 2
-    if union.bit_count() < need:
-        return None, 1
-    return _search(g, avail, deadline, 1)
-
-
 def _decide_lists(g: SimpleGraph, classes: dict[int, list[int]], order: list[int],
                   assignment: ListAssignment, deadline: Optional[float]) -> ListColoringResult:
-    """What the list solvers share: vertex i of g is order[i] of the assignment.
+    """The root both list solvers share: vertex i of g is order[i] of the
+    assignment, and classes maps each row of g to its twins (equal rows).
 
-    An empty list is UNSAT at no node.  Otherwise _search_with_twins decides
-    g on the color masks, with classes as its twin classes, and the
-    attestation carries the nodes it searched.
+    An empty list is UNSAT at no node.  Otherwise, on the color masks:
+    twins are never adjacent, and two twin classes are joined completely or
+    not at all, so the classes of a clique of classes use disjoint colors:
+    one needs one color if its lists share one, else two.  If some class of
+    two or more vertices is needy (no color common to its lists), the root,
+    node 1, takes the needy classes and then the class of the lowest vertex
+    joined to all chosen, greedily, and refutes the lists if the clique's
+    lists hold fewer colors than it needs.  Otherwise _search decides, from
+    the root or from 0 if no class is needy, and the attestation carries the
+    count.  On a complete multipartite graph the classes are the parts and
+    the clique is all.
     """
     for v in order:
         if not assignment.lists[v]:
             return ListColoringResult(None, SearchAttestation(nodes=0, empty_list_vertex=v))
     masks, palette = _dense_masks(assignment)
-    colors, nodes = _search_with_twins(g, [masks[v] for v in order], deadline, classes)
+    avail = [masks[v] for v in order]
+    needy = [vs for vs in classes.values()
+             if len(vs) > 1 and not functools.reduce(and_, map(avail.__getitem__, vs))]
+    nodes = 0
+    if needy:
+        nodes = 1
+        _check_deadline(deadline, nodes)  # the root is node 1
+        clique, joined = [], -1  # joined: the vertices joined to every class chosen
+        for vs in needy:
+            if joined >> vs[0] & 1:
+                clique.append(vs)
+                joined &= g.adj[vs[0]]
+        while joined:
+            row = g.adj[(joined & -joined).bit_length() - 1]
+            clique.append(classes[row])
+            joined &= row
+        need, union = 0, 0
+        for vs in clique:
+            common = -1
+            for v in vs:
+                union |= avail[v]
+                common &= avail[v]
+            need += 1 if common else 2
+        if union.bit_count() < need:
+            return ListColoringResult(None, SearchAttestation(nodes=nodes))
+    colors, nodes = _search(g, avail, deadline, nodes)
     coloring = None if colors is None else {v: palette[c] for v, c in zip(order, colors)}
     return ListColoringResult(coloring, SearchAttestation(nodes=nodes))
 
@@ -359,7 +351,7 @@ def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
     """Complete decision for proper coloring from per-vertex lists.
 
     The part-demand bound on twin classes may refute at the root
-    (_search_with_twins); otherwise UNSAT is returned only after _search
+    (_decide_lists); otherwise UNSAT is returned only after _search
     has exhausted the whole search space.  The attestation carries the
     node count.
     """
@@ -425,6 +417,8 @@ def vetrik_assignment(parts: tuple[tuple[int, ...], ...]
     blocks = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
     positions = [frozenset([*range(1, a), *range(b, 2 * r)][:bound])
                  for a, b in zip(starts, starts[1:])]
+    distinct: dict[frozenset[int], frozenset[int]] = {}  # equal lists share one object
+    positions = [distinct.setdefault(s, s) for s in positions]
     lists = {v: positions[k] for part in parts for k, v in enumerate(sorted(part))}
     return blocks, ListAssignment(universe=tuple(range(1, 2 * r)), lists=lists)
 
@@ -448,11 +442,12 @@ def certify_gap(n: int, budget_seconds: Optional[float] = None) -> GapCertificat
 
     Builds the graph and re-verifies that its square is complete multipartite
     on r = 2n-1 parts, so every row is "everything outside my part": coloring
-    by part is proper and one vertex per part is a clique, hence chromatic
-    number r with no search.  Then exhaustively refutes the adversarial lists
-    of size vetrik_lower_bound(n, r) on the square.  budget_seconds bounds the
-    whole run: the deadline is checked after each phase and inside the search,
-    and SearchBudgetExceeded names the last phase finished.
+    by part index is proper, with that check as its one proof, and one vertex
+    per part is a clique, hence chromatic number r with no search.  Then
+    exhaustively refutes the adversarial lists of size vetrik_lower_bound(n, r)
+    on the square.  budget_seconds bounds the whole run: the deadline is
+    checked after construct, square and structure check and inside the
+    search, and SearchBudgetExceeded names the last phase finished.
     The gap lower bound (refuted size + 1) - r is n - 1 for every prime n >= 3.
     """
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
@@ -472,9 +467,6 @@ def certify_gap(n: int, budget_seconds: Optional[float] = None) -> GapCertificat
     r = len(parts)
     part_of = {v: c for c, part in enumerate(parts) for v in part}
     coloring = [part_of[v] for v in range(sq.n)]
-    if not validate_coloring(sq, coloring):
-        raise RuntimeError("part coloring failed independent validation")
-    reached("colouring validation")
     blocks, refuted = vetrik_assignment(parts)
     result = multipartite_list_colorable(parts, refuted, deadline=deadline)
     if result.satisfiable:

@@ -148,14 +148,10 @@ def _share_at_most_one(col: _Collector, item: str, gc: ConstructedGraph,
     for x in xs:
         later = xs_mask >> (x + 1) << (x + 1)
         once = twice = 0
-        s = bin(adj[x] & centres)  # bit c of the row is s[len(s) - 1 - c]
-        top = len(s) - 1
-        i = s.find("1", 2)
-        while i != -1:
-            row = adj[top - i] & later
+        for c in bits(adj[x] & centres):
+            row = adj[c] & later
             twice |= once & row
             once |= row
-            i = s.find("1", i + 1)
         crowded = twice | (once & group_of.get(x, 0))
         good -= crowded.bit_count()
         for y in bits(crowded):

@@ -464,7 +464,6 @@ def test_certify_refutation_stops_at_its_first_node(monkeypatch):
     ("construct", "construct_counterexample"),
     ("square", "square"),
     ("structure check", "check_square_structure"),
-    ("colouring validation", "validate_coloring"),
 ])
 def test_certify_budget_bounds_every_phase(monkeypatch, phase, name):
     # the clock passes the deadline during one phase; certify stops right after it
@@ -691,6 +690,17 @@ def test_vetrik_no_common_color_within_a_part():
         _, a = vetrik_assignment(w)
         for part in w:
             assert not frozenset.intersection(*(a.lists[v] for v in part))
+
+
+@pytest.mark.parametrize("n", [31, 61])
+def test_vetrik_assignment_shares_one_list_object_per_value(n):
+    # equal trimmed positions are one frozenset, so _dense_masks converts
+    # each distinct list once without comparing equal lists element by element
+    r = 2 * n - 1
+    _, a = vetrik_assignment(tuple(tuple(range(i, i + n)) for i in range(0, n * r, n)))
+    values = set(a.lists.values())
+    assert len(values) < n
+    assert len({id(colors) for colors in a.lists.values()}) == len(values)
 
 
 def test_vetrik_assignment_positions_on_shuffled_parts():
