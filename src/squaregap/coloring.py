@@ -300,7 +300,8 @@ def _decide_lists(g: SimpleGraph, classes: dict[int, list[int]], order: list[int
     """The root both list solvers share: vertex i of g is order[i] of the
     assignment, and classes maps each row of g to its twins (equal rows).
 
-    An empty list is UNSAT at no node.  Otherwise, on the color masks:
+    The lists must cover exactly the vertices of order.  An empty list is
+    UNSAT at no node.  Otherwise, on the color masks:
     twins are never adjacent, and two twin classes are joined completely or
     not at all, so the classes of a clique of classes use disjoint colors:
     one needs one color if its lists share one, else two.  If some class of
@@ -312,6 +313,8 @@ def _decide_lists(g: SimpleGraph, classes: dict[int, list[int]], order: list[int
     count.  On a complete multipartite graph the classes are the parts and
     the clique is all.
     """
+    if set(assignment.lists) != set(order):
+        raise ValueError("lists must cover exactly the graph's vertices")
     for v in order:
         if not assignment.lists[v]:
             return ListColoringResult(None, SearchAttestation(nodes=0, empty_list_vertex=v))
@@ -355,8 +358,6 @@ def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
     has exhausted the whole search space.  The attestation carries the
     node count.
     """
-    if set(assignment.lists) != set(range(g.n)):
-        raise ValueError("assignment must cover exactly the graph's vertices")
     classes: dict[int, list[int]] = {}  # each row to the vertices that have it
     for v, row in enumerate(g.adj):
         classes.setdefault(row, []).append(v)
@@ -375,8 +376,6 @@ def multipartite_list_colorable(parts: tuple[tuple[int, ...], ...], assignment: 
     verts = [v for part in parts for v in part]
     if len(set(verts)) != len(verts) or not all(parts):
         raise ValueError("parts must be disjoint and nonempty")
-    if set(assignment.lists) != set(verts):
-        raise ValueError("lists do not cover exactly the parts' vertices")
     full, rows, classes = (1 << len(verts)) - 1, [], {}
     for a, b in itertools.pairwise(itertools.accumulate(map(len, parts), initial=0)):
         row = full ^ ((1 << b) - (1 << a))
@@ -445,9 +444,9 @@ def certify_gap(n: int, budget_seconds: Optional[float] = None) -> GapCertificat
     by part index is proper, with that check as its one proof, and one vertex
     per part is a clique, hence chromatic number r with no search.  Then
     exhaustively refutes the adversarial lists of size vetrik_lower_bound(n, r)
-    on the square.  budget_seconds bounds the whole run: the deadline is
-    checked after construct, square and structure check and inside the
-    search, and SearchBudgetExceeded names the last phase finished.
+    on the square.  The budget_seconds deadline is read after construct, square
+    and structure check, naming the last phase finished, and in the search
+    only when _DEADLINE_STRIDE divides the node count (the root is node 1).
     The gap lower bound (refuted size + 1) - r is n - 1 for every prime n >= 3.
     """
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds

@@ -139,10 +139,11 @@ def parse_dimacs(text: str) -> SimpleGraph:
 def graph_to_dot(n: int, upper: list[list[int]],
                  labels: dict[int, str] | None = None) -> str:
     """DOT text of the graph on n vertices with upper rows upper; a vertex with
-    a non-empty label gets it as its label attribute."""
+    a non-empty label gets it as its label attribute, a quoted string with
+    its backslashes and double quotes escaped."""
     lines = ["graph G {"]
     for v in range(n):
-        name = labels.get(v) if labels else None
+        name = ((labels or {}).get(v) or "").replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {v} [label="{name}"];' if name else f"  {v};")
     lines += _edge_lines(upper, list(map(str, range(n))), "  {u} -- {v};")
     lines.append("}")

@@ -5,21 +5,19 @@ violation, and reports the first witness per item plus a failure count,
 so a broken construction comes back with a concrete counterexample
 tuple instead of a bare False.  Counts and witnesses are always those of
 the case-by-case enumeration, but whole families of cases are settled by
-bitset counts:
+bitset counts, with one tally (_cover) for "exactly one" and "at most one":
 
 - "exactly one neighbour in each set" (nw1, nw2, nv1) is read off each
   set's member rows at once, by the vertices they cover once and twice;
 - the pair claims (nw3, nv2) follow from the square by one counting
-  identity (see _no_two_w_share_two).
-
-Only when that identity fails does a walk over the neighbourhoods name
-the failing pairs.
+  identity (see _no_two_w_share_two); only when it fails does a walk over
+  the neighbourhoods, with the same tally, name the failing pairs.
 """
 
 from dataclasses import dataclass
 from itertools import chain
-from math import comb, inf
-from operator import add, itemgetter
+from math import comb
+from operator import add
 from typing import Optional
 
 from .construction import ConstructedGraph
@@ -56,55 +54,54 @@ class _Collector:
     def passed(self, k: int = 1):
         self.cases += k
 
-    def fail(self, item: str, witness: tuple):
-        self.cases += 1
-        self.failures += 1
+    def fail(self, item: str, witness: tuple, k: int = 1):
+        self.cases += k
+        self.failures += k
         self.first.setdefault(item, witness)
-
-    def merge(self, *found: tuple):
-        """Add _one_neighbour_in_each results, items in the order their first
-        failures come in the case-by-case enumeration, x by x."""
-        for _, cases, failures, witness in sorted(found, key=itemgetter(0)):
-            self.cases += cases
-            self.failures += failures
-            if witness is not None:
-                self.first.setdefault(witness[0], witness)
 
     def report(self) -> LemmaReport:
         return LemmaReport(self.lemma_id, self.cases, self.failures, tuple(self.first.values()))
 
 
-def _one_neighbour_in_each(gc: ConstructedGraph, item: str, xs: tuple[int, ...],
-                           name: str, sets: tuple[tuple[int, ...], ...]) -> tuple:
-    """Settle "x has exactly one neighbour in name_k" for every x in xs and every set.
+def _cover(rows) -> tuple[int, int]:
+    """The bits set in at least one of rows, and those set in at least two."""
+    once = twice = 0
+    for row in rows:
+        twice |= once & row
+        once |= row
+    return once, twice
 
-    x has one neighbour in a set exactly when it lies in one of the rows
-    adj[c] & xs, c in the set (the rows are symmetric), so masks of the xs
-    seen once and twice over those rows give all failing xs of the set.
-    Returns (first failing x or inf, cases, failures, first witness), the
-    witness being the first failure met x by x, sets in order.
+
+def _one_neighbour_in_each(col: _Collector, gc: ConstructedGraph, xs: tuple[int, ...],
+                           *items: tuple[str, str, tuple[tuple[int, ...], ...]]):
+    """Settle "x has exactly one neighbour in name_k" for every x in xs and every
+    set name_k of every (item, name, sets) of items.
+
+    x has one neighbour in a set exactly when it lies in just one of the
+    rows adj[c], c in the set (the rows are symmetric), so the _cover of
+    those rows gives all failing xs of the set.  Each failing item's first
+    witness is the first failure met x by x, sets in order, and the items
+    are recorded in the order of those witnesses, ties in item order, as
+    the case-by-case enumeration meets them.
     """
     adj = gc.graph.adj
     xs_mask = mask_of(xs)
-    failures = 0
-    first_x, first_k = inf, 0
-    for k, members in enumerate(sets, start=1):
-        once = twice = 0
-        for c in members:
-            row = adj[c] & xs_mask
-            twice |= once & row
-            once |= row
-        bad = (xs_mask & ~once) | twice  # = xs & ~(once & ~twice)
-        if bad:
-            failures += bad.bit_count()
-            x = (bad & -bad).bit_length() - 1
-            if x < first_x:
-                first_x, first_k = x, k
-    if not failures:
-        return inf, len(xs) * len(sets), 0, None
-    got = (adj[first_x] & mask_of(sets[first_k - 1])).bit_count()
-    return (first_x, len(xs) * len(sets), failures,
-            (item, gc.labels[first_x], f"{name}_{first_k}", got))
+    first = []  # (x, item index, k, failures) for each failing item
+    for i, (_, _, sets) in enumerate(items):
+        failures, lows = 0, []
+        for k, members in enumerate(sets, start=1):
+            once, twice = _cover(map(adj.__getitem__, members))
+            bad = xs_mask & (twice | ~once)  # = xs & ~(once & ~twice)
+            if bad:
+                failures += bad.bit_count()
+                lows.append(((bad & -bad).bit_length() - 1, i, k))
+        col.passed(len(xs) * len(sets) - failures)
+        if lows:
+            first.append((*min(lows), failures))
+    for x, i, k, failures in sorted(first):
+        item, name, sets = items[i]
+        got = (adj[x] & mask_of(sets[k - 1])).bit_count()
+        col.fail(item, (item, gc.labels[x], f"{name}_{k}", got), failures)
 
 
 def _no_two_w_share_two(gc: ConstructedGraph, sq: SimpleGraph) -> bool:
@@ -137,22 +134,18 @@ def _share_at_most_one(col: _Collector, item: str, gc: ConstructedGraph,
     Runs only when _no_two_w_share_two cannot settle the pairs, that is
     when some pair fails or the graph has a w-w edge, and records every
     failing pair as the pair-by-pair enumeration would.  y shares k such
-    neighbours with x exactly when it lies in k of the rows adj[c] & later,
-    c in N(x) & centres: masks of the vertices seen once and twice over
-    those rows find every failing y with one AND/OR per edge instead of
-    one AND per pair.  Relies on the rows being symmetric.
+    neighbours with x exactly when it lies in k of the rows adj[c], c in
+    N(x) & centres: the _cover of those rows finds every failing y
+    with one AND/OR per edge instead of one AND per pair.  Relies on the
+    rows being symmetric.
     """
     adj = gc.graph.adj
     xs_mask = mask_of(xs)
     good = comb(len(xs), 2)
     for x in xs:
         later = xs_mask >> (x + 1) << (x + 1)
-        once = twice = 0
-        for c in bits(adj[x] & centres):
-            row = adj[c] & later
-            twice |= once & row
-            once |= row
-        crowded = twice | (once & group_of.get(x, 0))
+        once, twice = _cover(map(adj.__getitem__, bits(adj[x] & centres)))
+        crowded = later & (twice | (once & group_of.get(x, 0)))
         good -= crowded.bit_count()
         for y in bits(crowded):
             col.fail(item, (item, gc.labels[x], gc.labels[y],
@@ -185,8 +178,7 @@ def check_lemma_nw(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
             col.passed()
         else:
             col.fail("nw0", ("nw0", gc.labels[x], "neighborhood differs from Latin row"))
-    col.merge(_one_neighbour_in_each(gc, "nw1", q, "P", gc.p_sets),
-              _one_neighbour_in_each(gc, "nw2", q, "T", gc.t_sets))
+    _one_neighbour_in_each(col, gc, q, ("nw1", "P", gc.p_sets), ("nw2", "T", gc.t_sets))
     group_mask = {x: m for qs, m in zip(gc.q_sets, map(mask_of, gc.q_sets)) for x in qs}
     if _no_two_w_share_two(gc, sq) and not any(sq.adj[x] & m for x, m in group_mask.items()):
         col.passed(comb(len(q), 2))
@@ -205,7 +197,7 @@ def check_lemma_nv(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
     """
     col = _Collector("nv")
     p = gc.p_vertices
-    col.merge(_one_neighbour_in_each(gc, "nv1", p, "Q", gc.q_sets))
+    _one_neighbour_in_each(col, gc, p, ("nv1", "Q", gc.q_sets))
     if _no_two_w_share_two(gc, sq):
         col.passed(comb(len(p), 2))
     else:

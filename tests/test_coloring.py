@@ -526,6 +526,16 @@ def test_multipartite_validates_inputs():
         multipartite_list_colorable(((0, 1), (1, 2, 3)), a)
 
 
+def test_both_list_solvers_reject_a_non_covering_assignment_alike():
+    g, parts = complete_multipartite([2, 2])
+    short = assignment_from(range(2), {v: {0, 1} for v in range(3)})
+    with pytest.raises(ValueError) as graph_error:
+        is_list_colorable(g, short)
+    with pytest.raises(ValueError) as parts_error:
+        multipartite_list_colorable(parts, short)
+    assert str(graph_error.value) == str(parts_error.value)
+
+
 def test_multipartite_empty_list_short_circuits():
     _, w = complete_multipartite([2, 2])
     a = assignment_from(range(3), {0: {0}, 1: {1}, 2: set(), 3: {2}})

@@ -157,6 +157,11 @@ def test_dot_output():
                     "  0 -- 1;\n  0 -- 2;\n  1 -- 2;\n}\n")
 
 
+def test_dot_labels_escape_backslashes_and_quotes():
+    text = serialize.graph_to_dot(2, [[1], []], {0: 'a"b', 1: "c\\"})
+    assert text == 'graph G {\n  0 [label="a\\"b"];\n  1 [label="c\\\\"];\n  0 -- 1;\n}\n'
+
+
 @st.composite
 def _labelled_graphs(draw):
     """A graph on up to 12 vertices and a label map that may miss vertices or
