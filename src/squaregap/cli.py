@@ -8,11 +8,11 @@ parameters or unparsable input, 3 I/O failure, 4 budget exhausted,
 """
 
 import argparse
+import contextlib
+import errno
 import itertools
 import json
-import logging
 import math
-import os
 import sys
 import time
 
@@ -29,8 +29,6 @@ EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
-
-log = logging.getLogger("squaregap")
 
 
 def _envelope(command: str, parameters: dict, outcome: str, elapsed_ms: int) -> str:
@@ -201,44 +199,41 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    # getLevelName maps a level name to its int and anything else to a str
-    level = logging.getLevelName(os.environ.get("SQUAREGAP_LOG", "warning").upper())
-    logging.basicConfig(stream=sys.stderr, level=level if isinstance(level, int) else "WARNING")
     started = time.perf_counter()
     # an order below 3 or a path reaches here at any length; the envelope clips it
     parameters = {k: clip(v) if isinstance(v, (int, str)) and len(str(v)) > 60 else v
                   for k, v in vars(args).items() if k != "command"}
+    message = None  # set by a failure, printed before the envelope
     try:
         outcome, payload = _HANDLERS[args.command](args)
         code = EXIT_PASS if outcome == "pass" else EXIT_FAIL
+        if getattr(args, "output", None):
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        elif sys.stdout is None or sys.stdout.closed:  # None: closed at startup
+            raise OSError(errno.EBADF, "stdout is closed")
+        else:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
     except ValueError as exc:
-        print(f"squaregap {args.command}: {exc}", file=sys.stderr)
-        outcome, code = "error", EXIT_BAD_PARAMS
+        message, code = str(exc), EXIT_BAD_PARAMS
     except SearchBudgetExceeded as exc:
-        print(f"squaregap {args.command}: {exc} (nodes={exc.nodes})", file=sys.stderr)
-        outcome, code = "error", EXIT_BUDGET
+        message, code = f"{exc} (nodes={exc.nodes})", EXIT_BUDGET
     except OSError as exc:
-        print(f"squaregap {args.command}: {_os_message(exc)}", file=sys.stderr)
-        outcome, code = "error", EXIT_IO
+        message, code = _os_message(exc), EXIT_IO
     except Exception as exc:  # last resort: exit 1 would read as UNSAT
-        log.debug("internal error in %s", args.command, exc_info=True)
-        what = f"{type(exc).__name__}: {clip(str(exc))}"
-        print(f"squaregap {args.command}: internal error: {what}", file=sys.stderr)
-        outcome, code = "error", EXIT_INTERNAL
-    else:
-        output_path = getattr(args, "output", None)
-        try:
-            if output_path:
-                with open(output_path, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
-            else:
-                sys.stdout.write(payload)
-        except OSError as exc:
-            print(f"squaregap {args.command}: {_os_message(exc)}", file=sys.stderr)
-            outcome, code = "error", EXIT_IO
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    log.debug("finished %s with outcome %s", args.command, outcome)  # the envelope stays last
-    print(_envelope(args.command, parameters, outcome, elapsed_ms), file=sys.stderr)
+        message = f"internal error: {type(exc).__name__}: {clip(str(exc))}"
+        code = EXIT_INTERNAL
+    if message is not None:
+        outcome = "error"
+    report = _envelope(args.command, parameters, outcome,
+                       int((time.perf_counter() - started) * 1000))
+    if message is not None:
+        report = f"squaregap {args.command}: {message}\n{report}"
+    # print(file=None) would write to stdout; a closed stderr costs only the report
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(report, file=sys.stderr, flush=True)
     return code
 
 

@@ -298,7 +298,8 @@ def _dense_masks(assignment: ListAssignment) -> tuple[dict[int, int], list[int]]
 def _decide_lists(g: SimpleGraph, classes: dict[int, list[int]], order: list[int],
                   assignment: ListAssignment, deadline: Optional[float]) -> ListColoringResult:
     """The root both list solvers share: vertex i of g is order[i] of the
-    assignment, and classes maps each row of g to its twins (equal rows).
+    assignment, and classes maps the lowest vertex of each twin class (the
+    vertices of one row) to the class, in ascending order.
 
     The lists must cover exactly the vertices of order.  An empty list is
     UNSAT at no node.  Otherwise, on the color masks:
@@ -331,10 +332,10 @@ def _decide_lists(g: SimpleGraph, classes: dict[int, list[int]], order: list[int
             if joined >> vs[0] & 1:
                 clique.append(vs)
                 joined &= g.adj[vs[0]]
-        while joined:
-            row = g.adj[(joined & -joined).bit_length() - 1]
-            clique.append(classes[row])
-            joined &= row
+        while joined:  # a union of whole classes: twins have one row
+            u = (joined & -joined).bit_length() - 1
+            clique.append(classes[u])
+            joined &= g.adj[u]
         need, union = 0, 0
         for vs in clique:
             common = -1
@@ -358,9 +359,12 @@ def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
     has exhausted the whole search space.  The attestation carries the
     node count.
     """
-    classes: dict[int, list[int]] = {}  # each row to the vertices that have it
+    # an int hashes as its value mod 2^61 - 1, so rows can be built to share a
+    # hash; keyed by the salted hash of its bytes, grouping stays linear
+    lowest, classes = {}, {}  # each row's key to its lowest vertex, that to the class
     for v, row in enumerate(g.adj):
-        classes.setdefault(row, []).append(v)
+        key = hash(row.to_bytes((row.bit_length() + 7) // 8, "little")), row
+        classes.setdefault(lowest.setdefault(key, v), []).append(v)
     return _decide_lists(g, classes, list(range(g.n)), assignment, deadline)
 
 
@@ -380,7 +384,7 @@ def multipartite_list_colorable(parts: tuple[tuple[int, ...], ...], assignment: 
     for a, b in itertools.pairwise(itertools.accumulate(map(len, parts), initial=0)):
         row = full ^ ((1 << b) - (1 << a))
         rows += [row] * (b - a)
-        classes[row] = list(range(a, b))
+        classes[a] = list(range(a, b))
     g = SimpleGraph._from_rows(len(verts), tuple(rows))
     return _decide_lists(g, classes, verts, assignment, deadline)
 

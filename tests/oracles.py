@@ -342,6 +342,8 @@ def pairs_to_dot(n: int, edges: list[tuple[int, int]],
     lines = ["graph G {"]
     for v in range(n):
         name = labels.get(v) if labels else None
+        # a DOT quoted string escapes each backslash and double quote
+        name = name and "".join("\\" + ch if ch in '\\"' else ch for ch in name)
         lines.append(f'  {v} [label="{name}"];' if name else f"  {v};")
     lines += [f"  {u} -- {v};" for u, v in edges]
     lines.append("}")

@@ -1,4 +1,6 @@
 import argparse
+import errno
+import io
 import json
 import os
 import subprocess
@@ -194,8 +196,9 @@ def test_envelope_refuses_non_finite_numbers():
 
 
 def test_budget_stop_reports_nodes(capsys):
-    # the budget covers every certify phase, so a zero budget stops right after
-    # construction, before squaring and before any search node
+    # certify reads its deadline after each phase (not during every phase: see
+    # README), so a zero budget stops right after construction, before squaring
+    # and before any search node
     code, out, err = run_cli(capsys, "certify", "--n", "31", "--budget-seconds", "0")
     assert code == 4
     assert out == ""
@@ -645,13 +648,49 @@ def test_console_script_entry_point():
     assert json.loads(proc.stderr.strip().splitlines()[-1])["outcome"] == "pass"
 
 
-@pytest.mark.parametrize("level", ["basic_format", "debug"])
-def test_any_log_level_keeps_the_envelope_last(level):
-    # a fresh interpreter, since pytest's root handlers make basicConfig a no-op
-    # in process; BASIC_FORMAT names a format string in logging, not a level
-    proc = subprocess.run([sys.executable, "-m", "squaregap.cli", "mols", "--n", "3"],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, SQUAREGAP_LOG=level))
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stderr.strip().splitlines()[-1])["outcome"] == "pass"
-    assert ("finished mols with outcome pass" in proc.stderr) == (level == "debug")
+def run_with_fd_closed(fd, *argv):
+    # a fresh interpreter started with fd closed, as `>&-` (1) or `2>&-` (2) leaves it
+    return subprocess.run([sys.executable, "-m", "squaregap.cli", *argv],
+                          capture_output=True, text=True, preexec_fn=lambda: os.close(fd))
+
+
+def test_closed_stdout_exits_3_without_a_traceback():
+    proc = run_with_fd_closed(1, "verify", "--n", "3")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[0] == "squaregap verify: [Errno 9] stdout is closed"
+    assert envelope_of(proc.stderr)["outcome"] == "error"
+
+
+class FullStdout(io.StringIO):
+    def flush(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def closed_stdout():
+    stdout = io.StringIO()
+    stdout.close()
+    return stdout
+
+
+@pytest.mark.parametrize("stdout", [None, closed_stdout(), FullStdout()],
+                         ids=["closed-at-startup", "closed", "full"])
+def test_a_closed_or_failing_stdout_exits_3_in_process(capsys, monkeypatch, stdout):
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", stdout)
+        code = main(["mols", "--n", "3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 2
+    assert err.startswith("squaregap mols: [Errno ")
+    assert envelope_of(err)["outcome"] == "error"
+
+
+def test_closed_stderr_leaves_stdout_to_the_payload(capsys, monkeypatch):
+    code, payload, _ = run_cli(capsys, "mols", "--n", "3")
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stderr", None)
+        assert main(["mols", "--n", "3"]) == 0
+    assert capsys.readouterr().out == payload
+    proc = run_with_fd_closed(2, "mols", "--n", "3")
+    assert (proc.returncode, proc.stdout) == (0, payload)

@@ -649,6 +649,26 @@ def test_without_twins_the_search_is_searched_alone():
         checked += 1
 
 
+def test_twin_grouping_stays_linear_when_every_row_hashes_alike():
+    # an int hashes as its value mod 2^61 - 1, so a leaf joined to one hub at
+    # 0 mod 61 and one at 1 mod 61 hashes to 2^0 + 2^1 = 3: 16,129 distinct
+    # rows with one int hash, which grouping keyed by the int took seconds
+    # over before the search read its first clock
+    k = 127
+    hubs = {61 * i for i in range(k)} | {61 * i + 1 for i in range(k)}
+    leaves = [v for v in range(k * k + 2 * k) if v not in hubs]
+    g = SimpleGraph.from_edges(k * k + 2 * k, [
+        e for j, v in enumerate(leaves) for e in ((v, 61 * (j // k)), (v, 61 * (j % k) + 1))])
+    assert {hash(g.adj[v]) for v in leaves} == {3}
+    a = assignment_from(range(3), {v: range(3) for v in range(g.n)})
+    started = time.perf_counter()
+    try:
+        is_list_colorable(g, a, deadline=time.monotonic() + 0.5)
+    except SearchBudgetExceeded:
+        pass
+    assert time.perf_counter() - started < 1.5
+
+
 # -- the adversarial assignment -----------------------------------------------
 
 

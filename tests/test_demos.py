@@ -1,5 +1,5 @@
 """The narrative demos and README's library tour run to completion, the CLI
-starts without numpy, and the bench tracer reads what it wraps.
+starts without numpy or logging, and the bench tracer reads what it wraps.
 
 Each check runs in a fresh interpreter with PYTHONPATH=src, so it sees
 the package exactly as a user of the source tree does.  It writes no
@@ -36,6 +36,16 @@ def test_cli_import_leaves_numpy_out():
     proc = run_python("-c", "import sys, squaregap.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_imports_no_logging_and_main_adds_no_root_handler():
+    # a fresh interpreter: pytest's own handlers on the root logger would hide one
+    proc = run_python("-c", "import sys, squaregap.cli as cli; print('logging' in sys.modules); "
+                            "import logging; cli.main(['mols', '--n', '3']); "
+                            "print(logging.getLogger().handlers)")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "[]")
 
 
 TRACED_RUN = """

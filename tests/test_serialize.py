@@ -165,12 +165,13 @@ def test_dot_labels_escape_backslashes_and_quotes():
 @st.composite
 def _labelled_graphs(draw):
     """A graph on up to 12 vertices and a label map that may miss vertices or
-    give them "" or None."""
+    give them "" or None, and whose labels may hold backslashes and quotes."""
     n = draw(st.integers(min_value=0, max_value=12))
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picks = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
     g = SimpleGraph.from_edges(n, [e for e, take in zip(slots, picks) if take])
-    names = st.none() | st.sampled_from(["", "a", "v_1_2", "w 3"])
+    names = st.none() | st.sampled_from(["", "a", "v_1_2", "w 3", 'say "hi"', "C:\\v",
+                                         '\\"', '"\\'])
     labels = draw(st.dictionaries(st.integers(min_value=0, max_value=max(n - 1, 0)), names,
                                   max_size=n))
     return g, labels
@@ -181,6 +182,7 @@ def _labelled_graphs(draw):
 @example((SimpleGraph(0, ()), {}))
 @example((SimpleGraph(3, (0,) * 3), {0: "a", 1: "", 2: None}))
 @example((SimpleGraph.from_edges(5, [(1, 2), (1, 3), (2, 3)]), {4: "last"}))
+@example((SimpleGraph(2, (0, 0)), {0: '\\"', 1: 'say "hi"'}))
 def test_writers_match_the_pair_list_oracles(graph_and_labels):
     g, labels = graph_and_labels
     pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1]
