@@ -6,18 +6,18 @@ into Q_1..Q_{n-1}.  Each column T_j is a clique, and w_{i,j} is joined
 to the v-vertices named by row j of the i-th Latin square: one neighbor
 in every P_k and one in every T_k.
 
-Since entry (j, k) of the i-th square is j + i(k-1) mod n, shifting every
-position by one (v_{k,c} to v_{k,c+1}, w_{i,j} to w_{i,j+1}, mod n) maps
-the graph onto itself.  With vertices numbered in blocks of n, one block
-per P_k and per Q_i, that shift rotates every block up by one, so the bit
-rows are built in closed form for position 1 of each block and rotated
-(graphcore.rotated_rows) into the rest.  No Latin square is built here:
-verify's nw0 builds the squares and compares the rows with them, so the
-two definitions check each other.
+The vertices are numbered in 2n - 1 blocks of n, one per P_k and then one
+per Q_i, and v(k, c) and w(i, c) (0-based) are position c of their block.
+Since entry (j, k) of the i-th square is j + i(k-1) mod n, w(i, j) is joined
+to v(k, j + ik mod n).  So G is presented by its base stars (base_stars),
+the neighbours of each block's first vertex, and one rotation rule: the
+vertex at position c of block b has the neighbour B*n + (x + c) mod n for
+each neighbour B*n + x of block b's first vertex.  Both builders read the
+stars.  No Latin square is built here: verify's nw0 builds the squares and
+compares the rows with them, so the two definitions check each other.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .graphcore import SimpleGraph, mask_of, rotated_rows
 from .latin import require_prime
@@ -69,47 +69,44 @@ def part_sets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             tuple(tuple(range(j, nn, n)) for j in range(n)))
 
 
-def _w_neighbours(n: int, k: int, c: int, ids: Sequence[int]) -> list[int]:
-    """The w-neighbours of v(k, c) (0-based), ascending: w(i, c - ik mod n)
-    for i = 1..n-1, one in the block of each Q_i, which starts at q.  Each
-    vertex x is given as ids[x]."""
-    return [ids[q + (c - i * k) % n]
-            for i, q in enumerate(range(n * n, 2 * n * n - n, n), start=1)]
+def base_stars(n: int) -> list[list[int]]:
+    """The ascending neighbours of each block's first vertex, block by block
+    (0-based): v(k, 0) gets v(B, 0) for B != k and w(i, -ik mod n), and
+    w(i, 0) gets v(k, ik mod n).  Raises ValueError unless n is a prime >= 3."""
+    require_prime(n)
+    nn = n * n
+    q_starts = range(nn, 2 * nn - n, n)
+    stars = [[*range(0, k * n, n), *range(k * n + n, nn, n),
+              *[q + -i * k % n for i, q in enumerate(q_starts, start=1)]] for k in range(n)]
+    return stars + [[k * n + i * k % n for k in range(n)] for i in range(1, n)]
 
 
 def counterexample_upper(n: int) -> list[list[int]]:
     """construct_counterexample(n).graph.upper(), built with no bit row.
 
-    Every neighbour above a v is a later v of its column or a w, and a w
-    has none: so v's upper row is range(v + n, n^2, n) followed by its
-    w-neighbours, both ascending, and each w's upper row is empty.  The
-    rows hold n^3 entries in all, but share one int object per vertex.
+    A vertex has one neighbour in each block its block's star reaches, so
+    block b's upper rows come from the star's neighbours in later blocks,
+    ascending: a neighbour B*n + x gives the slice [x:x + n] of block B's
+    vertices, doubled, and the slices read across are the rows.  The rows
+    hold n^3 entries in all, but share one int object per vertex.
     """
-    require_prime(n)
-    nn = n * n
-    ids = list(range(2 * nn - n))
-    out = [[*ids[v + n:nn:n], *_w_neighbours(n, *divmod(v, n), ids)] for v in range(nn)]
-    return out + [[] for _ in range(nn - n)]
+    stars = base_stars(n)
+    rings = [[*range(s, s + n)] * 2 for s in range(0, len(stars) * n, n)]
+    out = []
+    for b, star in enumerate(stars):
+        cuts = [rings[u // n][u % n:u % n + n] for u in star if u // n > b]
+        out += map(list, zip(*cuts)) if cuts else [[] for _ in range(n)]
+    return out
 
 
 def construct_counterexample(n: int) -> ConstructedGraph:
-    """Build the 2n^2 - n vertex graph for prime n >= 3.
-
-    Edge set is the union of the Latin-row stars (each w_{i,j} to the
-    v-vertices on row j of square i) and the column cliques T_1..T_n.
-    In 0-based terms w(i, j) ~ v(k, j + ik mod n).  So v(k, 0)'s row is
-    column 0 without itself plus w(i, -ik mod n) for each i, w(i, 0)'s row
-    is v(k, ik mod n) for each k, and rotating a block's first row gives
-    the others: symmetric and loop-free.
-    """
-    require_prime(n)
-    nn = n * n
-    count = 2 * nn - n
-    column = mask_of(range(0, nn, n))
-    firsts = [column & ~(1 << k * n) | mask_of(_w_neighbours(n, k, 0, range(count)))
-              for k in range(n)]
-    firsts += [mask_of(k * n + i * k % n for k in range(n)) for i in range(1, n)]
-    rows = tuple(rotated_rows(firsts, count, n))
+    """Build the 2n^2 - n vertex graph for prime n >= 3: each base star's bit
+    row, rotated (graphcore.rotated_rows) into the rest of its block.  Each
+    edge orbit is in the stars of both its end blocks and no star names its
+    own block, so the rows are symmetric and loop-free."""
+    stars = base_stars(n)
+    count = len(stars) * n
+    rows = tuple(rotated_rows(map(mask_of, stars), count, n))
     p_sets, q_sets, t_sets = part_sets(n)
     return ConstructedGraph(n=n, graph=SimpleGraph._from_rows(count, rows),
                             labels=tuple(vertex_names(n)), p_sets=p_sets, q_sets=q_sets,

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import is_clique, latin_upper
 from squaregap.construction import (
+    base_stars,
     construct_counterexample,
     counterexample_upper,
     vertex_names,
@@ -140,7 +141,10 @@ def test_rejects_bad_orders():
             construct_counterexample(n)
         with pytest.raises(ValueError) as rows_error:
             counterexample_upper(n)
+        with pytest.raises(ValueError) as stars_error:
+            base_stars(n)
         assert str(rows_error.value) == str(graph_error.value)
+        assert str(stars_error.value) == str(graph_error.value)
 
 
 @pytest.mark.parametrize("n", PRIMES_TO_31 + [61])
@@ -159,10 +163,23 @@ def test_rows_pass_the_checked_constructor(n):
 
 @pytest.mark.parametrize("n", PRIMES_TO_31 + [37, 41, 43, 47, 53, 59, 61])
 def test_upper_rows_are_the_graphs_upper_rows(n):
-    # both closed forms against the Latin squares as the paper defines the graph
+    # both builders and the stars they read against the Latin squares as the
+    # paper defines the graph: block b's star is vertex b*n's whole neighbourhood
     upper = latin_upper(n)
     assert counterexample_upper(n) == upper
     assert construct_counterexample(n).graph.upper() == upper
+    lower = [[] for _ in upper]
+    for u, row in enumerate(upper):
+        for v in row:
+            lower[v].append(u)
+    assert base_stars(n) == [lower[v] + upper[v] for v in range(0, len(upper), n)]
+
+
+@pytest.mark.parametrize("n", [31, 61])
+def test_upper_rows_share_one_int_per_vertex(n):
+    # n^3 entries; an int built per entry would cost 28 bytes each
+    upper = counterexample_upper(n)
+    assert len({id(v) for row in upper for v in row}) <= 2 * n * n - n
 
 
 def test_vertex_names_at_n3():

@@ -169,6 +169,7 @@ def test_construct_builds_no_graph(monkeypatch, capsys, argv, code, digest):
     monkeypatch.setattr(construction, "construct_counterexample", refuse)
     monkeypatch.setattr(cli, "construct_counterexample", refuse)
     monkeypatch.setattr(construction, "mask_of", refuse)
+    monkeypatch.setattr(construction, "rotated_rows", refuse)
     refuse_latin(monkeypatch)
     assert main(argv) == code
     out = capsys.readouterr().out
