@@ -37,12 +37,16 @@ def build_latin(n: int, i: int) -> tuple[tuple[int, ...], ...]:
     (j,k) = j + i*(k-1) mod n.
 
     Arithmetic runs over residues 0..n-1; the entries are the 1-based
-    representatives, so the first column is always 1, 2, ..., n.
+    representatives, so the first column is always 1, 2, ..., n.  Row j
+    (from 0) reads the ring 1, ..., n from place j in steps of i, so each
+    row is one stepped slice of that ring written i + 1 times (the last
+    place read, j + i*(n-1), lies below (i+1)*n): no step per entry.
     """
     require_prime(n)
     if not 1 <= i <= n - 1:
         raise ValueError(f"slope i must be in 1..{n - 1}, got {i}")
-    return tuple(tuple((j + i * k) % n + 1 for k in range(n)) for j in range(n))
+    ring = tuple(range(1, n + 1)) * (i + 1)
+    return tuple(ring[j:j + i * n:i] for j in range(n))
 
 
 def is_latin(rows: Sequence[Sequence[int]]) -> bool:

@@ -226,14 +226,15 @@ def lists_to_json_dict(assignment: ListAssignment) -> dict:
     }
 
 
-def _distinct(values: list, what: str) -> frozenset:
-    """values as a set, refused if any colour appears twice."""
+def _distinct(values: list, what: str, *args: int) -> frozenset:
+    """values as a set, refused if any colour appears twice.  The message names
+    values as what.format with args clipped, built only when it is raised."""
     found = frozenset(values)
     if len(found) != len(values):
         seen = set()
         for x in values:
             if x in seen:
-                raise ValueError(f"{what} repeats colour {clip(x)}")
+                raise ValueError(f"{what.format(*map(clip, args))} repeats colour {clip(x)}")
             seen.add(x)
     return found
 
@@ -254,7 +255,7 @@ def parse_lists_json(text: str) -> ListAssignment:
         if str(v) != key:
             raise ValueError(f"vertex key {clip(key)} is not a canonical integer")
         converted[v] = _distinct(_ints(colors, "each list in lists JSON"),
-                                 f"the list of vertex {clip(v)}")
+                                 "the list of vertex {}", v)
     return ListAssignment(universe=universe, lists=converted)
 
 

@@ -15,9 +15,9 @@ bitset counts, with one tally (_cover) for "exactly one" and "at most one":
 """
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import comb
-from operator import add
+from operator import eq, not_
 from typing import Optional
 
 from .construction import ConstructedGraph
@@ -165,19 +165,26 @@ def check_lemma_nw(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
 
     Item (0) is what makes the check sensitive to edges added between
     w-vertices; those leave the square and all intersection counts alone.
-    sq is square(gc.graph); item (3) is settled from it by
-    _no_two_w_share_two unless some pair fails.
+    It reads every Latin entry and compares every w row as a string of
+    bits, with no Python step per entry: format(row, f"0{n*n}b") puts
+    v_{k,e} = (k-1)n + e - 1 at place (n-k)n + n - e from the left, so a
+    Latin row names the string of its entries' n-place units (the "1" at
+    place n - e), last column first.  A row with a bit above n^2 writes a
+    longer string, so it fails too.  sq is square(gc.graph); item (3) is
+    settled from it by _no_two_w_share_two unless some pair fails.
     """
     g = gc.graph
-    n, nn = gc.n, gc.n * gc.n
+    n = gc.n
     col = _Collector("nw")
     q = gc.q_vertices
-    for x, row in zip(q, chain.from_iterable(build_mols_family(n))):
-        # entry e at position k names v_index(k, e) = (k - 1)n + e - 1
-        if g.adj[x] == mask_of(map(add, range(-1, nn, n), row)):
-            col.passed()
-        else:
-            col.fail("nw0", ("nw0", gc.labels[x], "neighborhood differs from Latin row"))
+    unit = [None, *("0" * (n - e) + "1" + "0" * (e - 1) for e in range(1, n + 1))]
+    latin_rows = chain.from_iterable(build_mols_family(n))
+    named = map("".join, map(map, repeat(unit.__getitem__), map(reversed, latin_rows)))
+    written = map(format, map(g.adj.__getitem__, q), repeat(f"0{n * n}b"))
+    same = list(map(eq, written, named))
+    col.passed(sum(same))
+    for x in compress(q, map(not_, same)):
+        col.fail("nw0", ("nw0", gc.labels[x], "neighborhood differs from Latin row"))
     _one_neighbour_in_each(col, gc, q, ("nw1", "P", gc.p_sets), ("nw2", "T", gc.t_sets))
     group_mask = {x: m for qs, m in zip(gc.q_sets, map(mask_of, gc.q_sets)) for x in qs}
     if _no_two_w_share_two(gc, sq) and not any(sq.adj[x] & m for x, m in group_mask.items()):

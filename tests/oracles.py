@@ -13,7 +13,6 @@ import numpy as np
 from squaregap import coloring
 from squaregap.errors import CapacityError
 from squaregap.graphcore import SimpleGraph, bits, mask_of
-from squaregap.latin import build_mols_family
 
 SQUARE_ORACLE_MAX_VERTICES = 512
 
@@ -76,6 +75,13 @@ def enumerate_chromatic(g: SimpleGraph) -> int:
     raise AssertionError("a graph on n vertices is always n-colorable")
 
 
+def mols_by_formula(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The squares L_1, ..., L_{n-1} entry by entry from the defining formula:
+    row j, column k (both from 0) of L_i holds (j + i*k) mod n + 1."""
+    return tuple(tuple(tuple((j + i * k) % n + 1 for k in range(n)) for j in range(n))
+                 for i in range(1, n))
+
+
 def neighbourhood_reports_by_walk(gc) -> dict[str, tuple]:
     """The nw and nv lemmas recomputed over neighbour sets, every pair by itself.
 
@@ -98,7 +104,7 @@ def neighbourhood_reports_by_walk(gc) -> dict[str, tuple]:
             yield item, None if shared <= limit(x, y) else witness
 
     def nw_cases():
-        for qs, latin in zip(gc.q_sets, build_mols_family(gc.n)):
+        for qs, latin in zip(gc.q_sets, mols_by_formula(gc.n)):
             for x, row in zip(qs, latin):
                 want = {gc.v_index(k, e) for k, e in enumerate(row, start=1)}
                 yield "nw0", None if nbrs[x] == want else (
@@ -138,7 +144,7 @@ def latin_upper(n: int) -> list[list[int]]:
     """
     nn = n * n
     out = [[*range(v + n, nn, n)] for v in range(nn)]
-    for w, row in enumerate(itertools.chain.from_iterable(build_mols_family(n)), start=nn):
+    for w, row in enumerate(itertools.chain.from_iterable(mols_by_formula(n)), start=nn):
         for base, x in zip(range(-1, nn, n), row):  # base = (k-1)n - 1
             out[base + x].append(w)
     return out + [[] for _ in range(nn - n)]

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import mols_by_formula
 from squaregap.latin import (
     are_orthogonal,
     build_latin,
@@ -60,6 +61,12 @@ def test_order3_family_matches_frozen_squares():
 def test_order5_family_matches_frozen_squares():
     for slope, expected in ORDER5.items():
         assert build_latin(5, slope) == tuple(map(tuple, expected))
+
+
+def test_family_matches_the_entry_formula():
+    # the builder reads stepped slices of a ring; the oracle evaluates every entry
+    for n in (p for p in range(3, 62) if smallest_divisor(p) == p):
+        assert build_mols_family(n) == mols_by_formula(n), n
 
 
 def test_entry_accessor_is_one_based():

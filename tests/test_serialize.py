@@ -251,6 +251,13 @@ def test_lists_round_trip():
     assert tuple(sorted(back.universe)) == a.universe
 
 
+def test_parse_lists_json_names_the_vertex_whose_list_repeats_a_colour():
+    doc = json.dumps({"universe": [1], "lists": {"0": [1, 1]}})
+    with pytest.raises(ValueError) as err:
+        serialize.parse_lists_json(doc)
+    assert str(err.value) == "the list of vertex 0 repeats colour 1"
+
+
 def test_parse_lists_json_rejects_missing_fields():
     with pytest.raises(ValueError):
         serialize.parse_lists_json('{"universe": [1]}')

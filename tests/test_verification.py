@@ -8,7 +8,7 @@ import pytest
 from oracles import neighbourhood_reports_by_walk
 from squaregap.construction import construct_counterexample
 from squaregap import verification
-from squaregap.graphcore import SimpleGraph, bits, square
+from squaregap.graphcore import SimpleGraph, bits, mask_of, square
 from squaregap.latin import build_latin
 from squaregap.verification import (
     check_independence,
@@ -362,3 +362,33 @@ def test_mutant_reports_match_the_pair_loops(name):
     reports = run_all_checks(mutate(construct_counterexample(5)))
     got = {k: (r.checked_cases, r.failure_count, r.item_witnesses) for k, r in reports.items()}
     assert got == want
+
+
+def moved_star_edge(gc, i, j, k):
+    """gc with the edge from w_{i,j} to its neighbour in P_k moved to the next v of P_k."""
+    w, part = gc.w_index(i, j), gc.p_sets[k - 1]
+    v = next(bits(gc.graph.adj[w] & mask_of(part)))
+    return edited(gc, add=[(w, part[(part.index(v) + 1) % gc.n])], remove=[(w, v)])
+
+
+# nw0 writes each w row as a string, last column first: these mutants touch
+# the first and last rows of the family, at the end (P_1) and the start (P_11)
+# of the row's string, and a w-w edge lengthens a middle row's string
+BOUNDARY_MUTANTS_N11 = {
+    "first row of the first square, P_1": (lambda gc: moved_star_edge(gc, 1, 1, 1), "w_1_1"),
+    "first row of the first square, P_11": (lambda gc: moved_star_edge(gc, 1, 1, 11), "w_1_1"),
+    "last row of the last square, P_1": (lambda gc: moved_star_edge(gc, 10, 11, 1), "w_10_11"),
+    "last row of the last square, P_11": (lambda gc: moved_star_edge(gc, 10, 11, 11), "w_10_11"),
+    "w-w edge from a middle row": (
+        lambda gc: edited(gc, add=[(gc.w_index(5, 6), gc.w_index(9, 2))]), "w_5_6"),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARY_MUTANTS_N11)
+def test_nw_matches_the_walk_at_the_square_boundaries(name):
+    mutate, row = BOUNDARY_MUTANTS_N11[name]
+    mutant = mutate(construct_counterexample(11))
+    r = check_lemma_nw(square(mutant.graph), mutant)
+    assert (r.checked_cases, r.failure_count, r.witness, r.item_witnesses) == \
+        neighbourhood_reports_by_walk(mutant)["nw"]
+    assert r.witness == ("nw0", row, "neighborhood differs from Latin row")
