@@ -32,11 +32,10 @@ def main():
               f"{'pass' if report.passed else 'FAIL'}")
 
     # a broken construction is caught with a concrete witness
-    import dataclasses
     from squaregap import SimpleGraph
 
     edges = [e for e in gc.graph.edges() if e != (0, 9)]  # drop one star edge
-    broken = dataclasses.replace(gc, graph=SimpleGraph.from_edges(15, edges))
+    broken = gc._replace(graph=SimpleGraph.from_edges(15, edges))
     report = run_all_checks(broken)["nw"]
     print(f"\nafter deleting one star edge: nw passed={report.passed}, "
           f"witness={report.witness}")

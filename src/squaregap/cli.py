@@ -3,8 +3,9 @@
 Payloads go to stdout and are byte-identical across identical
 invocations; the run envelope (outcome, elapsed milliseconds) goes to
 stderr.  Exit codes: 0 pass, 1 check failure or UNSAT, 2 invalid
-parameters or unparsable input, 3 I/O failure, 4 budget exhausted,
-5 internal error (any other exception, reported without a traceback).
+parameters or unparsable input, 3 I/O failure, 4 time budget or memory
+exhausted, 5 internal error (any other exception, reported without a
+traceback).
 """
 
 import argparse
@@ -221,6 +222,8 @@ def main(argv=None) -> int:
         message, code = f"{exc} (nodes={exc.nodes})", EXIT_BUDGET
     except OSError as exc:
         message, code = _os_message(exc), EXIT_IO
+    except MemoryError:  # a resource stop, like the budget, not a bug
+        message, code = "out of memory", EXIT_BUDGET
     except Exception as exc:  # last resort: exit 1 would read as UNSAT
         message = f"internal error: {type(exc).__name__}: {clip(str(exc))}"
         code = EXIT_INTERNAL

@@ -28,9 +28,8 @@ checks that coloring no further: the structure check is its proof.
 import functools
 import itertools
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import and_
-from typing import Optional
 
 from .construction import construct_counterexample
 from .errors import CapacityError, SearchBudgetExceeded, clip
@@ -41,72 +40,76 @@ CHROMATIC_MAX_VERTICES = 128
 _DEADLINE_STRIDE = 1024  # nodes between wall-clock checks
 
 
-@dataclass(frozen=True)
-class ListAssignment:
-    """Per-vertex color lists over an ordered integer color universe.
+def _checked_replace(self, **changes):
+    """A copy of the record with changes, built through __new__, which checks it."""
+    return type(self)(**{**self._asdict(), **changes})
+
+
+class ListAssignment(namedtuple("ListAssignment", "universe lists")):
+    """Per-vertex color lists over an ordered integer color universe: universe
+    is a tuple of colors, lists maps each vertex to a frozenset of them.
 
     Empty lists are allowed: the solvers answer them as the trivially
     unsatisfiable case and name the vertex.
     """
 
-    universe: tuple[int, ...]
-    lists: dict[int, frozenset[int]]
+    __slots__ = ()
+    _replace = _checked_replace
 
-    def __post_init__(self):
-        u = set(self.universe)
+    def __new__(cls, universe: tuple[int, ...], lists: dict[int, frozenset[int]]):
+        u = set(universe)
         if any(c < 0 for c in u):
             raise ValueError("colors must be nonnegative integers")
-        for v, colors in self.lists.items():
+        for v, colors in lists.items():
             if not colors <= u:
                 raise ValueError(f"list of vertex {clip(v)} leaves the universe")
+        return super().__new__(cls, universe, lists)
 
 
-@dataclass(frozen=True)
-class SearchAttestation:
+class SearchAttestation(namedtuple("SearchAttestation", "nodes empty_list_vertex",
+                                   defaults=(None,))):
     """What a finished search attests to; a budget stop raises instead."""
 
-    nodes: int
-    empty_list_vertex: Optional[int] = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ListColoringResult:
-    coloring: Optional[dict[int, int]]
-    attestation: SearchAttestation
+class ListColoringResult(namedtuple("ListColoringResult", "coloring attestation")):
+    """A list solver's answer: coloring maps each vertex to its color, or is
+    None when the lists admit none; attestation is a SearchAttestation."""
+
+    __slots__ = ()
 
     @property
     def satisfiable(self) -> bool:
         return self.coloring is not None
 
 
-@dataclass(frozen=True)
-class GapCertificate:
+class GapCertificate(namedtuple("GapCertificate", "n chromatic chromatic_coloring list_bound "
+                                                "refuted_assignment blocks attestation")):
     """Machine-checked record that choosability exceeds the chromatic number.
 
     chromatic comes with a verified proper coloring; list_bound is a size
     s such that the refuted assignment has all lists of size s and admits
     no proper coloring (full exhaustion attested), so the list chromatic
     number is at least s + 1 and exceeds chromatic by at least gap_lower.
+    The coloring and blocks are tuples, refuted_assignment a ListAssignment.
     """
 
-    n: int
-    chromatic: int
-    chromatic_coloring: tuple[int, ...]
-    list_bound: int
-    refuted_assignment: ListAssignment
-    blocks: tuple[tuple[int, ...], ...]
-    attestation: SearchAttestation
+    __slots__ = ()
+    _replace = _checked_replace
+
+    def __new__(cls, *args, **fields):
+        self = super().__new__(cls, *args, **fields)
+        if self.gap_lower < self.n - 1:
+            raise ValueError(f"certificate gap {self.gap_lower} below n-1 = {self.n - 1}")
+        return self
 
     @property
     def gap_lower(self) -> int:
         return self.list_bound + 1 - self.chromatic
 
-    def __post_init__(self):
-        if self.gap_lower < self.n - 1:
-            raise ValueError(f"certificate gap {self.gap_lower} below n-1 = {self.n - 1}")
 
-
-def _check_deadline(deadline: Optional[float], nodes: int):
+def _check_deadline(deadline: float | None, nodes: int):
     """Raise SearchBudgetExceeded if deadline has passed, reading the clock
     only when nodes is a multiple of _DEADLINE_STRIDE."""
     if deadline is not None and nodes % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
@@ -130,8 +133,8 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
     return clique
 
 
-def _search(g: SimpleGraph, avail: list[int], deadline: Optional[float],
-            nodes: int) -> tuple[Optional[list[int]], int]:
+def _search(g: SimpleGraph, avail: list[int], deadline: float | None,
+            nodes: int) -> tuple[list[int] | None, int]:
     """DSATUR-style backtracking (Brelaz, CACM 1979) on an explicit stack.
 
     avail[v] (consumed) is the mask of colors v may take.  The most
@@ -254,7 +257,7 @@ def _search(g: SimpleGraph, avail: list[int], deadline: Optional[float],
 
 
 def chromatic_number_exact(g: SimpleGraph, *,
-                           deadline: Optional[float] = None) -> tuple[int, list[int]]:
+                           deadline: float | None = None) -> tuple[int, list[int]]:
     """Minimum proper coloring, as list-coloring questions to _search.
 
     For k = |clique|, |clique| + 1, ... with clique from greedy_clique, every
@@ -296,7 +299,7 @@ def _dense_masks(assignment: ListAssignment) -> tuple[dict[int, int], list[int]]
 
 
 def _decide_lists(g: SimpleGraph, classes: dict[int, list[int]], order: list[int],
-                  assignment: ListAssignment, deadline: Optional[float]) -> ListColoringResult:
+                  assignment: ListAssignment, deadline: float | None) -> ListColoringResult:
     """The root both list solvers share: vertex i of g is order[i] of the
     assignment, and classes maps the lowest vertex of each twin class (the
     vertices of one row) to the class, in ascending order.
@@ -351,7 +354,7 @@ def _decide_lists(g: SimpleGraph, classes: dict[int, list[int]], order: list[int
 
 
 def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
-                      deadline: Optional[float] = None) -> ListColoringResult:
+                      deadline: float | None = None) -> ListColoringResult:
     """Complete decision for proper coloring from per-vertex lists.
 
     The part-demand bound on twin classes may refute at the root
@@ -369,7 +372,7 @@ def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
 
 
 def multipartite_list_colorable(parts: tuple[tuple[int, ...], ...], assignment: ListAssignment,
-                                *, deadline: Optional[float] = None) -> ListColoringResult:
+                                *, deadline: float | None = None) -> ListColoringResult:
     """List-colorability decision on the complete multipartite graph on parts.
 
     The graph is built on the parts' vertices, relabelled 0, 1, ... part by
@@ -440,7 +443,7 @@ def validate_coloring(g: SimpleGraph, coloring, assignment: ListAssignment | Non
     return assignment is None or all(c in assignment.lists[v] for v, c in values.items())
 
 
-def certify_gap(n: int, budget_seconds: Optional[float] = None) -> GapCertificate:
+def certify_gap(n: int, budget_seconds: float | None = None) -> GapCertificate:
     """End-to-end certificate that the squared construction has a choosability gap.
 
     Builds the graph and re-verifies that its square is complete multipartite

@@ -17,20 +17,23 @@ stars.  No Latin square is built here: verify's nw0 builds the squares and
 compares the rows with them, so the two definitions check each other.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphcore import SimpleGraph, mask_of, rotated_rows
 from .latin import require_prime
 
 
-@dataclass(frozen=True)
-class ConstructedGraph:
-    n: int
-    graph: SimpleGraph
-    labels: tuple[str, ...]  # index -> name, from vertex_names
-    p_sets: tuple[tuple[int, ...], ...]  # P_1..P_n
-    q_sets: tuple[tuple[int, ...], ...]  # Q_1..Q_{n-1}
-    t_sets: tuple[tuple[int, ...], ...]  # T_1..T_n
+class ConstructedGraph(namedtuple("ConstructedGraph", "n graph p_sets q_sets t_sets")):
+    """The graph for prime n (a SimpleGraph) and its parts: p_sets are
+    P_1..P_n, q_sets Q_1..Q_{n-1} and t_sets T_1..T_n, each a tuple of
+    vertex tuples."""
+
+    __slots__ = ()
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Index -> name, from vertex_names, built on each read."""
+        return tuple(vertex_names(self.n))
 
     def v_index(self, i: int, j: int) -> int:
         """Vertex index of v_{i,j} (row i, position j), 1-based arguments."""
@@ -109,5 +112,4 @@ def construct_counterexample(n: int) -> ConstructedGraph:
     rows = tuple(rotated_rows(map(mask_of, stars), count, n))
     p_sets, q_sets, t_sets = part_sets(n)
     return ConstructedGraph(n=n, graph=SimpleGraph._from_rows(count, rows),
-                            labels=tuple(vertex_names(n)), p_sets=p_sets, q_sets=q_sets,
-                            t_sets=t_sets)
+                            p_sets=p_sets, q_sets=q_sets, t_sets=t_sets)

@@ -21,8 +21,8 @@ automorphism of g, hence of g's square, and only the first row of each
 block is walked.
 """
 
+from collections.abc import Callable, Iterable, Iterator
 from operator import eq
-from typing import Callable, Iterable, Iterator
 
 from .errors import clip
 

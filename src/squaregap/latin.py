@@ -6,7 +6,7 @@ column k of the i-th square is j + i*(k-1) modulo n, shifted into the
 are pairwise orthogonal.
 """
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import clip
 

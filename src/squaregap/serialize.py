@@ -8,7 +8,6 @@ gives them) and write one vertex's edge lines with a single str.join.
 """
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .coloring import GapCertificate, ListAssignment
@@ -44,12 +43,14 @@ def _edge_lines(upper: list[list[int]], names: list[str], template: str,
     return out
 
 
-@dataclass(frozen=True)
 class EdgeRows:
     """A graph's edges as its upper rows, which json_dumps writes as the sorted
     list of [u, v] pairs that json.dumps would write for them."""
 
-    upper: list[list[int]]
+    __slots__ = ("upper",)
+
+    def __init__(self, upper: list[list[int]]):
+        self.upper = upper
 
     def __len__(self) -> int:
         return sum(map(len, self.upper))

@@ -14,30 +14,29 @@ bitset counts, with one tally (_cover) for "exactly one" and "at most one":
   the neighbourhoods, with the same tally, name the failing pairs.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, compress, repeat
 from math import comb
 from operator import eq, not_
-from typing import Optional
 
 from .construction import ConstructedGraph
 from .graphcore import SimpleGraph, bits, mask_of, square
 from .latin import build_mols_family
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    lemma_id: str
-    checked_cases: int
-    failure_count: int = 0
-    item_witnesses: tuple[tuple, ...] = ()  # first witness of each failing item
+class LemmaReport(namedtuple("LemmaReport", "lemma_id checked_cases failure_count item_witnesses",
+                             defaults=(0, ()))):
+    """A check's case and failure counts, and the first witness of each
+    failing item (item_witnesses)."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.failure_count == 0
 
     @property
-    def witness(self) -> Optional[tuple]:
+    def witness(self) -> tuple | None:
         """The first failing tuple, tagged with its item, or None."""
         return self.item_witnesses[0] if self.item_witnesses else None
 
@@ -45,11 +44,18 @@ class LemmaReport:
 class _Collector:
     """Counts the cases and keeps the first witness of each failing item."""
 
-    def __init__(self, lemma_id: str):
+    def __init__(self, lemma_id: str, gc: ConstructedGraph):
         self.lemma_id = lemma_id
+        self.gc = gc
+        self.labels = None  # gc.labels, built when a witness first names a vertex
         self.cases = 0
         self.failures = 0
         self.first: dict[str, tuple] = {}
+
+    def name(self, v: int) -> str:
+        if self.labels is None:
+            self.labels = self.gc.labels
+        return self.labels[v]
 
     def passed(self, k: int = 1):
         self.cases += k
@@ -101,7 +107,7 @@ def _one_neighbour_in_each(col: _Collector, gc: ConstructedGraph, xs: tuple[int,
     for x, i, k, failures in sorted(first):
         item, name, sets = items[i]
         got = (adj[x] & mask_of(sets[k - 1])).bit_count()
-        col.fail(item, (item, gc.labels[x], f"{name}_{k}", got), failures)
+        col.fail(item, (item, col.name(x), f"{name}_{k}", got), failures)
 
 
 def _no_two_w_share_two(gc: ConstructedGraph, sq: SimpleGraph) -> bool:
@@ -148,7 +154,7 @@ def _share_at_most_one(col: _Collector, item: str, gc: ConstructedGraph,
         crowded = later & (twice | (once & group_of.get(x, 0)))
         good -= crowded.bit_count()
         for y in bits(crowded):
-            col.fail(item, (item, gc.labels[x], gc.labels[y],
+            col.fail(item, (item, col.name(x), col.name(y),
                             (adj[x] & adj[y] & centres).bit_count()))
     col.passed(good)
 
@@ -175,7 +181,7 @@ def check_lemma_nw(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
     """
     g = gc.graph
     n = gc.n
-    col = _Collector("nw")
+    col = _Collector("nw", gc)
     q = gc.q_vertices
     unit = [None, *("0" * (n - e) + "1" + "0" * (e - 1) for e in range(1, n + 1))]
     latin_rows = chain.from_iterable(build_mols_family(n))
@@ -184,7 +190,7 @@ def check_lemma_nw(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
     same = list(map(eq, written, named))
     col.passed(sum(same))
     for x in compress(q, map(not_, same)):
-        col.fail("nw0", ("nw0", gc.labels[x], "neighborhood differs from Latin row"))
+        col.fail("nw0", ("nw0", col.name(x), "neighborhood differs from Latin row"))
     _one_neighbour_in_each(col, gc, q, ("nw1", "P", gc.p_sets), ("nw2", "T", gc.t_sets))
     group_mask = {x: m for qs, m in zip(gc.q_sets, map(mask_of, gc.q_sets)) for x in qs}
     if _no_two_w_share_two(gc, sq) and not any(sq.adj[x] & m for x, m in group_mask.items()):
@@ -202,7 +208,7 @@ def check_lemma_nv(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
 
     sq is square(gc.graph); item (2) is settled from it as in check_lemma_nw.
     """
-    col = _Collector("nv")
+    col = _Collector("nv", gc)
     p = gc.p_vertices
     _one_neighbour_in_each(col, gc, p, ("nv1", "Q", gc.q_sets))
     if _no_two_w_share_two(gc, sq):
@@ -214,7 +220,7 @@ def check_lemma_nv(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
 
 def check_independence(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
     """Every P_i and every Q_i must be independent in the squared graph."""
-    col = _Collector("independence")
+    col = _Collector("independence", gc)
     named = [(f"P_{i}", s) for i, s in enumerate(gc.p_sets, start=1)]
     named += [(f"Q_{i}", s) for i, s in enumerate(gc.q_sets, start=1)]
     for name, part in named:
@@ -223,21 +229,21 @@ def check_independence(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
         if bad is None:
             col.passed()
         else:
-            col.fail("independence", ("independence", name, gc.labels[bad],
-                                      gc.labels[next(bits(sq.adj[bad] & m))]))
+            col.fail("independence", ("independence", name, col.name(bad),
+                                      col.name(next(bits(sq.adj[bad] & m)))))
     return col.report()
 
 
 def check_pq_adjacency(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
     """Every v-vertex must be adjacent to every w-vertex in the squared graph."""
-    col = _Collector("pq")
+    col = _Collector("pq", gc)
     q = gc.q_vertices
     q_mask = mask_of(q)
     for x in gc.p_vertices:
         missing = q_mask & ~sq.adj[x]
         col.passed(len(q) - missing.bit_count())
         for y in bits(missing):
-            col.fail("pq", ("pq", gc.labels[x], gc.labels[y]))
+            col.fail("pq", ("pq", col.name(x), col.name(y)))
     return col.report()
 
 
@@ -252,7 +258,7 @@ def check_square_structure(sq: SimpleGraph, gc: ConstructedGraph
     """
     n = gc.n
     parts = gc.p_sets + gc.q_sets
-    col = _Collector("structure")
+    col = _Collector("structure", gc)
     full = (1 << sq.n) - 1
     for part, pm in zip(parts, map(mask_of, parts)):
         want = full & ~pm
@@ -260,7 +266,7 @@ def check_square_structure(sq: SimpleGraph, gc: ConstructedGraph
             if sq.adj[v] == want:
                 col.passed()
             else:
-                col.fail("structure", ("structure", gc.labels[v], "adjacency row mismatch"))
+                col.fail("structure", ("structure", col.name(v), "adjacency row mismatch"))
     p_mask = mask_of(gc.p_vertices)
     q_mask = mask_of(gc.q_vertices)
     e_p = sum((sq.adj[v] & p_mask).bit_count() for v in gc.p_vertices) // 2

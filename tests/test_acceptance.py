@@ -5,7 +5,6 @@ adds its own per-criterion verdict line.  Tolerances are exact integer
 equalities throughout except for the stated wall-clock budgets.
 """
 
-import dataclasses
 import itertools
 import json
 import random
@@ -188,8 +187,7 @@ def test_criterion_9_mutation_sensitivity():
         for v in range(u + 1, 15):
             edges = set(base_edges)
             edges.symmetric_difference_update({(u, v)})
-            mutated = dataclasses.replace(
-                gc, graph=SimpleGraph.from_edges(15, sorted(edges)))
+            mutated = gc._replace(graph=SimpleGraph.from_edges(15, sorted(edges)))
             reports = run_all_checks(mutated)
             assert not all(r.passed for r in reports.values()), \
                 f"mutation {gc.labels[u]} ~ {gc.labels[v]} undetected"

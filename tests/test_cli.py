@@ -190,6 +190,22 @@ def test_unexpected_exception_exits_5_without_a_traceback(monkeypatch, capsys, m
     assert envelope_of(err)["outcome"] == "error"
 
 
+def test_running_out_of_memory_exits_4_without_a_traceback(monkeypatch, capsys):
+    from squaregap import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "verify", exhausted)
+    code, out, err = run_cli(capsys, "verify", "--n", "3")
+    assert code == cli.EXIT_BUDGET == 4
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[0] == "squaregap verify: out of memory"
+    assert len(err.splitlines()) == 2
+    assert envelope_of(err)["outcome"] == "error"
+
+
 def test_envelope_refuses_non_finite_numbers():
     with pytest.raises(ValueError):
         _envelope("certify", {"budget_seconds": float("nan")}, "pass", 0)

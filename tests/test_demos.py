@@ -1,5 +1,6 @@
 """The narrative demos and README's library tour run to completion, the CLI
-starts without numpy or logging, and the bench tracer reads what it wraps.
+starts without numpy, logging, dataclasses, inspect or typing, and the bench
+tracer reads what it wraps.
 
 Each check runs in a fresh interpreter with PYTHONPATH=src, so it sees
 the package exactly as a user of the source tree does.  It writes no
@@ -36,6 +37,14 @@ def test_cli_import_leaves_numpy_out():
     proc = run_python("-c", "import sys, squaregap.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S: a site hook (a .pth file) may import typing itself and hide a regression
+    proc = run_python("-S", "-c", "import squaregap.cli, sys; "
+                      "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_imports_no_logging_and_main_adds_no_root_handler():

@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import squaregap
 from squaregap.graphcore import SimpleGraph
 
@@ -25,6 +27,18 @@ def test_public_names():
     assert sorted(squaregap.__all__) == PUBLIC
     for name in squaregap.__all__:
         assert getattr(squaregap, name) is not None
+
+
+def test_records_are_immutable_named_tuples():
+    report = squaregap.LemmaReport("nw", 3)
+    assert repr(report) == ("LemmaReport(lemma_id='nw', checked_cases=3, failure_count=0, "
+                            "item_witnesses=())")
+    assert report == ("nw", 3, 0, ()) and report.passed and report.witness is None
+    with pytest.raises(AttributeError):
+        report.checked_cases = 4
+    with pytest.raises(AttributeError):
+        report.extra = 1  # __slots__ = (): no instance dict
+    assert squaregap.SearchAttestation(7) == (7, None)
 
 
 def test_names_the_bench_tracer_wraps_still_exist():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from math import comb
@@ -24,7 +23,7 @@ def toggled(gc, u, v):
     """gc with the single edge {u, v} added if absent, removed if present."""
     edges = set(gc.graph.edges())
     edges.symmetric_difference_update({(min(u, v), max(u, v))})
-    return dataclasses.replace(gc, graph=SimpleGraph.from_edges(gc.graph.n, sorted(edges)))
+    return gc._replace(graph=SimpleGraph.from_edges(gc.graph.n, sorted(edges)))
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -247,7 +246,7 @@ def test_pair_lemmas_match_the_pair_walk_on_seeded_multi_edge_toggles(n):
             u, v = sorted(rng.sample(range(gc.graph.n), 2))
             pairs.add((u, v))
         edges = set(gc.graph.edges()) ^ pairs
-        mutant = dataclasses.replace(gc, graph=SimpleGraph.from_edges(gc.graph.n, sorted(edges)))
+        mutant = gc._replace(graph=SimpleGraph.from_edges(gc.graph.n, sorted(edges)))
         want = neighbourhood_reports_by_walk(mutant)
         for (name, caller), got in pair_lemma_reports(mutant).items():
             assert got == want[name], (sorted(pairs), name, caller)
@@ -299,7 +298,7 @@ def edited(gc, add=(), remove=()):
     edges = set(gc.graph.edges())
     edges |= {(min(u, v), max(u, v)) for u, v in add}
     edges -= {(min(u, v), max(u, v)) for u, v in remove}
-    return dataclasses.replace(gc, graph=SimpleGraph.from_edges(gc.graph.n, sorted(edges)))
+    return gc._replace(graph=SimpleGraph.from_edges(gc.graph.n, sorted(edges)))
 
 
 # (checked_cases, failure_count, item_witnesses) of every report at n = 5,
