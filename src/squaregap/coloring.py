@@ -60,9 +60,9 @@ class ListAssignment(namedtuple("ListAssignment", "universe lists")):
         u = set(universe)
         if any(c < 0 for c in u):
             raise ValueError("colors must be nonnegative integers")
-        for v, colors in lists.items():
-            if not colors <= u:
-                raise ValueError(f"list of vertex {clip(v)} leaves the universe")
+        if not all(map(u.issuperset, set(lists.values()))):  # once per distinct list
+            v = next(v for v, colors in lists.items() if not colors <= u)
+            raise ValueError(f"list of vertex {clip(v)} leaves the universe")
         return super().__new__(cls, universe, lists)
 
 

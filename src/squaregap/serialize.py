@@ -8,7 +8,9 @@ gives them) and write one vertex's edge lines with a single str.join.
 """
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import eq, ne
 
 from .coloring import GapCertificate, ListAssignment
 from .construction import ConstructedGraph
@@ -106,10 +108,13 @@ def graph_to_dimacs(n: int, upper: list[list[int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_dimacs(text: str) -> SimpleGraph:
+def _dimacs_records(lines: list[str]) -> tuple[int | None, list[tuple[int, int]]]:
+    """The vertex count of the last problem line in lines (None if there is
+    none) and their edges, 0-based, in file order; the first malformed line
+    raises, named by its number from 1."""
     n = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         fields = raw.split()
         try:  # int() refuses a field that is no integer: the line is malformed, below
             if len(fields) == 3 and fields[0] == "e":
@@ -129,6 +134,75 @@ def parse_dimacs(text: str) -> SimpleGraph:
         if fields[0] == "e":
             raise ValueError(f"line {lineno}: malformed edge line {clip(raw.strip())}")
         raise ValueError(f"line {lineno}: unknown record {clip(fields[0])}")
+    return n, edges
+
+
+def _edge_block(body: str, n: int) -> list[int] | None:
+    """The endpoints of body, u1, v1, u2, v2, ..., 1-based, if it is a
+    canonical edge block: lines "e u v", each ending in a newline, with
+    single spaces and endpoints in canonical decimal, in 1..n and unequal.
+    Anything else gives None.
+
+    body, which starts with "e ", is checked and decoded by C-level string
+    methods and one json.loads, with no Python step per line.  With its
+    digits deleted, a canonical block is "e  \n" once per line.  Cut the
+    leading "e " and the last character, and no newline is left once every
+    "\ne " becomes a comma: so every line starts with "e " and the block
+    ends in a newline, not in digits.  That pins where every "e", space and
+    newline stands and leaves no other character.  Every space then
+    becomes a comma too, and json.loads refuses an empty endpoint and a
+    leading zero, so each line gives exactly two non-negative integers.
+    """
+    if not body.isascii():
+        return None
+    skeleton = body.encode().translate(None, b"0123456789")
+    if skeleton != b"e  \n" * (len(skeleton) // 4):
+        return None
+    inner = body[2:-1].replace("\ne ", ",")
+    if "\n" in inner:  # a line such as "12e3 4 5", or digits after the last newline
+        return None
+    try:
+        ends = json.loads("[" + inner.replace(" ", ",") + "]")
+    except ValueError:  # JSON refuses the line, or an endpoint over 4300 digits
+        return None
+    if min(ends) < 1 or max(ends) > n or any(map(eq, ends[::2], ends[1::2])):
+        return None
+    return ends
+
+
+def parse_dimacs(text: str) -> SimpleGraph:
+    """The graph of a DIMACS .col text, in the dialect of Johnson & Trick
+    (eds.), Cliques, Coloring, and Satisfiability, DIMACS Series 26 (1996).
+
+    Accepted: comment lines (any line whose first field starts with "c")
+    and blank lines anywhere; a problem line "p edge <n> <m>", where the
+    last one in the file wins and m must be a count but is not matched
+    against the edge lines; edge lines "e <u> <v>" with 1-based vertices,
+    anywhere in the file, also before the problem line.  Fields may be
+    separated by any whitespace, and lines end in any line break.  A
+    malformed line raises ValueError naming its number; so do a missing
+    problem line, a vertex count over MAX_INPUT_VERTICES, and an edge out
+    of range or a self-loop.
+
+    A text as graph_to_dimacs writes it takes the bulk path: its header,
+    the lines up to the first newline followed by "e ", goes through the
+    line loop, and the rest must be a canonical edge block (_edge_block),
+    decoded in one json.loads.  Any other text, and one whose header lacks
+    a problem line or holds an edge (a first line "e 1 2", or an edge
+    spelled otherwise), is read by the line loop alone, which names the
+    first failure.
+    """
+    cut = text.find("\ne ") + 1  # where the edge block starts; 0 if none does
+    if cut:
+        n, edges = _dimacs_records(text[:cut].splitlines())
+        ends = None if edges or n is None else _edge_block(text[cut:], n)
+        if ends is not None:
+            # 1-based edges give rows over n + 1 vertices, vertex 0 bare:
+            # drop its row and shift the others down one bit
+            rows = SimpleGraph.from_edges(_vertex_count(n) + 1,
+                                          zip(ends[::2], ends[1::2])).adj
+            return SimpleGraph._from_rows(n, tuple([row >> 1 for row in rows[1:]]))
+    n, edges = _dimacs_records(text.splitlines())
     if n is None:
         raise ValueError("missing 'p edge' problem line")
     return SimpleGraph.from_edges(_vertex_count(n), edges)
@@ -240,7 +314,40 @@ def _distinct(values: list, what: str, *args: int) -> frozenset:
     return found
 
 
+def _canonical_lists(lists: dict) -> dict[int, frozenset] | None:
+    """lists with its keys as ints and its lists as frozensets, if every key
+    is a canonical integer and every list an array of distinct integers;
+    else None.  The checks run in bulk, by map and set over all keys, lists
+    and colours at once, and equal lists share one frozenset."""
+    keys = list(lists)
+    try:
+        vertices = list(map(int, keys))
+    except ValueError:
+        return None
+    values = list(lists.values())
+    if (list(map(str, vertices)) != keys or not set(map(type, values)) <= {list}
+            or not set(map(type, chain.from_iterable(values))) <= {int}):
+        return None
+    rows = list(map(tuple, values))
+    distinct = set(rows)
+    frozen = dict(zip(distinct, map(frozenset, distinct)))
+    if any(map(ne, map(len, frozen), map(len, frozen.values()))):
+        return None  # some list repeats a colour
+    return dict(zip(vertices, map(frozen.__getitem__, rows)))
+
+
 def parse_lists_json(text: str) -> ListAssignment:
+    """The list assignment of a lists JSON text: {"universe": [colours],
+    "lists": {"<vertex>": [colours]}}.
+
+    The universe and every list must be arrays of distinct JSON integers
+    (true and false are not), vertex keys canonical decimal integers ("7",
+    not "07", " 7", "+7" or "7_0"), and the universe at most
+    MAX_INPUT_VERTICES colours; anything else raises ValueError.  The lists
+    are checked and converted in bulk (_canonical_lists); a document that
+    fails the bulk checks is read again one vertex at a time, which names
+    the first vertex at fault.
+    """
     doc = _read_json(text, "lists", ("universe", "lists"))
     lists = doc["lists"]
     if not isinstance(lists, dict):
@@ -250,13 +357,15 @@ def parse_lists_json(text: str) -> ListAssignment:
         raise ValueError(f"lists JSON universe has {len(universe)} colours, "
                          f"over the limit of {MAX_INPUT_VERTICES}")
     universe = tuple(sorted(_distinct(universe, "lists JSON universe")))
-    converted = {}
-    for key, colors in lists.items():
-        v = int(key)
-        if str(v) != key:
-            raise ValueError(f"vertex key {clip(key)} is not a canonical integer")
-        converted[v] = _distinct(_ints(colors, "each list in lists JSON"),
-                                 "the list of vertex {}", v)
+    converted = _canonical_lists(lists)
+    if converted is None:
+        converted = {}
+        for key, colors in lists.items():
+            v = int(key)
+            if str(v) != key:
+                raise ValueError(f"vertex key {clip(key)} is not a canonical integer")
+            converted[v] = _distinct(_ints(colors, "each list in lists JSON"),
+                                     "the list of vertex {}", v)
     return ListAssignment(universe=universe, lists=converted)
 
 

@@ -191,6 +191,13 @@ def test_assignment_rejects_colors_outside_universe():
     assert a._replace(universe=(1, 2, 3)) == ((1, 2, 3), a.lists)
 
 
+def test_assignment_names_the_first_vertex_whose_list_leaves_the_universe():
+    inside, outside = frozenset({1}), frozenset({1, 3})
+    with pytest.raises(ValueError) as err:
+        ListAssignment(universe=(1, 2), lists={0: inside, 4: outside, 2: inside, 1: outside})
+    assert str(err.value) == "list of vertex 4 leaves the universe"
+
+
 def test_list_coloring_against_enumeration_oracle():
     # verdict agreement on 500 seeded instances; SAT witnesses re-validated
     rng = random.Random(424242)

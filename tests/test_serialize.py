@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -94,8 +95,10 @@ def test_parse_dimacs_rejects_malformed_input():
         serialize.parse_dimacs("p edge 2 1\ne 1 3\n")  # vertex out of range
 
 
-# Each input's parse result, or its ValueError message, as the reader gave them
-# before edge lines got their own fast path.
+# Each input's parse result, or its ValueError message, as the line loop gives
+# them.  Only a canonical edge block after a header with a problem line takes
+# the bulk path; the inputs from "bracketed-pairs" on are near-canonical ones
+# that must leave it and keep the loop's graph or exact message.
 DIMACS_SEMANTICS = {
     "indented-comment": ("  c a comment\n\tc another\np edge 3 2\ne 1 2\ne 2 3\n",
                          (3, [(0, 1), (1, 2)])),
@@ -122,6 +125,23 @@ DIMACS_SEMANTICS = {
     "word-edge-count": ("p edge 3 banana\ne 1 2\n",
                         "line 1: malformed problem line 'p edge 3 banana'"),
     "negative-edge-count": ("p edge 3 -1\n", "line 1: malformed problem line 'p edge 3 -1'"),
+    "canonical": ("c g\np edge 4 3\ne 1 2\ne 1 4\ne 3 4\n", (4, [(0, 1), (0, 3), (2, 3)])),
+    "bracketed-pairs": ("p edge 4 2\ne 1 2],[3 4\n",
+                        "line 2: malformed edge line 'e 1 2],[3 4'"),
+    "three-then-one-endpoint": ("p edge 4 2\ne 1 2 3\ne 4\n",
+                                "line 2: malformed edge line 'e 1 2 3'"),
+    "no-final-newline": ("p edge 45 2\ne 1 2\ne 3 45", (45, [(0, 1), (2, 44)])),
+    "leading-zero": ("p edge 3 2\ne 01 2\ne 2 3\n", (3, [(0, 1), (1, 2)])),
+    "exponent": ("p edge 3 1\ne 1 2e3\n", "line 2: malformed edge line 'e 1 2e3'"),
+    "vertex-zero": ("p edge 3 1\ne 0 1\n", "edge (-1,0) out of range for 3 vertices"),
+    "tab-edge-in-header": ("p edge 3 2\ne\t1\t2\ne 2 3\n", (3, [(0, 1), (1, 2)])),
+    "p-after-edges": ("p edge 3 1\ne 1 2\np edge 4 1\n", (4, [(0, 1)])),
+    "comment-after-edges": ("p edge 3 2\ne 1 2\nc done\ne 2 3\n", (3, [(0, 1), (1, 2)])),
+    "crlf-body": ("p edge 3 2\r\ne 1 2\r\ne 2 3\r\n", (3, [(0, 1), (1, 2)])),
+    # "e  \n" once per line with the digits deleted, but the second line's
+    # "e" is not at its start: JSON would read 2e0 as the float 2.0
+    "digits-before-e": ("p edge 9 2\ne 1 \n2e0 4 5\n", "line 2: malformed edge line 'e 1'"),
+    "digits-after-last-newline": ("p edge 6 1\ne 2 1\n6", "line 3: unknown record '6'"),
 }
 
 
@@ -134,6 +154,69 @@ def test_parse_dimacs_semantics(text, expected):
     else:
         g = serialize.parse_dimacs(text)
         assert (g.n, g.edges()) == expected
+
+
+def _outcome(parse, text):
+    """parse(text) as comparable data, or the message of the ValueError it raises."""
+    try:
+        result = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return (result.n, result.adj) if isinstance(result, SimpleGraph) else result
+
+
+def _by_loop(parse, bulk_helper):
+    """parse with its bulk helper refusing every input, so the loop reads all."""
+    def loop_only(text):
+        with mock.patch.object(serialize, bulk_helper, return_value=None):
+            return parse(text)
+    return loop_only
+
+
+_NEAR_CANONICAL_LINES = ["e 2 2", "e 0 1", "e 1 5", "e 01 2", "e 1 2e3", "e 1 2 3", "e 4",
+                         "e  1 2", "e 1 2 ", "e 1 2],[3 4", "e 1 -2", "e +1 2", "e 1 \u0663",
+                         "e\t1\t2", " e 1 2", "e", "e e 1", "x 1 2", "c late", "p edge 5 1",
+                         "p edge 2", "", "2e0 3 4", "1e 2 3"]
+
+
+@st.composite
+def _dimacs_texts(draw):
+    """A canonical text, comments and a problem line then edge lines, in which
+    up to two lines or line ends are swapped for near-canonical ones."""
+    lines = draw(st.lists(st.sampled_from(["c a comment", "cfoo", ""]), max_size=2))
+    lines.insert(draw(st.integers(0, len(lines))),
+                 draw(st.sampled_from(["p edge 4 3", "p edge 12 1", "p edge 3 0"])))
+    lines += draw(st.lists(st.sampled_from(["e 1 2", "e 2 3", "e 3 4", "e 1 4", "e 4 1",
+                                            "e 10 12"]), min_size=1, max_size=6))
+    ends = ["\n"] * len(lines)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        if draw(st.booleans()):
+            lines[i] = draw(st.sampled_from(_NEAR_CANONICAL_LINES))
+        else:
+            ends[i] = draw(st.sampled_from(["\r\n", "\r", "\x0b", ""]))
+    return "".join(map(str.__add__, lines, ends))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dimacs_texts())
+@example("p edge 4 2\ne 1 2\ne 3 4")
+@example("p edge 4 2\ne 1 2 3\ne 4\n")
+@example("e 1 2\np edge 2 1\ne 1 2\n")
+@example("p edge 4 2\ne 1 2 \n2e0 3 4\n")
+def test_parse_dimacs_matches_its_line_loop(text):
+    assert _outcome(serialize.parse_dimacs, text) == _outcome(
+        _by_loop(serialize.parse_dimacs, "_edge_block"), text)
+
+
+def test_parse_dimacs_reads_writer_output_in_bulk():
+    # the line loop sees only the header: the edge lines are one json.loads
+    g = construct_counterexample(5).graph
+    text = "c G for n = 5\n" + serialize.graph_to_dimacs(g.n, g.upper())
+    with mock.patch.object(serialize, "_dimacs_records",
+                           wraps=serialize._dimacs_records) as loop:
+        assert serialize.parse_dimacs(text) == g
+    loop.assert_called_once_with(["c G for n = 5", "p edge 45 150"])
 
 
 def test_parse_dimacs_clips_what_its_errors_echo():
@@ -256,6 +339,44 @@ def test_parse_lists_json_names_the_vertex_whose_list_repeats_a_colour():
     with pytest.raises(ValueError) as err:
         serialize.parse_lists_json(doc)
     assert str(err.value) == "the list of vertex 0 repeats colour 1"
+
+
+_CANONICAL_LISTS = (st.sampled_from([[1, 2], [2, 1], [1], [], [0, 3, 4]])
+                    | st.lists(st.integers(min_value=-1, max_value=4), unique=True, max_size=4))
+
+
+@st.composite
+def _lists_maps(draw):
+    """A lists map with canonical keys and integer lists, often equal, in
+    which up to two entries are swapped for ones the bulk checks refuse."""
+    keys = st.integers(min_value=-1, max_value=5).map(str)
+    lists = draw(st.dictionaries(keys, _CANONICAL_LISTS, max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        key = draw(keys | st.sampled_from(["01", " 1", "+1", "1_0", "\u0663", "x", ""]))
+        colour = st.sampled_from([True, False, 1.0, 2.5, 10**30, [1], [1, 2], []])
+        lists[key] = draw(_CANONICAL_LISTS | st.sampled_from([[2, 2], 5, "12", None, True, 1.5,
+                                                              {"0": [1]}])
+                          | st.lists(st.integers(min_value=0, max_value=2) | colour,
+                                     min_size=1, max_size=4))
+    return lists
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lists_maps())
+@example({"0": [1, 2], "1": [1, 2], "2": [2]})
+@example({"0": [1, True]})
+@example({"1_0": [1]})
+def test_parse_lists_json_matches_its_vertex_loop(lists):
+    text = json.dumps({"universe": [0, 1, 2, 3, 4, 10**30], "lists": lists})
+    assert _outcome(serialize.parse_lists_json, text) == _outcome(
+        _by_loop(serialize.parse_lists_json, "_canonical_lists"), text)
+
+
+def test_parse_lists_json_shares_one_frozenset_per_distinct_list():
+    doc = {"universe": [1, 2, 3], "lists": {"0": [1, 2], "1": [3], "2": [1, 2], "3": [3]}}
+    a = serialize.parse_lists_json(json.dumps(doc))
+    assert a.lists == {0: {1, 2}, 1: {3}, 2: {1, 2}, 3: {3}}
+    assert a.lists[0] is a.lists[2] and a.lists[1] is a.lists[3]
 
 
 def test_parse_lists_json_rejects_missing_fields():
