@@ -9,7 +9,6 @@ The checks below re-derive that mechanically, case by case.
 
 from squaregap import (
     construct_counterexample,
-    is_complete_multipartite,
     run_all_checks,
     check_square_structure,
     square,
@@ -20,10 +19,10 @@ def main():
     for n in (3, 5, 7):
         gc = construct_counterexample(n)
         sq = square(gc.graph, n)  # walks one row per P_k and Q_i, as verify does
-        parts, _ = check_square_structure(sq, gc)
-        ok = is_complete_multipartite(sq, parts)
+        parts, report = check_square_structure(sq, gc)
         print(f"n={n}: square has {sq.n} vertices, {sq.edge_count} edges; "
-              f"complete {len(parts)}-partite with parts of size {n}: {ok}")
+              f"complete {len(parts)}-partite with parts of size {n}: {report.passed} "
+              f"({report.checked_cases} cases)")
 
     print("\nper-lemma verification at n=3:")
     gc = construct_counterexample(3)

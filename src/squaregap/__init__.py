@@ -21,11 +21,7 @@ from .latin import (
     is_latin,
     require_prime,
 )
-from .graphcore import (
-    SimpleGraph,
-    is_complete_multipartite,
-    square,
-)
+from .graphcore import SimpleGraph, square
 from .construction import ConstructedGraph, construct_counterexample
 from .verification import (
     LemmaReport,
@@ -46,7 +42,6 @@ from .coloring import (
     greedy_clique,
     is_list_colorable,
     multipartite_list_colorable,
-    validate_coloring,
     vetrik_assignment,
     vetrik_lower_bound,
 )

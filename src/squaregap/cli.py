@@ -18,8 +18,7 @@ import sys
 import time
 
 from . import coloring, serialize, verification
-from .construction import (construct_counterexample, counterexample_upper, part_sets,
-                           vertex_names)
+from .construction import construct_counterexample, counterexample_upper
 from .errors import SearchBudgetExceeded, clip
 from .graphcore import SimpleGraph, square
 from .latin import are_orthogonal, build_mols_family, is_latin
@@ -108,12 +107,10 @@ def _cmd_construct(args) -> tuple[str, str]:
     upper = counterexample_upper(args.n)
     if args.format == "dimacs":
         return "pass", serialize.graph_to_dimacs(len(upper), upper)
-    labels = dict(enumerate(vertex_names(args.n)))
     if args.format == "dot":
-        return "pass", serialize.graph_to_dot(len(upper), upper, labels)
-    doc = serialize.graph_to_json_dict(len(upper), upper, labels,
-                                       *serialize.named_sets(*part_sets(args.n)))
-    return "pass", serialize.json_dumps(doc)
+        return "pass", serialize.graph_to_dot(len(upper), upper,
+                                              serialize.constructed_labels(args.n))
+    return "pass", serialize.json_dumps(serialize.constructed_to_json_dict(args.n, upper))
 
 
 def _cmd_verify(args) -> tuple[str, str]:
@@ -143,7 +140,7 @@ def _cmd_certify(args) -> tuple[str, str]:
 
 
 def _load_graph_file(path: str) -> SimpleGraph:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # -sig: drop a byte-order mark
         text = fh.read()
     if text.lstrip().startswith("{"):
         g, _ = serialize.parse_graph_json(text)
@@ -154,7 +151,7 @@ def _load_graph_file(path: str) -> SimpleGraph:
 def _cmd_solve_list(args) -> tuple[str, str]:
     deadline = None if args.budget_seconds is None else time.monotonic() + args.budget_seconds
     g = _load_graph_file(args.graph)
-    with open(args.lists, encoding="utf-8") as fh:
+    with open(args.lists, encoding="utf-8-sig") as fh:
         assignment = serialize.parse_lists_json(fh.read())
     result = coloring.is_list_colorable(g, assignment, deadline=deadline)
     doc = {

@@ -429,20 +429,6 @@ def vetrik_assignment(parts: tuple[tuple[int, ...], ...]
     return blocks, ListAssignment(universe=tuple(range(1, 2 * r)), lists=lists)
 
 
-def validate_coloring(g: SimpleGraph, coloring, assignment: ListAssignment | None = None) -> bool:
-    """Independent check that a coloring is proper (each row misses the mask of
-    its own color class) and list-respecting, if an assignment is given."""
-    values = coloring if isinstance(coloring, dict) else dict(enumerate(coloring))
-    if set(values) != set(range(g.n)):
-        return False
-    classes: dict[int, int] = {}
-    for v, c in values.items():
-        classes[c] = classes.get(c, 0) | 1 << v
-    if any(g.adj[v] & classes[c] for v, c in values.items()):
-        return False
-    return assignment is None or all(c in assignment.lists[v] for v, c in values.items())
-
-
 def certify_gap(n: int, budget_seconds: float | None = None) -> GapCertificate:
     """End-to-end certificate that the squared construction has a choosability gap.
 

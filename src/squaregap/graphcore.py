@@ -6,10 +6,14 @@ the package (shared-neighbor tests, independence checks, color-set
 arithmetic) are single AND/OR/popcount steps.
 
 Raw rows are checked only by the public constructor SimpleGraph(n, adj):
-range, self-loops and symmetry.  from_edges checks each edge instead and
-sets both bits, and square() and construction.construct_counterexample
-build symmetric, loop-free rows by construction, so these builders store
-their rows unchecked.
+range, self-loops and symmetry.  Every other builder stores its rows
+unchecked with SimpleGraph._from_rows, and each has its reason:
+from_edges checks each edge and sets both bits; serialize.parse_dimacs's
+bulk path shifts rows that from_edges built; square() ORs rows of a
+symmetric, loop-free graph and clears the diagonal; and
+construction.construct_counterexample and
+coloring.multipartite_list_colorable build symmetric, loop-free rows by
+construction.  So the rows of untrusted input are checked once, as edges.
 
 Rows can also come from a symmetry.  block_rotation(n, b) rotates every
 b-bit block of a row up by one, which on adjacency rows sends each vertex
@@ -167,23 +171,3 @@ def square(g: SimpleGraph, block: int = 0) -> SimpleGraph:
         firsts = (_reach(adj, u) for u in range(0, n, block))
         return SimpleGraph._from_rows(n, tuple(rotated_rows(firsts, n, block)))
     return SimpleGraph._from_rows(n, tuple(_reach(adj, u) for u in range(n)))
-
-
-def is_complete_multipartite(g: SimpleGraph, parts: tuple[tuple[int, ...], ...]) -> bool:
-    """True iff every part is independent and every cross-part pair is adjacent.
-
-    Equivalently: each vertex's adjacency row is exactly "everything outside
-    my part", which is what gets checked.  Raises ValueError unless the
-    parts are nonempty and partition 0..g.n-1.
-    """
-    if (not all(parts) or sum(map(len, parts)) != g.n
-            or {v for part in parts for v in part} != set(range(g.n))):
-        raise ValueError("parts are not a partition of the vertex set")
-    full = (1 << g.n) - 1
-    for part_mask in map(mask_of, parts):
-        want = full & ~part_mask
-        for v in bits(part_mask):
-            if g.adj[v] != want:
-                return False
-    return True
-

@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from operator import eq, ne
 
 from .coloring import GapCertificate, ListAssignment
-from .construction import ConstructedGraph
+from .construction import part_sets, vertex_names
 from .errors import clip
 from .graphcore import SimpleGraph
 from .verification import LemmaReport
@@ -240,21 +240,19 @@ def graph_to_json_dict(n: int, upper: list[list[int]], labels: dict[int, str],
     }
 
 
-def named_sets(p_sets, q_sets, t_sets) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
-    """The counterexample's graph JSON "parts" (P_i, Q_i) and "cliques" (T_j)."""
-    parts = {f"P_{i}": list(s) for i, s in enumerate(p_sets, start=1)}
-    parts.update({f"Q_{i}": list(s) for i, s in enumerate(q_sets, start=1)})
-    return parts, {f"T_{j}": list(s) for j, s in enumerate(t_sets, start=1)}
+def constructed_labels(n: int) -> dict[int, str]:
+    """Index -> name of the counterexample graph for n (vertex_names)."""
+    return dict(enumerate(vertex_names(n)))
 
 
-def constructed_labels(gc: ConstructedGraph) -> dict[int, str]:
-    return dict(enumerate(gc.labels))
-
-
-def constructed_to_json_dict(gc: ConstructedGraph) -> dict:
-    """The graph JSON document of gc."""
-    return graph_to_json_dict(gc.graph.n, gc.graph.upper(), constructed_labels(gc),
-                              *named_sets(gc.p_sets, gc.q_sets, gc.t_sets))
+def constructed_to_json_dict(n: int, upper: list[list[int]]) -> dict:
+    """The graph JSON document of the counterexample graph for n, whose upper
+    rows are upper: its "parts" are P_i and Q_i, its "cliques" T_j."""
+    p_sets, q_sets, t_sets = part_sets(n)
+    parts = {f"P_{i}": s for i, s in enumerate(p_sets, start=1)}
+    parts.update({f"Q_{i}": s for i, s in enumerate(q_sets, start=1)})
+    cliques = {f"T_{j}": s for j, s in enumerate(t_sets, start=1)}
+    return graph_to_json_dict(len(upper), upper, constructed_labels(n), parts, cliques)
 
 
 def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:

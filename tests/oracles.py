@@ -150,6 +150,15 @@ def latin_upper(n: int) -> list[list[int]]:
     return out + [[] for _ in range(nn - n)]
 
 
+def is_proper_coloring(g: SimpleGraph, colors, assignment=None) -> bool:
+    """colors, a list or a dict keyed by vertex, colours every vertex of g, no
+    edge of g.edges() has both ends in one colour, and, with an assignment,
+    every vertex's colour is in its list."""
+    c = colors if isinstance(colors, dict) else dict(enumerate(colors))
+    return (set(c) == set(range(g.n)) and all(c[u] != c[v] for u, v in g.edges())
+            and (assignment is None or all(x in assignment.lists[v] for v, x in c.items())))
+
+
 def _check_subset(g: SimpleGraph, s) -> int:
     m = 0
     for v in s:

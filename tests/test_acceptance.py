@@ -15,6 +15,7 @@ from oracles import (
     complete_multipartite,
     enumerate_list_colorable,
     induced_subgraph,
+    is_proper_coloring,
     random_graph,
     square_oracle,
     subdivision,
@@ -26,7 +27,6 @@ from squaregap.coloring import (
     certify_gap,
     is_list_colorable,
     multipartite_list_colorable,
-    validate_coloring,
 )
 from squaregap.construction import construct_counterexample
 from squaregap.graphcore import SimpleGraph, square
@@ -92,7 +92,7 @@ def test_criterion_3_gap_certificate_n3(capsys):
     assert all(len(colors) == 6 for colors in doc["refuted_lists"]["lists"].values())
     cert = certify_gap(3)
     sq = square(construct_counterexample(3).graph)
-    assert validate_coloring(sq, list(cert.chromatic_coloring))
+    assert is_proper_coloring(sq, list(cert.chromatic_coloring))
     print(f"PASS criterion 3: n=3 certificate chromatic=5, size-6 lists refuted "
           f"by complete exhaustion, gap >= 2, in {elapsed:.2f}s")
 

@@ -319,7 +319,8 @@ def test_solve_list_accepts_graph_json(tmp_path, capsys):
 
     gc = construct_counterexample(3)
     graph_path = tmp_path / "g.json"
-    graph_path.write_text(serialize.json_dumps(serialize.constructed_to_json_dict(gc)))
+    doc = serialize.constructed_to_json_dict(gc.n, gc.graph.upper())
+    graph_path.write_text(serialize.json_dumps(doc))
     lists_path = tmp_path / "lists.json"
     lists_path.write_text(serialize.json_dumps(
         {"universe": list(range(6)), "lists": {str(v): list(range(6)) for v in range(15)}}))
@@ -329,9 +330,29 @@ def test_solve_list_accepts_graph_json(tmp_path, capsys):
     assert json.loads(out)["satisfiable"] is True
 
 
+def test_solve_list_reads_files_that_start_with_a_byte_order_mark(tmp_path, capsys):
+    # some editors start a UTF-8 file with U+FEFF, which is no part of its text
+    dimacs, lists = write_instance(tmp_path, satisfiable=True)
+    graph_json = tmp_path / "tri.json"
+    graph_json.write_text('{"n_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}')
+
+    def with_bom(path):
+        copy = tmp_path / f"bom-{os.path.basename(path)}"
+        with open(path, "rb") as fh:
+            copy.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        return str(copy)
+
+    for graph in (dimacs, str(graph_json)):
+        plain = run_cli(capsys, "solve-list", "--graph", graph, "--lists", lists)[:2]
+        assert plain[0] == 0
+        for g, a in ((with_bom(graph), lists), (graph, with_bom(lists))):
+            assert run_cli(capsys, "solve-list", "--graph", g, "--lists", a)[:2] == plain
+
+
 def test_solve_list_path_deeper_than_the_recursion_limit(tmp_path, capsys):
+    from oracles import is_proper_coloring
     from squaregap import serialize
-    from squaregap.coloring import ListAssignment, validate_coloring
+    from squaregap.coloring import ListAssignment
     from squaregap.graphcore import SimpleGraph
 
     n = 1500
@@ -347,7 +368,7 @@ def test_solve_list_path_deeper_than_the_recursion_limit(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["nodes"] == n  # no backtracking on a path
-    assert validate_coloring(g, {int(v): c for v, c in doc["coloring"].items()}, a)
+    assert is_proper_coloring(g, {int(v): c for v, c in doc["coloring"].items()}, a)
 
 
 def test_solve_list_missing_file_is_io_error(tmp_path, capsys):

@@ -14,6 +14,7 @@ from oracles import (
     enumerate_chromatic,
     enumerate_list_colorable,
     is_clique,
+    is_proper_coloring,
     random_graph,
     rescan_search,
     vetrik_k3x5,
@@ -27,7 +28,6 @@ from squaregap.coloring import (
     greedy_clique,
     is_list_colorable,
     multipartite_list_colorable,
-    validate_coloring,
     vetrik_assignment,
     vetrik_lower_bound,
 )
@@ -71,7 +71,7 @@ def test_chromatic_of_complete_multipartite_is_part_count(n, r):
     g, _ = complete_multipartite([n] * r)
     chi, witness = chromatic_number_exact(g)
     assert chi == r
-    assert validate_coloring(g, witness)
+    assert is_proper_coloring(g, witness)
     assert len(set(witness)) == r
 
 
@@ -80,7 +80,7 @@ def test_chromatic_witness_is_always_proper():
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 14), rng.random())
         chi, witness = chromatic_number_exact(g)
-        assert validate_coloring(g, witness)
+        assert is_proper_coloring(g, witness)
         assert len(set(witness)) == chi
 
 
@@ -115,7 +115,7 @@ def test_chromatic_number_is_pinned_on_seeded_random_graphs():
         g = random_graph(rng, rng.randint(0, 30), rng.random())
         got, witness = chromatic_number_exact(g)
         assert got == chi, f"trial {trial}"
-        assert validate_coloring(g, witness)
+        assert is_proper_coloring(g, witness)
         assert len(set(witness)) == chi, f"trial {trial}"
 
 
@@ -151,7 +151,7 @@ def test_list_coloring_small_examples():
     sat = assignment_from(range(3), {0: {0, 1}, 1: {1, 2}, 2: {0, 2}})
     res = is_list_colorable(tri, sat)
     assert res.satisfiable
-    assert validate_coloring(tri, res.coloring, sat)
+    assert is_proper_coloring(tri, res.coloring, sat)
     # identical two-color lists on a triangle cannot work
     unsat = assignment_from(range(2), {v: {0, 1} for v in range(3)})
     res = is_list_colorable(tri, unsat)
@@ -213,7 +213,7 @@ def test_list_coloring_against_enumeration_oracle():
         assert fast.satisfiable == enumerate_list_colorable(g, lists), f"trial {trial}"
         if fast.satisfiable:
             sat_count += 1
-            assert validate_coloring(g, fast.coloring, a)
+            assert is_proper_coloring(g, fast.coloring, a)
     assert 50 < sat_count < 450  # the mix exercises both verdicts
 
 
@@ -276,7 +276,7 @@ def test_bucket_engine_matches_the_rescan_oracle_on_lists(n, seed, start):
     result, _ = assert_engines_agree(g, avail, start)
     if isinstance(result, list):
         assert all(avail[v] >> c & 1 for v, c in enumerate(result))
-        assert validate_coloring(g, result)
+        assert is_proper_coloring(g, result)
 
 
 def test_bucket_engine_matches_the_rescan_oracle_on_seeded_lists():
@@ -347,7 +347,7 @@ def test_bucket_engine_matches_the_rescan_oracle_on_multipartite_random_lists():
         result, nodes = assert_engines_agree(g, avail)
         if isinstance(result, list):
             assert all(avail[v] >> c & 1 for v, c in enumerate(result))
-            assert validate_coloring(g, result)
+            assert is_proper_coloring(g, result)
         outcomes["stopped" if result == "stopped" else "sat" if result else "unsat"] += 1
         outcomes["backtracked"] += nodes > g.n
     assert min(outcomes[k] for k in ("sat", "unsat", "backtracked")) >= 10, outcomes
@@ -399,7 +399,7 @@ def test_a_20000_vertex_path_takes_one_node_per_vertex():
     result = is_list_colorable(g, a)
     assert result.satisfiable
     assert result.attestation.nodes == n
-    assert validate_coloring(g, result.coloring, a)
+    assert is_proper_coloring(g, result.coloring, a)
 
 
 # -- multipartite specialization ----------------------------------------------
@@ -453,8 +453,8 @@ def test_multipartite_root_bound_never_refutes_a_colourable_instance():
         indexed = {index[v]: cs for v, cs in lists.items()}
         assert result.satisfiable == enumerate_list_colorable(g, indexed), f"trial {trial}"
         if result.satisfiable:
-            assert validate_coloring(g, {index[v]: c for v, c in result.coloring.items()},
-                                     ListAssignment(universe=tuple(universe), lists=indexed))
+            assert is_proper_coloring(g, {index[v]: c for v, c in result.coloring.items()},
+                                      ListAssignment(universe=tuple(universe), lists=indexed))
             outcomes["sat"] += 1
         else:
             outcomes["root" if result.attestation.nodes == 1 else "searched"] += 1
@@ -508,7 +508,7 @@ def test_multipartite_agrees_with_generic_on_k33():
         assert special.satisfiable == generic.satisfiable, f"trial {trial}"
         if special.satisfiable:
             sat_count += 1
-            assert validate_coloring(g, special.coloring, a)
+            assert is_proper_coloring(g, special.coloring, a)
     assert 50 < sat_count < 450
 
 
@@ -630,7 +630,7 @@ def test_twin_class_bound_never_refutes_a_colourable_instance():
         elif got[1] != 1:
             assert got == (colors, 1 + nodes), f"trial {trial}"
         if result.satisfiable:
-            assert validate_coloring(g, result.coloring, a)
+            assert is_proper_coloring(g, result.coloring, a)
             outcomes["sat"] += 1
         else:
             outcomes["root" if result.attestation.nodes == 1 < nodes else "searched"] += 1
@@ -864,22 +864,3 @@ def test_certificate_tamper_detection():
         cert._replace(list_bound=5)
     with pytest.raises(ValueError):
         cert._replace(chromatic=6)
-
-
-def test_validate_coloring_against_the_edge_list():
-    rng = random.Random(31)
-    for trial in range(200):
-        g = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.5]))
-        colors = [rng.randrange(3) for _ in range(g.n)]
-        want = all(colors[u] != colors[v] for u, v in g.edges())
-        assert validate_coloring(g, colors) == want, f"trial {trial}"
-
-
-def test_validate_coloring_forms():
-    g = cycle(4)
-    assert validate_coloring(g, [0, 1, 0, 1])
-    assert validate_coloring(g, {0: 0, 1: 1, 2: 0, 3: 1})
-    assert not validate_coloring(g, [0, 0, 1, 1])  # edge 0-1 monochromatic
-    assert not validate_coloring(g, [0, 1, 0])  # wrong length
-    a = assignment_from(range(2), {v: {0} for v in range(4)})
-    assert not validate_coloring(g, [0, 1, 0, 1], a)  # 1 not in its list

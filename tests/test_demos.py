@@ -101,13 +101,16 @@ def test_the_bench_tracer_reads_every_hooked_result(tmp_path):
     proc = run_python("-c", TRACED_RUN, str(tmp_path))
     assert proc.returncode == 0, proc.stderr[-2000:]
     got = json.loads(proc.stdout)
-    verify_all, verify_nw, _, _, solve = got["runs"]
+    verify_all, verify_nw, _, construct, solve = got["runs"]
     assert [r["code"] for r in got["runs"]] == [0, 0, 0, 0, 0]
     for count in ("verification.cases", "coloring.nodes", "serialize.bytes_written",
                   "serialize.bytes_read"):
         assert got["counts"].get(count, 0) > 0, count
     assert {f"verification.{name}" for name in CHECKS} <= set(verify_all["spans"])
     assert "verification.check_lemma_nw" in verify_nw["spans"]
+    # construct writes its graph JSON through the one builder the tests call
+    assert {"serialize.constructed_to_json_dict", "serialize.constructed_labels"} <= set(
+        construct["spans"])
     traced_nodes = json.loads(solve["stdout"])["nodes"]
     assert traced_nodes == got["untraced_nodes"] == solve["counts"]["coloring.nodes"]
 

@@ -22,7 +22,6 @@ from squaregap.graphcore import (
     SimpleGraph,
     bits,
     block_rotation,
-    is_complete_multipartite,
     square,
 )
 
@@ -243,38 +242,12 @@ def test_independent_set_and_clique():
         is_clique(g, [0, 9])
 
 
-def test_recognizer_refuses_overlap_empty_part_and_missing_vertex():
-    g, parts = complete_multipartite([2, 1])
-    assert is_complete_multipartite(g, parts)
-    for bad in (((0, 1), (1, 2)), ((0, 1), (2,), ()), ((0, 1),), ((0, 1), (3,))):
-        with pytest.raises(ValueError):
-            is_complete_multipartite(g, bad)
-
-
 def test_complete_multipartite_builder_and_recognizer():
     g, w = complete_multipartite([2, 3, 1])
     assert g.n == 6
-    assert g.edge_count == 2 * 3 + 2 * 1 + 3 * 1
     assert w == ((0, 1), (2, 3, 4), (5,))
-    assert is_complete_multipartite(g, w)
-
-
-def test_recognizer_rejects_perturbations():
-    g, w = complete_multipartite([2, 2])
-    # edge inside a part
-    bad1 = SimpleGraph.from_edges(4, g.edges() + [(0, 1)])
-    assert not is_complete_multipartite(bad1, w)
-    # missing cross edge
-    bad2 = SimpleGraph.from_edges(4, [e for e in g.edges() if e != (0, 2)])
-    assert not is_complete_multipartite(bad2, w)
-    # wrong witness for the right graph
-    assert not is_complete_multipartite(g, ((0, 2), (1, 3)))
-
-
-def test_recognizer_requires_partition():
-    g, _ = complete_multipartite([2, 2])
-    with pytest.raises(ValueError):
-        is_complete_multipartite(g, ((0, 1),))
+    assert g.edges() == [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
+                         (2, 5), (3, 5), (4, 5)]
 
 
 def test_complete_multipartite_rejects_empty_part():
@@ -296,8 +269,9 @@ def test_total_graph_of_triangle_is_octahedron():
     assert tot.n == 6
     assert tot.edge_count == 12
     assert all(tot.degree(v) == 4 for v in range(6))
-    # complete tripartite with parts {vertex, opposite edge}
-    assert is_complete_multipartite(tot, ((0, 5), (1, 4), (2, 3)))
+    # complete tripartite with parts {vertex, opposite edge}: (0, 5), (1, 4), (2, 3)
+    assert tot.edges() == [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5),
+                           (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
 
 
 def test_total_graph_of_path():

@@ -16,10 +16,10 @@ PUBLIC = [
     "are_orthogonal", "build_latin", "build_mols_family", "certify_gap",
     "check_independence", "check_lemma_nv", "check_lemma_nw", "check_pq_adjacency",
     "check_square_structure", "chromatic_number_exact", "construct_counterexample",
-    "greedy_clique", "is_complete_multipartite", "is_latin",
+    "greedy_clique", "is_latin",
     "is_list_colorable", "multipartite_list_colorable", "require_prime",
     "run_all_checks", "serialize", "square",
-    "validate_coloring", "vetrik_assignment", "vetrik_lower_bound",
+    "vetrik_assignment", "vetrik_lower_bound",
 ]
 
 

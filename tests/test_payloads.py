@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from oracles import vetrik_k3x5
-from squaregap import cli, coloring, construction, latin, serialize
+from squaregap import cli, construction, latin, serialize
 from squaregap.cli import main
 from squaregap.coloring import ListAssignment
 from squaregap.graphcore import SimpleGraph
@@ -186,15 +186,3 @@ def test_certify_builds_no_latin_square(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-
-def test_certify_proves_its_colouring_once(monkeypatch, capsys):
-    # the structure check proves the part colouring; certify validates it no further
-    argv, code, digest = next(entry for entry in PINNED if entry[0] == ["certify", "--n", "5"])
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("validated the colouring again")
-
-    monkeypatch.setattr(coloring, "validate_coloring", refuse)
-    assert main(argv) == code
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest

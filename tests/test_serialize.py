@@ -287,7 +287,7 @@ def test_writers_match_the_pair_list_oracles(graph_and_labels):
 
 def test_constructed_json_shape():
     gc = construct_counterexample(3)
-    doc = serialize.constructed_to_json_dict(gc)
+    doc = serialize.constructed_to_json_dict(gc.n, gc.graph.upper())
     assert doc["n_vertices"] == 15
     assert len(doc["edges"]) == 27
     assert doc["labels"]["0"] == "v_1_1"
@@ -300,7 +300,7 @@ def test_constructed_json_shape():
 
 def test_graph_json_round_trip():
     gc = construct_counterexample(3)
-    text = serialize.json_dumps(serialize.constructed_to_json_dict(gc))
+    text = serialize.json_dumps(serialize.constructed_to_json_dict(gc.n, gc.graph.upper()))
     g, doc = serialize.parse_graph_json(text)
     assert g == gc.graph
     assert doc["labels"]["9"] == "w_1_1"
