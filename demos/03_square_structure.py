@@ -13,16 +13,29 @@ from squaregap import (
     check_square_structure,
     square,
 )
+from squaregap.graphcore import square_by_blocks
+from squaregap.verification import check_by_blocks, checked_stars
 
 
 def main():
     for n in (3, 5, 7):
         gc = construct_counterexample(n)
-        sq = square(gc.graph, n)  # walks one row per P_k and Q_i, as verify does
+        sq = square(gc.graph)  # walks every row of G
         parts, report = check_square_structure(sq, gc)
         print(f"n={n}: square has {sq.n} vertices, {sq.edge_count} edges; "
               f"complete {len(parts)}-partite with parts of size {n}: {report.passed} "
               f"({report.checked_cases} cases)")
+
+    # verify and certify check the same claim in block form: rotating each
+    # P_k and Q_i is an automorphism of G, so the base stars and one row of
+    # the square per block decide every row, with no dense G or G^2
+    n = 31
+    stars = checked_stars(n)
+    rows = square_by_blocks(stars, n)
+    report = check_by_blocks(n, stars, rows, ("structure",))["structure"]
+    print(f"\nn={n} in block form: {len(rows)} rows of the square for "
+          f"{len(rows) * n} vertices; structure passed={report.passed} "
+          f"({report.checked_cases} cases)")
 
     print("\nper-lemma verification at n=3:")
     gc = construct_counterexample(3)

@@ -31,10 +31,10 @@ import time
 from collections import namedtuple
 from operator import and_
 
-from .construction import construct_counterexample
+from .construction import part_sets
 from .errors import CapacityError, SearchBudgetExceeded, clip
-from .graphcore import SimpleGraph, bits, square
-from .verification import check_square_structure
+from .graphcore import SimpleGraph, bits, square_by_blocks
+from .verification import check_by_blocks, checked_stars
 
 CHROMATIC_MAX_VERTICES = 128
 _DEADLINE_STRIDE = 1024  # nodes between wall-clock checks
@@ -432,15 +432,17 @@ def vetrik_assignment(parts: tuple[tuple[int, ...], ...]
 def certify_gap(n: int, budget_seconds: float | None = None) -> GapCertificate:
     """End-to-end certificate that the squared construction has a choosability gap.
 
-    Builds the graph and re-verifies that its square is complete multipartite
-    on r = 2n-1 parts, so every row is "everything outside my part": coloring
-    by part index is proper, with that check as its one proof, and one vertex
-    per part is a clique, hence chromatic number r with no search.  Then
-    exhaustively refutes the adversarial lists of size vetrik_lower_bound(n, r)
-    on the square.  The budget_seconds deadline is read after construct, square
-    and structure check, naming the last phase finished, and in the search
-    only when _DEADLINE_STRIDE divides the node count (the root is node 1).
-    The gap lower bound (refuted size + 1) - r is n - 1 for every prime n >= 3.
+    Re-verifies, in block form, that the square of the graph is complete
+    multipartite on its r = 2n-1 parts P_1..P_n, Q_1..Q_{n-1}, so every row
+    is "everything outside my part": coloring by part index is proper, with
+    that check as its one proof, and one vertex per part is a clique, hence
+    chromatic number r with no search.  Then exhaustively refutes the
+    adversarial lists of size vetrik_lower_bound(n, r) on the square.  The
+    budget_seconds deadline is read after construct (the checked stars),
+    square (its first row per block) and structure check, naming the last
+    phase finished, and in the search only when _DEADLINE_STRIDE divides
+    the node count (the root is node 1).  The gap lower bound (refuted
+    size + 1) - r is n - 1 for every prime n >= 3.
     """
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
 
@@ -448,17 +450,18 @@ def certify_gap(n: int, budget_seconds: float | None = None) -> GapCertificate:
         if deadline is not None and time.monotonic() > deadline:
             raise SearchBudgetExceeded(f"budget exhausted after {phase}")
 
-    gc = construct_counterexample(n)
+    stars = checked_stars(n)
     reached("construct")
-    sq = square(gc.graph, gc.n)
+    rows = square_by_blocks(stars, n)
     reached("square")
-    parts, report = check_square_structure(sq, gc)
+    report = check_by_blocks(n, stars, rows, ("structure",))["structure"]
     if not report.passed:
         raise RuntimeError(f"square structure check failed: {report.witness}")
     reached("structure check")
+    p_sets, q_sets, _ = part_sets(n)
+    parts = p_sets + q_sets
     r = len(parts)
-    part_of = {v: c for c, part in enumerate(parts) for v in part}
-    coloring = [part_of[v] for v in range(sq.n)]
+    coloring = [c for c, part in enumerate(parts) for _ in part]  # parts are consecutive
     blocks, refuted = vetrik_assignment(parts)
     result = multipartite_list_colorable(parts, refuted, deadline=deadline)
     if result.satisfiable:

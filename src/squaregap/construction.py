@@ -13,8 +13,12 @@ to v(k, j + ik mod n).  So G is presented by its base stars (base_stars),
 the neighbours of each block's first vertex, and one rotation rule: the
 vertex at position c of block b has the neighbour B*n + (x + c) mod n for
 each neighbour B*n + x of block b's first vertex.  Both builders read the
-stars.  No Latin square is built here: verify's nw0 builds the squares and
-compares the rows with them, so the two definitions check each other.
+stars, and so do verify and certify, which check them
+(verification.checked_stars) and then work one row per block, with no
+row of G built.  No Latin square is built here: verify's nw0 builds the
+squares and compares each Q_i's star with its square's first row, and
+the square's rows with each other, so the two definitions check each
+other.
 """
 
 from collections import namedtuple

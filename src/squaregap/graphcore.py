@@ -15,18 +15,17 @@ construction.construct_counterexample and
 coloring.multipartite_list_colorable build symmetric, loop-free rows by
 construction.  So the rows of untrusted input are checked once, as edges.
 
-Rows can also come from a symmetry.  block_rotation(n, b) rotates every
-b-bit block of a row up by one, which on adjacency rows sends each vertex
-to the next one of its block (the last to the first), and rotated_rows
-expands the first row of each block into the whole block with it.
-square(g, b) trusts that only after checking, on every row, that the
-rotation of adj[u] is the row of u's image: then the rotation is an
-automorphism of g, hence of g's square, and only the first row of each
-block is walked.
+Rows can also come from a symmetry.  block_rotation(n, b) gives rot(m, k),
+which rotates every b-bit block of a row up by k places: on adjacency
+rows that sends each vertex k places on within its block.  rotated_rows
+expands the first row of each block into the whole block with it.  A
+graph that the rotation maps to itself is fixed by the neighbours of
+each block's first vertex, its stars, and square_by_blocks computes the
+first row of each block of its square from them, with no other row of
+either graph.
 """
 
-from collections.abc import Callable, Iterable, Iterator
-from operator import eq
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import clip
 
@@ -117,17 +116,31 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, m={self.edge_count})"
 
 
-def block_rotation(n: int, block: int) -> Callable[[int], int]:
-    """The map taking an n-bit row to the row with every block-bit block
-    rotated up by one: bit b*block + c moves to b*block + (c + 1) % block.
+def block_rotation(n: int, block: int) -> Callable[..., int]:
+    """The map rot(m, k=1) taking an n-bit row m to the row with every
+    block-bit block rotated up by k places: bit b*block + c moves to
+    b*block + (c + k) % block.
 
-    On adjacency rows this is the vertex map u -> u + 1 within u's block.
-    Requires block >= 1 dividing n.
+    On adjacency rows this is the vertex map u -> u + k within u's block.
+    Each k's mask, the top k bits of every block, is built once, from
+    the pattern with bit 0 of each block set.  Raises ValueError unless
+    block >= 1 divides n.
     """
-    low = mask_of(range(0, n, block))  # bit 0 of each block
-    keep = ((1 << n) - 1) & ~low
-    shift = block - 1
-    return lambda m: (m << 1) & keep | (m >> shift) & low
+    if block < 1 or n % block:
+        raise ValueError(f"block size {block} does not divide {n}")
+    low = ((1 << n) - 1) // ((1 << block) - 1)  # bit 0 of each block
+    tops = {}
+
+    def rot(m: int, k: int = 1) -> int:
+        k %= block
+        if not k:
+            return m
+        top = tops.get(k)
+        if top is None:
+            top = tops[k] = low * ((1 << k) - 1) << (block - k)
+        top &= m
+        return (m ^ top) << k | top >> (block - k)
+    return rot
 
 
 def rotated_rows(firsts: Iterable[int], n: int, block: int) -> Iterator[int]:
@@ -139,6 +152,30 @@ def rotated_rows(firsts: Iterable[int], n: int, block: int) -> Iterator[int]:
         for _ in range(block - 1):
             row = rotate(row)
             yield row
+
+
+def square_by_blocks(stars: Sequence[Sequence[int]], block: int) -> list[int]:
+    """The first row of each block of the square of the graph that stars
+    presents: the graph on len(stars) * block vertices in which vertex
+    b*block + c has the neighbour B*block + (x + c) % block for each
+    B*block + x in stars[b], so that block_rotation maps it to itself.
+
+    Requires that relation symmetric and loop-free, as
+    verification.checked_stars checks it.  Block b's row is the star's
+    own row ORed with the row of each star neighbour u, which is the
+    first row of u's block rotated by u's place in it, without bit
+    b*block: len(stars) rows of the square from one rotation per star
+    entry.
+    """
+    rot = block_rotation(len(stars) * block, block)
+    firsts = list(map(mask_of, stars))
+    out = []
+    for b, star in enumerate(stars):
+        row = firsts[b]
+        for u in star:
+            row |= rot(firsts[u // block], u % block)
+        out.append(row & ~(1 << b * block))
+    return out
 
 
 def _reach(adj: tuple[int, ...], u: int) -> int:
@@ -156,18 +193,8 @@ def _reach(adj: tuple[int, ...], u: int) -> int:
     return reach & ~(1 << u)
 
 
-def square(g: SimpleGraph, block: int = 0) -> SimpleGraph:
+def square(g: SimpleGraph) -> SimpleGraph:
     """The distance-<=2 power: u ~ v iff adjacent or sharing a neighbor in g.
-
-    With block > 1 dividing g.n, the rotation of each block of that many
-    vertices (block_rotation) is checked first: if it maps every row adj[u]
-    to adj[u + 1 within u's block], it is an automorphism of g and of its
-    square, so only the first row of each block is walked and the rest are
-    its rotations.  Otherwise every row is walked.  Either way the result
-    is the same.
-    """
-    n, adj = g.n, g.adj
-    if 1 < block and n % block == 0 and all(map(eq, rotated_rows(adj[::block], n, block), adj)):
-        firsts = (_reach(adj, u) for u in range(0, n, block))
-        return SimpleGraph._from_rows(n, tuple(rotated_rows(firsts, n, block)))
-    return SimpleGraph._from_rows(n, tuple(_reach(adj, u) for u in range(n)))
+    Walks every row; square_by_blocks gives a rotation-invariant graph's
+    square from its stars."""
+    return SimpleGraph._from_rows(g.n, tuple(_reach(g.adj, u) for u in range(g.n)))

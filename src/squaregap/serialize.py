@@ -258,14 +258,29 @@ def constructed_to_json_dict(n: int, upper: list[list[int]]) -> dict:
 def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:
     """The JSON object in text, which must carry keys.
 
-    Nesting too deep to decode raises RecursionError, which leaves as
-    ValueError like any other malformed input.  Callers check the type of
-    every value they read.
+    An object that names a key twice is refused: json.loads alone keeps the
+    last value, so a vertex's second list would silently replace its first.
+    Nesting too deep to decode raises RecursionError, and an integer longer
+    than Python converts raises a message that quotes Python's own advice:
+    both leave as ValueError like any other malformed input.  Callers check
+    the type of every value they read.
     """
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            keys_seen = set()
+            key = next(k for k, _ in pairs if k in keys_seen or keys_seen.add(k))
+            raise ValueError(f"malformed {kind} JSON: key {clip(key)} appears twice")
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique)
     except RecursionError:
         raise ValueError(f"malformed {kind} JSON: nested too deep") from None
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ValueError(f"malformed {kind} JSON: integer with more than 4,300 digits") from None
     if not isinstance(doc, dict) or not all(k in doc for k in keys):
         raise ValueError(f"{kind} JSON must carry {keys[0]} and {keys[1]}")
     return doc

@@ -4,8 +4,21 @@ Every check covers its full case space, never stops at the first
 violation, and reports the first witness per item plus a failure count,
 so a broken construction comes back with a concrete counterexample
 tuple instead of a bare False.  Counts and witnesses are always those of
-the case-by-case enumeration, but whole families of cases are settled by
-bitset counts, with one tally (_cover) for "exactly one" and "at most one":
+the case-by-case enumeration, but whole families of cases are settled at
+once.
+
+verify and certify run in block form (check_by_blocks).  G is presented
+by its base stars, which checked_stars checks to define a simple graph,
+and the rotation of every block of n vertices is then an automorphism of
+G and of G^2.  So a claim holds for a whole block when it holds for the
+block's first vertex, and each is settled from the stars and the first
+row of each block of the square (graphcore.square_by_blocks) alone: no
+other row of G or G^2 is built.  When a claim fails there, the dense
+checks below run on the whole graph to name the failures, so the reports
+are the same either way.
+
+The dense checks take the square and the constructed graph, with one
+tally (_cover) for "exactly one" and "at most one":
 
 - "exactly one neighbour in each set" (nw1, nw2, nv1) is read off each
   set's member rows at once, by the vertices they cover once and twice;
@@ -19,9 +32,10 @@ from itertools import chain, compress, repeat
 from math import comb
 from operator import eq, not_
 
+from . import construction  # by module, so a replaced base_stars reaches the dense fallback too
 from .construction import ConstructedGraph
 from .graphcore import SimpleGraph, bits, mask_of, square
-from .latin import build_mols_family
+from .latin import build_latin, build_mols_family
 
 
 class LemmaReport(namedtuple("LemmaReport", "lemma_id checked_cases failure_count item_witnesses",
@@ -295,5 +309,151 @@ def run_check(lemma: str, sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
 
 def run_all_checks(gc: ConstructedGraph) -> dict[str, LemmaReport]:
     """All five lemma checks keyed by their CLI selector names."""
-    sq = square(gc.graph, gc.n)
+    sq = square(gc.graph)
     return {lemma: run_check(lemma, sq, gc) for lemma in LEMMAS}
+
+
+# -- block form ---------------------------------------------------------------
+
+
+def checked_stars(n: int) -> list[list[int]]:
+    """construction.base_stars(n), checked to present a simple graph.
+
+    The stars present G by the rotation rule of graphcore.square_by_blocks.
+    That relation is symmetric exactly when every star arc b*n -> B*n + x
+    has its reverse b*n + (-x mod n) in block B's star, and has no loop,
+    nor any edge inside a P_k or Q_i, when no star names its own block.
+    With no neighbour named twice the graph is simple, and the rotation of
+    each block is its automorphism by construction.  Any other star is a
+    fault of the construction, not of the input: RuntimeError names the
+    arc.  Raises ValueError unless n is a prime >= 3.
+    """
+    stars = construction.base_stars(n)
+    count = len(stars) * n
+
+    def fault(b: int, u: int, what: str) -> RuntimeError:
+        names = construction.vertex_names(n)
+        end = names[u] if 0 <= u < count else u
+        return RuntimeError(f"base star arc {names[b * n]} -> {end} {what}")
+
+    held = list(map(set, stars))
+    for b, star in enumerate(stars):
+        for u in star:
+            if u // n == b:
+                raise fault(b, u, "stays in its block")
+            if not 0 <= u < count:
+                raise fault(b, u, "leaves the graph")
+            if b * n + -u % n not in held[u // n]:
+                raise fault(b, u, "has no reverse")
+        if len(held[b]) != len(star):
+            raise fault(b, next(u for i, u in enumerate(star) if u in star[:i]), "is named twice")
+    return stars
+
+
+def _latin_rows_match(n: int, q_stars: list[list[int]]) -> bool:
+    """nw0 for every w-vertex, from the star of each Q_i.
+
+    The star must be the v-set that row 0 of the i-th square names, and
+    the square cyclic: row j + 1 is row j with each entry e read as
+    e % n + 1, so each column reads the ring 1, ..., n on from its entry
+    in row 0.  Then w(i, j)'s row, the star rotated by j, is the set that
+    row j names, for every j.  One square is built at a time, and its
+    columns are compared with the ring's slices in one list comparison,
+    so no Python step runs per entry.
+    """
+    ring = tuple(range(1, n + 1)) * 2
+    for i, star in enumerate(q_stars, start=1):
+        rows = build_latin(n, i)
+        if mask_of(star) != mask_of(k * n + e - 1 for k, e in enumerate(rows[0])):
+            return False
+        if list(zip(*rows)) != [ring[e - 1:e - 1 + n] for e in rows[0]]:
+            return False
+    return True
+
+
+def _once_each(values, want: range) -> bool:
+    return sorted(values) == list(want)
+
+
+def _pairs_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> bool:
+    """_no_two_w_share_two over block representatives: each sum over a
+    block's vertices is n times its first vertex's term."""
+    nn = n * n
+    q_mask = (1 << len(rows) * n) - (1 << nn)
+    if any(u >= nn for star in stars[n:] for u in star):
+        return False
+    joined = n * sum((row & q_mask).bit_count() for row in rows[n:]) // 2
+    shared = n * sum(comb(sum(u >= nn for u in star), 2) for star in stars[:n])
+    return joined == shared
+
+
+def _field(n: int, b: int) -> int:
+    """The mask of block b's n vertices."""
+    return ((1 << n) - 1) << b * n
+
+
+def _nw_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> int | None:
+    """nw0, nw2 and nw3 from the stars.  Once nw0 holds, each Q star is a
+    Latin row's v-set, one v in each P_k, so nw1 holds, and two w's of one
+    Q_i have the neighbours v(k, e + c) and v(k, e + c') in each P_k, never
+    the same: the group half of nw3 holds too."""
+    q = n * (n - 1)
+    holds = (_latin_rows_match(n, stars[n:])
+             and all(_once_each((u % n for u in star), range(n)) for star in stars[n:])
+             and _pairs_by_blocks(n, stars, rows))
+    return q + 2 * q * n + comb(q, 2) if holds else None
+
+
+def _nv_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> int | None:
+    nn = n * n
+    holds = (all(_once_each((u // n for u in star if u >= nn), range(n, len(stars)))
+                 for star in stars[:n])
+             and _pairs_by_blocks(n, stars, rows))
+    return nn * (n - 1) + comb(nn, 2) if holds else None
+
+
+def _independence_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> int | None:
+    holds = not any(row & _field(n, b) for b, row in enumerate(rows))
+    return len(rows) if holds else None
+
+
+def _pq_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> int | None:
+    nn = n * n
+    q_mask = (1 << len(rows) * n) - (1 << nn)
+    holds = not any(q_mask & ~row for row in rows[:n])
+    return nn * (nn - n) if holds else None
+
+
+def _structure_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> int | None:
+    """Every row is "everything outside my block"; the two edge counts, n
+    times the blocks' counts, then take their closed forms."""
+    count = len(rows) * n
+    full = (1 << count) - 1
+    holds = all(row == full ^ _field(n, b) for b, row in enumerate(rows))
+    return count + 2 if holds else None
+
+
+_BY_BLOCKS = {"nw": _nw_by_blocks, "nv": _nv_by_blocks, "independence": _independence_by_blocks,
+              "pq": _pq_by_blocks, "structure": _structure_by_blocks}
+
+
+def check_by_blocks(n: int, stars: list[list[int]], rows: list[int],
+                    lemmas) -> dict[str, LemmaReport]:
+    """The report of each check LEMMAS names in lemmas, for the graph that
+    stars = checked_stars(n) presents, whose square's block rows are
+    rows = graphcore.square_by_blocks(stars, n).
+
+    Each claim is settled for every vertex of a block at once: the
+    rotation of a block is an automorphism of G and of G^2, and maps each
+    P_k, Q_i and the sets P, Q to themselves, so what holds for a block's
+    first vertex holds for all of them.  The counts are those of the
+    case-by-case enumeration, in closed form.  If any claim fails, the
+    dense checks run on construction.construct_counterexample(n) and its
+    square to name every failure.
+    """
+    cases = {lemma: _BY_BLOCKS[lemma](n, stars, rows) for lemma in lemmas}
+    if None not in cases.values():
+        return {lemma: LemmaReport(lemma, k) for lemma, k in cases.items()}
+    gc = construction.construct_counterexample(n)
+    sq = square(gc.graph)
+    return {lemma: run_check(lemma, sq, gc) for lemma in lemmas}

@@ -504,6 +504,54 @@ def test_long_integers_in_input_errors_are_clipped(tmp_path, capsys, graph_text,
     assert len(err.encode()) < 1024
 
 
+FIVE_THOUSAND = "9" * 5000  # over the limit: the decoder's own message advises a setting
+
+
+@pytest.mark.parametrize("graph_text,lists_text,kind", [
+    (f'{{"n_vertices": 3, "edges": [[0, {FIVE_THOUSAND}]]}}', THREE_LISTS, "graph"),
+    (TRIANGLE, f'{{"universe": [1, {FIVE_THOUSAND}], "lists": {{"0": [1]}}}}', "lists"),
+], ids=["json-edge", "lists-colour"])
+def test_integers_over_the_digit_limit_are_named_not_advised(tmp_path, capsys, graph_text,
+                                                             lists_text, kind):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(graph_text)
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text(lists_text)
+    code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                             "--lists", str(lists_path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == (f"squaregap solve-list: malformed {kind} JSON: "
+                                   "integer with more than 4,300 digits")
+    assert envelope_of(err)["outcome"] == "error"
+
+
+@pytest.mark.parametrize("graph_text,lists_text,message", [
+    # vertex 1's first list, {1}, makes this edge UNSAT; the last alone would be SAT
+    ('{"n_vertices": 2, "edges": [[0, 1]]}',
+     '{"universe": [1, 2], "lists": {"0": [1], "1": [1], "1": [2]}}',
+     "malformed lists JSON: key '1' appears twice"),
+    ('{"n_vertices": 2, "edges": [[0, 1]], "n_vertices": 3}',
+     '{"universe": [1, 2], "lists": {"0": [1], "1": [2]}}',
+     "malformed graph JSON: key 'n_vertices' appears twice"),
+    ('{"n_vertices": 2, "edges": [[0, 1]]}',
+     '{"universe": [1, 2], "universe": [1, 2], "lists": {"0": [1], "1": [2]}}',
+     "malformed lists JSON: key 'universe' appears twice"),
+], ids=["vertex-key", "n_vertices", "universe"])
+def test_a_repeated_json_key_exits_2_naming_the_key(tmp_path, capsys, graph_text, lists_text,
+                                                     message):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(graph_text)
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text(lists_text)
+    code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                             "--lists", str(lists_path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == f"squaregap solve-list: {message}"
+    assert envelope_of(err)["outcome"] == "error"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", NINES],
     ["verify", "--n", "-" + NINES],

@@ -474,9 +474,9 @@ def test_certify_refutation_stops_at_its_first_node(monkeypatch):
 
 
 @pytest.mark.parametrize("phase,name", [
-    ("construct", "construct_counterexample"),
-    ("square", "square"),
-    ("structure check", "check_square_structure"),
+    ("construct", "checked_stars"),
+    ("square", "square_by_blocks"),
+    ("structure check", "check_by_blocks"),
 ])
 def test_certify_budget_bounds_every_phase(monkeypatch, phase, name):
     # the clock passes the deadline during one phase; certify stops right after it

@@ -87,7 +87,13 @@ for argv in runs:
                  "spans": sorted({s[0] for s in tracer.spans[first:]})})
 with open(f"{tmp}/g.json") as fh:
     serialize.parse_graph_json(fh.read())
-print(json.dumps({"runs": done, "counts": tracer.counts, "untraced_nodes": untraced}))
+first = len(tracer.spans)
+from squaregap.construction import construct_counterexample
+from squaregap.verification import run_all_checks
+run_all_checks(construct_counterexample(3))
+dense = sorted({s[0] for s in tracer.spans[first:]})
+print(json.dumps({"runs": done, "dense": dense, "counts": tracer.counts,
+                  "untraced_nodes": untraced}))
 """
 CHECKS = ("check_lemma_nw", "check_lemma_nv", "check_independence", "check_pq_adjacency",
           "check_square_structure")
@@ -98,16 +104,17 @@ def test_the_bench_tracer_reads_every_hooked_result(tmp_path):
     # and readers it wraps; a changed shape would otherwise surface only in
     # a traced bench run.  Each check must get a span, which a table of the
     # checks built at import (before the tracer rebinds them) would miss.
+    # verify settles its claims in block form and calls the dense checks only
+    # to name a failure, so run_all_checks calls them here.
     proc = run_python("-c", TRACED_RUN, str(tmp_path))
     assert proc.returncode == 0, proc.stderr[-2000:]
     got = json.loads(proc.stdout)
-    verify_all, verify_nw, _, construct, solve = got["runs"]
+    _, _, _, construct, solve = got["runs"]
     assert [r["code"] for r in got["runs"]] == [0, 0, 0, 0, 0]
     for count in ("verification.cases", "coloring.nodes", "serialize.bytes_written",
                   "serialize.bytes_read"):
         assert got["counts"].get(count, 0) > 0, count
-    assert {f"verification.{name}" for name in CHECKS} <= set(verify_all["spans"])
-    assert "verification.check_lemma_nw" in verify_nw["spans"]
+    assert {f"verification.{name}" for name in CHECKS} <= set(got["dense"])
     # construct writes its graph JSON through the one builder the tests call
     assert {"serialize.constructed_to_json_dict", "serialize.constructed_labels"} <= set(
         construct["spans"])

@@ -16,13 +16,15 @@ from oracles import (
     total_graph,
 )
 from squaregap import graphcore
-from squaregap.construction import construct_counterexample
+from squaregap.construction import base_stars, construct_counterexample
 from squaregap.errors import CapacityError
 from squaregap.graphcore import (
     SimpleGraph,
     bits,
     block_rotation,
+    rotated_rows,
     square,
+    square_by_blocks,
 )
 
 PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -139,69 +141,79 @@ def test_block_rotation_moves_each_bit_up_within_its_block():
     assert block_rotation(5, 5)(0b10001) == 0b00011
 
 
+def test_block_rotation_by_k_places_is_k_single_rotations():
+    rng = random.Random(77)
+    for n, block in ((12, 1), (12, 3), (12, 12), (35, 5), (35, 7)):
+        rotate = block_rotation(n, block)
+        for _ in range(20):
+            m = one = rng.getrandbits(n)
+            for k in range(2 * block + 1):
+                assert rotate(one, k) == m, (n, block, k)
+                m = rotate(m)
+
+
+def stars_of(g, block):
+    """The neighbours of each block's first vertex, ascending."""
+    return [list(bits(g.adj[b])) for b in range(0, g.n, block)]
+
+
+def whole_square(stars, block):
+    """All rows of the square that square_by_blocks gives by blocks."""
+    return tuple(rotated_rows(square_by_blocks(stars, block), len(stars) * block, block))
+
+
 @pytest.mark.parametrize("n", PRIMES_TO_31 + [61])
 def test_square_by_blocks_on_constructed_graphs(n):
-    g = construct_counterexample(n).graph
-    with walks() as seen:
-        fast = square(g, n)
-    assert len(seen) == 2 * n - 1 and seen == list(range(0, g.n, n))
-    assert fast == square(g)
+    # the block rows are the first rows of the dense square, which they rotate into
+    sq = square(construct_counterexample(n).graph)
+    rows = square_by_blocks(base_stars(n), n)
+    assert rows == list(sq.adj[::n])
+    assert whole_square(base_stars(n), n) == sq.adj
 
 
-def tampered(g, u, v):
-    """g with the edge uv removed if present, else added."""
-    edges = set(g.edges())
-    return SimpleGraph.from_edges(g.n, edges ^ {(min(u, v), max(u, v))})
+def rotation_closed(g, block):
+    """g with every edge's images under the rotation of its block-vertex blocks added."""
+    def shifted(u, t):
+        return u - u % block + (u + t) % block
 
-
-@pytest.mark.parametrize("n", [3, 5, 7])
-def test_square_by_blocks_falls_back_on_a_tampered_graph(n):
-    # one edge more or less breaks the rotation symmetry: every row is walked
-    rng = random.Random(n)
-    g = construct_counterexample(n).graph
-    edge = rng.choice(g.edges())
-    non_edge = rng.choice([(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                           if not g.adj[u] >> v & 1])
-    for u, v in (edge, non_edge):
-        h = tampered(g, u, v)
-        with walks() as seen:
-            fast = square(h, n)
-        assert len(seen) == h.n == 2 * n * n - n
-        assert fast == square(h) == bfs_square(h)
+    return SimpleGraph.from_edges(g.n, {(shifted(u, t), shifted(v, t))
+                                        for u, v in g.edges() for t in range(block)})
 
 
 @pytest.mark.parametrize("block", [0, 1, 2, 4, 6, 12, 13, -3])
 def test_square_by_blocks_any_block_size(block):
-    # 2, 4, 6 and 12 divide 12: the cycle is invariant only under the
-    # rotation of one 12-vertex block; 0, 1, 13 and -3 walk every row
+    # 1, 2, 4, 6 and 12 divide 12: each graph, closed under the rotation of
+    # its blocks, has its square from its stars; 0, 13 and -3 are refused
+    if block < 1 or 12 % block:
+        with pytest.raises(ValueError, match="does not divide 12"):
+            block_rotation(12, block)
+        return
     for g in (cycle(12), path(12), complete(12), SimpleGraph(12, (0,) * 12)):
-        assert square(g, block) == square(g), (g, block)
+        h = rotation_closed(g, block)
+        assert whole_square(stars_of(h, block), block) == square(h).adj, (g, block)
 
 
 def test_square_by_blocks_walks_one_row_of_a_cycle():
+    # the cycle is one block of 12, its star {1, 11}; no dense row is walked
     with walks() as seen:
-        fast = square(cycle(12), 12)
-    assert seen == [0]
-    assert fast == square(cycle(12))
+        rows = square_by_blocks([[1, 11]], 12)
+    assert seen == []
+    assert rows == [0b1100_0000_0110]
+    assert whole_square([[1, 11]], 12) == square(cycle(12)).adj
 
 
 @settings(max_examples=150, deadline=None)
 @given(count=st.integers(1, 4), block=st.integers(2, 7), data=st.data())
 def test_square_by_blocks_on_rotation_invariant_graphs(count, block, data):
-    # random base edges, each closed under the block rotation: the fast path runs
+    # random base edges, each closed under the block rotation: the stars present the graph
     n = count * block
     base = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                               max_size=2 * n))
-
-    def shifted(u, t):
-        return u - u % block + (u + t) % block
-
-    edges = {(shifted(u, t), shifted(v, t)) for u, v in base if u != v for t in range(block)}
-    g = SimpleGraph.from_edges(n, edges)
+    g = rotation_closed(SimpleGraph.from_edges(n, {(u, v) for u, v in base if u != v}), block)
     with walks() as seen:
-        fast = square(g, block)
-    assert seen == list(range(0, n, block))
-    assert fast == square(g) == bfs_square(g)
+        rows = square_by_blocks(stars_of(g, block), block)
+    assert seen == []
+    assert tuple(rotated_rows(rows, n, block)) == square(g).adj == bfs_square(g).adj
 
 
 def test_square_oracle_capacity_guard():

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from oracles import vetrik_k3x5
-from squaregap import cli, construction, latin, serialize
+from squaregap import construction, graphcore, latin, serialize
 from squaregap.cli import main
 from squaregap.coloring import ListAssignment
 from squaregap.graphcore import SimpleGraph
@@ -145,14 +145,21 @@ def test_stdout_digest(tmp_path, capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def refuse_everywhere(monkeypatch, fn, refuse):
+    """Bind refuse in place of fn in every squaregap module that binds fn."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "squaregap":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, refuse)
+
+
 def refuse_latin(monkeypatch):
     """Make latin.build_latin raise in every squaregap module that binds it;
     build_mols_family calls it, so no Latin square can be built."""
     def refuse(*args, **kwargs):
         raise AssertionError("built a Latin square")
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "squaregap" and vars(module).get("build_latin") is latin.build_latin:
-            monkeypatch.setattr(module, "build_latin", refuse)
+    refuse_everywhere(monkeypatch, latin.build_latin, refuse)
 
 
 CONSTRUCT_PINNED = [entry for entry in PINNED if entry[0][0] == "construct"]
@@ -166,8 +173,7 @@ def test_construct_builds_no_graph(monkeypatch, capsys, argv, code, digest):
         raise AssertionError("construct built a graph")
     monkeypatch.setattr(SimpleGraph, "__init__", refuse)
     monkeypatch.setattr(SimpleGraph, "_from_rows", refuse)
-    monkeypatch.setattr(construction, "construct_counterexample", refuse)
-    monkeypatch.setattr(cli, "construct_counterexample", refuse)
+    refuse_everywhere(monkeypatch, construction.construct_counterexample, refuse)
     monkeypatch.setattr(construction, "mask_of", refuse)
     monkeypatch.setattr(construction, "rotated_rows", refuse)
     refuse_latin(monkeypatch)
@@ -186,3 +192,24 @@ def test_certify_builds_no_latin_square(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+
+
+DENSE_FREE = [entry for entry in PINNED if entry[0][0] in ("verify", "certify")]
+
+
+@pytest.mark.parametrize("argv,code,digest", DENSE_FREE, ids=[" ".join(a) for a, _, _ in DENSE_FREE])
+def test_verify_and_certify_build_no_dense_row(monkeypatch, capsys, argv, code, digest):
+    # the block form reads the stars and one row of the square per block: no
+    # dense G and no dense square.  verify builds no SimpleGraph at all;
+    # certify's refutation still searches the square as one.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a dense row")
+    refuse_everywhere(monkeypatch, construction.construct_counterexample, refuse)
+    refuse_everywhere(monkeypatch, graphcore.square, refuse)
+    refuse_everywhere(monkeypatch, graphcore.rotated_rows, refuse)
+    if argv[0] == "verify":
+        monkeypatch.setattr(SimpleGraph, "__init__", refuse)
+        monkeypatch.setattr(SimpleGraph, "_from_rows", refuse)
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,11 +5,15 @@ from math import comb
 import pytest
 
 from oracles import neighbourhood_reports_by_walk
-from squaregap.construction import construct_counterexample
-from squaregap import verification
-from squaregap.graphcore import SimpleGraph, bits, mask_of, square
+from squaregap.construction import base_stars, construct_counterexample
+from squaregap.errors import clip
+from squaregap import cli, construction, latin, serialize, verification
+from squaregap.graphcore import SimpleGraph, bits, mask_of, square, square_by_blocks
 from squaregap.latin import build_latin
 from squaregap.verification import (
+    LEMMAS,
+    check_by_blocks,
+    checked_stars,
     check_independence,
     check_lemma_nv,
     check_lemma_nw,
@@ -391,3 +395,201 @@ def test_nw_matches_the_walk_at_the_square_boundaries(name):
     assert (r.checked_cases, r.failure_count, r.witness, r.item_witnesses) == \
         neighbourhood_reports_by_walk(mutant)["nw"]
     assert r.witness == ("nw0", row, "neighborhood differs from Latin row")
+
+
+# -- block form ---------------------------------------------------------------
+
+PRIMES_TO_61 = [p for p in range(3, 62) if all(p % d for d in range(2, p))]
+
+
+def no_dense_graph(monkeypatch):
+    def refuse(n):
+        raise AssertionError("fell back to the dense checks")
+    monkeypatch.setattr(construction, "construct_counterexample", refuse)
+
+
+@pytest.mark.parametrize("n", PRIMES_TO_61)
+def test_block_reports_equal_the_dense_reports(n, monkeypatch):
+    # every --lemma value: the lemmas alone and all five, with no fallback
+    dense = run_all_checks(construct_counterexample(n))
+    stars = checked_stars(n)
+    rows = square_by_blocks(stars, n)
+    no_dense_graph(monkeypatch)
+    assert check_by_blocks(n, stars, rows, LEMMAS) == dense
+    for lemma in LEMMAS:
+        assert check_by_blocks(n, stars, rows, (lemma,)) == {lemma: dense[lemma]}
+
+
+def patched_stars(monkeypatch, stars):
+    monkeypatch.setattr(construction, "base_stars", lambda m: stars)
+
+
+def orbit_toggled(stars, n, b, u):
+    """stars with the arc b*n -> u and its reverse both added, or both removed."""
+    out = [set(star) for star in stars]
+    reverse = b * n + -u % n
+    out[b] ^= {u}
+    out[u // n] ^= {reverse}
+    return [sorted(star) for star in out]
+
+
+def seeded_orbit_mutants(n, count):
+    """count star sets from base_stars(n), in turn with one whole edge orbit
+    added, one removed, and two edges of a Q star swapped between their P
+    blocks' places (which keeps every "exactly one" claim)."""
+    rng = random.Random(f"orbits-{n}")
+    stars = base_stars(n)
+    r = len(stars)
+    out = []
+    while len(out) < count:
+        b = rng.randrange(r)
+        kind = len(out) % 3
+        if kind == 0:  # add an edge to another block
+            u = rng.randrange(r * n)
+            if u // n == b or u in stars[b]:
+                continue
+            out.append(orbit_toggled(stars, n, b, u))
+        elif kind == 1:  # remove one of b's star edges
+            out.append(orbit_toggled(stars, n, b, rng.choice(stars[b])))
+        else:  # v(k, x), v(k', x') in a Q star become v(k, x'), v(k', x)
+            b = rng.randrange(n, r)
+            u, v = rng.sample(stars[b], 2)
+            swapped = stars
+            for old, new in ((u, u - u % n + v % n), (v, v - v % n + u % n)):
+                swapped = orbit_toggled(orbit_toggled(swapped, n, b, old), n, b, new)
+            out.append(swapped)
+    return out
+
+
+def verify_payload(n, reports):
+    """verify --lemma all's stdout for these reports."""
+    doc = {"n": n, "lemma": "all", "all_passed": all(r.passed for r in reports.values()),
+           "reports": {name: serialize.report_to_json_dict(r) for name, r in reports.items()},
+           "structure_parts": {"count": 2 * n - 1, "sizes": [n] * (2 * n - 1)}}
+    return serialize.json_dumps(doc)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 11])
+def test_orbit_mutants_fail_in_block_form_as_the_dense_checks_do(n, monkeypatch, capsys):
+    # each lemma the dense checks fail on a mutant fails in block form too, and
+    # then verify's payload is the dense checks' payload.  A block check may
+    # fail where the dense one passes (a w-w edge leaves the counting identity
+    # unsettled for nv), but never the other way round.  Removing a T-clique
+    # orbit alone changes no claim, in either form.
+    caught = 0
+    for mutant in seeded_orbit_mutants(n, 24):
+        patched_stars(monkeypatch, mutant)
+        dense = run_all_checks(construct_counterexample(n))
+        stars = checked_stars(n)
+        rows = square_by_blocks(stars, n)
+        for lemma, report in dense.items():
+            settled = verification._BY_BLOCKS[lemma](n, stars, rows)
+            assert settled is None or (report.passed and settled == report.checked_cases), lemma
+        failed = not all(r.passed for r in dense.values())
+        caught += failed
+        assert cli.main(["verify", "--n", str(n)]) == (1 if failed else 0)
+        assert capsys.readouterr().out == verify_payload(n, dense)
+    assert caught >= 16
+
+
+@pytest.mark.parametrize("fault,arc", [
+    ("one-sided", "v_1_1 -> w_1_1 has no reverse"),
+    ("own block", "v_1_1 -> v_1_2 stays in its block"),
+    ("outside", "v_1_1 -> 9999 leaves the graph"),
+    ("twice", "v_1_1 -> v_2_1 is named twice"),
+])
+@pytest.mark.parametrize("command", ["verify", "certify"])
+def test_stars_that_define_no_simple_graph_exit_5_naming_the_arc(monkeypatch, capsys,
+                                                                 command, fault, arc):
+    stars = base_stars(5)
+    if fault == "one-sided":  # v_1_1 = 0 keeps its arc to w_1_1 = 25, not the reverse
+        stars[5].remove(0)
+    else:
+        stars[0].append({"own block": 1, "outside": 9999, "twice": 5}[fault])
+    patched_stars(monkeypatch, stars)
+    code = cli.main([command, "--n", "5"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 5
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == (f"squaregap {command}: internal error: "
+                                            f"RuntimeError: {clip('base star arc ' + arc)}")
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_a_latin_square_out_of_cycle_fails_nw0_in_block_form(n, monkeypatch):
+    # rows 1 and 2 of the first square swapped: row 0 still matches Q_1's star,
+    # so only the cycle test sees it, and the dense nw0 names both w rows
+    real = latin.build_latin
+
+    def swapped(m, i):
+        rows = list(real(m, i))
+        if i == 1:
+            rows[1], rows[2] = rows[2], rows[1]
+        return tuple(rows)
+    monkeypatch.setattr(latin, "build_latin", swapped)
+    monkeypatch.setattr(verification, "build_latin", swapped)
+    stars = checked_stars(n)
+    rows = square_by_blocks(stars, n)
+    assert verification._BY_BLOCKS["nw"](n, stars, rows) is None
+    report = check_by_blocks(n, stars, rows, ("nw",))["nw"]
+    assert report == run_all_checks(construct_counterexample(n))["nw"]
+    assert report.failure_count == 2
+    assert report.witness == ("nw0", "w_1_2", "neighborhood differs from Latin row")
+
+
+def test_a_w_w_edge_keeps_the_counting_identity_from_settling_nv_in_block_form(monkeypatch):
+    # v_1_1 moves its Q_1 edge from w_1_1 to w_1_2, and a w-w orbit joins Q_1
+    # to Q_2: nv1 still holds and the pair counts balance, yet v_1_1 and
+    # v_2_3 share two w's.  Without its w-w guard the identity would pass nv.
+    n = 3
+    stars = base_stars(n)
+    for b, u in ((0, 9), (0, 10), (3, 12)):
+        stars = orbit_toggled(stars, n, b, u)
+    patched_stars(monkeypatch, stars)
+    dense = run_all_checks(construct_counterexample(n))
+    assert dense["nv"].witness == ("nv2", "v_1_1", "v_2_3", 2)
+    stars = checked_stars(n)
+    rows = square_by_blocks(stars, n)
+    assert verification._BY_BLOCKS["nv"](n, stars, rows) is None
+    assert check_by_blocks(n, stars, rows, LEMMAS) == dense
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_consistent_non_latin_family_fails_nw2_in_block_form(n, monkeypatch):
+    # Q_1 built from the cyclic, non-Latin square of slope 0, and its stars to
+    # match: nw0 and nw1 hold, but each w_1_j meets one column n times
+    real = latin.build_latin
+
+    def slope_zero_first(m, i):
+        return tuple((j + 1,) * m for j in range(m)) if i == 1 else real(m, i)
+    monkeypatch.setattr(latin, "build_latin", slope_zero_first)
+    monkeypatch.setattr(verification, "build_latin", slope_zero_first)
+    stars = base_stars(n)
+    nn = n * n
+    for k in range(n):  # v(k, c) takes w(1, c) in Q_1
+        stars[k] = sorted({u for u in stars[k] if not nn <= u < nn + n} | {nn})
+    stars[n] = [k * n for k in range(n)]
+    patched_stars(monkeypatch, stars)
+    dense = run_all_checks(construct_counterexample(n))
+    assert [w[0] for w in dense["nw"].item_witnesses] == ["nw2"]
+    stars = checked_stars(n)
+    rows = square_by_blocks(stars, n)
+    assert verification._BY_BLOCKS["nw"](n, stars, rows) is None
+    assert check_by_blocks(n, stars, rows, LEMMAS) == dense
+
+
+def test_a_q_star_one_place_along_its_square_fails_only_nw0_in_block_form(monkeypatch):
+    # w_1_j takes the v-set of Latin row j + 1: the graph is the same up to
+    # renaming Q_1, so every claim but nw0 holds, in either form
+    n = 5
+    stars = base_stars(n)
+    for u in list(stars[n]):
+        stars = orbit_toggled(orbit_toggled(stars, n, n, u), n, n, u - u % n + (u + 1) % n)
+    patched_stars(monkeypatch, stars)
+    dense = run_all_checks(construct_counterexample(n))
+    assert [r.passed for r in dense.values()] == [False, True, True, True, True]
+    assert (dense["nw"].failure_count, dense["nw"].witness[0]) == (n, "nw0")
+    stars = checked_stars(n)
+    rows = square_by_blocks(stars, n)
+    assert verification._BY_BLOCKS["nw"](n, stars, rows) is None
+    assert check_by_blocks(n, stars, rows, LEMMAS) == dense
