@@ -3,9 +3,7 @@
 Every check covers its full case space, never stops at the first
 violation, and reports the first witness per item plus a failure count,
 so a broken construction comes back with a concrete counterexample
-tuple instead of a bare False.  Counts and witnesses are always those of
-the case-by-case enumeration, but whole families of cases are settled at
-once.
+tuple instead of a bare False.
 
 verify and certify run in block form (check_by_blocks).  G is presented
 by its base stars, which checked_stars checks to define a simple graph,
@@ -13,24 +11,21 @@ and the rotation of every block of n vertices is then an automorphism of
 G and of G^2.  So a claim holds for a whole block when it holds for the
 block's first vertex, and each is settled from the stars and the first
 row of each block of the square (graphcore.square_by_blocks) alone: no
-other row of G or G^2 is built.  When a claim fails there, the dense
-checks below run on the whole graph to name the failures, so the reports
-are the same either way.
+other row of G or G^2 is built, the pair claims follow from one counting
+identity (_pairs_by_blocks), and the counts are those of the
+case-by-case enumeration in closed form.  When a claim fails there, the
+dense checks below run on the whole graph to name the failures, so the
+reports are the same either way.
 
-The dense checks take the square and the constructed graph, with one
-tally (_cover) for "exactly one" and "at most one":
-
-- "exactly one neighbour in each set" (nw1, nw2, nv1) is read off each
-  set's member rows at once, by the vertices they cover once and twice;
-- the pair claims (nw3, nv2) follow from the square by one counting
-  identity (see _no_two_w_share_two); only when it fails does a walk over
-  the neighbourhoods, with the same tally, name the failing pairs.
+The dense checks take the square and the constructed graph and walk
+their cases one by one, in the order their docstrings give; the pair
+claims (nw3, nv2) find each vertex's failing partners with one tally
+(_cover).
 """
 
 from collections import namedtuple
-from itertools import chain, compress, repeat
+from itertools import chain
 from math import comb
-from operator import eq, not_
 
 from . import construction  # by module, so a replaced base_stars reaches the dense fallback too
 from .construction import ConstructedGraph
@@ -74,9 +69,9 @@ class _Collector:
     def passed(self, k: int = 1):
         self.cases += k
 
-    def fail(self, item: str, witness: tuple, k: int = 1):
-        self.cases += k
-        self.failures += k
+    def fail(self, item: str, witness: tuple):
+        self.cases += 1
+        self.failures += 1
         self.first.setdefault(item, witness)
 
     def report(self) -> LemmaReport:
@@ -95,55 +90,19 @@ def _cover(rows) -> tuple[int, int]:
 def _one_neighbour_in_each(col: _Collector, gc: ConstructedGraph, xs: tuple[int, ...],
                            *items: tuple[str, str, tuple[tuple[int, ...], ...]]):
     """Settle "x has exactly one neighbour in name_k" for every x in xs and every
-    set name_k of every (item, name, sets) of items.
-
-    x has one neighbour in a set exactly when it lies in just one of the
-    rows adj[c], c in the set (the rows are symmetric), so the _cover of
-    those rows gives all failing xs of the set.  Each failing item's first
-    witness is the first failure met x by x, sets in order, and the items
-    are recorded in the order of those witnesses, ties in item order, as
-    the case-by-case enumeration meets them.
-    """
+    set name_k of every (item, name, sets) of items, x by x, then item by
+    item and set by set."""
     adj = gc.graph.adj
-    xs_mask = mask_of(xs)
-    first = []  # (x, item index, k, failures) for each failing item
-    for i, (_, _, sets) in enumerate(items):
-        failures, lows = 0, []
-        for k, members in enumerate(sets, start=1):
-            once, twice = _cover(map(adj.__getitem__, members))
-            bad = xs_mask & (twice | ~once)  # = xs & ~(once & ~twice)
-            if bad:
-                failures += bad.bit_count()
-                lows.append(((bad & -bad).bit_length() - 1, i, k))
-        col.passed(len(xs) * len(sets) - failures)
-        if lows:
-            first.append((*min(lows), failures))
-    for x, i, k, failures in sorted(first):
-        item, name, sets = items[i]
-        got = (adj[x] & mask_of(sets[k - 1])).bit_count()
-        col.fail(item, (item, col.name(x), f"{name}_{k}", got), failures)
-
-
-def _no_two_w_share_two(gc: ConstructedGraph, sq: SimpleGraph) -> bool:
-    """True when the square sq of gc.graph shows that no two w-vertices share two
-    neighbours, nor (dually) any two v-vertices two w-neighbours.
-
-    If no w-vertex has a w-neighbour, every common neighbour of two w's is
-    a v, and a w-pair is joined in the square exactly when it shares one.
-    Then the w-pairs joined in the square number at most the sum over the
-    v's c of C(|N(c) & Q|, 2), which counts each pair once per shared
-    neighbour, with equality exactly when no pair shares two.  Two v's
-    sharing w's a and b would make a and b share two v's.  False means
-    only that these counts settle nothing.
-    """
-    adj, sq_adj = gc.graph.adj, sq.adj
-    q = tuple(chain.from_iterable(gc.q_sets))  # the parts' own ints, no new ones
-    q_mask = mask_of(q)
-    if any(adj[x] & q_mask for x in q):
-        return False
-    joined = sum((sq_adj[x] & q_mask >> (x + 1) << (x + 1)).bit_count() for x in q)
-    shared = sum(comb((adj[c] & q_mask).bit_count(), 2) for c in chain.from_iterable(gc.p_sets))
-    return joined == shared
+    masks = [(item, name, list(map(mask_of, sets))) for item, name, sets in items]
+    for x in xs:
+        row = adj[x]
+        for item, name, set_masks in masks:
+            for k, m in enumerate(set_masks, start=1):
+                got = (row & m).bit_count()
+                if got == 1:
+                    col.passed()
+                else:
+                    col.fail(item, (item, col.name(x), f"{name}_{k}", got))
 
 
 def _share_at_most_one(col: _Collector, item: str, gc: ConstructedGraph,
@@ -151,13 +110,10 @@ def _share_at_most_one(col: _Collector, item: str, gc: ConstructedGraph,
     """Count and name the pairs x < y of xs (ascending) with more than one common
     neighbour in centres, or any when y lies in group_of[x].
 
-    Runs only when _no_two_w_share_two cannot settle the pairs, that is
-    when some pair fails or the graph has a w-w edge, and records every
-    failing pair as the pair-by-pair enumeration would.  y shares k such
-    neighbours with x exactly when it lies in k of the rows adj[c], c in
-    N(x) & centres: the _cover of those rows finds every failing y
-    with one AND/OR per edge instead of one AND per pair.  Relies on the
-    rows being symmetric.
+    Records every failing pair as the pair-by-pair enumeration would.  y
+    shares k such neighbours with x exactly when it lies in k of the rows
+    adj[c], c in N(x) & centres, so the _cover of those rows gives x's
+    failing partners.  Relies on the rows being symmetric.
     """
     adj = gc.graph.adj
     xs_mask = mask_of(xs)
@@ -185,32 +141,20 @@ def check_lemma_nw(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
 
     Item (0) is what makes the check sensitive to edges added between
     w-vertices; those leave the square and all intersection counts alone.
-    It reads every Latin entry and compares every w row as a string of
-    bits, with no Python step per entry: format(row, f"0{n*n}b") puts
-    v_{k,e} = (k-1)n + e - 1 at place (n-k)n + n - e from the left, so a
-    Latin row names the string of its entries' n-place units (the "1" at
-    place n - e), last column first.  A row with a bit above n^2 writes a
-    longer string, so it fails too.  sq is square(gc.graph); item (3) is
-    settled from it by _no_two_w_share_two unless some pair fails.
+    sq is not read: the five checks share one signature (LEMMAS, run_check).
     """
     g = gc.graph
     n = gc.n
     col = _Collector("nw", gc)
     q = gc.q_vertices
-    unit = [None, *("0" * (n - e) + "1" + "0" * (e - 1) for e in range(1, n + 1))]
-    latin_rows = chain.from_iterable(build_mols_family(n))
-    named = map("".join, map(map, repeat(unit.__getitem__), map(reversed, latin_rows)))
-    written = map(format, map(g.adj.__getitem__, q), repeat(f"0{n * n}b"))
-    same = list(map(eq, written, named))
-    col.passed(sum(same))
-    for x in compress(q, map(not_, same)):
-        col.fail("nw0", ("nw0", col.name(x), "neighborhood differs from Latin row"))
+    for x, row in zip(q, chain.from_iterable(build_mols_family(n))):
+        if g.adj[x] == mask_of(k * n + e - 1 for k, e in enumerate(row)):
+            col.passed()
+        else:
+            col.fail("nw0", ("nw0", col.name(x), "neighborhood differs from Latin row"))
     _one_neighbour_in_each(col, gc, q, ("nw1", "P", gc.p_sets), ("nw2", "T", gc.t_sets))
     group_mask = {x: m for qs, m in zip(gc.q_sets, map(mask_of, gc.q_sets)) for x in qs}
-    if _no_two_w_share_two(gc, sq) and not any(sq.adj[x] & m for x, m in group_mask.items()):
-        col.passed(comb(len(q), 2))
-    else:
-        _share_at_most_one(col, "nw3", gc, q, (1 << g.n) - 1, group_mask)
+    _share_at_most_one(col, "nw3", gc, q, (1 << g.n) - 1, group_mask)
     return col.report()
 
 
@@ -220,15 +164,12 @@ def check_lemma_nv(sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
     (1) every v-vertex has exactly one neighbor in each Q_k,
     (2) two distinct v-vertices share at most one w-neighbor.
 
-    sq is square(gc.graph); item (2) is settled from it as in check_lemma_nw.
+    sq is not read, as in check_lemma_nw.
     """
     col = _Collector("nv", gc)
     p = gc.p_vertices
     _one_neighbour_in_each(col, gc, p, ("nv1", "Q", gc.q_sets))
-    if _no_two_w_share_two(gc, sq):
-        col.passed(comb(len(p), 2))
-    else:
-        _share_at_most_one(col, "nv2", gc, p, mask_of(gc.q_vertices), {})
+    _share_at_most_one(col, "nv2", gc, p, mask_of(gc.q_vertices), {})
     return col.report()
 
 
@@ -376,8 +317,19 @@ def _once_each(values, want: range) -> bool:
 
 
 def _pairs_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> bool:
-    """_no_two_w_share_two over block representatives: each sum over a
-    block's vertices is n times its first vertex's term."""
+    """True when the counts show that no two w-vertices share two
+    neighbours, nor (dually) any two v-vertices two w-neighbours.
+
+    If no w-vertex has a w-neighbour, every common neighbour of two w's is
+    a v, and a w-pair is joined in the square exactly when it shares one.
+    Then the w-pairs joined in the square number at most the sum over the
+    v's c of C(|N(c) & Q|, 2), which counts each pair once per shared
+    neighbour, with equality exactly when no pair shares two.  Two v's
+    sharing w's a and b would make a and b share two v's.  Both sums are
+    taken over block representatives: each sum over a block's vertices is
+    n times its first vertex's term.  False means only that these counts
+    settle nothing.
+    """
     nn = n * n
     q_mask = (1 << len(rows) * n) - (1 << nn)
     if any(u >= nn for star in stars[n:] for u in star):

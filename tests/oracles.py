@@ -90,17 +90,18 @@ def neighbourhood_reports_by_walk(gc) -> dict[str, tuple]:
     index order.
     """
     g = gc.graph
+    labels = gc.labels  # built anew on each read
     nbrs = [set(bits(g.adj[v])) for v in range(g.n)]
 
     def one_in_each(item, x, name, sets):
         for k, s in enumerate(sets, start=1):
             got = len(nbrs[x] & set(s))
-            yield item, None if got == 1 else (item, gc.labels[x], f"{name}_{k}", got)
+            yield item, None if got == 1 else (item, labels[x], f"{name}_{k}", got)
 
     def pairs(item, xs, centres, limit):
         for x, y in itertools.combinations(sorted(xs), 2):
             shared = len(nbrs[x] & nbrs[y] & centres)
-            witness = (item, gc.labels[x], gc.labels[y], shared)
+            witness = (item, labels[x], labels[y], shared)
             yield item, None if shared <= limit(x, y) else witness
 
     def nw_cases():
@@ -108,7 +109,7 @@ def neighbourhood_reports_by_walk(gc) -> dict[str, tuple]:
             for x, row in zip(qs, latin):
                 want = {gc.v_index(k, e) for k, e in enumerate(row, start=1)}
                 yield "nw0", None if nbrs[x] == want else (
-                    "nw0", gc.labels[x], "neighborhood differs from Latin row")
+                    "nw0", labels[x], "neighborhood differs from Latin row")
         for x in gc.q_vertices:
             yield from one_in_each("nw1", x, "P", gc.p_sets)
             yield from one_in_each("nw2", x, "T", gc.t_sets)

@@ -125,13 +125,14 @@ def test_square_three_ways_on_random_graphs():
 
 
 @contextlib.contextmanager
-def walks():
-    """Collects, in order, the vertices whose rows square() walks while open."""
-    seen = []
-    walk = graphcore._reach
+def no_dense_square():
+    """Fails any call of graphcore.square, which walks every row, while open."""
+    def refuse(g):
+        raise AssertionError("square() walked the dense rows")
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphcore, "_reach", lambda adj, u: seen.append(u) or walk(adj, u))
-        yield seen
+        mp.setattr(graphcore, "square", refuse)
+        yield
 
 
 def test_block_rotation_moves_each_bit_up_within_its_block():
@@ -195,9 +196,8 @@ def test_square_by_blocks_any_block_size(block):
 
 def test_square_by_blocks_walks_one_row_of_a_cycle():
     # the cycle is one block of 12, its star {1, 11}; no dense row is walked
-    with walks() as seen:
+    with no_dense_square():
         rows = square_by_blocks([[1, 11]], 12)
-    assert seen == []
     assert rows == [0b1100_0000_0110]
     assert whole_square([[1, 11]], 12) == square(cycle(12)).adj
 
@@ -210,9 +210,8 @@ def test_square_by_blocks_on_rotation_invariant_graphs(count, block, data):
     base = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                               max_size=2 * n))
     g = rotation_closed(SimpleGraph.from_edges(n, {(u, v) for u, v in base if u != v}), block)
-    with walks() as seen:
+    with no_dense_square():
         rows = square_by_blocks(stars_of(g, block), block)
-    assert seen == []
     assert tuple(rotated_rows(rows, n, block)) == square(g).adj == bfs_square(g).adj
 
 

@@ -41,25 +41,6 @@ def test_all_checks_pass(n):
         assert report.witness is None
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
-def test_the_square_settles_the_pair_items_without_a_walk(n, monkeypatch):
-    def walk(*args):
-        raise AssertionError("the pair walk ran although every pair passes")
-
-    identities = []
-    settle = verification._no_two_w_share_two
-
-    def counted(*args):
-        identities.append(settle(*args))
-        return identities[-1]
-
-    monkeypatch.setattr(verification, "_share_at_most_one", walk)
-    monkeypatch.setattr(verification, "_no_two_w_share_two", counted)
-    reports = run_all_checks(construct_counterexample(n))
-    assert reports["nw"].passed and reports["nv"].passed
-    assert identities == [True, True]  # each pair lemma reads the count itself
-
-
 def test_structure_witness_shape():
     for n in (3, 5, 7):
         gc = construct_counterexample(n)
@@ -190,7 +171,7 @@ def shapes(mutant, want):
     q_mask = sum(1 << x for x in mutant.q_vertices)
     items = [w[0] for w in want["nw"][3]]
     return {
-        # a w-neighbour of a w: the counting identity cannot apply
+        # a w-neighbour of a w: two w's may share a w
         "w-w edge": any(adj[x] & q_mask for x in mutant.q_vertices),
         # two w's of one Q-group meet in the square: nw3 fails, nv2 may not
         "shared within a group": any(adj[x] & adj[y] for qs in mutant.q_sets
@@ -198,21 +179,20 @@ def shapes(mutant, want):
         # item_witnesses put nw2 first although nw1 fails too
         "nw2 before nw1": "nw1" in items and "nw2" in items
                           and items.index("nw2") < items.index("nw1"),
-        # every pair passes, so the square settles both pair items, yet
-        # another item fails
-        "settled by the square": not any(adj[x] & q_mask for x in mutant.q_vertices)
-                                 and want["nw"][1] + want["nv"][1] > 0
-                                 and all(w[0] not in ("nw3", "nv2")
-                                         for w in want["nw"][3] + want["nv"][3]),
+        # every pair passes, with no w-w edge, yet another item fails
+        "only the pairs pass": not any(adj[x] & q_mask for x in mutant.q_vertices)
+                               and want["nw"][1] + want["nv"][1] > 0
+                               and all(w[0] not in ("nw3", "nv2")
+                                       for w in want["nw"][3] + want["nv"][3]),
     }
 
 
 def test_pair_lemmas_match_the_pair_walk_on_every_single_edge_toggle():
-    # failures, their count and their witnesses come from the square and
-    # the walk that names failing pairs; the oracle walks every pair by itself
+    # the dense checks find each vertex's failing partners with one tally;
+    # the oracle walks every pair by itself
     gc = construct_counterexample(3)
     failing = 0
-    reached = dict.fromkeys(["w-w edge", "shared within a group", "settled by the square"], 0)
+    reached = dict.fromkeys(["w-w edge", "shared within a group", "only the pairs pass"], 0)
     for u, v in itertools.combinations(range(gc.graph.n), 2):
         mutant = toggled(gc, u, v)
         want = neighbourhood_reports_by_walk(mutant)
@@ -235,7 +215,7 @@ def test_pair_lemmas_match_the_pair_walk_on_seeded_multi_edge_toggles(n):
     gc = construct_counterexample(n)
     rng = random.Random(n)
     reached = dict.fromkeys(["w-w edge", "shared within a group", "nw2 before nw1",
-                             "settled by the square"], 0)
+                             "only the pairs pass"], 0)
     for m in range(150):
         pairs = set()
         if m % 3 == 0:
@@ -262,8 +242,8 @@ def test_pair_lemmas_match_the_pair_walk_on_seeded_multi_edge_toggles(n):
 def test_a_shared_neighbour_within_a_group_fails_nw3_when_no_pair_shares_two():
     # w_1_1 gives up v_1_1 for v_2_3; at n = 3 the one group-2 neighbour of
     # both is w_2_1, so w_1_1 now shares v_2_3 with w_1_2 in its own group
-    # while no two w's share two neighbours: the counting identity holds
-    # and only the same-group test stops the square from settling nw3
+    # while no two w's share two neighbours: only the same-group test
+    # fails nw3
     gc = construct_counterexample(3)
     x, v, moved = gc.w_index(1, 1), gc.v_index(1, 1), gc.v_index(2, 3)
     mutant = edited(gc, add=[(x, moved)], remove=[(x, v)])
@@ -291,7 +271,7 @@ def test_nv2_counts_only_shared_w_neighbours():
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_case_counts_follow_closed_forms(n):
-    # the bitset identities count every pair they settle, like the pair loops
+    # the dense checks count every case they walk
     w, v = n * (n - 1), n * n
     want = {"nw": w + 2 * w * n + comb(w, 2), "nv": v * (n - 1) + comb(v, 2), "pq": v * w}
     reports = run_all_checks(construct_counterexample(n))
@@ -306,8 +286,7 @@ def edited(gc, add=(), remove=()):
 
 
 # (checked_cases, failure_count, item_witnesses) of every report at n = 5,
-# captured from the plain pair loops that the bitset identities now skip
-# whenever every pair passes
+# as the plain pair loops gave them
 NO_FAILURES = {"nv": (400, 0, ()), "pq": (500, 0, ()), "independence": (9, 0, ())}
 MUTANTS_N5 = {
     # one w-w edge: only the neighbourhood equations see it
@@ -374,9 +353,8 @@ def moved_star_edge(gc, i, j, k):
     return edited(gc, add=[(w, part[(part.index(v) + 1) % gc.n])], remove=[(w, v)])
 
 
-# nw0 writes each w row as a string, last column first: these mutants touch
-# the first and last rows of the family, at the end (P_1) and the start (P_11)
-# of the row's string, and a w-w edge lengthens a middle row's string
+# mutants at the first and last rows of the family, in their first (P_1)
+# and last (P_11) column, and a w-w edge from a middle row
 BOUNDARY_MUTANTS_N11 = {
     "first row of the first square, P_1": (lambda gc: moved_star_edge(gc, 1, 1, 1), "w_1_1"),
     "first row of the first square, P_11": (lambda gc: moved_star_edge(gc, 1, 1, 11), "w_1_1"),
@@ -469,17 +447,22 @@ def verify_payload(n, reports):
     return serialize.json_dumps(doc)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 11])
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 13])
 def test_orbit_mutants_fail_in_block_form_as_the_dense_checks_do(n, monkeypatch, capsys):
     # each lemma the dense checks fail on a mutant fails in block form too, and
     # then verify's payload is the dense checks' payload.  A block check may
     # fail where the dense one passes (a w-w edge leaves the counting identity
     # unsettled for nv), but never the other way round.  Removing a T-clique
-    # orbit alone changes no claim, in either form.
+    # orbit alone changes no claim, in either form.  The dense pair lemmas
+    # match the walk over every pair, on the graph and on each mutant.
     caught = 0
-    for mutant in seeded_orbit_mutants(n, 24):
+    for mutant in [base_stars(n), *seeded_orbit_mutants(n, 24)]:
         patched_stars(monkeypatch, mutant)
-        dense = run_all_checks(construct_counterexample(n))
+        gc = construct_counterexample(n)
+        want = neighbourhood_reports_by_walk(gc)
+        for (name, caller), got in pair_lemma_reports(gc).items():
+            assert got == want[name], (name, caller)
+        dense = run_all_checks(gc)
         stars = checked_stars(n)
         rows = square_by_blocks(stars, n)
         for lemma, report in dense.items():
