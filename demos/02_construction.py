@@ -15,18 +15,19 @@ def main():
     n = 3
     gc = construct_counterexample(n)
     g = gc.graph
+    labels = gc.labels  # the property builds every name on each read
     print(f"n = {n}: {g.n} vertices, {g.edge_count} edges")
     print(f"  v-side degree {g.degree(0)}, w-side degree {g.degree(g.n - 1)}")
 
     print("\nw-vertex neighborhoods (rows of the Latin squares):")
     for i in range(1, n):
         for j in range(1, n + 1):
-            names = ", ".join(gc.labels[v] for v in bits(g.adj[gc.w_index(i, j)]))
+            names = ", ".join(labels[v] for v in bits(g.adj[gc.w_index(i, j)]))
             print(f"  N(w_{i}_{j}) = {{{names}}}")
 
     print("\ncolumn cliques:")
     for j, col in enumerate(gc.t_sets, start=1):
-        names = ", ".join(gc.labels[v] for v in col)
+        names = ", ".join(labels[v] for v in col)
         print(f"  T_{j} = {{{names}}}")
 
     print("\nscaling:")

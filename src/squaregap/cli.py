@@ -6,9 +6,15 @@ stderr.  Exit codes: 0 pass, 1 check failure or UNSAT, 2 invalid
 parameters or unparsable input, 3 I/O failure, 4 time budget or memory
 exhausted, 5 internal error (any other exception, reported without a
 traceback).
+
+The options live in one table, _COMMANDS.  A plain command line (the
+command, then each option at most once by its exact name as ``--flag``
+or ``--option VALUE``, no VALUE empty or starting with '-') is read from
+the table directly.  Any other (help, an abbreviation, ``--opt=value``,
+a usage error) goes to an argparse parser built from the same table, so
+argparse, loaded only then, words every message.
 """
 
-import argparse
 import contextlib
 import errno
 import itertools
@@ -16,6 +22,7 @@ import json
 import math
 import sys
 import time
+from types import SimpleNamespace
 
 from . import coloring, serialize, verification
 from .construction import counterexample_upper, part_sets
@@ -51,6 +58,7 @@ def _budget_seconds(text: str) -> float:
     except ValueError:
         value = math.nan  # rejected below with the same message
     if not 0 <= value < math.inf:
+        import argparse  # only a refused value loads argparse
         raise argparse.ArgumentTypeError(
             f"must be a finite number of seconds >= 0, got {clip(text)}")
     return value
@@ -62,43 +70,88 @@ def _order(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        import argparse
         raise argparse.ArgumentTypeError(f"must be an integer, got {clip(text)}") from None
     if value > 0 and 2 * value * value - value > serialize.MAX_INPUT_VERTICES:
+        import argparse
         raise argparse.ArgumentTypeError(
             f"the graph for n = {clip(value)} would exceed {serialize.MAX_INPUT_VERTICES} vertices")
     return value
 
 
+# each command's help and, per option, the keyword arguments of its add_argument
+_COMMANDS = {
+    "construct": ("build the graph and serialize it", {
+        "--n": {"type": _order, "required": True, "help": "prime order, at least 3"},
+        "--format": {"choices": ["dot", "dimacs", "json"], "default": "json"},
+        "--output": {"help": "write here instead of stdout"},
+    }),
+    "verify": ("run the structural checks", {
+        "--n": {"type": _order, "required": True},
+        "--lemma": {"choices": ["all", *verification.LEMMAS], "default": "all"},
+    }),
+    "certify": ("emit a choosability-gap certificate", {
+        "--n": {"type": _order, "required": True},
+        "--budget-seconds": {"type": _budget_seconds, "default": None},
+    }),
+    "solve-list": ("decide list-colorability of a graph file", {
+        "--graph": {"required": True, "help": "graph in DIMACS .col or graph JSON"},
+        "--lists": {"required": True, "help": "list assignment JSON"},
+        "--budget-seconds": {"type": _budget_seconds, "default": None},
+    }),
+    "mols": ("print the orthogonal Latin square family", {
+        "--n": {"type": _order, "required": True},
+        "--check": {"action": "store_true", "default": False,
+                    "help": "re-validate Latin and orthogonality properties"},
+    }),
+}
+
+
+def _read_args(argv):
+    """The attributes argparse would set for a plain argv, else None.
+
+    Plain: a command, then each of its options at most once by its exact
+    name, as --flag or --option VALUE, every VALUE non-empty, not starting
+    with '-', inside its choices and accepted by its type, and every
+    required option given.  None sends argv to _parse_args unchanged."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][1]
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        spec = options.get(flag)
+        if spec is None or flag in given:
+            return None
+        if "action" in spec:  # store_true
+            given[flag] = True
+            continue
+        text = next(words, "")  # a missing value falls back like an empty one
+        if not text or text[0] == "-" or ("choices" in spec and text not in spec["choices"]):
+            return None
+        try:
+            given[flag] = spec.get("type", str)(text)
+        except Exception:  # argparse runs the type again and names the fault
+            return None
+    if any(spec.get("required") and flag not in given for flag, spec in options.items()):
+        return None
+    return SimpleNamespace(command=argv[0], **{flag[2:].replace("-", "_"): given.get(
+        flag, spec.get("default")) for flag, spec in options.items()})
+
+
 def _parse_args(argv):
+    """argparse's reading of argv, by a parser built from _COMMANDS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="squaregap",
         description="Construct graphs whose squares are complete multipartite "
                     "and certify the gap between choosability and chromatic number.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build the graph and serialize it")
-    p.add_argument("--n", type=_order, required=True, help="prime order, at least 3")
-    p.add_argument("--format", choices=["dot", "dimacs", "json"], default="json")
-    p.add_argument("--output", help="write here instead of stdout")
-
-    p = sub.add_parser("verify", help="run the structural checks")
-    p.add_argument("--n", type=_order, required=True)
-    p.add_argument("--lemma", choices=["all", *verification.LEMMAS], default="all")
-
-    p = sub.add_parser("certify", help="emit a choosability-gap certificate")
-    p.add_argument("--n", type=_order, required=True)
-    p.add_argument("--budget-seconds", type=_budget_seconds, default=None)
-
-    p = sub.add_parser("solve-list", help="decide list-colorability of a graph file")
-    p.add_argument("--graph", required=True, help="graph in DIMACS .col or graph JSON")
-    p.add_argument("--lists", required=True, help="list assignment JSON")
-    p.add_argument("--budget-seconds", type=_budget_seconds, default=None)
-
-    p = sub.add_parser("mols", help="print the orthogonal Latin square family")
-    p.add_argument("--n", type=_order, required=True)
-    p.add_argument("--check", action="store_true",
-                   help="re-validate Latin and orthogonality properties")
-
+    for name, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
     return parser.parse_args(argv)
 
 
@@ -198,7 +251,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _read_args(sys.argv[1:] if argv is None else argv) or _parse_args(argv)
     started = time.perf_counter()
     # an order below 3 or a path reaches here at any length; the envelope clips it
     parameters = {k: clip(v) if isinstance(v, (int, str)) and len(str(v)) > 60 else v

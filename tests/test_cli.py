@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import errno
 import io
 import json
@@ -10,7 +11,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from squaregap import coloring
+from squaregap import cli, coloring
 from squaregap.cli import _envelope, main
 from squaregap.errors import clip
 from squaregap.serialize import MAX_INPUT_VERTICES
@@ -569,6 +570,108 @@ def test_long_arguments_in_usage_errors_are_clipped(capsys, argv):
     err = capsys.readouterr().err
     assert "characters)" in err
     assert len(err.encode()) < 1024
+
+
+# spellings argparse reads that the plain reader leaves to it
+OTHER_SPELLING = {"--format": "--form", "--lemma": "--lem", "--n": "--n=5"}
+FALLBACK_WORDS = [*OTHER_SPELLING.values(), "-h", "--", "-1", ""]
+WORD = st.sampled_from(FALLBACK_WORDS) | st.sampled_from(
+    [*cli._COMMANDS, "frobnicate", "xml", "3", "x", "g",
+     *{flag for _, options in cli._COMMANDS.values() for flag in options}])
+VALUES = {cli._order: ["3", "7", "182", "x", "-1"], cli._budget_seconds: ["1.5", "0", "nan", "-1"],
+          None: ["g", ""]}
+
+
+@st.composite
+def command_lines(draw):
+    """A command and most of its options in any order, each under its name or
+    another spelling and with a value, valid or not; in one line of five an option
+    given twice, and in one of three a word of any kind put in or swapped in."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[command][1]
+    groups = []
+    for flag in draw(st.permutations(list(options))):
+        if not draw(st.integers(0, 3)):  # drop one option in four
+            continue
+        groups.append([draw(st.sampled_from([flag] * 3 + [OTHER_SPELLING.get(flag, flag)]))])
+        spec = options[flag]
+        if "action" not in spec:
+            choices = [*spec["choices"], "xml"] if "choices" in spec else VALUES[spec.get("type")]
+            groups[-1].append(draw(st.sampled_from(choices)))
+    if groups and not draw(st.integers(0, 4)):
+        groups.append(draw(st.sampled_from(groups)))
+    argv = [command]
+    for group in groups:
+        argv += group
+    if not draw(st.integers(0, 2)):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = [draw(WORD)]
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=command_lines())
+def test_plain_argv_reads_as_argparse_reads_it(argv):
+    fast = cli._read_args(argv)
+    dashed = [word for word in argv if word.startswith("-")]
+    if set(argv) & set(FALLBACK_WORDS) or len(set(dashed)) < len(dashed):  # or a repeat
+        assert fast is None
+    if fast is not None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert vars(fast) == vars(cli._parse_args(argv))
+
+
+# argparse's text, as the hand-built parser printed it before the option table
+USAGE_VERIFY = """\
+usage: squaregap verify [-h] --n N
+                        [--lemma {all,nw,nv,independence,pq,structure}]
+"""
+USAGE_TOP = "usage: squaregap [-h] {construct,verify,certify,solve-list,mols} ...\n"
+ARGPARSE_TEXT = {
+    ("--help",): (0, USAGE_TOP + """
+Construct graphs whose squares are complete multipartite and certify the gap
+between choosability and chromatic number.
+
+positional arguments:
+  {construct,verify,certify,solve-list,mols}
+    construct           build the graph and serialize it
+    verify              run the structural checks
+    certify             emit a choosability-gap certificate
+    solve-list          decide list-colorability of a graph file
+    mols                print the orthogonal Latin square family
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ("verify", "--help"): (0, USAGE_VERIFY + """
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --lemma {all,nw,nv,independence,pq,structure}
+""", ""),
+    ("frobnicate",): (2, "", USAGE_TOP + "squaregap: error: argument command: invalid choice: "
+                      "'frobnicate' (choose from 'construct', 'verify', 'certify', "
+                      "'solve-list', 'mols')\n"),
+    ("verify", "--n", "x"): (2, "", USAGE_VERIFY + "squaregap verify: error: argument --n: "
+                             "must be an integer, got 'x'\n"),
+    ("solve-list", "--graph", "g"): (2, "", """\
+usage: squaregap solve-list [-h] --graph GRAPH --lists LISTS
+                            [--budget-seconds BUDGET_SECONDS]
+squaregap solve-list: error: the following arguments are required: --lists
+"""),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's wording changes between Python releases; "
+                           "pinned as Python 3.11 prints it")
+@pytest.mark.parametrize("argv", ARGPARSE_TEXT, ids=" ".join)
+def test_argparse_help_and_usage_errors_are_unchanged(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out, captured.err) == ARGPARSE_TEXT[argv]
 
 
 @pytest.mark.parametrize("option", ["--output", "--graph"])

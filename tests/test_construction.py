@@ -69,9 +69,10 @@ def test_counts_and_degrees(n):
 
 def test_frozen_w_neighborhoods_at_n3():
     gc = construct_counterexample(3)
+    labels = gc.labels  # the property builds every name on each read
     for (i, j), expected in W_NEIGHBORS_N3.items():
         w = gc.w_index(i, j)
-        got = {gc.labels[v] for v in bits(gc.graph.adj[w])}
+        got = {labels[v] for v in bits(gc.graph.adj[w])}
         assert got == expected, f"w_{i}_{j}"
 
 
@@ -79,10 +80,11 @@ def test_w_neighbours_read_their_latin_row():
     # w_{i,j} is joined to v_{k,x} for each entry x at position k of row j of square i
     for n in (3, 5):
         gc = construct_counterexample(n)
+        labels = gc.labels
         for i in range(1, n):
             for j, row in enumerate(build_latin(n, i), start=1):
                 from_row = {f"v_{k}_{x}" for k, x in enumerate(row, start=1)}
-                from_graph = {gc.labels[v] for v in bits(gc.graph.adj[gc.w_index(i, j)])}
+                from_graph = {labels[v] for v in bits(gc.graph.adj[gc.w_index(i, j)])}
                 assert from_row == from_graph
 
 

@@ -1,6 +1,6 @@
 """The narrative demos and README's library tour run to completion, the CLI
-starts without numpy, logging, dataclasses, inspect or typing, and the bench
-tracer reads what it wraps.
+starts without numpy, logging, dataclasses, inspect or typing, a plain
+command line runs without argparse, and the bench tracer reads what it wraps.
 
 Each check runs in a fresh interpreter with PYTHONPATH=src, so it sees
 the package exactly as a user of the source tree does.  It writes no
@@ -45,6 +45,17 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
                       "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_plain_command_line_loads_no_argparse_or_gettext():
+    # -S as above; a refused value still reaches argparse, which words the usage error
+    proc = run_python("-S", "-c", "import sys, squaregap.cli as cli; "
+                      "cli.main(['mols', '--n', '3']); "
+                      "print(sorted({'argparse', 'gettext'} & set(sys.modules))); "
+                      "cli.main(['mols', '--n', 'x'])")
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert "\nusage: squaregap mols " in proc.stderr  # after the first run's envelope
 
 
 def test_cli_imports_no_logging_and_main_adds_no_root_handler():
