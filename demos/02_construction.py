@@ -8,6 +8,7 @@ every row and every column exactly once.
 """
 
 from squaregap import construct_counterexample
+from squaregap.construction import vertex_names
 from squaregap.graphcore import bits
 
 
@@ -15,7 +16,7 @@ def main():
     n = 3
     gc = construct_counterexample(n)
     g = gc.graph
-    labels = gc.labels  # the property builds every name on each read
+    labels = vertex_names(n)
     print(f"n = {n}: {g.n} vertices, {g.edge_count} edges")
     print(f"  v-side degree {g.degree(0)}, w-side degree {g.degree(g.n - 1)}")
 

@@ -7,11 +7,12 @@ parameters or unparsable input, 3 I/O failure, 4 time budget or memory
 exhausted, 5 internal error (any other exception, reported without a
 traceback).
 
-The options live in one table, _COMMANDS.  A plain command line (the
-command, then each option at most once by its exact name as ``--flag``
-or ``--option VALUE``, no VALUE empty or starting with '-') is read from
-the table directly.  Any other (help, an abbreviation, ``--opt=value``,
-a usage error) goes to an argparse parser built from the same table, so
+Each command's handler, help and options live in one table, _COMMANDS,
+and main dispatches through it.  A plain command line (the command, then
+each option at most once by its exact name as ``--flag`` or ``--option
+VALUE``, no VALUE empty or starting with '-') is read from the table
+directly.  Any other (help, an abbreviation, ``--opt=value``, a usage
+error) goes to an argparse parser built from the same table, so
 argparse, loaded only then, words every message.
 """
 
@@ -79,34 +80,6 @@ def _order(text: str) -> int:
     return value
 
 
-# each command's help and, per option, the keyword arguments of its add_argument
-_COMMANDS = {
-    "construct": ("build the graph and serialize it", {
-        "--n": {"type": _order, "required": True, "help": "prime order, at least 3"},
-        "--format": {"choices": ["dot", "dimacs", "json"], "default": "json"},
-        "--output": {"help": "write here instead of stdout"},
-    }),
-    "verify": ("run the structural checks", {
-        "--n": {"type": _order, "required": True},
-        "--lemma": {"choices": ["all", *verification.LEMMAS], "default": "all"},
-    }),
-    "certify": ("emit a choosability-gap certificate", {
-        "--n": {"type": _order, "required": True},
-        "--budget-seconds": {"type": _budget_seconds, "default": None},
-    }),
-    "solve-list": ("decide list-colorability of a graph file", {
-        "--graph": {"required": True, "help": "graph in DIMACS .col or graph JSON"},
-        "--lists": {"required": True, "help": "list assignment JSON"},
-        "--budget-seconds": {"type": _budget_seconds, "default": None},
-    }),
-    "mols": ("print the orthogonal Latin square family", {
-        "--n": {"type": _order, "required": True},
-        "--check": {"action": "store_true", "default": False,
-                    "help": "re-validate Latin and orthogonality properties"},
-    }),
-}
-
-
 def _read_args(argv):
     """The attributes argparse would set for a plain argv, else None.
 
@@ -116,7 +89,7 @@ def _read_args(argv):
     required option given.  None sends argv to _parse_args unchanged."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    options = _COMMANDS[argv[0]][1]
+    options = _COMMANDS[argv[0]][2]
     given = {}
     words = iter(argv[1:])
     for flag in words:
@@ -148,7 +121,7 @@ def _parse_args(argv):
         description="Construct graphs whose squares are complete multipartite "
                     "and certify the gap between choosability and chromatic number.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, options) in _COMMANDS.items():
+    for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, spec in options.items():
             p.add_argument(flag, **spec)
@@ -241,12 +214,31 @@ def _cmd_mols(args) -> tuple[str, str]:
     return outcome, "\n".join(lines) + "\n"
 
 
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "certify": _cmd_certify,
-    "solve-list": _cmd_solve_list,
-    "mols": _cmd_mols,
+# each command's handler, its help and, per option, the keyword arguments of its add_argument
+_COMMANDS = {
+    "construct": (_cmd_construct, "build the graph and serialize it", {
+        "--n": {"type": _order, "required": True, "help": "prime order, at least 3"},
+        "--format": {"choices": ["dot", "dimacs", "json"], "default": "json"},
+        "--output": {"help": "write here instead of stdout"},
+    }),
+    "verify": (_cmd_verify, "run the structural checks", {
+        "--n": {"type": _order, "required": True},
+        "--lemma": {"choices": ["all", *verification.LEMMAS], "default": "all"},
+    }),
+    "certify": (_cmd_certify, "emit a choosability-gap certificate", {
+        "--n": {"type": _order, "required": True},
+        "--budget-seconds": {"type": _budget_seconds, "default": None},
+    }),
+    "solve-list": (_cmd_solve_list, "decide list-colorability of a graph file", {
+        "--graph": {"required": True, "help": "graph in DIMACS .col or graph JSON"},
+        "--lists": {"required": True, "help": "list assignment JSON"},
+        "--budget-seconds": {"type": _budget_seconds, "default": None},
+    }),
+    "mols": (_cmd_mols, "print the orthogonal Latin square family", {
+        "--n": {"type": _order, "required": True},
+        "--check": {"action": "store_true", "default": False,
+                    "help": "re-validate Latin and orthogonality properties"},
+    }),
 }
 
 
@@ -258,7 +250,7 @@ def main(argv=None) -> int:
                   for k, v in vars(args).items() if k != "command"}
     message = None  # set by a failure, printed before the envelope
     try:
-        outcome, payload = _HANDLERS[args.command](args)
+        outcome, payload = _COMMANDS[args.command][0](args)
         code = EXIT_PASS if outcome == "pass" else EXIT_FAIL
         if getattr(args, "output", None):
             with open(args.output, "w", encoding="utf-8") as fh:

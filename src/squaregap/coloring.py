@@ -163,17 +163,20 @@ def _search(g: SimpleGraph, avail: list[int], deadline: float | None,
     minus one, below which no count can fall.  So a node costs O(list
     size) mask operations, whatever its degree, and no pass over all n
     vertices; setup costs one OR per vertex and one per color of each
-    distinct list.
+    mask object.
     """
     adj = g.adj
     free = (1 << g.n) - 1
-    # Group the vertices by mask, so each distinct list costs one OR per color.
-    same: dict[int, int] = {}
+    # Group the vertices by mask object (equal lists share one), so each distinct
+    # list costs one OR per color: masks as keys can share a hash, as ints do mod 2^61 - 1.
+    same: dict[int, list] = {}
     for v, a in enumerate(avail):
-        same[a] = same.get(a, 0) | 1 << v
-    buckets = [0] * (max(map(int.bit_count, same), default=0) + 1)
-    has = [0] * max(map(int.bit_length, same), default=0)
-    for a, vs in same.items():
+        group = same.get(id(a)) or same.setdefault(id(a), [a, 0])
+        group[1] |= 1 << v
+    groups = same.values()
+    buckets = [0] * (max((a.bit_count() for a, _ in groups), default=0) + 1)
+    has = [0] * max((a.bit_length() for a, _ in groups), default=0)
+    for a, vs in groups:
         buckets[a.bit_count()] |= vs
         while a:
             low = a & -a
@@ -288,13 +291,15 @@ def _dense_masks(assignment: ListAssignment) -> tuple[dict[int, int], list[int]]
 
     Bit i stands for the i-th smallest color, so masks stay |universe| bits
     wide and colors keep their order: searches branch as on the raw colors.
-    Lists often repeat, so each distinct list is converted once; its colors
-    are distinct, so the sum of their bits is their mask.
+    Lists often repeat, so each distinct list becomes one mask object that
+    its vertices share (_search groups by it): the sum of its colors' bits,
+    each shifted from the color's rank (a mask per color would take U^2 / 16
+    bytes for U colors).
     """
     palette = sorted(set(assignment.universe))
-    bit = {c: 1 << i for i, c in enumerate(palette)}
+    rank = dict(zip(palette, range(len(palette))))
     lists = assignment.lists
-    mask = {colors: sum(map(bit.__getitem__, colors)) for colors in set(lists.values())}
+    mask = {colors: sum([1 << rank[c] for c in colors]) for colors in set(lists.values())}
     return dict(zip(lists, map(mask.__getitem__, lists.values()))), palette
 
 

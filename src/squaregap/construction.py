@@ -23,21 +23,16 @@ other.
 
 from collections import namedtuple
 
-from .graphcore import SimpleGraph, mask_of, rotated_rows
+from .graphcore import SimpleGraph, block_rotation, mask_of
 from .latin import require_prime
 
 
 class ConstructedGraph(namedtuple("ConstructedGraph", "n graph p_sets q_sets t_sets")):
     """The graph for prime n (a SimpleGraph) and its parts: p_sets are
     P_1..P_n, q_sets Q_1..Q_{n-1} and t_sets T_1..T_n, each a tuple of
-    vertex tuples."""
+    vertex tuples.  vertex_names(n) is the one builder of their names."""
 
     __slots__ = ()
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """Index -> name, from vertex_names, built on each read."""
-        return tuple(vertex_names(self.n))
 
     def v_index(self, i: int, j: int) -> int:
         """Vertex index of v_{i,j} (row i, position j), 1-based arguments."""
@@ -108,12 +103,12 @@ def counterexample_upper(n: int) -> list[list[int]]:
 
 def construct_counterexample(n: int) -> ConstructedGraph:
     """Build the 2n^2 - n vertex graph for prime n >= 3: each base star's bit
-    row, rotated (graphcore.rotated_rows) into the rest of its block.  Each
-    edge orbit is in the stars of both its end blocks and no star names its
-    own block, so the rows are symmetric and loop-free."""
+    row, rotated by c places (graphcore.block_rotation) for position c of
+    its block.  Each edge orbit is in the stars of both its end blocks and
+    no star names its own block, so the rows are symmetric and loop-free."""
     stars = base_stars(n)
-    count = len(stars) * n
-    rows = tuple(rotated_rows(map(mask_of, stars), count, n))
+    rot = block_rotation(len(stars) * n, n)
+    rows = tuple(rot(row, c) for row in map(mask_of, stars) for c in range(n))
     p_sets, q_sets, t_sets = part_sets(n)
-    return ConstructedGraph(n=n, graph=SimpleGraph._from_rows(count, rows),
+    return ConstructedGraph(n=n, graph=SimpleGraph._from_rows(len(rows), rows),
                             p_sets=p_sets, q_sets=q_sets, t_sets=t_sets)

@@ -17,11 +17,11 @@ construction.  So the rows of untrusted input are checked once, as edges.
 
 Rows can also come from a symmetry.  block_rotation(n, b) gives rot(m, k),
 which rotates every b-bit block of a row up by k places: on adjacency
-rows that sends each vertex k places on within its block.  rotated_rows
-expands the first row of each block into the whole block with it.  A
-graph that the rotation maps to itself is fixed by the neighbours of
-each block's first vertex, its stars, and square_by_blocks computes the
-first row of each block of its square from them, with no other row of
+rows that sends each vertex k places on within its block.  A graph that
+the rotation maps to itself is fixed by the neighbours of each block's
+first vertex, its stars: construction.construct_counterexample rotates
+each star's row into its block, and square_by_blocks computes the first
+row of each block of the square from the stars, with no other row of
 either graph.  That is the one fast path to the square; square() walks
 every row, ORing the rows of each vertex's neighbours.
 """
@@ -142,17 +142,6 @@ def block_rotation(n: int, block: int) -> Callable[..., int]:
         top &= m
         return (m ^ top) << k | top >> (block - k)
     return rot
-
-
-def rotated_rows(firsts: Iterable[int], n: int, block: int) -> Iterator[int]:
-    """Each n-bit row of firsts followed by its block - 1 successive
-    block_rotation(n, block) images: n // block rows give all n rows."""
-    rotate = block_rotation(n, block)
-    for row in firsts:
-        yield row
-        for _ in range(block - 1):
-            row = rotate(row)
-            yield row
 
 
 def square_by_blocks(stars: Sequence[Sequence[int]], block: int) -> list[int]:

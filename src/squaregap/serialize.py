@@ -329,9 +329,9 @@ def _distinct(values: list, what: str, *args: int) -> frozenset:
 
 def _canonical_lists(lists: dict) -> dict[int, frozenset] | None:
     """lists with its keys as ints and its lists as frozensets, if every key
-    is a canonical integer and every list an array of distinct integers;
-    else None.  The checks run in bulk, by map and set over all keys, lists
-    and colours at once, and equal lists share one frozenset."""
+    is a canonical integer in range and every list an array of distinct
+    integers; else None.  The checks run in bulk, by map and set over all
+    keys, lists and colours at once, and equal lists share one frozenset."""
     keys = list(lists)
     try:
         vertices = list(map(int, keys))
@@ -339,7 +339,8 @@ def _canonical_lists(lists: dict) -> dict[int, frozenset] | None:
         return None
     values = list(lists.values())
     if (list(map(str, vertices)) != keys or not set(map(type, values)) <= {list}
-            or not set(map(type, chain.from_iterable(values))) <= {int}):
+            or not set(map(type, chain.from_iterable(values))) <= {int}
+            or vertices and not 0 <= min(vertices) <= max(vertices) < MAX_INPUT_VERTICES):
         return None
     rows = list(map(tuple, values))
     distinct = set(rows)
@@ -355,11 +356,12 @@ def parse_lists_json(text: str) -> ListAssignment:
 
     The universe and every list must be arrays of distinct JSON integers
     (true and false are not), vertex keys canonical decimal integers ("7",
-    not "07", " 7", "+7" or "7_0"), and the universe at most
-    MAX_INPUT_VERTICES colours; anything else raises ValueError.  The lists
-    are checked and converted in bulk (_canonical_lists); a document that
-    fails the bulk checks is read again one vertex at a time, which names
-    the first vertex at fault.
+    not "07", " 7", "+7" or "7_0") in 0..MAX_INPUT_VERTICES - 1, checked
+    before any dict holds them (ints that differ by a multiple of 2^61 - 1
+    share one hash), and the universe at most MAX_INPUT_VERTICES colours;
+    anything else raises ValueError.  The lists are checked and converted
+    in bulk (_canonical_lists); a document that fails the bulk checks is
+    read again one vertex at a time, which names the first vertex at fault.
     """
     doc = _read_json(text, "lists", ("universe", "lists"))
     lists = doc["lists"]
@@ -377,6 +379,8 @@ def parse_lists_json(text: str) -> ListAssignment:
             v = int(key)
             if str(v) != key:
                 raise ValueError(f"vertex key {clip(key)} is not a canonical integer")
+            if not 0 <= v < MAX_INPUT_VERTICES:  # before any set or dict holds it
+                raise ValueError(f"vertex key {clip(v)} is outside 0..{MAX_INPUT_VERTICES - 1}")
             converted[v] = _distinct(_ints(colors, "each list in lists JSON"),
                                      "the list of vertex {}", v)
     return ListAssignment(universe=universe, lists=converted)

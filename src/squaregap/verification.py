@@ -55,16 +55,16 @@ class _Collector:
 
     def __init__(self, lemma_id: str, gc: ConstructedGraph):
         self.lemma_id = lemma_id
-        self.gc = gc
-        self.labels = None  # gc.labels, built when a witness first names a vertex
+        self.n = gc.n
+        self.names = None  # vertex_names(n), built when a witness first names a vertex
         self.cases = 0
         self.failures = 0
         self.first: dict[str, tuple] = {}
 
     def name(self, v: int) -> str:
-        if self.labels is None:
-            self.labels = self.gc.labels
-        return self.labels[v]
+        if self.names is None:
+            self.names = construction.vertex_names(self.n)
+        return self.names[v]
 
     def passed(self, k: int = 1):
         self.cases += k

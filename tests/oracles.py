@@ -11,6 +11,7 @@ from typing import Optional
 import numpy as np
 
 from squaregap import coloring
+from squaregap.construction import vertex_names
 from squaregap.errors import CapacityError
 from squaregap.graphcore import SimpleGraph, bits, mask_of
 
@@ -90,7 +91,7 @@ def neighbourhood_reports_by_walk(gc) -> dict[str, tuple]:
     index order.
     """
     g = gc.graph
-    labels = gc.labels  # built anew on each read
+    labels = vertex_names(gc.n)
     nbrs = [set(bits(g.adj[v])) for v in range(g.n)]
 
     def one_in_each(item, x, name, sets):

@@ -28,7 +28,7 @@ from squaregap.coloring import (
     is_list_colorable,
     multipartite_list_colorable,
 )
-from squaregap.construction import construct_counterexample
+from squaregap.construction import construct_counterexample, vertex_names
 from squaregap.graphcore import SimpleGraph, square
 from squaregap.latin import are_orthogonal, build_latin, build_mols_family, is_latin
 from squaregap.verification import run_all_checks
@@ -181,6 +181,7 @@ def test_criterion_8_subdivision_total_identity():
 
 def test_criterion_9_mutation_sensitivity():
     gc = construct_counterexample(3)
+    names = vertex_names(3)
     base_edges = set(gc.graph.edges())
     mutations = 0
     for u in range(15):
@@ -190,7 +191,7 @@ def test_criterion_9_mutation_sensitivity():
             mutated = gc._replace(graph=SimpleGraph.from_edges(15, sorted(edges)))
             reports = run_all_checks(mutated)
             assert not all(r.passed for r in reports.values()), \
-                f"mutation {gc.labels[u]} ~ {gc.labels[v]} undetected"
+                f"mutation {names[u]} ~ {names[v]} undetected"
             mutations += 1
     assert mutations == 105
     print(f"PASS criterion 9: every one of the {mutations} single-edge "

@@ -180,7 +180,7 @@ def test_unexpected_exception_exits_5_without_a_traceback(monkeypatch, capsys, m
     def broken(args):
         raise RuntimeError(message)
 
-    monkeypatch.setitem(cli._HANDLERS, "construct", broken)
+    monkeypatch.setitem(cli._COMMANDS, "construct", (broken, *cli._COMMANDS["construct"][1:]))
     code, out, err = run_cli(capsys, "construct", "--n", "3")
     assert code == cli.EXIT_INTERNAL == 5
     assert out == ""
@@ -197,7 +197,7 @@ def test_running_out_of_memory_exits_4_without_a_traceback(monkeypatch, capsys):
     def exhausted(args):
         raise MemoryError
 
-    monkeypatch.setitem(cli._HANDLERS, "verify", exhausted)
+    monkeypatch.setitem(cli._COMMANDS, "verify", (exhausted, *cli._COMMANDS["verify"][1:]))
     code, out, err = run_cli(capsys, "verify", "--n", "3")
     assert code == cli.EXIT_BUDGET == 4
     assert out == ""
@@ -577,7 +577,7 @@ OTHER_SPELLING = {"--format": "--form", "--lemma": "--lem", "--n": "--n=5"}
 FALLBACK_WORDS = [*OTHER_SPELLING.values(), "-h", "--", "-1", ""]
 WORD = st.sampled_from(FALLBACK_WORDS) | st.sampled_from(
     [*cli._COMMANDS, "frobnicate", "xml", "3", "x", "g",
-     *{flag for _, options in cli._COMMANDS.values() for flag in options}])
+     *{flag for *_, options in cli._COMMANDS.values() for flag in options}])
 VALUES = {cli._order: ["3", "7", "182", "x", "-1"], cli._budget_seconds: ["1.5", "0", "nan", "-1"],
           None: ["g", ""]}
 
@@ -588,7 +588,7 @@ def command_lines(draw):
     another spelling and with a value, valid or not; in one line of five an option
     given twice, and in one of three a word of any kind put in or swapped in."""
     command = draw(st.sampled_from(list(cli._COMMANDS)))
-    options = cli._COMMANDS[command][1]
+    options = cli._COMMANDS[command][2]
     groups = []
     for flag in draw(st.permutations(list(options))):
         if not draw(st.integers(0, 3)):  # drop one option in four
@@ -712,6 +712,35 @@ def test_solve_list_huge_colours_get_a_quick_verdict(tmp_path, capsys):
     assert time.perf_counter() - start < 5.0
     assert code == 0
     assert json.loads(out)["coloring"] == {"0": big, "1": 5, "2": big + 1}
+
+
+@pytest.mark.parametrize("key", ["-1", "65536"])
+def test_solve_list_vertex_key_out_of_range_is_named(tmp_path, capsys, key):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(TRIANGLE)
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text(f'{{"universe": [1], "lists": {{"0": [1], "{key}": [1]}}}}')
+    code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                             "--lists", str(lists_path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"squaregap solve-list: vertex key {key} is outside 0..65535"
+
+
+def test_solve_list_colliding_vertex_keys_are_refused_quickly(tmp_path, capsys):
+    # keys k * (2^61 - 1) + 7 share one int hash: held as ints in a dict and a
+    # set, 20,000 of them took seconds before any budget applied
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text('{"n_vertices": 1, "edges": []}')
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text(json.dumps({"universe": [1], "lists": {
+        str(k * (2**61 - 1) + 7): [1] for k in range(20_000)}}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                             "--lists", str(lists_path), "--budget-seconds", "0.5")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == ("squaregap solve-list: vertex key 2305843009213693958 "
+                                   "is outside 0..65535")
 
 
 @pytest.mark.parametrize("graph_text", ["p edge {count} 0\n",

@@ -682,6 +682,37 @@ def test_twin_grouping_stays_linear_when_every_row_hashes_alike():
     assert time.perf_counter() - started < 1.5
 
 
+class UnhashableMask(int):
+    __hash__ = None
+
+
+def test_search_groups_masks_by_object_and_never_hashes_one():
+    # masks whose colour ranks differ by multiples of 61 share one int hash, so
+    # grouping vertices keyed by mask value went quadratic: 16,000 vertices with
+    # 2-lists {61a, 61b} took seconds before the first node
+    g = cycle(6)
+    shared = UnhashableMask(0b101)
+    avail = [shared] * 5 + [UnhashableMask(0b111)]
+    want = coloring._search(g, [0b101] * 5 + [0b111], None, 0)
+    assert want[0] is not None
+    assert coloring._search(g, avail, None, 0) == want
+
+
+def test_dense_masks_of_a_wide_universe_stay_small():
+    # a mask per colour of a 65,536-colour universe took about U^2 / 16 bytes
+    import tracemalloc
+
+    a = ListAssignment(universe=tuple(range(2**16)), lists={0: frozenset([5])})
+    tracemalloc.start()
+    try:
+        masks, palette = coloring._dense_masks(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masks == {0: 1 << 5} and palette == list(range(2**16))
+    assert peak < 20 * 2**20, peak
+
+
 # -- the adversarial assignment -----------------------------------------------
 
 

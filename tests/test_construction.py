@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -69,7 +70,7 @@ def test_counts_and_degrees(n):
 
 def test_frozen_w_neighborhoods_at_n3():
     gc = construct_counterexample(3)
-    labels = gc.labels  # the property builds every name on each read
+    labels = vertex_names(3)
     for (i, j), expected in W_NEIGHBORS_N3.items():
         w = gc.w_index(i, j)
         got = {labels[v] for v in bits(gc.graph.adj[w])}
@@ -80,7 +81,7 @@ def test_w_neighbours_read_their_latin_row():
     # w_{i,j} is joined to v_{k,x} for each entry x at position k of row j of square i
     for n in (3, 5):
         gc = construct_counterexample(n)
-        labels = gc.labels
+        labels = vertex_names(n)
         for i in range(1, n):
             for j, row in enumerate(build_latin(n, i), start=1):
                 from_row = {f"v_{k}_{x}" for k, x in enumerate(row, start=1)}
@@ -94,9 +95,10 @@ def test_vertex_indexing_and_labels():
     assert gc.v_index(3, 3) == 8
     assert gc.w_index(1, 1) == 9
     assert gc.w_index(2, 3) == 14
-    assert gc.labels[0] == "v_1_1"
-    assert gc.labels[14] == "w_2_3"
-    assert gc.labels[4] == "v_2_2"
+    labels = vertex_names(3)
+    assert labels[0] == "v_1_1"
+    assert labels[14] == "w_2_3"
+    assert labels[4] == "v_2_2"
 
 
 def test_index_bounds():
@@ -193,4 +195,10 @@ def test_vertex_names_at_n3():
 
 @pytest.mark.parametrize("n", PRIMES_TO_31)
 def test_vertex_names_are_the_labels(n):
-    assert construct_counterexample(n).labels == tuple(vertex_names(n))
+    # the name of each index is the label its v_index or w_index arguments spell
+    gc, names = construct_counterexample(n), vertex_names(n)
+    assert len(names) == gc.graph.n
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        assert names[gc.v_index(i, j)] == f"v_{i}_{j}"
+        if i < n:
+            assert names[gc.w_index(i, j)] == f"w_{i}_{j}"

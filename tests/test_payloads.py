@@ -175,7 +175,6 @@ def test_construct_builds_no_graph(monkeypatch, capsys, argv, code, digest):
     monkeypatch.setattr(SimpleGraph, "_from_rows", refuse)
     refuse_everywhere(monkeypatch, construction.construct_counterexample, refuse)
     monkeypatch.setattr(construction, "mask_of", refuse)
-    monkeypatch.setattr(construction, "rotated_rows", refuse)
     refuse_latin(monkeypatch)
     assert main(argv) == code
     out = capsys.readouterr().out
@@ -206,7 +205,6 @@ def test_verify_and_certify_build_no_dense_row(monkeypatch, capsys, argv, code, 
         raise AssertionError("built a dense row")
     refuse_everywhere(monkeypatch, construction.construct_counterexample, refuse)
     refuse_everywhere(monkeypatch, graphcore.square, refuse)
-    refuse_everywhere(monkeypatch, graphcore.rotated_rows, refuse)
     if argv[0] == "verify":
         monkeypatch.setattr(SimpleGraph, "__init__", refuse)
         monkeypatch.setattr(SimpleGraph, "_from_rows", refuse)

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from oracles import neighbourhood_reports_by_walk
-from squaregap.construction import base_stars, construct_counterexample
+from squaregap.construction import base_stars, construct_counterexample, vertex_names
 from squaregap.errors import clip
 from squaregap import cli, construction, latin, serialize, verification
 from squaregap.graphcore import SimpleGraph, bits, mask_of, square, square_by_blocks
@@ -146,11 +146,12 @@ def test_reports_collect_all_failures():
 def test_every_single_edge_mutation_is_caught():
     # all C(15,2) toggles at n=3; each must break at least one check
     gc = construct_counterexample(3)
+    names = vertex_names(3)
     for u in range(15):
         for v in range(u + 1, 15):
             reports = run_all_checks(toggled(gc, u, v))
             assert not all(r.passed for r in reports.values()), \
-                f"undetected mutation {gc.labels[u]} ~ {gc.labels[v]}"
+                f"undetected mutation {names[u]} ~ {names[v]}"
 
 
 def pair_lemma_reports(mutant):
@@ -191,13 +192,14 @@ def test_pair_lemmas_match_the_pair_walk_on_every_single_edge_toggle():
     # the dense checks find each vertex's failing partners with one tally;
     # the oracle walks every pair by itself
     gc = construct_counterexample(3)
+    names = vertex_names(3)
     failing = 0
     reached = dict.fromkeys(["w-w edge", "shared within a group", "only the pairs pass"], 0)
     for u, v in itertools.combinations(range(gc.graph.n), 2):
         mutant = toggled(gc, u, v)
         want = neighbourhood_reports_by_walk(mutant)
         for (name, caller), got in pair_lemma_reports(mutant).items():
-            assert got == want[name], (gc.labels[u], gc.labels[v], name, caller)
+            assert got == want[name], (names[u], names[v], name, caller)
             failing += got[1] > 0
         for shape, hit in shapes(mutant, want).items():
             if shape in reached:
