@@ -23,6 +23,9 @@ from .verification import LemmaReport
 # same bound caps a list file's colour universe, since the list search keeps
 # one vertex mask per colour.
 MAX_INPUT_VERTICES = 2**16
+# Colours are JSON-safe integers, 0..COLOUR_BOUND - 1: below 2^61 - 1 an int
+# hashes as itself, so no set or tuple of colours can be made slow.
+COLOUR_BOUND = 2**53
 
 
 def _vertex_count(n: int) -> int:
@@ -255,6 +258,12 @@ def constructed_to_json_dict(n: int, upper: list[list[int]]) -> dict:
     return graph_to_json_dict(len(upper), upper, constructed_labels(n), parts, cliques)
 
 
+def _first_repeat(values: list):
+    """The first of values that equals an earlier one."""
+    seen = set()
+    return next(x for x in values if x in seen or seen.add(x))
+
+
 def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:
     """The JSON object in text, which must carry keys.
 
@@ -268,8 +277,7 @@ def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:
     def unique(pairs: list) -> dict:
         obj = dict(pairs)
         if len(obj) != len(pairs):
-            keys_seen = set()
-            key = next(k for k, _ in pairs if k in keys_seen or keys_seen.add(k))
+            key = _first_repeat([k for k, _ in pairs])
             raise ValueError(f"malformed {kind} JSON: key {clip(key)} appears twice")
         return obj
 
@@ -284,13 +292,6 @@ def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:
     if not isinstance(doc, dict) or not all(k in doc for k in keys):
         raise ValueError(f"{kind} JSON must carry {keys[0]} and {keys[1]}")
     return doc
-
-
-def _ints(values, what: str) -> list:
-    """values, which must be a JSON array of integers (true and false are not)."""
-    if type(values) is not list or not all(type(x) is int for x in values):
-        raise ValueError(f"{what} must be an array of integers")
-    return values
 
 
 def parse_graph_json(text: str) -> tuple[SimpleGraph, dict]:
@@ -314,76 +315,73 @@ def lists_to_json_dict(assignment: ListAssignment) -> dict:
     }
 
 
-def _distinct(values: list, what: str, *args: int) -> frozenset:
-    """values as a set, refused if any colour appears twice.  The message names
-    values as what.format with args clipped, built only when it is raised."""
-    found = frozenset(values)
-    if len(found) != len(values):
-        seen = set()
-        for x in values:
-            if x in seen:
-                raise ValueError(f"{what.format(*map(clip, args))} repeats colour {clip(x)}")
-            seen.add(x)
-    return found
-
-
-def _canonical_lists(lists: dict) -> dict[int, frozenset] | None:
-    """lists with its keys as ints and its lists as frozensets, if every key
-    is a canonical integer in range and every list an array of distinct
-    integers; else None.  The checks run in bulk, by map and set over all
-    keys, lists and colours at once, and equal lists share one frozenset."""
-    keys = list(lists)
+def _canonical(key: str) -> bool:
+    """Whether key is an integer in canonical decimal ("7", not "07" or "x")."""
     try:
-        vertices = list(map(int, keys))
-    except ValueError:
-        return None
-    values = list(lists.values())
-    if (list(map(str, vertices)) != keys or not set(map(type, values)) <= {list}
-            or not set(map(type, chain.from_iterable(values))) <= {int}
-            or vertices and not 0 <= min(vertices) <= max(vertices) < MAX_INPUT_VERTICES):
-        return None
-    rows = list(map(tuple, values))
-    distinct = set(rows)
-    frozen = dict(zip(distinct, map(frozenset, distinct)))
-    if any(map(ne, map(len, frozen), map(len, frozen.values()))):
-        return None  # some list repeats a colour
-    return dict(zip(vertices, map(frozen.__getitem__, rows)))
+        return str(int(key)) == key
+    except ValueError:  # not decimal, or over 4,300 digits
+        return False
 
 
 def parse_lists_json(text: str) -> ListAssignment:
     """The list assignment of a lists JSON text: {"universe": [colours],
     "lists": {"<vertex>": [colours]}}.
 
-    The universe and every list must be arrays of distinct JSON integers
-    (true and false are not), vertex keys canonical decimal integers ("7",
-    not "07", " 7", "+7" or "7_0") in 0..MAX_INPUT_VERTICES - 1, checked
-    before any dict holds them (ints that differ by a multiple of 2^61 - 1
-    share one hash), and the universe at most MAX_INPUT_VERTICES colours;
-    anything else raises ValueError.  The lists are checked and converted
-    in bulk (_canonical_lists); a document that fails the bulk checks is
-    read again one vertex at a time, which names the first vertex at fault.
+    One pass checks each rule over the whole document by C-level map, set,
+    min and max, in this order, and the first rule broken raises ValueError
+    naming its first offender in document order, searched for only then:
+    lists is an object; the universe is an array of at most
+    MAX_INPUT_VERTICES JSON integers (true and false are not), each in
+    0..COLOUR_BOUND - 1, none repeated; each vertex key is a canonical
+    decimal integer ("7", not "07", " 7", "+7", "7_0", nor over 4,300 digits)
+    in 0..MAX_INPUT_VERTICES - 1; each list is an array of integers, each in
+    the universe, none repeated.  Colours and keys are range-checked before
+    any set or dict holds them (ints that differ by a multiple of 2^61 - 1
+    share one hash).  Equal lists share one frozenset.
     """
     doc = _read_json(text, "lists", ("universe", "lists"))
-    lists = doc["lists"]
+    universe, lists = doc["universe"], doc["lists"]
     if not isinstance(lists, dict):
         raise ValueError("lists JSON must map vertices to colour lists")
-    universe = _ints(doc["universe"], "lists JSON universe")
+    if type(universe) is not list or not set(map(type, universe)) <= {int}:
+        raise ValueError("lists JSON universe must be an array of integers")
     if len(universe) > MAX_INPUT_VERTICES:
         raise ValueError(f"lists JSON universe has {len(universe)} colours, "
                          f"over the limit of {MAX_INPUT_VERTICES}")
-    universe = tuple(sorted(_distinct(universe, "lists JSON universe")))
-    converted = _canonical_lists(lists)
-    if converted is None:
-        converted = {}
-        for key, colors in lists.items():
-            v = int(key)
-            if str(v) != key:
-                raise ValueError(f"vertex key {clip(key)} is not a canonical integer")
-            if not 0 <= v < MAX_INPUT_VERTICES:  # before any set or dict holds it
-                raise ValueError(f"vertex key {clip(v)} is outside 0..{MAX_INPUT_VERTICES - 1}")
-            converted[v] = _distinct(_ints(colors, "each list in lists JSON"),
-                                     "the list of vertex {}", v)
-    return ListAssignment(universe=universe, lists=converted)
+    if universe and not 0 <= min(universe) <= max(universe) < COLOUR_BOUND:
+        colour = next(c for c in universe if not 0 <= c < COLOUR_BOUND)
+        raise ValueError(f"lists JSON universe colour {clip(colour)} is outside "
+                         f"0..{COLOUR_BOUND - 1}")
+    palette = frozenset(universe)
+    if len(palette) != len(universe):
+        raise ValueError(f"lists JSON universe repeats colour {clip(_first_repeat(universe))}")
+    keys = list(lists)
+    try:
+        vertices = list(map(int, keys))
+    except ValueError:  # so some key is not canonical
+        vertices = []
+    if list(map(str, vertices)) != keys:
+        key = next(k for k in keys if not _canonical(k))
+        raise ValueError(f"vertex key {clip(key)} is not a canonical integer")
+    if vertices and not 0 <= min(vertices) <= max(vertices) < MAX_INPUT_VERTICES:
+        v = next(v for v in vertices if not 0 <= v < MAX_INPUT_VERTICES)
+        raise ValueError(f"vertex key {clip(v)} is outside 0..{MAX_INPUT_VERTICES - 1}")
+    values = list(lists.values())
+    flat = list(chain.from_iterable(values)) if set(map(type, values)) <= {list} else [None]
+    if not set(map(type, flat)) <= {int}:
+        raise ValueError("each list in lists JSON must be an array of integers")
+    if not all(map(palette.__contains__, flat)):  # so every listed colour is in range
+        v = next(v for v, colours in zip(vertices, values)
+                 if not all(map(palette.__contains__, colours)))
+        raise ValueError(f"list of vertex {v} leaves the universe")
+    rows = list(map(tuple, values))
+    distinct = set(rows)
+    frozen = dict(zip(distinct, map(frozenset, distinct)))
+    if any(map(ne, map(len, frozen), map(len, frozen.values()))):
+        v, colours = next((v, c) for v, c in zip(vertices, values) if len(set(c)) != len(c))
+        raise ValueError(f"the list of vertex {v} repeats colour {clip(_first_repeat(colours))}")
+    return ListAssignment(universe=tuple(sorted(palette)),
+                          lists=dict(zip(vertices, map(frozen.__getitem__, rows))))
 
 
 # -- reports and certificates -------------------------------------------------

@@ -396,6 +396,11 @@ def test_solve_list_malformed_input_is_param_error(tmp_path, capsys):
 
 THREE_LISTS = '{"universe": [1, 2, 3], "lists": {"0": [1], "1": [2], "2": [3]}}'
 TRIANGLE = '{"n_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}'
+FIVE_THOUSAND = "9" * 5000  # over the limit: the decoder's own message advises a setting
+# 20,000 colours k * (2^61 - 1) + 7, which share one int hash: held in a set,
+# they took seconds before any budget applied
+COLLIDING_UNIVERSE = json.dumps({"universe": [k * (2**61 - 1) + 7 for k in range(20_000)],
+                                 "lists": {"0": [7]}})
 
 
 @pytest.mark.parametrize("graph_text,lists_text", [
@@ -434,6 +439,10 @@ TRIANGLE = '{"n_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}'
     (TRIANGLE, '{"universe": [1, 2, 2, 3], "lists": {"0": [1], "1": [2], "2": [3]}}'),
     ('{"n_vertices": 1, "edges": []}',
      json.dumps({"universe": list(range(MAX_INPUT_VERTICES + 1)), "lists": {"0": [1]}})),
+    # colours outside 0..2^53 - 1, and a key too long for int()
+    ('{"n_vertices": 1, "edges": []}', COLLIDING_UNIVERSE),
+    ('{"n_vertices": 1, "edges": []}', json.dumps({"universe": [1, 2**53], "lists": {"0": [1]}})),
+    (TRIANGLE, f'{{"universe": [1], "lists": {{"0": [1], "{FIVE_THOUSAND}": [1]}}}}'),
 ], ids=["edge-not-a-pair", "null-vertex-count", "list-not-iterable",
         "universe-not-iterable", "lists-not-a-map", "infinite-vertex-count",
         "overflowing-vertex-count", "infinite-colour", "graph-nested-too-deep",
@@ -442,14 +451,17 @@ TRIANGLE = '{"n_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}'
         "edge-of-one", "edges-an-object", "vertex-count-a-string", "vertex-count-a-float",
         "vertex-count-a-bool", "universe-not-integers", "colour-a-bool", "colour-a-float",
         "key-with-leading-zero", "key-with-space", "key-with-plus", "colour-twice-in-a-list",
-        "colour-twice-in-the-universe", "universe-over-the-limit"])
+        "colour-twice-in-the-universe", "universe-over-the-limit", "colliding-colours",
+        "colour-over-the-bound", "key-of-5000-digits"])
 def test_solve_list_malformed_json_is_param_error(tmp_path, capsys, graph_text, lists_text):
     graph_path = tmp_path / "g.json"
     graph_path.write_text(graph_text)
     lists_path = tmp_path / "lists.json"
     lists_path.write_text(lists_text)
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph_path),
                              "--lists", str(lists_path))
+    assert time.perf_counter() - start < 2.0
     assert code == 2
     assert out == ""
     assert envelope_of(err)["outcome"] == "error"
@@ -503,9 +515,6 @@ def test_long_integers_in_input_errors_are_clipped(tmp_path, capsys, graph_text,
     assert envelope_of(err)["outcome"] == "error"
     assert "99... (430" in err  # the first 60 characters, then the length
     assert len(err.encode()) < 1024
-
-
-FIVE_THOUSAND = "9" * 5000  # over the limit: the decoder's own message advises a setting
 
 
 @pytest.mark.parametrize("graph_text,lists_text,kind", [
@@ -741,6 +750,56 @@ def test_solve_list_colliding_vertex_keys_are_refused_quickly(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.splitlines()[0] == ("squaregap solve-list: vertex key 2305843009213693958 "
                                    "is outside 0..65535")
+
+
+@pytest.mark.parametrize("budget", [(), ("--budget-seconds", "0.5")], ids=["no-budget", "budget"])
+def test_solve_list_colliding_colours_are_refused_quickly(tmp_path, capsys, budget):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text('{"n_vertices": 1, "edges": []}')
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text(COLLIDING_UNIVERSE)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                             "--lists", str(lists_path), *budget)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == ("squaregap solve-list: lists JSON universe colour "
+                                   "2305843009213693958 is outside 0..9007199254740991")
+
+
+@pytest.mark.parametrize("universe,listed,message", [
+    (2**53 - 1, 2**53 - 1, None),
+    (2**53, 1, "lists JSON universe colour 9007199254740992 is outside 0..9007199254740991"),
+    (2**53 - 1, 2**53, "list of vertex 0 leaves the universe"),
+], ids=["largest-colour", "over-the-bound-in-the-universe", "over-the-bound-in-a-list"])
+def test_solve_list_colours_lie_below_two_to_the_53(tmp_path, capsys, universe, listed, message):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text('{"n_vertices": 1, "edges": []}')
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text(json.dumps({"universe": [1, universe], "lists": {"0": [listed]}}))
+    code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                             "--lists", str(lists_path))
+    if message is None:
+        assert code == 0
+        assert json.loads(out)["coloring"] == {"0": listed}
+    else:
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"squaregap solve-list: {message}"
+
+
+@pytest.mark.parametrize("key,named", [("x", "'x'"),
+                                       (FIVE_THOUSAND, f"'{'9' * 60}'... (5000 characters)")],
+                         ids=["letter", "5000-digits"])
+def test_solve_list_vertex_key_not_an_integer_is_named(tmp_path, capsys, key, named):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(TRIANGLE)
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text(f'{{"universe": [1], "lists": {{"0": [1], "{key}": [1]}}}}')
+    code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                             "--lists", str(lists_path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == (f"squaregap solve-list: vertex key {named} "
+                                   "is not a canonical integer")
 
 
 @pytest.mark.parametrize("graph_text", ["p edge {count} 0\n",

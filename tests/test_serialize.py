@@ -1,4 +1,5 @@
 import json
+import re
 from unittest import mock
 
 import pytest
@@ -8,6 +9,7 @@ from oracles import pairs_to_dimacs, pairs_to_dot, pairs_to_json_dict
 from squaregap import serialize
 from squaregap.coloring import ListAssignment, certify_gap
 from squaregap.construction import construct_counterexample
+from squaregap.errors import clip
 from squaregap.graphcore import SimpleGraph, square
 from squaregap.verification import check_lemma_nw
 
@@ -348,12 +350,14 @@ _CANONICAL_LISTS = (st.sampled_from([[1, 2], [2, 1], [1], [], [0, 3, 4]])
 @st.composite
 def _lists_maps(draw):
     """A lists map with canonical keys and integer lists, often equal, in
-    which up to two entries are swapped for ones the bulk checks refuse."""
+    which up to two entries are swapped for ones parse_lists_json refuses."""
     keys = st.integers(min_value=-1, max_value=5).map(str)
     lists = draw(st.dictionaries(keys, _CANONICAL_LISTS, max_size=6))
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        key = draw(keys | st.sampled_from(["01", " 1", "+1", "1_0", "\u0663", "x", ""]))
-        colour = st.sampled_from([True, False, 1.0, 2.5, 10**30, [1], [1, 2], []])
+        key = draw(keys | st.sampled_from(["01", " 1", "+1", "1_0", "\u0663", "x", "", "-0",
+                                           "9" * 5000]))
+        colour = st.sampled_from([True, False, 1.0, 2.5, 10**30, 2**53, 2**53 - 1,
+                                  [1], [1, 2], []])
         lists[key] = draw(_CANONICAL_LISTS | st.sampled_from([[2, 2], 5, "12", None, True, 1.5,
                                                               {"0": [1]}])
                           | st.lists(st.integers(min_value=0, max_value=2) | colour,
@@ -361,15 +365,41 @@ def _lists_maps(draw):
     return lists
 
 
+_UNIVERSE = [0, 1, 2, 3, 4, 2**53 - 1]
+
+
+def _by_rule_order(lists):
+    """What parse_lists_json documents for _UNIVERSE and lists: the message
+    of the first rule that some entry breaks, naming its first offender in
+    document order, or else the assignment."""
+    for key in lists:  # Python reads integers of up to 4,300 digits
+        if not re.fullmatch("0|-?[1-9][0-9]{0,4299}", key):
+            return f"vertex key {clip(key)} is not a canonical integer"
+    for key in lists:
+        if not 0 <= int(key) < serialize.MAX_INPUT_VERTICES:
+            return f"vertex key {key} is outside 0..{serialize.MAX_INPUT_VERTICES - 1}"
+    for colours in lists.values():
+        if type(colours) is not list or any(type(c) is not int for c in colours):
+            return "each list in lists JSON must be an array of integers"
+    for key, colours in lists.items():
+        if any(c not in _UNIVERSE for c in colours):
+            return f"list of vertex {key} leaves the universe"
+    for key, colours in lists.items():
+        for i, c in enumerate(colours):
+            if c in colours[:i]:
+                return f"the list of vertex {key} repeats colour {c}"
+    return ListAssignment(tuple(_UNIVERSE), {int(k): frozenset(c) for k, c in lists.items()})
+
+
 @settings(max_examples=400, deadline=None)
 @given(_lists_maps())
 @example({"0": [1, 2], "1": [1, 2], "2": [2]})
 @example({"0": [1, True]})
 @example({"1_0": [1]})
-def test_parse_lists_json_matches_its_vertex_loop(lists):
-    text = json.dumps({"universe": [0, 1, 2, 3, 4, 10**30], "lists": lists})
-    assert _outcome(serialize.parse_lists_json, text) == _outcome(
-        _by_loop(serialize.parse_lists_json, "_canonical_lists"), text)
+@example({"0": [1, 1], "x": [1]})  # the key rule comes before the lists rules
+def test_parse_lists_json_follows_its_rule_order(lists):
+    text = json.dumps({"universe": _UNIVERSE, "lists": lists})
+    assert _outcome(serialize.parse_lists_json, text) == _by_rule_order(lists)
 
 
 def test_parse_lists_json_shares_one_frozenset_per_distinct_list():
