@@ -8,12 +8,10 @@ tuple of vertex tuples.  Once that is verified, coloring by part
 and one vertex per part (a clique) pin the chromatic number of the square
 at 2n - 1, and an exhaustive refutation of a structured list assignment
 shows the list chromatic number is at least 3(n - 1) + 1, so the gap is
-at least n - 1.  The exact chromatic solver, which asks the list-coloring
-search one question per candidate color count, stays available as a
-cross-check.
+at least n - 1.
 """
 
-from .errors import CapacityError, SearchBudgetExceeded
+from .errors import SearchBudgetExceeded
 from .latin import (
     are_orthogonal,
     build_latin,
@@ -38,8 +36,6 @@ from .coloring import (
     ListColoringResult,
     SearchAttestation,
     certify_gap,
-    chromatic_number_exact,
-    greedy_clique,
     is_list_colorable,
     multipartite_list_colorable,
     vetrik_assignment,

@@ -1,28 +1,29 @@
-"""Exact chromatic number, list-colorability, and choosability-gap certificates.
+"""List-colorability, choosability-gap certificates, and the exact chromatic
+number that the tests check them against.
 
 All searches are deterministic and complete: an UNSAT verdict is issued
 only after the whole (pruned) space has been exhausted, with a node
 count attached, because the verdicts are consumed as mathematical
 certificates rather than best-effort answers.  Color sets live in int
 bitmasks throughout; the list solvers give bit i to the i-th smallest
-color of the universe, so large color values cost nothing.  One
-iterative engine, _search, decides list coloring and nothing else: both
-list solvers call it, and the exact chromatic number asks it one list
-question per candidate color count.  No function here recurses, so no
-input depth hits Python's recursion limit.  Both list solvers enter it
-through one root function, _decide_lists, on twin classes (equal rows;
-multipartite_list_colorable's are its parts): when some class has no
-color common to its lists, node 1 applies a part-demand bound, so both
-refute the certificate's lists at node 1.  The engine takes the node
-count so far and returns the count at the end with its coloring, so the
-chromatic number's questions and the root share one count and one
-deadline.  The engine keeps the graph the other way round as well, one
-vertex mask per color (has[c]: the uncolored vertices that still have
-color c) and per count of colors left (buckets[k]), so forward checking
-a node takes a few mask operations instead of a walk over the neighbors:
-the dense squares this package refutes cost no more per node than sparse
-graphs of the same order.  certify_gap colors by the verified parts and
-checks that coloring no further: the structure check is its proof.
+color of the universe, so large color values cost nothing, and refuse a
+list that leaves it.  One iterative engine, _search, decides list
+coloring and nothing else: both list solvers call it, and the exact
+chromatic number asks it one list question per candidate color count.
+No function here recurses, so no input depth hits Python's recursion
+limit.  Both list solvers enter it through one root function,
+_decide_lists, on twin classes (equal rows; multipartite_list_colorable's
+are its parts): when some class has no color common to its lists, node 1
+applies a part-demand bound, so both refute the certificate's lists at
+node 1.  The engine takes the node count so far and returns the count at
+the end with its coloring, so the root and the search share one count
+and one deadline.  The engine keeps the graph the other way round as
+well, one vertex mask per color (has[c]: the uncolored vertices that
+still have color c) and per count of colors left (buckets[k]), so forward
+checking a node takes a few mask operations instead of a walk over the
+neighbors: the dense squares this package refutes cost no more per node
+than sparse graphs of the same order.  certify_gap colors by the verified
+parts and checks that coloring no further: the structure check is its proof.
 """
 
 import functools
@@ -32,38 +33,23 @@ from collections import namedtuple
 from operator import and_
 
 from .construction import part_sets
-from .errors import CapacityError, SearchBudgetExceeded, clip
+from .errors import SearchBudgetExceeded, clip
 from .graphcore import SimpleGraph, bits, square_by_blocks
 from .verification import check_by_blocks, checked_stars
 
-CHROMATIC_MAX_VERTICES = 128
 _DEADLINE_STRIDE = 1024  # nodes between wall-clock checks
-
-
-def _checked_replace(self, **changes):
-    """A copy of the record with changes, built through __new__, which checks it."""
-    return type(self)(**{**self._asdict(), **changes})
 
 
 class ListAssignment(namedtuple("ListAssignment", "universe lists")):
     """Per-vertex color lists over an ordered integer color universe: universe
     is a tuple of colors, lists maps each vertex to a frozenset of them.
 
-    Empty lists are allowed: the solvers answer them as the trivially
-    unsatisfiable case and name the vertex.
+    Nothing is checked here: the list solvers refuse a list that leaves the
+    universe (_dense_masks), and answer an empty list as the trivially
+    unsatisfiable case, naming the vertex.
     """
 
     __slots__ = ()
-    _replace = _checked_replace
-
-    def __new__(cls, universe: tuple[int, ...], lists: dict[int, frozenset[int]]):
-        u = set(universe)
-        if any(c < 0 for c in u):
-            raise ValueError("colors must be nonnegative integers")
-        if not all(map(u.issuperset, set(lists.values()))):  # once per distinct list
-            v = next(v for v, colors in lists.items() if not colors <= u)
-            raise ValueError(f"list of vertex {clip(v)} leaves the universe")
-        return super().__new__(cls, universe, lists)
 
 
 class SearchAttestation(namedtuple("SearchAttestation", "nodes empty_list_vertex",
@@ -96,7 +82,10 @@ class GapCertificate(namedtuple("GapCertificate", "n chromatic chromatic_colorin
     """
 
     __slots__ = ()
-    _replace = _checked_replace
+
+    def _replace(self, **changes):
+        """A copy of the certificate with changes, checked again by __new__."""
+        return type(self)(**{**self._asdict(), **changes})
 
     def __new__(cls, *args, **fields):
         self = super().__new__(cls, *args, **fields)
@@ -259,26 +248,23 @@ def _search(g: SimpleGraph, avail: list[int], deadline: float | None,
         frame[5] = moves
 
 
-def chromatic_number_exact(g: SimpleGraph, *,
-                           deadline: float | None = None) -> tuple[int, list[int]]:
+# Only the tests call this, as a cross-check of certify_gap's chromatic
+# number; it stays here, beside the engine it drives, until the bench stops
+# wrapping it by this module's name (ROADMAP item 1).
+def chromatic_number_exact(g: SimpleGraph) -> tuple[int, list[int]]:
     """Minimum proper coloring, as list-coloring questions to _search.
 
     For k = |clique|, |clique| + 1, ... with clique from greedy_clique, every
     vertex may take the colors 0..k-1, except that the clique's i-th vertex
     may take color i alone; the first k that _search colors is the answer.
-    Raises CapacityError above the vertex guard and SearchBudgetExceeded if
-    the deadline passes mid-search, one node count spanning every k.
     """
-    if g.n > CHROMATIC_MAX_VERTICES:
-        raise CapacityError(
-            f"exact chromatic search limited to {CHROMATIC_MAX_VERTICES} vertices, got {g.n}")
     clique = greedy_clique(g)
     nodes = 0
     for k in itertools.count(len(clique)):
         avail = [(1 << k) - 1] * g.n
         for i, v in enumerate(clique):
             avail[v] = 1 << i
-        witness, nodes = _search(g, avail, deadline, nodes)
+        witness, nodes = _search(g, avail, None, nodes)
         if witness is not None:
             return k, witness
 
@@ -294,12 +280,17 @@ def _dense_masks(assignment: ListAssignment) -> tuple[dict[int, int], list[int]]
     Lists often repeat, so each distinct list becomes one mask object that
     its vertices share (_search groups by it): the sum of its colors' bits,
     each shifted from the color's rank (a mask per color would take U^2 / 16
-    bytes for U colors).
+    bytes for U colors).  A list that leaves the universe raises ValueError
+    naming its first vertex in the assignment's order.
     """
     palette = sorted(set(assignment.universe))
     rank = dict(zip(palette, range(len(palette))))
     lists = assignment.lists
-    mask = {colors: sum([1 << rank[c] for c in colors]) for colors in set(lists.values())}
+    try:
+        mask = {colors: sum([1 << rank[c] for c in colors]) for colors in set(lists.values())}
+    except KeyError:
+        v = next(v for v, colors in lists.items() if not colors <= rank.keys())
+        raise ValueError(f"list of vertex {clip(v)} leaves the universe") from None
     return dict(zip(lists, map(mask.__getitem__, lists.values()))), palette
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and clip() for their messages."""
+"""The package's own exception type, and clip() for error messages."""
 
 
 def clip(value: int | str) -> str:
@@ -7,10 +7,6 @@ def clip(value: int | str) -> str:
     text = str(value)
     show = repr if isinstance(value, str) else str
     return show(text) if len(text) <= 60 else f"{show(text[:60])}... ({len(text)} characters)"
-
-
-class CapacityError(Exception):
-    """An input exceeds a hard size guard (quadratic-memory or search blowup)."""
 
 
 class SearchBudgetExceeded(Exception):

@@ -369,7 +369,9 @@ def parse_lists_json(text: str) -> ListAssignment:
     values = list(lists.values())
     flat = list(chain.from_iterable(values)) if set(map(type, values)) <= {list} else [None]
     if not set(map(type, flat)) <= {int}:
-        raise ValueError("each list in lists JSON must be an array of integers")
+        v = next(v for v, colours in zip(vertices, values)
+                 if type(colours) is not list or not set(map(type, colours)) <= {int})
+        raise ValueError(f"the list of vertex {v} is not an array of integers")
     if not all(map(palette.__contains__, flat)):  # so every listed colour is in range
         v = next(v for v, colours in zip(vertices, values)
                  if not all(map(palette.__contains__, colours)))

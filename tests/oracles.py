@@ -12,10 +12,13 @@ import numpy as np
 
 from squaregap import coloring
 from squaregap.construction import vertex_names
-from squaregap.errors import CapacityError
 from squaregap.graphcore import SimpleGraph, bits, mask_of
 
 SQUARE_ORACLE_MAX_VERTICES = 512
+
+
+class CapacityError(Exception):
+    """An input exceeds an oracle's size guard."""
 
 
 def bfs_square(g: SimpleGraph) -> SimpleGraph:

@@ -402,6 +402,14 @@ FIVE_THOUSAND = "9" * 5000  # over the limit: the decoder's own message advises 
 COLLIDING_UNIVERSE = json.dumps({"universe": [k * (2**61 - 1) + 7 for k in range(20_000)],
                                  "lists": {"0": [7]}})
 
+# the cases above whose first stderr line is pinned too
+FIRST_LINES = {
+    (TRIANGLE, '{"universe": [1, 2, 3], "lists": {"0": [1], "1": [2, "3"], "2": 3}}'):
+        "squaregap solve-list: the list of vertex 1 is not an array of integers",
+    (TRIANGLE, '{"universe": [-1, 2, 3], "lists": {"0": [-1], "1": [2], "2": [3]}}'):
+        f"squaregap solve-list: lists JSON universe colour -1 is outside 0..{2**53 - 1}",
+}
+
 
 @pytest.mark.parametrize("graph_text,lists_text", [
     ('{"n_vertices": 3, "edges": [1, 2]}', '{"universe": [1], "lists": {"0": [1]}}'),
@@ -443,6 +451,7 @@ COLLIDING_UNIVERSE = json.dumps({"universe": [k * (2**61 - 1) + 7 for k in range
     ('{"n_vertices": 1, "edges": []}', COLLIDING_UNIVERSE),
     ('{"n_vertices": 1, "edges": []}', json.dumps({"universe": [1, 2**53], "lists": {"0": [1]}})),
     (TRIANGLE, f'{{"universe": [1], "lists": {{"0": [1], "{FIVE_THOUSAND}": [1]}}}}'),
+    *FIRST_LINES,
 ], ids=["edge-not-a-pair", "null-vertex-count", "list-not-iterable",
         "universe-not-iterable", "lists-not-a-map", "infinite-vertex-count",
         "overflowing-vertex-count", "infinite-colour", "graph-nested-too-deep",
@@ -452,7 +461,8 @@ COLLIDING_UNIVERSE = json.dumps({"universe": [k * (2**61 - 1) + 7 for k in range
         "vertex-count-a-bool", "universe-not-integers", "colour-a-bool", "colour-a-float",
         "key-with-leading-zero", "key-with-space", "key-with-plus", "colour-twice-in-a-list",
         "colour-twice-in-the-universe", "universe-over-the-limit", "colliding-colours",
-        "colour-over-the-bound", "key-of-5000-digits"])
+        "colour-over-the-bound", "key-of-5000-digits", "list-type-names-its-vertex",
+        "negative-colour"])
 def test_solve_list_malformed_json_is_param_error(tmp_path, capsys, graph_text, lists_text):
     graph_path = tmp_path / "g.json"
     graph_path.write_text(graph_text)
@@ -466,6 +476,8 @@ def test_solve_list_malformed_json_is_param_error(tmp_path, capsys, graph_text, 
     assert out == ""
     assert envelope_of(err)["outcome"] == "error"
     assert len(err.encode()) < 1024
+    if (graph_text, lists_text) in FIRST_LINES:
+        assert err.splitlines()[0] == FIRST_LINES[graph_text, lists_text]
 
 
 @pytest.mark.parametrize("graph_text", [

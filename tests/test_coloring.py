@@ -32,7 +32,7 @@ from squaregap.coloring import (
     vetrik_lower_bound,
 )
 from squaregap.construction import construct_counterexample
-from squaregap.errors import CapacityError, SearchBudgetExceeded
+from squaregap.errors import SearchBudgetExceeded
 from squaregap.graphcore import SimpleGraph, bits, mask_of, square
 from squaregap.verification import check_square_structure
 
@@ -119,20 +119,6 @@ def test_chromatic_number_is_pinned_on_seeded_random_graphs():
         assert len(set(witness)) == chi, f"trial {trial}"
 
 
-def test_chromatic_capacity_guard():
-    with pytest.raises(CapacityError):
-        chromatic_number_exact(SimpleGraph(129, (0,) * 129))
-
-
-def test_chromatic_budget(monkeypatch):
-    # force a wall-clock check at every node so an expired deadline fires
-    monkeypatch.setattr(coloring, "_DEADLINE_STRIDE", 1)
-    g = cycle(5)
-    with pytest.raises(SearchBudgetExceeded) as info:
-        chromatic_number_exact(g, deadline=time.monotonic() - 1.0)
-    assert info.value.nodes == 1
-
-
 def test_greedy_clique_returns_a_clique():
     rng = random.Random(5)
     for _ in range(80):
@@ -178,24 +164,46 @@ def test_list_coloring_requires_exact_cover():
 
 
 def test_assignment_rejects_colors_outside_universe():
-    with pytest.raises(ValueError):
-        assignment_from({1, 2}, {0: {3}})
-    with pytest.raises(ValueError):
-        assignment_from({-1, 2}, {0: {2}})
-    # a changed copy is checked again
-    a = assignment_from({1, 2}, {0: {2}})
-    with pytest.raises(ValueError):
-        a._replace(universe=(1,))
-    with pytest.raises(ValueError):
-        a._replace(lists={0: frozenset({3})})
-    assert a._replace(universe=(1, 2, 3)) == ((1, 2, 3), a.lists)
+    # the record takes any lists; the solvers refuse a colour outside the
+    # universe, and so does a copy changed with the stock _replace
+    a = assignment_from({1, 2}, {0: {3}})
+    assert a.lists == {0: frozenset({3})}
+    for solve in (lambda x: is_list_colorable(SimpleGraph(1, (0,)), x),
+                  lambda x: multipartite_list_colorable(((0,),), x)):
+        with pytest.raises(ValueError, match="list of vertex 0 leaves the universe"):
+            solve(a)
+        good = assignment_from({1, 2}, {0: {2}})
+        assert solve(good).coloring == {0: 2}
+        with pytest.raises(ValueError, match="list of vertex 0 leaves the universe"):
+            solve(good._replace(universe=(1,)))
 
 
 def test_assignment_names_the_first_vertex_whose_list_leaves_the_universe():
-    inside, outside = frozenset({1}), frozenset({1, 3})
+    # a ListAssignment checks nothing; both solvers refuse the lists, naming
+    # the first vertex in the assignment's order, not the lowest
+    outside = assignment_from((1, 2), {0: {1}, 4: {1, 3}, 2: {1}, 1: {1, 3}, 3: {1}})
+    with pytest.raises(ValueError) as graph_error:
+        is_list_colorable(SimpleGraph(5, (0,) * 5), outside)
+    with pytest.raises(ValueError) as parts_error:
+        multipartite_list_colorable(((0, 1), (2, 3), (4,)), outside)
+    assert str(graph_error.value) == str(parts_error.value) == (
+        "list of vertex 4 leaves the universe")
+    # the cover check and an empty list's answer come first
     with pytest.raises(ValueError) as err:
-        ListAssignment(universe=(1, 2), lists={0: inside, 4: outside, 2: inside, 1: outside})
-    assert str(err.value) == "list of vertex 4 leaves the universe"
+        is_list_colorable(SimpleGraph(6, (0,) * 6), outside)
+    assert str(err.value) == "lists must cover exactly the graph's vertices"
+    empty = outside._replace(lists={**outside.lists, 3: frozenset()})
+    for result in (is_list_colorable(SimpleGraph(5, (0,) * 5), empty),
+                   multipartite_list_colorable(((0, 1), (2, 3), (4,)), empty)):
+        assert not result.satisfiable and result.attestation.empty_list_vertex == 3
+
+
+def test_list_solvers_decide_negative_colours():
+    # the solvers index colours by rank, so a library caller's negative
+    # colours need no rule (a lists file's colours lie in 0..2^53 - 1)
+    a = assignment_from((-5, -1, 2), {0: {-5, -1}, 1: {-1}, 2: {-1, 2}})
+    assert is_list_colorable(complete(3), a).coloring == {0: -5, 1: -1, 2: 2}
+    assert multipartite_list_colorable(((0,), (1,), (2,)), a).coloring == {0: -5, 1: -1, 2: 2}
 
 
 def test_list_coloring_against_enumeration_oracle():
@@ -874,8 +882,8 @@ def test_certify_gap_rejects_bad_orders():
 
 
 def test_certify_gap_past_the_exact_solver_guard():
-    # n = 11 squares to 231 vertices, n = 31 to 1,891: past the exact solver's
-    # 128-vertex guard, but chi is read off the verified partition
+    # n = 11 squares to 231 vertices, n = 31 to 1,891: far past what the exact
+    # solver is asked about, but chi is read off the verified partition
     for n, chromatic, bound in ((11, 21, 30), (31, 61, 90)):
         cert = certify_gap(n)
         assert (cert.chromatic, cert.list_bound, cert.gap_lower) == (chromatic, bound, n - 1)

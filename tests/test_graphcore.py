@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    CapacityError,
     bfs_square,
     complete_multipartite,
     induced_subgraph,
@@ -17,7 +18,6 @@ from oracles import (
 )
 from squaregap import graphcore
 from squaregap.construction import base_stars, construct_counterexample
-from squaregap.errors import CapacityError
 from squaregap.graphcore import (
     SimpleGraph,
     bits,

@@ -10,13 +10,12 @@ import squaregap
 from squaregap.graphcore import SimpleGraph
 
 PUBLIC = [
-    "CapacityError", "ConstructedGraph", "GapCertificate", "LemmaReport",
+    "ConstructedGraph", "GapCertificate", "LemmaReport",
     "ListAssignment", "ListColoringResult", "SearchAttestation", "SearchBudgetExceeded",
     "SimpleGraph",
     "are_orthogonal", "build_latin", "build_mols_family", "certify_gap",
     "check_independence", "check_lemma_nv", "check_lemma_nw", "check_pq_adjacency",
-    "check_square_structure", "chromatic_number_exact", "construct_counterexample",
-    "greedy_clique", "is_latin",
+    "check_square_structure", "construct_counterexample", "is_latin",
     "is_list_colorable", "multipartite_list_colorable", "require_prime",
     "run_all_checks", "serialize", "square",
     "vetrik_assignment", "vetrik_lower_bound",

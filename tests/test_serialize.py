@@ -378,9 +378,9 @@ def _by_rule_order(lists):
     for key in lists:
         if not 0 <= int(key) < serialize.MAX_INPUT_VERTICES:
             return f"vertex key {key} is outside 0..{serialize.MAX_INPUT_VERTICES - 1}"
-    for colours in lists.values():
+    for key, colours in lists.items():
         if type(colours) is not list or any(type(c) is not int for c in colours):
-            return "each list in lists JSON must be an array of integers"
+            return f"the list of vertex {key} is not an array of integers"
     for key, colours in lists.items():
         if any(c not in _UNIVERSE for c in colours):
             return f"list of vertex {key} leaves the universe"
