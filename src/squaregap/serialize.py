@@ -66,20 +66,31 @@ def json_dumps(obj) -> str:
     where an EdgeRows value stands for its list of [u, v] pairs.
 
     The standard library indents only in its pure-Python encoder, one
-    generator step per token.  This writer joins each list of ints in one
-    str.join and walks other lists and str-keyed dicts itself; every other
-    value goes to json.dumps, re-indented to its depth, which is safe
-    because encoded JSON holds no raw newline inside a string.
+    generator step per token.  This writer writes true, false and null
+    directly, joins each list of ints in one str.join and walks other lists
+    and str-keyed dicts itself; every other value goes to json.dumps,
+    re-indented to its depth, which is safe because encoded JSON holds no
+    raw newline inside a string.
+
+    Each list of ints is rendered once per object and depth: memo maps
+    (id(list), pad) to its text for this one call.  An id names one object
+    only while it lives, which is sound because obj keeps every object in
+    the document alive until the call returns; a list that _indented builds
+    itself must never be memoized, as its id could be reused.
     """
-    return _indented(obj, "") + "\n"
+    return _indented(obj, "", {}) + "\n"
 
 
-def _indented(obj, pad: str) -> str:
+def _indented(obj, pad: str, memo: dict) -> str:
     kind = type(obj)
     if kind is str:
         return _encode_str(obj)
     if kind is int:
         return str(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     inner = pad + "  "
     if kind is EdgeRows:
         if not any(obj.upper):
@@ -89,13 +100,18 @@ def _indented(obj, pad: str) -> str:
                             f"{inner}[\n{deeper}{{u}},\n{deeper}{{v}}\n{inner}]", ",\n")
         return "[\n" + ",\n".join(pairs) + f"\n{pad}]"
     if (kind is list or kind is tuple) and obj:
+        key = (id(obj), pad)
+        text = memo.get(key)
+        if text is not None:
+            return text
         if set(map(type, obj)) == {int}:
-            return f"[\n{inner}" + f",\n{inner}".join(map(str, obj)) + f"\n{pad}]"
-        return (f"[\n{inner}" + f",\n{inner}".join([_indented(x, inner) for x in obj])
+            text = memo[key] = f"[\n{inner}" + f",\n{inner}".join(map(str, obj)) + f"\n{pad}]"
+            return text
+        return (f"[\n{inner}" + f",\n{inner}".join([_indented(x, inner, memo) for x in obj])
                 + f"\n{pad}]")
     if kind is dict and obj and all(type(k) is str for k in obj):
         return (f"{{\n{inner}"
-                + f",\n{inner}".join([f"{_encode_str(k)}: {_indented(obj[k], inner)}"
+                + f",\n{inner}".join([f"{_encode_str(k)}: {_indented(obj[k], inner, memo)}"
                                        for k in sorted(obj)])
                 + f"\n{pad}}}")
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
@@ -309,9 +325,20 @@ def parse_graph_json(text: str) -> tuple[SimpleGraph, dict]:
 
 
 def lists_to_json_dict(assignment: ListAssignment) -> dict:
+    """The lists JSON document of assignment.  Each distinct colour set is
+    sorted once, so vertices with equal lists share one list object, which
+    json_dumps renders once.  A list that leaves the universe raises
+    ValueError naming its first vertex in the assignment's order, as
+    parse_lists_json would refuse the file."""
+    lists = assignment.lists
+    palette = frozenset(assignment.universe)
+    rows = {colors: sorted(colors) for colors in set(lists.values())}
+    if not all(map(palette.issuperset, rows)):
+        v = next(v for v, colors in lists.items() if not palette.issuperset(colors))
+        raise ValueError(f"list of vertex {clip(v)} leaves the universe")
     return {
         "universe": sorted(assignment.universe),
-        "lists": {str(v): sorted(colors) for v, colors in assignment.lists.items()},
+        "lists": {str(v): rows[colors] for v, colors in lists.items()},
     }
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import pairs_to_dimacs, pairs_to_dot, pairs_to_json_dict
 from squaregap import serialize
-from squaregap.coloring import ListAssignment, certify_gap
+from squaregap.coloring import ListAssignment, certify_gap, vetrik_assignment
 from squaregap.construction import construct_counterexample
 from squaregap.errors import clip
 from squaregap.graphcore import SimpleGraph, square
@@ -34,8 +34,12 @@ _INT_LISTS = st.lists(_INTS | st.booleans(), max_size=6)
 _INT_MATRICES = st.lists(st.lists(_INTS, max_size=4)
                          | st.lists(_INTS, min_size=1, max_size=4).map(tuple)
                          | st.lists(_INTS, min_size=1, max_size=1), max_size=5)
+# One drawn list, the same object wherever a tree places it: json_dumps
+# renders it once per depth and then looks it up.
+_SHARED = (st.shared(st.lists(_INTS, min_size=1, max_size=4), key="list")
+           | st.shared(st.lists(_INTS, min_size=1, max_size=4).map(tuple), key="tuple"))
 _TREES = st.recursive(
-    _SCALARS | _INT_LISTS | _INT_MATRICES,
+    _SCALARS | _INT_LISTS | _INT_MATRICES | _SHARED,
     lambda children: (st.lists(children, max_size=5)
                       | st.lists(children, max_size=3).map(tuple)
                       | st.dictionaries(_STRINGS, children, max_size=5)
@@ -49,11 +53,22 @@ def test_json_dumps_matches_the_standard_library(obj):
     assert serialize.json_dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# One list object at several keys and depths, which json_dumps renders once
+# per depth and then looks up.
+_X = [1, 2]
+_T = (3, -4, 5)
+
+
 @pytest.mark.parametrize("obj", [
     [], {}, [[]], [[1], []], [[], [1]], [True, 1], [[1, 2], [False]], [[1, 2], (3,)],
     {"a": {}, "b": [], "c": [[]]}, {"x": [[1, 2], [3, 4]], "y": [5, -6]}, [1.0, 2],
     {1: [1, 2], 2: {"z": None}}, [[10**30, -(10**30)]], ["\n", 'q"q'],
     [(0, 1), (0, 2)], [[1], [2]], [(7,)], [[1, 2, 3], (4,), [5, 6]],
+    [_X, [_X], {"k": _X}], {"a": _X, "b": _X, "c": {"d": _X, "e": [_X, _X]}},
+    [_T, (_T, _X), {"t": _T}, [[_T]]], ([_X], _X, ({"x": _X},)),
+    [_X, [True, _X], [_X, 1.5], [_X, None]], {"a": [_X], "b": _X, "c": [[_X]], "d": _X},
+    *[nest(value) for value in (True, False, None, [], {})  # at depths 0 to 3
+      for nest in (lambda x: x, lambda x: [x], lambda x: {"k": [x]}, lambda x: [{"k": [x]}])],
 ])
 def test_json_dumps_matches_the_standard_library_on_edge_cases(obj):
     assert serialize.json_dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -334,6 +349,49 @@ def test_lists_round_trip():
     back = serialize.parse_lists_json(json.dumps(doc))
     assert back.lists == a.lists
     assert tuple(sorted(back.universe)) == a.universe
+
+
+@pytest.mark.parametrize("size, parts", [(3, 5), (5, 9)])
+def test_lists_json_of_a_certificate_shares_one_list_per_colour_set(size, parts):
+    blocks = tuple(tuple(range(p * size, (p + 1) * size)) for p in range(parts))
+    a = vetrik_assignment(blocks)[1]
+    doc = serialize.lists_to_json_dict(a)
+    rows = list(doc["lists"].values())
+    assert len(rows) == size * parts
+    assert len({id(row) for row in rows}) == len(set(map(tuple, rows))) == size
+    for obj in (doc, {"refuted_lists": doc, "blocks": [rows[0], [rows[0]]]}):
+        assert serialize.json_dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert serialize.parse_lists_json(serialize.json_dumps(doc)) == a
+
+
+def test_lists_writer_refuses_a_list_that_leaves_the_universe():
+    a = ListAssignment((1, 2), {0: frozenset({3})})
+    with pytest.raises(ValueError) as err:
+        serialize.lists_to_json_dict(a)
+    assert str(err.value) == "list of vertex 0 leaves the universe"
+    # the first such vertex in the assignment's order, not the smallest
+    a = ListAssignment((1, 2), {4: frozenset({1}), 2: frozenset({0, 1}), 1: frozenset({2, 5})})
+    with pytest.raises(ValueError) as err:
+        serialize.lists_to_json_dict(a)
+    assert str(err.value) == "list of vertex 2 leaves the universe"
+
+
+@st.composite
+def _assignments(draw):
+    """An assignment inside parse_lists_json's bounds, its universe sorted."""
+    universe = sorted(draw(st.sets(st.integers(0, 9) | st.integers(0, serialize.COLOUR_BOUND - 1),
+                                   max_size=8)))
+    colours = st.sets(st.sampled_from(universe)) if universe else st.just(set())
+    lists = draw(st.dictionaries(st.integers(0, serialize.MAX_INPUT_VERTICES - 1),
+                                 colours.map(frozenset), max_size=8))
+    return ListAssignment(tuple(universe), lists)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_assignments())
+def test_lists_writer_round_trips_through_the_reader(a):
+    text = serialize.json_dumps(serialize.lists_to_json_dict(a))
+    assert serialize.parse_lists_json(text) == a
 
 
 def test_parse_lists_json_names_the_vertex_whose_list_repeats_a_colour():
