@@ -171,7 +171,6 @@ def _search(g: SimpleGraph, avail: list[int], deadline: float | None,
             low = a & -a
             has[low.bit_length() - 1] |= vs
             a ^= low
-    left = g.n
     stride = _DEADLINE_STRIDE
     check_at = -1 if deadline is None else (nodes // stride + 1) * stride
     # frame: [vertex, its count, colors not yet tried,
@@ -180,7 +179,7 @@ def _search(g: SimpleGraph, avail: list[int], deadline: float | None,
     descend = True
     while True:
         if descend:
-            if not left:
+            if not free:
                 colors = [0] * g.n
                 for v, _, _, low, _, _ in stack:
                     colors[v] = low.bit_length() - 1
@@ -188,20 +187,18 @@ def _search(g: SimpleGraph, avail: list[int], deadline: float | None,
             k = stack[-1][1] - 1 if stack else 0
             while not buckets[k]:
                 k += 1
-            if k:  # bucket 0 holds a vertex only at a root wipeout
-                b = buckets[k]
-                bit = b & -b
-                buckets[k] = b ^ bit
-                free ^= bit
-                v = bit.bit_length() - 1
-                own, a = 0, avail[v]
-                while a:
-                    low = a & -a
-                    if has[low.bit_length() - 1] & bit:
-                        own |= low
-                    a ^= low
-                stack.append([v, k, own, 0, 0, ()])
-                left -= 1
+            b = buckets[k]
+            bit = b & -b
+            buckets[k] = b ^ bit
+            free ^= bit
+            v = bit.bit_length() - 1
+            own, a = 0, avail[v]
+            while a:
+                low = a & -a
+                if has[low.bit_length() - 1] & bit:
+                    own |= low
+                a ^= low
+            stack.append([v, k, own, 0, 0, ()])
         if not stack:
             return None, nodes
         frame = stack[-1]
@@ -216,7 +213,6 @@ def _search(g: SimpleGraph, avail: list[int], deadline: float | None,
             bit = 1 << v
             buckets[count] |= bit
             free |= bit
-            left += 1
             descend = False
             continue
         low = untried & -untried

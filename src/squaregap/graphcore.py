@@ -118,7 +118,7 @@ class SimpleGraph:
 
 
 def block_rotation(n: int, block: int) -> Callable[..., int]:
-    """The map rot(m, k=1) taking an n-bit row m to the row with every
+    """The map rot(m, k) taking an n-bit row m to the row with every
     block-bit block rotated up by k places: bit b*block + c moves to
     b*block + (c + k) % block.
 
@@ -132,7 +132,7 @@ def block_rotation(n: int, block: int) -> Callable[..., int]:
     low = ((1 << n) - 1) // ((1 << block) - 1)  # bit 0 of each block
     tops = {}
 
-    def rot(m: int, k: int = 1) -> int:
+    def rot(m: int, k: int) -> int:
         k %= block
         if not k:
             return m

@@ -57,9 +57,6 @@ class EdgeRows:
     def __init__(self, upper: list[list[int]]):
         self.upper = upper
 
-    def __len__(self) -> int:
-        return sum(map(len, self.upper))
-
 
 def json_dumps(obj) -> str:
     """The text of json.dumps(obj, sort_keys=True, indent=2) plus a newline,

@@ -9,13 +9,15 @@ verify and certify run in block form (check_by_blocks).  G is presented
 by its base stars, which checked_stars checks to define a simple graph,
 and the rotation of every block of n vertices is then an automorphism of
 G and of G^2.  So a claim holds for a whole block when it holds for the
-block's first vertex, and each is settled from the stars and the first
-row of each block of the square (graphcore.square_by_blocks) alone: no
-other row of G or G^2 is built, the pair claims follow from one counting
-identity (_pairs_by_blocks), and the counts are those of the
-case-by-case enumeration in closed form.  When a claim fails there, the
-dense checks below run on the whole graph to name the failures, so the
-reports are the same either way.
+block's first vertex, and three facts about the stars and the first row
+of each block of the square (graphcore.square_by_blocks) settle all five
+claims: every block row of G^2 is everything outside its block (G^2 =
+K_{n*r} on the blocks) for structure, independence and pq; one counting
+identity (_pairs_by_blocks) for the pair claims; and the stars read
+against the Latin rows for the rest.  No other row of G or G^2 is built,
+and the counts are those of the case-by-case enumeration in closed form.
+When a claim is not settled there, the dense checks below run on the
+whole graph to name the failures, so the reports are the same either way.
 
 The dense checks take the square and the constructed graph and walk
 their cases one by one, in the order their docstrings give; the pair
@@ -339,73 +341,47 @@ def _pairs_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> bool:
     return joined == shared
 
 
-def _field(n: int, b: int) -> int:
-    """The mask of block b's n vertices."""
-    return ((1 << n) - 1) << b * n
-
-
-def _nw_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> int | None:
-    """nw0, nw2 and nw3 from the stars.  Once nw0 holds, each Q star is a
-    Latin row's v-set, one v in each P_k, so nw1 holds, and two w's of one
-    Q_i have the neighbours v(k, e + c) and v(k, e + c') in each P_k, never
-    the same: the group half of nw3 holds too."""
-    q = n * (n - 1)
-    holds = (_latin_rows_match(n, stars[n:])
-             and all(_once_each((u % n for u in star), range(n)) for star in stars[n:])
-             and _pairs_by_blocks(n, stars, rows))
-    return q + 2 * q * n + comb(q, 2) if holds else None
-
-
-def _nv_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> int | None:
-    nn = n * n
-    holds = (all(_once_each((u // n for u in star if u >= nn), range(n, len(stars)))
-                 for star in stars[:n])
-             and _pairs_by_blocks(n, stars, rows))
-    return nn * (n - 1) + comb(nn, 2) if holds else None
-
-
-def _independence_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> int | None:
-    holds = not any(row & _field(n, b) for b, row in enumerate(rows))
-    return len(rows) if holds else None
-
-
-def _pq_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> int | None:
-    nn = n * n
-    q_mask = (1 << len(rows) * n) - (1 << nn)
-    holds = not any(q_mask & ~row for row in rows[:n])
-    return nn * (nn - n) if holds else None
-
-
-def _structure_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> int | None:
-    """Every row is "everything outside my block"; the two edge counts, n
-    times the blocks' counts, then take their closed forms."""
-    count = len(rows) * n
-    full = (1 << count) - 1
-    holds = all(row == full ^ _field(n, b) for b, row in enumerate(rows))
-    return count + 2 if holds else None
-
-
-_BY_BLOCKS = {"nw": _nw_by_blocks, "nv": _nv_by_blocks, "independence": _independence_by_blocks,
-              "pq": _pq_by_blocks, "structure": _structure_by_blocks}
-
-
 def check_by_blocks(n: int, stars: list[list[int]], rows: list[int],
                     lemmas) -> dict[str, LemmaReport]:
     """The report of each check LEMMAS names in lemmas, for the graph that
     stars = checked_stars(n) presents, whose square's block rows are
     rows = graphcore.square_by_blocks(stars, n).
 
-    Each claim is settled for every vertex of a block at once: the
-    rotation of a block is an automorphism of G and of G^2, and maps each
-    P_k, Q_i and the sets P, Q to themselves, so what holds for a block's
-    first vertex holds for all of them.  The counts are those of the
-    case-by-case enumeration, in closed form.  If any claim fails, the
-    dense checks run on construction.construct_counterexample(n) and its
-    square to name every failure.
+    The rotation of a block is an automorphism of G and of G^2, and maps
+    each P_k, Q_i and the sets P, Q to themselves, so what holds for a
+    block's first vertex holds for all of them.  Three facts settle the
+    five claims, each computed once, and only when a requested claim
+    needs it:
+      - every block row of G^2 is everything outside its block, that is
+        G^2 = K_{n*r} on the blocks: structure, independence and pq;
+      - the counting identity _pairs_by_blocks: nw3 and nv2;
+      - the stars: each Q star is its Latin row's v-set (_latin_rows_match,
+        nw0) with one v in each T_k (nw2), and each P star has one w in
+        each Q_i (nv1).  nw0 gives nw1, since a Latin row names one v in
+        each P_k, and the group half of nw3, since two w's of one Q_i have
+        the neighbours v(k, e + c) and v(k, e + c') in each P_k.
+    The counts are those of the case-by-case enumeration, in closed form.
+    If any requested claim is not settled, the dense checks run on
+    construction.construct_counterexample(n) and its square to name every
+    failure.
     """
-    cases = {lemma: _BY_BLOCKS[lemma](n, stars, rows) for lemma in lemmas}
-    if None not in cases.values():
-        return {lemma: LemmaReport(lemma, k) for lemma, k in cases.items()}
+    nn, r = n * n, len(rows)
+    q = nn - n
+    need = set(lemmas)
+    full = (1 << r * n) - 1
+    holds = ((need <= {"nw", "nv"}
+              or all(row == full ^ ((1 << n) - 1) << b * n for b, row in enumerate(rows)))
+             and ("nw" not in need
+                  or (_latin_rows_match(n, stars[n:])
+                      and all(_once_each((u % n for u in star), range(n)) for star in stars[n:])))
+             and ("nv" not in need
+                  or all(_once_each((u // n for u in star if u >= nn), range(n, r))
+                         for star in stars[:n]))
+             and (need.isdisjoint(("nw", "nv")) or _pairs_by_blocks(n, stars, rows)))
+    if holds:
+        cases = {"nw": q + 2 * q * n + comb(q, 2), "nv": nn * (n - 1) + comb(nn, 2),
+                 "independence": r, "pq": nn * q, "structure": r * n + 2}
+        return {lemma: LemmaReport(lemma, cases[lemma]) for lemma in lemmas}
     gc = construction.construct_counterexample(n)
     sq = square(gc.graph)
     return {lemma: run_check(lemma, sq, gc) for lemma in lemmas}

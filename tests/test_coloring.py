@@ -706,6 +706,17 @@ def test_search_groups_masks_by_object_and_never_hashes_one():
     assert coloring._search(g, avail, None, 0) == want
 
 
+def test_a_vertex_with_no_colour_ends_the_search_at_the_root():
+    # an empty mask sits in bucket 0: the root branches on it with no colour and
+    # pops it, so the search refutes with no node counted, whatever the rest
+    cases = ((SimpleGraph(1, (0,)), [0]), (cycle(6), [0b11] * 5 + [0]),
+             (SimpleGraph(3, (0, 0, 0)), [0, 0b1, 0]))
+    for g, avail in cases:
+        for start in (0, 7):
+            assert coloring._search(g, list(avail), None, start) == (None, start)
+            assert rescan_search(g, list(avail), None, start) == (None, start)
+
+
 def test_dense_masks_of_a_wide_universe_stay_small():
     # a mask per colour of a 65,536-colour universe took about U^2 / 16 bytes
     import tracemalloc

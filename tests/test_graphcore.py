@@ -136,9 +136,9 @@ def no_dense_square():
 
 def test_block_rotation_moves_each_bit_up_within_its_block():
     rotate = block_rotation(6, 3)
-    assert [rotate(1 << u) for u in range(6)] == [1 << v for v in (1, 2, 0, 4, 5, 3)]
-    assert rotate(0b110_011) == 0b101_110
-    assert block_rotation(5, 5)(0b10001) == 0b00011
+    assert [rotate(1 << u, 1) for u in range(6)] == [1 << v for v in (1, 2, 0, 4, 5, 3)]
+    assert rotate(0b110_011, 1) == 0b101_110
+    assert block_rotation(5, 5)(0b10001, 1) == 0b00011
 
 
 def test_block_rotation_by_k_places_is_k_single_rotations():
@@ -149,7 +149,7 @@ def test_block_rotation_by_k_places_is_k_single_rotations():
             m = one = rng.getrandbits(n)
             for k in range(2 * block + 1):
                 assert rotate(one, k) == m, (n, block, k)
-                m = rotate(m)
+                m = rotate(m, 1)
 
 
 def stars_of(g, block):

@@ -295,7 +295,7 @@ def test_writers_match_the_pair_list_oracles(graph_and_labels):
     doc = serialize.graph_to_json_dict(g.n, upper, labels, parts, cliques)
     want = pairs_to_json_dict(g.n, pairs, labels, parts, cliques)
     assert serialize.json_dumps(doc) == json.dumps(want, sort_keys=True, indent=2) + "\n"
-    assert len(doc["edges"]) == len(pairs)
+    assert len(json.loads(serialize.json_dumps(doc))["edges"]) == len(pairs)
     # EdgeRows indents to its depth anywhere in a document
     nested = {"a": [serialize.EdgeRows(upper), {"b": serialize.EdgeRows(upper)}]}
     assert serialize.json_dumps(nested) == json.dumps(
@@ -306,7 +306,7 @@ def test_constructed_json_shape():
     gc = construct_counterexample(3)
     doc = serialize.constructed_to_json_dict(gc.n, gc.graph.upper())
     assert doc["n_vertices"] == 15
-    assert len(doc["edges"]) == 27
+    assert len(json.loads(serialize.json_dumps(doc))["edges"]) == 27
     assert doc["labels"]["0"] == "v_1_1"
     assert doc["labels"]["14"] == "w_2_3"
     assert sorted(doc["parts"]) == ["P_1", "P_2", "P_3", "Q_1", "Q_2"]

@@ -7,7 +7,7 @@ import pytest
 from oracles import neighbourhood_reports_by_walk
 from squaregap.construction import base_stars, construct_counterexample, vertex_names
 from squaregap.errors import clip
-from squaregap import cli, construction, latin, serialize, verification
+from squaregap import cli, coloring, construction, latin, serialize, verification
 from squaregap.graphcore import SimpleGraph, bits, mask_of, square, square_by_blocks
 from squaregap.latin import build_latin
 from squaregap.verification import (
@@ -382,10 +382,25 @@ def test_nw_matches_the_walk_at_the_square_boundaries(name):
 PRIMES_TO_61 = [p for p in range(3, 62) if all(p % d for d in range(2, p))]
 
 
+class FellBack(AssertionError):
+    pass
+
+
 def no_dense_graph(monkeypatch):
     def refuse(n):
-        raise AssertionError("fell back to the dense checks")
+        raise FellBack("fell back to the dense checks")
     monkeypatch.setattr(construction, "construct_counterexample", refuse)
+
+
+def block_verdict(n, stars, rows, lemma):
+    """check_by_blocks' report on lemma alone when the block form settles it,
+    else None (it would fall back to the dense checks)."""
+    with pytest.MonkeyPatch.context() as mp:
+        no_dense_graph(mp)
+        try:
+            return check_by_blocks(n, stars, rows, (lemma,))[lemma]
+        except FellBack:
+            return None
 
 
 @pytest.mark.parametrize("n", PRIMES_TO_61)
@@ -468,13 +483,46 @@ def test_orbit_mutants_fail_in_block_form_as_the_dense_checks_do(n, monkeypatch,
         stars = checked_stars(n)
         rows = square_by_blocks(stars, n)
         for lemma, report in dense.items():
-            settled = verification._BY_BLOCKS[lemma](n, stars, rows)
-            assert settled is None or (report.passed and settled == report.checked_cases), lemma
+            settled = block_verdict(n, stars, rows, lemma)
+            assert settled is None or (report.passed and settled == report), lemma
         failed = not all(r.passed for r in dense.values())
         caught += failed
         assert cli.main(["verify", "--n", str(n)]) == (1 if failed else 0)
         assert capsys.readouterr().out == verify_payload(n, dense)
     assert caught >= 16
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 13])
+def test_the_row_test_settles_independence_pq_and_structure_together(n, monkeypatch):
+    # one fact, every block row of G^2 everything outside its block, settles
+    # the three square claims: on each mutant they settle or fall back
+    # together, with neither the counting identity nor nw0 run, and neither
+    # runs in certify_gap, which asks for structure alone
+    def unread(*args):
+        raise AssertionError("ran a fact no requested claim needs")
+    monkeypatch.setattr(verification, "_latin_rows_match", unread)
+    monkeypatch.setattr(verification, "_pairs_by_blocks", unread)
+    outcomes = set()
+    for mutant in [base_stars(n), *seeded_orbit_mutants(n, 24)]:
+        patched_stars(monkeypatch, mutant)
+        stars = checked_stars(n)
+        rows = square_by_blocks(stars, n)
+        settled = {block_verdict(n, stars, rows, lemma) is not None
+                   for lemma in ("independence", "pq", "structure")}
+        assert len(settled) == 1
+        outcomes |= settled
+    assert outcomes == {True, False}
+    monkeypatch.setattr(construction, "base_stars", base_stars)
+    assert coloring.certify_gap(n).gap_lower == n - 1
+
+
+def test_all_five_claims_run_the_counting_identity_once(monkeypatch):
+    calls = []
+    real = verification._pairs_by_blocks
+    monkeypatch.setattr(verification, "_pairs_by_blocks", lambda *a: calls.append(a) or real(*a))
+    stars = checked_stars(7)
+    assert all(r.passed for r in check_by_blocks(7, stars, square_by_blocks(stars, 7), LEMMAS).values())
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("fault,arc", [
@@ -515,7 +563,7 @@ def test_a_latin_square_out_of_cycle_fails_nw0_in_block_form(n, monkeypatch):
     monkeypatch.setattr(verification, "build_latin", swapped)
     stars = checked_stars(n)
     rows = square_by_blocks(stars, n)
-    assert verification._BY_BLOCKS["nw"](n, stars, rows) is None
+    assert block_verdict(n, stars, rows, "nw") is None
     report = check_by_blocks(n, stars, rows, ("nw",))["nw"]
     assert report == run_all_checks(construct_counterexample(n))["nw"]
     assert report.failure_count == 2
@@ -535,7 +583,7 @@ def test_a_w_w_edge_keeps_the_counting_identity_from_settling_nv_in_block_form(m
     assert dense["nv"].witness == ("nv2", "v_1_1", "v_2_3", 2)
     stars = checked_stars(n)
     rows = square_by_blocks(stars, n)
-    assert verification._BY_BLOCKS["nv"](n, stars, rows) is None
+    assert block_verdict(n, stars, rows, "nv") is None
     assert check_by_blocks(n, stars, rows, LEMMAS) == dense
 
 
@@ -559,7 +607,7 @@ def test_a_consistent_non_latin_family_fails_nw2_in_block_form(n, monkeypatch):
     assert [w[0] for w in dense["nw"].item_witnesses] == ["nw2"]
     stars = checked_stars(n)
     rows = square_by_blocks(stars, n)
-    assert verification._BY_BLOCKS["nw"](n, stars, rows) is None
+    assert block_verdict(n, stars, rows, "nw") is None
     assert check_by_blocks(n, stars, rows, LEMMAS) == dense
 
 
@@ -576,5 +624,5 @@ def test_a_q_star_one_place_along_its_square_fails_only_nw0_in_block_form(monkey
     assert (dense["nw"].failure_count, dense["nw"].witness[0]) == (n, "nw0")
     stars = checked_stars(n)
     rows = square_by_blocks(stars, n)
-    assert verification._BY_BLOCKS["nw"](n, stars, rows) is None
+    assert block_verdict(n, stars, rows, "nw") is None
     assert check_by_blocks(n, stars, rows, LEMMAS) == dense
