@@ -8,8 +8,10 @@ arithmetic) are single AND/OR/popcount steps.
 Raw rows are checked only by the public constructor SimpleGraph(n, adj):
 range, self-loops and symmetry.  Every other builder stores its rows
 unchecked with SimpleGraph._from_rows, and each has its reason:
-from_edges checks each edge and sets both bits; serialize.parse_dimacs's
-bulk path shifts rows that from_edges built; square() ORs rows of a
+edge_rows sets both bits of each edge, and the fill is the edge check,
+as it indexes both endpoints' rows before it shifts by either and then
+finds self-loops on the diagonal; from_edges and serialize.parse_dimacs's
+bulk path store rows that edge_rows filled; square() ORs rows of a
 symmetric, loop-free graph and clears the diagonal; and
 construction.construct_counterexample and
 coloring.multipartite_list_colorable build symmetric, loop-free rows by
@@ -79,16 +81,18 @@ class SimpleGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
+        """The graph on n vertices with the given edges.  The first faulty
+        edge in input order raises: ValueError for an endpoint outside
+        0..n-1 (checked first) or a self-loop, and TypeError for an endpoint
+        that is no int.  Those checks run edge by edge only once edge_rows
+        has found a fault."""
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {clip(n)}")
-        rows = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({clip(u)},{clip(v)}) out of range for {n} vertices")
-            if u == v:
-                raise ValueError(f"self-loop at {u} not allowed")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+        if iter(edges) is edges:  # one pass only: keep the edges for the second
+            edges = list(edges)
+        rows = edge_rows(n, edges)
+        if rows is None:
+            rows = _checked_rows(n, edges)
         return cls._from_rows(n, tuple(rows))
 
     def degree(self, v: int) -> int:
@@ -115,6 +119,42 @@ class SimpleGraph:
 
     def __repr__(self):
         return f"SimpleGraph(n={self.n}, m={self.edge_count})"
+
+
+def edge_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int] | None:
+    """The n bit rows of the simple graph with the given edges, or None if
+    some edge is no pair of endpoints in 0..n-1 or is a self-loop.
+
+    The one loop indexes both endpoints' rows before it shifts by either:
+    an endpoint at or above n, however large, raises IndexError before any
+    shift could allocate for it, and a negative one fails its shift.  A
+    self-loop sets a diagonal bit, which one pass finds after the loop.
+    """
+    rows = [0] * n
+    try:
+        for u, v in edges:
+            row = rows[v]
+            rows[u] |= 1 << v
+            rows[v] = row | 1 << u
+    except (IndexError, TypeError, ValueError):
+        return None
+    if any(map(int.__and__, rows, map((1).__lshift__, range(n)))):
+        return None
+    return rows
+
+
+def _checked_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """edge_rows, checking each edge before it sets its bits: the first
+    faulty edge raises, named as from_edges promises."""
+    rows = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({clip(u)},{clip(v)}) out of range for {n} vertices")
+        if u == v:
+            raise ValueError(f"self-loop at {u} not allowed")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
 
 
 def block_rotation(n: int, block: int) -> Callable[..., int]:

@@ -10,12 +10,12 @@ gives them) and write one vertex's edge lines with a single str.join.
 import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import eq, ne
+from operator import ne
 
 from .coloring import GapCertificate, ListAssignment
 from .construction import part_sets, vertex_names
 from .errors import clip
-from .graphcore import SimpleGraph
+from .graphcore import SimpleGraph, edge_rows
 from .verification import LemmaReport
 
 # Larger vertex counts are refused before any row is allocated: n bit rows can
@@ -153,11 +153,11 @@ def _dimacs_records(lines: list[str]) -> tuple[int | None, list[tuple[int, int]]
     return n, edges
 
 
-def _edge_block(body: str, n: int) -> list[int] | None:
-    """The endpoints of body, u1, v1, u2, v2, ..., 1-based, if it is a
+def _edge_block(body: str) -> list[int] | None:
+    """The endpoints of body, u1, v1, u2, v2, ..., as written, if it is a
     canonical edge block: lines "e u v", each ending in a newline, with
-    single spaces and endpoints in canonical decimal, in 1..n and unequal.
-    Anything else gives None.
+    single spaces and endpoints in canonical decimal.  Anything else gives
+    None.  The endpoints are not checked against any vertex count.
 
     body, which starts with "e ", is checked and decoded by C-level string
     methods and one json.loads, with no Python step per line.  With its
@@ -181,8 +181,6 @@ def _edge_block(body: str, n: int) -> list[int] | None:
         ends = json.loads("[" + inner.replace(" ", ",") + "]")
     except ValueError:  # JSON refuses the line, or an endpoint over 4300 digits
         return None
-    if min(ends) < 1 or max(ends) > n or any(map(eq, ends[::2], ends[1::2])):
-        return None
     return ends
 
 
@@ -203,21 +201,23 @@ def parse_dimacs(text: str) -> SimpleGraph:
     A text as graph_to_dimacs writes it takes the bulk path: its header,
     the lines up to the first newline followed by "e ", goes through the
     line loop, and the rest must be a canonical edge block (_edge_block),
-    decoded in one json.loads.  Any other text, and one whose header lacks
-    a problem line or holds an edge (a first line "e 1 2", or an edge
-    spelled otherwise), is read by the line loop alone, which names the
+    decoded in one json.loads.  Its 1-based endpoints fill n + 1 bit rows
+    (edge_rows), which is their only check: an endpoint above n or a
+    self-loop fails the fill, and an endpoint 0 leaves row 0 set.  Any
+    other text, one whose header lacks a problem line or holds an edge (a
+    first line "e 1 2", or an edge spelled otherwise), and one whose block
+    fails those checks are read by the line loop alone, which names the
     first failure.
     """
     cut = text.find("\ne ") + 1  # where the edge block starts; 0 if none does
     if cut:
         n, edges = _dimacs_records(text[:cut].splitlines())
-        ends = None if edges or n is None else _edge_block(text[cut:], n)
+        ends = None if edges or n is None else _edge_block(text[cut:])
         if ends is not None:
-            # 1-based edges give rows over n + 1 vertices, vertex 0 bare:
-            # drop its row and shift the others down one bit
-            rows = SimpleGraph.from_edges(_vertex_count(n) + 1,
-                                          zip(ends[::2], ends[1::2])).adj
-            return SimpleGraph._from_rows(n, tuple([row >> 1 for row in rows[1:]]))
+            rows = edge_rows(_vertex_count(n) + 1, zip(ends[::2], ends[1::2]))
+            if rows is not None and not rows[0]:
+                # vertex 0 is bare: drop its row and shift the others down one bit
+                return SimpleGraph._from_rows(n, tuple([row >> 1 for row in rows[1:]]))
     n, edges = _dimacs_records(text.splitlines())
     if n is None:
         raise ValueError("missing 'p edge' problem line")
@@ -308,10 +308,31 @@ def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:
 
 
 def parse_graph_json(text: str) -> tuple[SimpleGraph, dict]:
+    """The graph of a graph JSON text, {"n_vertices": n, "edges": [[u, v],
+    ...]}, and the whole document, whose other keys are not read.
+
+    Its rules, in this order, and the first rule broken raises ValueError:
+    the text is a JSON object with both keys, none named twice; n_vertices
+    is a JSON integer; edges is an array of pairs of JSON integers (true
+    and false are not); n_vertices is at most MAX_INPUT_VERTICES, then not
+    negative; each endpoint is in 0..n_vertices - 1, and no edge is a
+    self-loop, the first faulty edge named as SimpleGraph.from_edges names it.
+
+    A text that holds neither "true" nor "false" holds no bool, and
+    from_edges refuses every other endpoint that is no int, so such a text
+    goes straight to from_edges.  Only when that fails, or when the text
+    could hold a bool, are the edges' types checked one by one, so that a
+    refusal keeps the rule order above.
+    """
     doc = _read_json(text, "graph", ("n_vertices", "edges"))
     n, edges = doc["n_vertices"], doc["edges"]
     if type(n) is not int:
         raise ValueError("graph JSON n_vertices must be an integer")
+    if type(edges) is list and "true" not in text and "false" not in text:
+        try:
+            return SimpleGraph.from_edges(_vertex_count(n), edges), doc
+        except (TypeError, ValueError):
+            pass  # the type rule comes first: check it, then raise again below
     if type(edges) is not list or not all(
             type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in edges):
         raise ValueError("graph JSON edges must be an array of integer pairs")

@@ -12,6 +12,7 @@ import numpy as np
 
 from squaregap import coloring
 from squaregap.construction import vertex_names
+from squaregap.errors import clip
 from squaregap.graphcore import SimpleGraph, bits, mask_of
 
 SQUARE_ORACLE_MAX_VERTICES = 512
@@ -222,6 +223,23 @@ def vetrik_k3x5(pendant: bool = False) -> tuple[SimpleGraph, coloring.ListAssign
     return (SimpleGraph(16, rows),
             coloring.ListAssignment(universe=a.universe + (10,),
                                     lists={**a.lists, 15: frozenset({10})}))
+
+
+def rows_by_edge_checks(n: int, edges) -> tuple[int, ...]:
+    """The rows of SimpleGraph.from_edges(n, edges) as it once built them: each
+    edge range-checked, then checked for a self-loop, then its two bits set,
+    so the first faulty edge raises, named by its message."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {clip(n)}")
+    rows = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({clip(u)},{clip(v)}) out of range for {n} vertices")
+        if u == v:
+            raise ValueError(f"self-loop at {u} not allowed")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
 
 
 def random_graph(rng, n: int, p: float) -> SimpleGraph:

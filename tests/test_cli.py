@@ -411,6 +411,21 @@ FIRST_LINES = {
 }
 
 
+@pytest.mark.parametrize("edges", ["[[0, true]]", "[[false, 1]]", '[[0, 1], [1, 2], [true, 2]]'])
+def test_a_bool_endpoint_exits_2_naming_the_type_rule(tmp_path, capsys, edges):
+    # from_edges would take a bool for 0 or 1: the JSON reader refuses it first
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(f'{{"n_vertices": 3, "edges": {edges}}}')
+    lists_path = tmp_path / "lists.json"
+    lists_path.write_text(THREE_LISTS)
+    code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph_path),
+                             "--lists", str(lists_path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == ("squaregap solve-list: graph JSON edges must be "
+                                   "an array of integer pairs")
+    assert envelope_of(err)["outcome"] == "error"
+
+
 @pytest.mark.parametrize("graph_text,lists_text", [
     ('{"n_vertices": 3, "edges": [1, 2]}', '{"universe": [1], "lists": {"0": [1]}}'),
     ('{"n_vertices": null, "edges": []}', '{"universe": [1], "lists": {"0": [1]}}'),

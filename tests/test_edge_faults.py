@@ -1,0 +1,191 @@
+"""Faulty edges, met by SimpleGraph.from_edges and by both graph readers.
+
+from_edges fills its bit rows in one loop and checks edge by edge only once
+that fill fails, and both readers lean on the fill.  Every case here is held
+against the per-edge loop from_edges once ran (oracles.rows_by_edge_checks),
+behind each reader's own earlier rules: the exception type and message must
+match, or the rows must.
+"""
+
+import json
+import time
+import tracemalloc
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from oracles import rows_by_edge_checks
+from squaregap import serialize
+from squaregap.graphcore import SimpleGraph
+
+N = 8
+BASE = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7)]
+HOSTILE = 2**33  # a shift by it would allocate 1 GiB
+LONG = 5 * 10**4299  # 4,300 digits, the most int() converts by default; so has LONG + 1
+
+# name: (kind, edge); the kind names the rule the edge breaks in from_edges
+FAULTS = {
+    "endpoint-n": ("range", (N, 2)),
+    "endpoint-n-second": ("range", (2, N)),
+    "endpoint-minus-1": ("range", (-1, 2)),
+    "endpoint-minus-1-second": ("range", (2, -1)),
+    "endpoint-2^33": ("range", (HOSTILE, 2)),
+    "endpoint-2^33-second": ("range", (2, HOSTILE)),
+    "endpoint-minus-2^33": ("range", (-HOSTILE, 2)),
+    "endpoint-4300-digits": ("range", (LONG, 2)),
+    "endpoint-4300-digits-second": ("range", (2, LONG)),
+    "self-loop": ("loop", (3, 3)),
+    "bool": ("type", (True, 2)),  # an edge to from_edges, refused by the JSON reader
+    "bool-second": ("type", (2, False)),
+    "bool-loop": ("type", (1, True)),
+    "pair-of-three": ("type", (1, 2, 3)),
+    "pair-of-one": ("type", (1,)),
+    "string": ("type", ("x", 2)),
+    "string-second": ("type", (2, "x")),
+    "float": ("type", (2.0, 3)),
+    "float-second": ("type", (1, 2.5)),
+    "null": ("type", (None, 2)),
+    "null-second": ("type", (2, None)),
+}
+# the earlier fault of another kind, which the later one then follows
+FIRST_OF_KIND = {"range": (N, 2), "loop": (3, 3), "type": ("x", 2)}
+
+
+def _cases():
+    for name, (kind, edge) in FAULTS.items():
+        for where, at in (("first", 0), ("middle", len(BASE) // 2), ("last", len(BASE))):
+            yield f"{name}-{where}", [*BASE[:at], edge, *BASE[at:]]
+        for other, earlier in FIRST_OF_KIND.items():
+            if other != kind:
+                yield f"{name}-after-{other}", [*BASE[:1], earlier, *BASE[1:5], edge, *BASE[5:]]
+
+
+CASES = dict(_cases())
+
+
+def _outcome(parse, arg):
+    """parse(arg), timed and bounded at 2 s, as its rows or as the type and
+    message of the TypeError or ValueError it raises."""
+    start = time.perf_counter()
+    try:
+        result = "rows", parse(arg)
+    except (TypeError, ValueError) as exc:
+        result = type(exc), str(exc)
+    assert time.perf_counter() - start < 2.0
+    return result
+
+
+def _json_text(n, edges):
+    return json.dumps({"n_vertices": n, "edges": edges})
+
+
+def _json_reference(text):
+    """The rows of a graph JSON text by the reader's rules in their order: the
+    edges' types, then each edge by the per-edge loop."""
+    doc = json.loads(text)
+    edges = doc["edges"]
+    if not all(type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
+               for e in edges):
+        raise ValueError("graph JSON edges must be an array of integer pairs")
+    return rows_by_edge_checks(doc["n_vertices"], edges)
+
+
+def _dimacs_text(n, edges):
+    """edges as canonical DIMACS lines, int endpoints made 1-based; None if an
+    edge holds a bool, which DIMACS cannot spell."""
+    if any(type(x) is bool for e in edges for x in e):
+        return None
+    field = {int: lambda x: str(x + 1), type(None): lambda x: "null"}
+    return f"p edge {n} {len(edges)}\n" + "".join(
+        "e " + " ".join(field.get(type(x), str)(x) for x in e) + "\n" for e in edges)
+
+
+def _dimacs_reference(text):
+    """The rows of a DIMACS text: its records by the line loop, each edge then
+    by the per-edge loop."""
+    n, edges = serialize._dimacs_records(text.splitlines())
+    return rows_by_edge_checks(n, edges)
+
+
+def _check_every_reader(n, edges):
+    """from_edges (given the edges as a list and as a one-pass iterator) and
+    both readers each match their per-edge reference."""
+    want = _outcome(lambda es: rows_by_edge_checks(n, es), edges)
+    assert _outcome(lambda es: SimpleGraph.from_edges(n, es).adj, edges) == want
+    assert _outcome(lambda es: SimpleGraph.from_edges(n, iter(es)).adj, edges) == want
+    text = _json_text(n, edges)
+    assert (_outcome(lambda t: serialize.parse_graph_json(t)[0].adj, text)
+            == _outcome(_json_reference, text))
+    text = _dimacs_text(n, edges)
+    if text is not None:
+        assert (_outcome(lambda t: serialize.parse_dimacs(t).adj, text)
+                == _outcome(_dimacs_reference, text))
+
+
+@pytest.mark.parametrize("edges", CASES.values(), ids=CASES)
+def test_each_fault_is_named_as_the_per_edge_loop_names_it(edges):
+    _check_every_reader(N, edges)
+
+
+def test_the_fault_table_raises_what_it_should():
+    # the table is worth its cases only if they fail where they should
+    def message(edges):
+        return _outcome(lambda es: SimpleGraph.from_edges(N, es).adj, edges)[1]
+    assert message(CASES["endpoint-2^33-last"]) == "edge (8589934592,2) out of range for 8 vertices"
+    assert message(CASES["self-loop-after-type"]).startswith("'<=' not supported")
+    assert message(CASES["endpoint-n-after-loop"]) == "self-loop at 3 not allowed"
+    assert message(CASES["pair-of-three-middle"]) == "too many values to unpack (expected 2)"
+    assert _outcome(serialize.parse_graph_json, _json_text(N, CASES["self-loop-after-type"])) == (
+        ValueError, "graph JSON edges must be an array of integer pairs")
+    assert _outcome(serialize.parse_dimacs, _dimacs_text(N, CASES["endpoint-minus-1-first"])) == (
+        ValueError, "edge (-1,2) out of range for 8 vertices")
+
+
+_HOSTILE_READS = {
+    "from_edges": lambda edges: SimpleGraph.from_edges(N, edges),
+    "graph-json": lambda edges: serialize.parse_graph_json(_json_text(N, edges)),
+    "dimacs": lambda edges: serialize.parse_dimacs(_dimacs_text(N, edges)),
+}
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("second", [False, True], ids=["u", "v"])
+@pytest.mark.parametrize("read", _HOSTILE_READS.values(), ids=_HOSTILE_READS)
+def test_a_hostile_endpoint_allocates_nothing_for_its_shift(read, second, where):
+    edges = CASES[f"endpoint-2^33{'-second' if second else ''}-{where}"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="out of range"):
+            read(edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+@st.composite
+def _faulty_edge_lists(draw):
+    """n and a list of its edges into which up to three faulty ones are
+    put anywhere: endpoints out of range, self-loops, bools, non-ints and
+    pairs of the wrong length."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
+    edges = ([] if n < 2 else
+             draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                           max_size=12)))
+    endpoint = vertex | st.sampled_from([n, -1, -n - 1, HOSTILE, -HOSTILE, LONG,
+                                         True, False, "x", 2.5, None])
+    fault = (st.tuples(vertex, endpoint) | st.tuples(endpoint, vertex)
+             | vertex.map(lambda v: (v, v)) | st.tuples(vertex, vertex, vertex))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        edges.insert(draw(st.integers(min_value=0, max_value=len(edges))), draw(fault))
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(_faulty_edge_lists())
+@example((0, [(0, 0)]))
+@example((3, [(0, 1), (-4, 1)]))
+@example((2, [(1, 0), (True, 0)]))
+def test_injected_faults_are_named_as_the_per_edge_loop_names_them(case):
+    _check_every_reader(*case)

@@ -323,6 +323,21 @@ def test_graph_json_round_trip():
     assert doc["labels"]["9"] == "w_1_1"
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 13])
+def test_a_text_that_could_hold_a_bool_reads_the_same(n):
+    # "true" in a label sends the edges through the per-edge type check,
+    # which must let the canonical edges through unchanged
+    g = construct_counterexample(n).graph
+    doc = serialize.constructed_to_json_dict(n, g.upper())
+    plain = serialize.parse_graph_json(serialize.json_dumps(doc))
+    doc["labels"]["0"] = "true"
+    text = serialize.json_dumps(doc)
+    assert '"true"' in text
+    tagged = serialize.parse_graph_json(text)
+    assert plain[0] == tagged[0] == g
+    assert tagged[1] == {**plain[1], "labels": {**plain[1]["labels"], "0": "true"}}
+
+
 def test_parse_graph_json_rejects_missing_fields():
     with pytest.raises(ValueError):
         serialize.parse_graph_json('{"edges": []}')
