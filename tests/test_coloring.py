@@ -31,7 +31,7 @@ from squaregap.coloring import (
     vetrik_assignment,
     vetrik_lower_bound,
 )
-from squaregap.construction import construct_counterexample
+from squaregap.construction import construct_counterexample, part_sets
 from squaregap.errors import SearchBudgetExceeded
 from squaregap.graphcore import SimpleGraph, bits, mask_of, square
 from squaregap.verification import check_square_structure
@@ -469,9 +469,9 @@ def test_multipartite_root_bound_never_refutes_a_colourable_instance():
     assert min(outcomes[k] for k in ("sat", "root", "searched")) >= 20, outcomes
 
 
-def test_certify_refutation_stops_at_its_first_node(monkeypatch):
-    # a deadline check at every node stops the refutation certify runs at its
-    # first node, whatever phase the budget ran out in
+def test_multipartite_root_deadline_stops_vetrik_lists_at_node_1(monkeypatch):
+    # a deadline check at every node stops the solver at its root, node 1, on
+    # the lists certify refutes by counting on the verified parts
     monkeypatch.setattr(coloring, "_DEADLINE_STRIDE", 1)
     gc = construct_counterexample(3)
     parts, _ = check_square_structure(square(gc.graph), gc)
@@ -898,7 +898,7 @@ def test_certify_gap_past_the_exact_solver_guard():
     for n, chromatic, bound in ((11, 21, 30), (31, 61, 90)):
         cert = certify_gap(n)
         assert (cert.chromatic, cert.list_bound, cert.gap_lower) == (chromatic, bound, n - 1)
-        assert cert.attestation.nodes == 1
+        assert len(cert.refuted_assignment.universe) == 2 * chromatic - 1
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -914,3 +914,82 @@ def test_certificate_tamper_detection():
         cert._replace(list_bound=5)
     with pytest.raises(ValueError):
         cert._replace(chromatic=6)
+    with pytest.raises(ValueError):
+        GapCertificate._make([3, 6, cert.chromatic_coloring, 5, cert.refuted_assignment,
+                              cert.blocks])
+    assert GapCertificate._make(cert) == cert
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_certify_reaches_no_list_solver(monkeypatch, n):
+    # the count on the verified parts is certify's whole refutation
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify reached the list solver")
+    for name in ("multipartite_list_colorable", "is_list_colorable", "_decide_lists",
+                 "_dense_masks", "_search"):
+        monkeypatch.setattr(coloring, name, refuse)
+    assert certify_gap(n).gap_lower == n - 1
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_the_solver_refutes_certify_lists_at_its_root(n):
+    # the solver stays the count's oracle: the same lists are UNSAT at node 1
+    p_sets, q_sets, _ = part_sets(n)
+    result = multipartite_list_colorable(p_sets + q_sets, certify_gap(n).refuted_assignment)
+    assert (result.satisfiable, result.attestation.nodes) == (False, 1)
+
+
+def tampered(part, change):
+    """vetrik_assignment with change(k, colors) applied to the lists of one part
+    (k the vertex's position in it), or to the universe when part is None."""
+    def assign(parts):
+        blocks, a = vetrik_assignment(parts)
+        if part is None:
+            return blocks, a._replace(universe=change(a.universe))
+        lists = dict(a.lists)
+        for k, v in enumerate(parts[part]):
+            lists[v] = frozenset(change(k, lists[v]))
+        return blocks, a._replace(lists=lists)
+    return assign
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_certify_names_each_failed_count(monkeypatch, n):
+    r = 2 * n - 1
+    # colour 1 is missing from the first list of each part: give it to every
+    # list of part 2 in place of its largest other colour, keeping the sizes
+    share = tampered(2, lambda k, cs: cs if 1 in cs else cs - {max(cs)} | {1})
+    short = tampered(r - 1, lambda k, cs: cs - {max(cs)} if k == n - 1 else cs)
+    wide = tampered(None, lambda universe: universe + (2 * r,))
+    for assign, message in ((share, "the lists of part 2 share a color"),
+                            (short, f"a list of part {r - 1} does not have "
+                                    f"{vetrik_lower_bound(n, r)} colors"),
+                            (wide, f"the universe and lists hold {2 * r} >= 2r")):
+        monkeypatch.setattr(coloring, "vetrik_assignment", assign)
+        with pytest.raises(RuntimeError, match=message):
+            certify_gap(n)
+
+
+def primes_to(limit):
+    return [p for p in range(3, limit + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def test_certified_bound_is_kierstead_exact_at_n3():
+    # ch(K_{3*r}) = ceil((4r - 1) / 3) (Kierstead, Discrete Math. 2000): at
+    # r = 5 that is 7, the certified bound, so the n = 3 gap of 2 is exact
+    r = 5
+    cert = certify_gap(3)
+    assert cert.list_bound + 1 == -(-(4 * r - 1) // 3) == 7
+    assert cert.gap_lower == 2
+
+
+def test_certified_bound_stays_under_the_noel_west_wu_zhu_cap():
+    # ch(H) <= max{k, ceil((|V| + k - 1) / 3)} for every k-chromatic H (Noel,
+    # West, Wu and Zhu, European J. Combin. 2015); K_{n*r} has |V| = n r, k = r
+    for n in primes_to(181):
+        r = 2 * n - 1
+        cap = max(r, -(-(n * r + r - 1) // 3))
+        assert vetrik_lower_bound(n, r) + 1 <= cap, n
+        if n <= 31:
+            cert = certify_gap(n)
+            assert (cert.chromatic, cert.list_bound) == (r, vetrik_lower_bound(n, r)), n
