@@ -163,8 +163,9 @@ def _cmd_certify(args) -> tuple[str, str]:
 
 
 def _load_graph_file(path: str) -> SimpleGraph:
-    with open(path, encoding="utf-8-sig") as fh:  # -sig: drop a byte-order mark
-        text = fh.read()
+    # utf-8-sig's text (one leading BOM dropped) through the codec loaded at start-up
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read().removeprefix("\ufeff")
     if text.lstrip().startswith("{"):
         g, _ = serialize.parse_graph_json(text)
         return g
@@ -174,8 +175,8 @@ def _load_graph_file(path: str) -> SimpleGraph:
 def _cmd_solve_list(args) -> tuple[str, str]:
     deadline = None if args.budget_seconds is None else time.monotonic() + args.budget_seconds
     g = _load_graph_file(args.graph)
-    with open(args.lists, encoding="utf-8-sig") as fh:
-        assignment = serialize.parse_lists_json(fh.read())
+    with open(args.lists, encoding="utf-8") as fh:
+        assignment = serialize.parse_lists_json(fh.read().removeprefix("\ufeff"))
     result = coloring.is_list_colorable(g, assignment, deadline=deadline)
     doc = {
         "satisfiable": result.satisfiable,

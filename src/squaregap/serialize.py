@@ -320,15 +320,18 @@ def parse_graph_json(text: str) -> tuple[SimpleGraph, dict]:
 
     A text that holds neither "true" nor "false" holds no bool, and
     from_edges refuses every other endpoint that is no int, so such a text
-    goes straight to from_edges.  Only when that fails, or when the text
-    could hold a bool, are the edges' types checked one by one, so that a
-    refusal keeps the rule order above.
+    goes straight to from_edges.  Each word is looked for from the first
+    "t" or "f" on (a one-letter find runs by memchr; with no such letter
+    the search starts at the last character and finds nothing).  Only when
+    from_edges fails, or when the text could hold a bool, are the edges'
+    types checked one by one, so that a refusal keeps the rule order above.
     """
     doc = _read_json(text, "graph", ("n_vertices", "edges"))
     n, edges = doc["n_vertices"], doc["edges"]
     if type(n) is not int:
         raise ValueError("graph JSON n_vertices must be an integer")
-    if type(edges) is list and "true" not in text and "false" not in text:
+    if (type(edges) is list and text.find("true", text.find("t")) < 0
+            and text.find("false", text.find("f")) < 0):
         try:
             return SimpleGraph.from_edges(_vertex_count(n), edges), doc
         except (TypeError, ValueError):

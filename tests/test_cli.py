@@ -350,6 +350,98 @@ def test_solve_list_reads_files_that_start_with_a_byte_order_mark(tmp_path, caps
             assert run_cli(capsys, "solve-list", "--graph", g, "--lists", a)[:2] == plain
 
 
+BOM = "\ufeff"
+# solve-list's three kinds of input file, each of more than one line
+INPUT_FILES = {
+    "dimacs": "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+    "graph-json": '{"n_vertices": 3,\n "edges": [[0, 1], [1, 2], [0, 2]]}',
+    "lists": '{"universe": [1, 2, 3],\n "lists": {"0": [1, 2], "1": [2, 3], "2": [1, 3]}}',
+}
+# texts that read as the plain file: one leading BOM dropped, CRLF and CR read as LF
+READ_AS_PLAIN = {
+    "bom": lambda text: BOM + text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "bom-crlf": lambda text: BOM + text.replace("\n", "\r\n"),
+}
+# texts whose other BOMs stay in the text, and the first stderr line each is refused with
+REFUSED_BOMS = {
+    "two-boms": (lambda text: BOM * 2 + text, {
+        "dimacs": "line 1: unknown record '\\ufeffp'",
+        "graph-json": "line 1: unknown record '\\ufeff{\"n_vertices\":'",
+        "lists": "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+    }),
+    "bom-on-line-2": (lambda text: text.replace("\n", "\n" + BOM, 1), {
+        "dimacs": "line 2: unknown record '\\ufeffe'",
+        "graph-json": "Expecting property name enclosed in double quotes: line 2 column 1 (char 18)",
+        "lists": "Expecting property name enclosed in double quotes: line 2 column 1 (char 24)",
+    }),
+    "only-a-bom": (lambda text: BOM, {
+        "dimacs": "missing 'p edge' problem line",
+        "graph-json": "missing 'p edge' problem line",
+        "lists": "Expecting value: line 1 column 1 (char 0)",
+    }),
+}
+
+
+def solve_list_reading(tmp_path, capsys, kind, data):
+    """solve-list run on data as the file of this kind, with the plain file of the other."""
+    path = tmp_path / f"{kind}.in"
+    path.write_bytes(data)
+    other = "dimacs" if kind == "lists" else "lists"
+    other_path = tmp_path / f"{other}.plain"
+    other_path.write_bytes(INPUT_FILES[other].encode())
+    graph, lists = (other_path, path) if kind == "lists" else (path, other_path)
+    code, out, err = run_cli(capsys, "solve-list", "--graph", str(graph), "--lists", str(lists))
+    assert "Traceback" not in err
+    return code, out, "\n".join(err.splitlines()[:-1]), envelope_of(err)["outcome"]
+
+
+@pytest.mark.parametrize("variant", READ_AS_PLAIN)
+@pytest.mark.parametrize("kind", INPUT_FILES)
+def test_solve_list_input_with_one_leading_bom_or_any_line_end_reads_as_plain(
+        tmp_path, capsys, kind, variant):
+    text = INPUT_FILES[kind]
+    plain = solve_list_reading(tmp_path, capsys, kind, text.encode())
+    assert (plain[0], plain[2:]) == (0, ("", "pass"))
+    assert solve_list_reading(tmp_path, capsys, kind, READ_AS_PLAIN[variant](text).encode()) == plain
+
+
+@pytest.mark.parametrize("variant", REFUSED_BOMS)
+@pytest.mark.parametrize("kind", INPUT_FILES)
+def test_solve_list_input_keeps_every_bom_but_one_leading_one(tmp_path, capsys, kind, variant):
+    write, messages = REFUSED_BOMS[variant]
+    data = write(INPUT_FILES[kind]).encode()
+    assert solve_list_reading(tmp_path, capsys, kind, data) == (
+        2, "", f"squaregap solve-list: {messages[kind]}", "error")
+
+
+@pytest.mark.parametrize("where", ["end", "after-a-bom"])
+@pytest.mark.parametrize("kind", INPUT_FILES)
+def test_solve_list_input_that_is_not_utf8_exits_2_naming_the_codec(tmp_path, capsys, kind,
+                                                                    where):
+    data = INPUT_FILES[kind].encode() + b"\xff"
+    if where == "after-a-bom":
+        data = BOM.encode() + data
+    code, out, message, outcome = solve_list_reading(tmp_path, capsys, kind, data)
+    assert (code, out, outcome) == (2, "", "error")
+    assert message.startswith("squaregap solve-list: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("kind", INPUT_FILES)
+def test_solve_list_decode_errors_count_the_files_bytes(tmp_path, capsys, kind):
+    # the codec sees the BOM too, so a position is the byte's offset in the file, and a
+    # file that is the start of a BOM and nothing more is not UTF-8 (utf-8-sig read it
+    # as empty and counted positions after the BOM)
+    data = BOM.encode() + INPUT_FILES[kind].encode() + b"\xff"
+    message = solve_list_reading(tmp_path, capsys, kind, data)[2]
+    assert message.endswith(f"0xff in position {len(data) - 1}: invalid start byte")
+    for start, what in ((b"\xef", "byte 0xef in position 0"), (b"\xef\xbb", "bytes in position 0-1")):
+        assert solve_list_reading(tmp_path, capsys, kind, start) == (
+            2, "", f"squaregap solve-list: 'utf-8' codec can't decode {what}: unexpected end of data",
+            "error")
+
+
 def test_solve_list_path_deeper_than_the_recursion_limit(tmp_path, capsys):
     from oracles import is_proper_coloring
     from squaregap import serialize

@@ -1,6 +1,7 @@
 """The narrative demos and README's library tour run to completion, the CLI
 starts without numpy, logging, dataclasses, inspect or typing, a plain
-command line runs without argparse, and the bench tracer reads what it wraps.
+command line runs without argparse, no command imports a module once the CLI
+is loaded, and the bench tracer reads what it wraps.
 
 Each check runs in a fresh interpreter with PYTHONPATH=src, so it sees
 the package exactly as a user of the source tree does.  It writes no
@@ -56,6 +57,46 @@ def test_a_plain_command_line_loads_no_argparse_or_gettext():
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "[]"
     assert "\nusage: squaregap mols " in proc.stderr  # after the first run's envelope
+
+
+NEW_MODULES = """
+import contextlib, io, sys
+from squaregap import cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, sorted(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "3", "--format", "json"],
+    ["construct", "--n", "3", "--format", "dimacs"],
+    ["construct", "--n", "3", "--format", "dot"],
+    ["verify", "--n", "3"],
+    ["certify", "--n", "3"],
+    ["mols", "--n", "3", "--check"],
+    ["solve-list", "--graph", "{dir}/g.col", "--lists", "{dir}/lists.json"],
+    ["solve-list", "--graph", "{dir}/g.json", "--lists", "{dir}/lists.json"],
+], ids=" ".join)
+def test_a_command_imports_no_module_after_start_up(tmp_path, argv):
+    # each run pays its imports again, so all are made by `import squaregap.cli`;
+    # the solve-list files start with a byte-order mark, which must cost no codec
+    from squaregap import serialize
+    from squaregap.construction import construct_counterexample
+
+    gc = construct_counterexample(3)
+    files = {
+        "g.col": serialize.graph_to_dimacs(gc.graph.n, gc.graph.upper()),
+        "g.json": serialize.json_dumps(serialize.constructed_to_json_dict(gc.n, gc.graph.upper())),
+        "lists.json": json.dumps({"universe": list(range(6)),
+                                  "lists": {str(v): list(range(6)) for v in range(15)}}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text("\ufeff" + text, encoding="utf-8")
+    proc = run_python("-S", "-c", NEW_MODULES, *(a.format(dir=tmp_path) for a in argv))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "0 []\n"
 
 
 def test_cli_imports_no_logging_and_main_adds_no_root_handler():

@@ -338,6 +338,27 @@ def test_a_text_that_could_hold_a_bool_reads_the_same(n):
     assert tagged[1] == {**plain[1], "labels": {**plain[1]["labels"], "0": "true"}}
 
 
+def test_a_label_true_before_every_other_t_reads_the_same():
+    # the bool guard looks for "true" from the first t on, which here is the label's
+    text = '{"labels": {"0": "true"}, "n_vertices": 3, "edges": [[0, 1], [1, 2]]}'
+    assert text.find("t") == text.find("true")
+    g, doc = serialize.parse_graph_json(text)
+    assert g == SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+    assert doc["labels"] == {"0": "true"}
+
+
+@pytest.mark.parametrize("text", [
+    '{"edges": [[0, true]], "n_vertices": 3}',  # the text's first t starts the bool
+    '{"edges": [[false, 1]], "n_vertices": 3}',  # and its first f
+    '{"labels": {"0": "true"}, "edges": [[2, true]], "n_vertices": 3}',
+    '{"labels": {"0": "f"}, "edges": [[false, 2]], "n_vertices": 3}',
+])
+def test_a_bool_at_or_after_the_first_t_or_f_is_refused(text):
+    # each bool here reads as a valid endpoint to from_edges, so only the guard refuses it
+    with pytest.raises(ValueError, match="^graph JSON edges must be an array of integer pairs$"):
+        serialize.parse_graph_json(text)
+
+
 def test_parse_graph_json_rejects_missing_fields():
     with pytest.raises(ValueError):
         serialize.parse_graph_json('{"edges": []}')
