@@ -12,12 +12,12 @@ coloring and nothing else: both list solvers call it, and the exact
 chromatic number asks it one list question per candidate color count.
 No function here recurses, so no input depth hits Python's recursion
 limit.  Both list solvers enter it through one root function,
-_decide_lists, on twin classes (equal rows; multipartite_list_colorable's
-are its parts): when some class has no color common to its lists, node 1
-applies a part-demand bound, so both refute the certificate's lists at
-node 1.  The engine takes the node count so far and returns the count at
-the end with its coloring, so the root and the search share one count
-and one deadline.  The engine keeps the graph the other way round as
+_decide_lists, which groups the vertices into twin classes (equal rows):
+when some class has no color common to its lists, node 1 applies a
+part-demand bound, so both refute the certificate's lists at node 1.
+The engine takes the node count so far and returns the count at the end
+with its coloring, so the root and the search share one count and one
+deadline.  The engine keeps the graph the other way round as
 well, one vertex mask per color (has[c]: the uncolored vertices that
 still have color c) and per count of colors left (buckets[k]), so forward
 checking a node takes a few mask operations instead of a walk over the
@@ -79,21 +79,10 @@ class GapCertificate(namedtuple("GapCertificate", "n chromatic chromatic_colorin
     no proper coloring (each part needs two colors, the universe has fewer),
     so the list chromatic number is at least s + 1 and exceeds chromatic by
     at least gap_lower.  Coloring and blocks are tuples, refuted_assignment
-    a ListAssignment.
+    a ListAssignment.  certify_gap proves each fact before it builds one.
     """
 
     __slots__ = ()
-
-    @classmethod
-    def _make(cls, fields):
-        """Build through __new__'s check, as the stock _replace does through this."""
-        return cls(*fields)
-
-    def __new__(cls, *args, **fields):
-        self = super().__new__(cls, *args, **fields)
-        if self.gap_lower < self.n - 1:
-            raise ValueError(f"certificate gap {self.gap_lower} below n-1 = {self.n - 1}")
-        return self
 
     @property
     def gap_lower(self) -> int:
@@ -292,24 +281,26 @@ def _dense_masks(assignment: ListAssignment) -> tuple[dict[int, int], list[int]]
     return dict(zip(lists, map(mask.__getitem__, lists.values()))), palette
 
 
-def _decide_lists(g: SimpleGraph, classes: dict[int, list[int]], order: list[int],
-                  assignment: ListAssignment, deadline: float | None) -> ListColoringResult:
+def _decide_lists(g: SimpleGraph, order: list[int], assignment: ListAssignment,
+                  deadline: float | None) -> ListColoringResult:
     """The root both list solvers share: vertex i of g is order[i] of the
-    assignment, and classes maps the lowest vertex of each twin class (the
-    vertices of one row) to the class, in ascending order.
+    assignment.
 
     The lists must cover exactly the vertices of order.  An empty list is
-    UNSAT at no node.  Otherwise, on the color masks:
-    twins are never adjacent, and two twin classes are joined completely or
-    not at all, so the classes of a clique of classes use disjoint colors:
-    one needs one color if its lists share one, else two.  If some class of
-    two or more vertices is needy (no color common to its lists), the root,
-    node 1, takes the needy classes and then the class of the lowest vertex
-    joined to all chosen, greedily, and refutes the lists if the clique's
-    lists hold fewer colors than it needs.  Otherwise _search decides, from
-    the root or from 0 if no class is needy, and the attestation carries the
-    count.  On a complete multipartite graph the classes are the parts and
-    the clique is all.
+    UNSAT at no node.  Otherwise the twin classes (the vertices of one row)
+    are found in one pass over the rows, keyed by the salted hash of each
+    row's bytes: an int hashes as its value mod 2^61 - 1, so rows can be
+    built to share a hash, and this keeps the grouping linear.  Then, on
+    the color masks: twins are never adjacent, and two twin classes are
+    joined completely or not at all, so the classes of a clique of classes
+    use disjoint colors: one needs one color if its lists share one, else
+    two.  If some class of two or more vertices is needy (no color common
+    to its lists), the root, node 1, takes the needy classes and then the
+    class of the lowest vertex joined to all chosen, greedily, and refutes
+    the lists if the clique's lists hold fewer colors than it needs.
+    Otherwise _search decides, from the root or from 0 if no class is
+    needy, and the attestation carries the count.  On a complete
+    multipartite graph the classes are the parts and the clique is all.
     """
     if set(assignment.lists) != set(order):
         raise ValueError("lists must cover exactly the graph's vertices")
@@ -318,6 +309,10 @@ def _decide_lists(g: SimpleGraph, classes: dict[int, list[int]], order: list[int
             return ListColoringResult(None, SearchAttestation(nodes=0, empty_list_vertex=v))
     masks, palette = _dense_masks(assignment)
     avail = [masks[v] for v in order]
+    lowest, classes = {}, {}  # each row's key to its lowest vertex, that to the class
+    for v, row in enumerate(g.adj):
+        key = hash(row.to_bytes((row.bit_length() + 7) // 8, "little")), row
+        classes.setdefault(lowest.setdefault(key, v), []).append(v)
     needy = [vs for vs in classes.values()
              if len(vs) > 1 and not functools.reduce(and_, map(avail.__getitem__, vs))]
     nodes = 0
@@ -356,13 +351,7 @@ def is_list_colorable(g: SimpleGraph, assignment: ListAssignment, *,
     has exhausted the whole search space.  The attestation carries the
     node count.
     """
-    # an int hashes as its value mod 2^61 - 1, so rows can be built to share a
-    # hash; keyed by the salted hash of its bytes, grouping stays linear
-    lowest, classes = {}, {}  # each row's key to its lowest vertex, that to the class
-    for v, row in enumerate(g.adj):
-        key = hash(row.to_bytes((row.bit_length() + 7) // 8, "little")), row
-        classes.setdefault(lowest.setdefault(key, v), []).append(v)
-    return _decide_lists(g, classes, list(range(g.n)), assignment, deadline)
+    return _decide_lists(g, list(range(g.n)), assignment, deadline)
 
 
 # No src caller is left; the tests use it as certify_gap's oracle until the bench
@@ -372,20 +361,18 @@ def multipartite_list_colorable(parts: tuple[tuple[int, ...], ...], assignment: 
     """List-colorability decision on the complete multipartite graph on parts.
 
     The graph is built on the parts' vertices, relabelled 0, 1, ... part by
-    part, and decided as is_list_colorable decides it, with the parts as
-    the twin classes: the root bound refutes the lists at node 1 if it
-    fires, and _search decides the rest.
+    part, and decided as is_list_colorable decides it: its twin classes are
+    the parts, in part order, so the root bound refutes the lists at node 1
+    if it fires, and _search decides the rest.
     """
     verts = [v for part in parts for v in part]
     if len(set(verts)) != len(verts) or not all(parts):
         raise ValueError("parts must be disjoint and nonempty")
-    full, rows, classes = (1 << len(verts)) - 1, [], {}
+    full, rows = (1 << len(verts)) - 1, []
     for a, b in itertools.pairwise(itertools.accumulate(map(len, parts), initial=0)):
-        row = full ^ ((1 << b) - (1 << a))
-        rows += [row] * (b - a)
-        classes[a] = list(range(a, b))
+        rows += [full ^ ((1 << b) - (1 << a))] * (b - a)
     g = SimpleGraph._from_rows(len(verts), tuple(rows))
-    return _decide_lists(g, classes, verts, assignment, deadline)
+    return _decide_lists(g, verts, assignment, deadline)
 
 
 # -- the adversarial assignment and the certificate ---------------------------
@@ -435,10 +422,11 @@ def certify_gap(n: int, budget_seconds: float | None = None) -> GapCertificate:
     chromatic number r with no search.  Then counts on those parts (Erdos,
     Rubin and Taylor 1979): vetrik_assignment's lists all have
     vetrik_lower_bound(n, r) colors and no part's lists share one, so the
-    parts need 2r colors, more than the universe and lists hold, or a
-    RuntimeError names the failed count.  budget_seconds is read after
-    construct, square and structure check, naming the last phase finished.
-    The gap lower bound (refuted size + 1) - r is n - 1 for every odd prime n.
+    parts need 2r colors, more than the universe and lists hold; last, the
+    gap lower bound (refuted size + 1) - r must reach n - 1, as it does for
+    every odd prime n.  A RuntimeError names the failed count or the gap.
+    budget_seconds is read after construct, square and structure check,
+    naming the last phase finished.
     """
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
 
@@ -469,5 +457,8 @@ def certify_gap(n: int, budget_seconds: float | None = None) -> GapCertificate:
     if len(held) >= 2 * r:
         raise RuntimeError(f"the universe and lists hold {len(held)} >= 2r = {2 * r} colors")
     coloring = tuple(c for c, part in enumerate(parts) for _ in part)  # parts are consecutive
-    return GapCertificate(n=n, chromatic=r, chromatic_coloring=coloring, list_bound=bound,
+    cert = GapCertificate(n=n, chromatic=r, chromatic_coloring=coloring, list_bound=bound,
                           refuted_assignment=refuted, blocks=blocks)
+    if cert.gap_lower < n - 1:
+        raise RuntimeError(f"certificate gap {cert.gap_lower} below n-1 = {n - 1}")
+    return cert

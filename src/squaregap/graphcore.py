@@ -84,15 +84,15 @@ class SimpleGraph:
         """The graph on n vertices with the given edges.  The first faulty
         edge in input order raises: ValueError for an endpoint outside
         0..n-1 (checked first) or a self-loop, and TypeError for an endpoint
-        that is no int.  Those checks run edge by edge only once edge_rows
-        has found a fault."""
+        that is no int.  Those checks run edge by edge, in
+        _first_faulty_edge, only once edge_rows has found a fault."""
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {clip(n)}")
         if iter(edges) is edges:  # one pass only: keep the edges for the second
             edges = list(edges)
         rows = edge_rows(n, edges)
         if rows is None:
-            rows = _checked_rows(n, edges)
+            _first_faulty_edge(n, edges)
         return cls._from_rows(n, tuple(rows))
 
     def degree(self, v: int) -> int:
@@ -143,18 +143,20 @@ def edge_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int] | None:
     return rows
 
 
-def _checked_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """edge_rows, checking each edge before it sets its bits: the first
-    faulty edge raises, named as from_edges promises."""
-    rows = [0] * n
+def _first_faulty_edge(n: int, edges: Iterable[tuple[int, int]]):
+    """Raise for the first faulty edge, named as from_edges promises, once
+    edge_rows has found a fault.  Each edge is range-checked, then checked
+    for a self-loop, then used as a list index and a shift as the fill uses
+    it, so an endpoint that is no int raises the fill's TypeError.  No row
+    is built."""
+    zeros = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({clip(u)},{clip(v)}) out of range for {n} vertices")
         if u == v:
             raise ValueError(f"self-loop at {u} not allowed")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows
+        zeros[u] << v  # an endpoint that is no int fails here, as in the fill
+    raise AssertionError("edge_rows refused edges with no fault")
 
 
 def block_rotation(n: int, block: int) -> Callable[..., int]:

@@ -282,10 +282,12 @@ def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:
 
     An object that names a key twice is refused: json.loads alone keeps the
     last value, so a vertex's second list would silently replace its first.
-    Nesting too deep to decode raises RecursionError, and an integer longer
-    than Python converts raises a message that quotes Python's own advice:
-    both leave as ValueError like any other malformed input.  Callers check
-    the type of every value they read.
+    Three faults that json.loads reports in Python's own terms leave as a
+    ValueError that names the fault, like any other malformed input: nesting
+    too deep to decode (a RecursionError), an integer longer than Python
+    converts, and a text that starts with U+FEFF (whose message asks for a
+    codec that the caller cannot choose).  Callers check the type of every
+    value they read.
     """
     def unique(pairs: list) -> dict:
         obj = dict(pairs)
@@ -294,6 +296,8 @@ def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:
             raise ValueError(f"malformed {kind} JSON: key {clip(key)} appears twice")
         return obj
 
+    if text.startswith("\ufeff"):
+        raise ValueError(f"malformed {kind} JSON: starts with a byte-order mark (U+FEFF)")
     try:
         doc = json.loads(text, object_pairs_hook=unique)
     except RecursionError:

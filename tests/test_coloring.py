@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import math
 import random
 import time
@@ -19,9 +20,8 @@ from oracles import (
     rescan_search,
     vetrik_k3x5,
 )
-from squaregap import coloring
+from squaregap import cli, coloring
 from squaregap.coloring import (
-    GapCertificate,
     ListAssignment,
     certify_gap,
     chromatic_number_exact,
@@ -908,16 +908,18 @@ def test_exact_solver_agrees_with_the_part_coloring(n):
     assert chromatic_number_exact(sq) == (cert.chromatic, list(cert.chromatic_coloring))
 
 
-def test_certificate_tamper_detection():
-    cert = certify_gap(3)
-    with pytest.raises(ValueError):
-        cert._replace(list_bound=5)
-    with pytest.raises(ValueError):
-        cert._replace(chromatic=6)
-    with pytest.raises(ValueError):
-        GapCertificate._make([3, 6, cert.chromatic_coloring, 5, cert.refuted_assignment,
-                              cert.blocks])
-    assert GapCertificate._make(cert) == cert
+def test_certify_refuses_a_gap_below_the_floor(monkeypatch, capsys):
+    # lists one colour shorter pass every count but leave the gap at n - 2
+    bound = vetrik_lower_bound
+    monkeypatch.setattr(coloring, "vetrik_lower_bound", lambda n, r: bound(n, r) - 1)
+    with pytest.raises(RuntimeError, match=r"^certificate gap 3 below n-1 = 4$"):
+        certify_gap(5)
+    assert cli.main(["certify", "--n", "5"]) == cli.EXIT_INTERNAL == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == ("squaregap certify: internal error: RuntimeError: "
+                                   "'certificate gap 3 below n-1 = 4'")
+    assert json.loads(err.splitlines()[-1])["outcome"] == "error"
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

@@ -508,6 +508,18 @@ def test_parse_lists_json_rejects_missing_fields():
         serialize.parse_lists_json('{"universe": [1]}')
 
 
+@pytest.mark.parametrize("kind, parse, text", [
+    ("graph", serialize.parse_graph_json, '{"n_vertices": 1, "edges": []}'),
+    ("lists", serialize.parse_lists_json, '{"universe": [1], "lists": {"0": [1]}}'),
+])
+def test_json_readers_name_a_leading_byte_order_mark(kind, parse, text):
+    # json.loads would ask for a codec, which a caller holding text cannot choose
+    parse(text)
+    with pytest.raises(ValueError, match=rf"^malformed {kind} JSON: starts with a byte-order "
+                                         r"mark \(U\+FEFF\)$"):
+        parse("\ufeff" + text)
+
+
 def test_report_json():
     gc = construct_counterexample(3)
     doc = serialize.report_to_json_dict(check_lemma_nw(square(gc.graph), gc))
