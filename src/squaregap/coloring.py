@@ -34,7 +34,7 @@ from operator import and_
 
 from .construction import part_sets
 from .errors import SearchBudgetExceeded, clip
-from .graphcore import SimpleGraph, bits, square_by_blocks
+from .graphcore import _BIT_TABLE_MAX, SimpleGraph, bits, square_by_blocks
 from .verification import check_by_blocks, checked_stars
 
 _DEADLINE_STRIDE = 1024  # nodes between wall-clock checks
@@ -266,17 +266,25 @@ def _dense_masks(assignment: ListAssignment) -> tuple[dict[int, int], list[int]]
     wide and colors keep their order: searches branch as on the raw colors.
     Lists often repeat, so each distinct list becomes one mask object that
     its vertices share (_search groups by it): the sum of its colors' bits,
-    each shifted from the color's rank (a mask per color would take U^2 / 16
-    bytes for U colors).  A list that leaves the universe raises ValueError
-    naming its first vertex in the assignment's order.
+    in C-level map passes with no Python step per color.  Up to
+    _BIT_TABLE_MAX colors each color's bit is built once; above the cap a
+    bit per color would take U^2 / 16 bytes for U colors, so each color's
+    rank is shifted as it is read.  A list that leaves the universe raises
+    ValueError naming its first vertex in the assignment's order.
     """
-    palette = sorted(set(assignment.universe))
-    rank = dict(zip(palette, range(len(palette))))
+    universe = set(assignment.universe)
+    palette = sorted(universe)
     lists = assignment.lists
     try:
-        mask = {colors: sum([1 << rank[c] for c in colors]) for colors in set(lists.values())}
+        if len(palette) <= _BIT_TABLE_MAX:
+            bit = dict(zip(palette, map((1).__lshift__, range(len(palette))))).__getitem__
+            mask = {colors: sum(map(bit, colors)) for colors in set(lists.values())}
+        else:
+            rank = dict(zip(palette, range(len(palette)))).__getitem__
+            mask = {colors: sum(map((1).__lshift__, map(rank, colors)))
+                    for colors in set(lists.values())}
     except KeyError:
-        v = next(v for v, colors in lists.items() if not colors <= rank.keys())
+        v = next(v for v, colors in lists.items() if not colors <= universe)
         raise ValueError(f"list of vertex {clip(v)} leaves the universe") from None
     return dict(zip(lists, map(mask.__getitem__, lists.values()))), palette
 

@@ -9,9 +9,10 @@ Raw rows are checked only by the public constructor SimpleGraph(n, adj):
 range, self-loops and symmetry.  Every other builder stores its rows
 unchecked with SimpleGraph._from_rows, and each has its reason:
 edge_rows sets both bits of each edge, and the fill is the edge check,
-as it indexes both endpoints' rows before it shifts by either and then
-finds self-loops on the diagonal; from_edges and serialize.parse_dimacs's
-bulk path store rows that edge_rows filled; square() ORs rows of a
+as it indexes both endpoints' rows before it takes either bit (from a
+prebuilt table of single-bit rows up to 4,096 vertices, by a shift
+above) and then finds self-loops on the diagonal; from_edges and
+serialize.parse_dimacs's bulk path store rows that edge_rows filled; square() ORs rows of a
 symmetric, loop-free graph and clears the diagonal; and
 construction.construct_counterexample and
 coloring.multipartite_list_colorable build symmetric, loop-free rows by
@@ -31,6 +32,11 @@ every row, ORing the rows of each vertex's neighbours.
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import clip
+
+# Up to this many vertices (or colours, in coloring._dense_masks) a row's
+# single bits come from a table built once: n of them take about n^2/15
+# bytes, 1.2 MB at the cap.
+_BIT_TABLE_MAX = 4096
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -125,20 +131,34 @@ def edge_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int] | None:
     """The n bit rows of the simple graph with the given edges, or None if
     some edge is no pair of endpoints in 0..n-1 or is a self-loop.
 
-    The one loop indexes both endpoints' rows before it shifts by either:
+    The one loop indexes both endpoints' rows before it takes either bit:
     an endpoint at or above n, however large, raises IndexError before any
-    shift could allocate for it, and a negative one fails its shift.  A
-    self-loop sets a diagonal bit, which one pass finds after the loop.
+    bit could be allocated for it.  Up to _BIT_TABLE_MAX vertices each bit
+    comes from a table built once, bit[v] = 1 << v, padded with n Nones, so
+    an edge allocates no bit of its own: a negative endpoint down to -n
+    reads a None, which the OR refuses, and one below -n fails its row
+    index.  Above the cap the table would hold about n^2/15 bytes and gain
+    less as the rows widen, so the loop shifts instead, and a negative
+    endpoint fails its shift.  A self-loop sets a diagonal bit, which one
+    pass finds after the loop.
     """
     rows = [0] * n
     try:
-        for u, v in edges:
-            row = rows[v]
-            rows[u] |= 1 << v
-            rows[v] = row | 1 << u
+        if n <= _BIT_TABLE_MAX:
+            bit = list(map((1).__lshift__, range(n))) + [None] * n
+            for u, v in edges:
+                row = rows[v]
+                rows[u] |= bit[v]
+                rows[v] = row | bit[u]
+        else:
+            bit = map((1).__lshift__, range(n))
+            for u, v in edges:
+                row = rows[v]
+                rows[u] |= 1 << v
+                rows[v] = row | 1 << u
     except (IndexError, TypeError, ValueError):
         return None
-    if any(map(int.__and__, rows, map((1).__lshift__, range(n)))):
+    if any(map(int.__and__, rows, bit)):
         return None
     return rows
 

@@ -124,6 +124,10 @@ def graph_to_dimacs(n: int, upper: list[list[int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# _edge_block's map from a canonical edge block to the body of a JSON array
+_EDGE_BLOCK_JSON = bytes.maketrans(b"e \n", b" , ")
+
+
 def _dimacs_records(lines: list[str]) -> tuple[int | None, list[tuple[int, int]]]:
     """The vertex count of the last problem line in lines (None if there is
     none) and their edges, 0-based, in file order; the first malformed line
@@ -159,29 +163,28 @@ def _edge_block(body: str) -> list[int] | None:
     single spaces and endpoints in canonical decimal.  Anything else gives
     None.  The endpoints are not checked against any vertex count.
 
-    body, which starts with "e ", is checked and decoded by C-level string
+    body, which starts with "e ", is checked and decoded by C-level bytes
     methods and one json.loads, with no Python step per line.  With its
-    digits deleted, a canonical block is "e  \n" once per line.  Cut the
-    leading "e " and the last character, and no newline is left once every
-    "\ne " becomes a comma: so every line starts with "e " and the block
-    ends in a newline, not in digits.  That pins where every "e", space and
-    newline stands and leaves no other character.  Every space then
-    becomes a comma too, and json.loads refuses an empty endpoint and a
-    leading zero, so each line gives exactly two non-negative integers.
+    digits deleted, a canonical block is "e  \n" once per line, and every
+    newline but the last is followed by "e ": so every line starts with
+    "e " and the block ends in a newline, digits aside.  That pins where
+    every "e", space and newline stands and leaves no other character.
+    One translate then makes each "e" a space, each space a comma and each
+    newline a space, and json.loads refuses an empty endpoint, a leading
+    zero and digits after the last newline, so each line gives exactly two
+    non-negative integers.
     """
     if not body.isascii():
         return None
-    skeleton = body.encode().translate(None, b"0123456789")
-    if skeleton != b"e  \n" * (len(skeleton) // 4):
-        return None
-    inner = body[2:-1].replace("\ne ", ",")
-    if "\n" in inner:  # a line such as "12e3 4 5", or digits after the last newline
+    raw = body.encode()
+    skeleton = raw.translate(None, b"0123456789")
+    lines = len(skeleton) // 4
+    if skeleton != b"e  \n" * lines or raw.count(b"\ne ") != lines - 1:
         return None
     try:
-        ends = json.loads("[" + inner.replace(" ", ",") + "]")
+        return json.loads(b"[" + raw[2:].translate(_EDGE_BLOCK_JSON) + b"]")
     except ValueError:  # JSON refuses the line, or an endpoint over 4300 digits
         return None
-    return ends
 
 
 def parse_dimacs(text: str) -> SimpleGraph:

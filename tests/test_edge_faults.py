@@ -16,51 +16,60 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import rows_by_edge_checks
 from squaregap import serialize
-from squaregap.graphcore import SimpleGraph
+from squaregap.graphcore import _BIT_TABLE_MAX, SimpleGraph
 
 N = 8
+WIDE = _BIT_TABLE_MAX + 1  # above the cap every reader's fill shifts, with no bit table
 BASE = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7)]
 HOSTILE = 2**33  # a shift by it would allocate 1 GiB
 LONG = 5 * 10**4299  # 4,300 digits, the most int() converts by default; so has LONG + 1
 
-# name: (kind, edge); the kind names the rule the edge breaks in from_edges
-FAULTS = {
-    "endpoint-n": ("range", (N, 2)),
-    "endpoint-n-second": ("range", (2, N)),
-    "endpoint-minus-1": ("range", (-1, 2)),
-    "endpoint-minus-1-second": ("range", (2, -1)),
-    "endpoint-2^33": ("range", (HOSTILE, 2)),
-    "endpoint-2^33-second": ("range", (2, HOSTILE)),
-    "endpoint-minus-2^33": ("range", (-HOSTILE, 2)),
-    "endpoint-4300-digits": ("range", (LONG, 2)),
-    "endpoint-4300-digits-second": ("range", (2, LONG)),
-    "self-loop": ("loop", (3, 3)),
-    "bool": ("type", (True, 2)),  # an edge to from_edges, refused by the JSON reader
-    "bool-second": ("type", (2, False)),
-    "bool-loop": ("type", (1, True)),
-    "pair-of-three": ("type", (1, 2, 3)),
-    "pair-of-one": ("type", (1,)),
-    "string": ("type", ("x", 2)),
-    "string-second": ("type", (2, "x")),
-    "float": ("type", (2.0, 3)),
-    "float-second": ("type", (1, 2.5)),
-    "null": ("type", (None, 2)),
-    "null-second": ("type", (2, None)),
-}
-# the earlier fault of another kind, which the later one then follows
-FIRST_OF_KIND = {"range": (N, 2), "loop": (3, 3), "type": ("x", 2)}
+
+def _faults(n):
+    """name: (kind, edge) for a graph on n vertices; the kind names the rule
+    the edge breaks in from_edges."""
+    return {
+        "endpoint-n": ("range", (n, 2)),
+        "endpoint-n-second": ("range", (2, n)),
+        "endpoint-minus-1": ("range", (-1, 2)),
+        "endpoint-minus-1-second": ("range", (2, -1)),
+        "endpoint-2^33": ("range", (HOSTILE, 2)),
+        "endpoint-2^33-second": ("range", (2, HOSTILE)),
+        "endpoint-minus-2^33": ("range", (-HOSTILE, 2)),
+        "endpoint-4300-digits": ("range", (LONG, 2)),
+        "endpoint-4300-digits-second": ("range", (2, LONG)),
+        "self-loop": ("loop", (3, 3)),
+        "bool": ("type", (True, 2)),  # an edge to from_edges, refused by the JSON reader
+        "bool-second": ("type", (2, False)),
+        "bool-loop": ("type", (1, True)),
+        "pair-of-three": ("type", (1, 2, 3)),
+        "pair-of-one": ("type", (1,)),
+        "string": ("type", ("x", 2)),
+        "string-second": ("type", (2, "x")),
+        "float": ("type", (2.0, 3)),
+        "float-second": ("type", (1, 2.5)),
+        "null": ("type", (None, 2)),
+        "null-second": ("type", (2, None)),
+        "endpoint-minus-n": ("range", (-n, 2)),  # the last index the table's padding refuses
+        "endpoint-minus-n-second": ("range", (2, -n)),
+        "endpoint-minus-n-minus-1": ("range", (-n - 1, 2)),  # below the padding: the row index fails
+    }
 
 
-def _cases():
-    for name, (kind, edge) in FAULTS.items():
+def _cases(n):
+    # the earlier fault of another kind, which the later one then follows
+    first_of_kind = {"range": (n, 2), "loop": (3, 3), "type": ("x", 2)}
+    for name, (kind, edge) in _faults(n).items():
         for where, at in (("first", 0), ("middle", len(BASE) // 2), ("last", len(BASE))):
             yield f"{name}-{where}", [*BASE[:at], edge, *BASE[at:]]
-        for other, earlier in FIRST_OF_KIND.items():
+        for other, earlier in first_of_kind.items():
             if other != kind:
                 yield f"{name}-after-{other}", [*BASE[:1], earlier, *BASE[1:5], edge, *BASE[5:]]
 
 
-CASES = dict(_cases())
+CASES = dict(_cases(N))
+# every case again on WIDE vertices, where the fill takes its shift loop
+WIDE_CASES = {f"n{WIDE}-{name}": edges for name, edges in _cases(WIDE)}
 
 
 def _outcome(parse, arg):
@@ -122,9 +131,11 @@ def _check_every_reader(n, edges):
                 == _outcome(_dimacs_reference, text))
 
 
-@pytest.mark.parametrize("edges", CASES.values(), ids=CASES)
-def test_each_fault_is_named_as_the_per_edge_loop_names_it(edges):
-    _check_every_reader(N, edges)
+@pytest.mark.parametrize(
+    "n, edges", [(N, e) for e in CASES.values()] + [(WIDE, e) for e in WIDE_CASES.values()],
+    ids=[*CASES, *WIDE_CASES])
+def test_each_fault_is_named_as_the_per_edge_loop_names_it(n, edges):
+    _check_every_reader(n, edges)
 
 
 def test_the_fault_table_raises_what_it_should():
@@ -163,17 +174,42 @@ def test_a_hostile_endpoint_allocates_nothing_for_its_shift(read, second, where)
     assert peak < 2**20, peak
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_bit_table_at_the_cap_stays_small():
+    peak = _traced_peak(lambda: SimpleGraph.from_edges(_BIT_TABLE_MAX, [(0, 1)]))
+    assert peak < 1_500_000, peak  # about 1.4 MB: n single-bit rows, n/2 bits wide on average
+
+
+def test_above_the_cap_no_bit_table_is_built():
+    # a table of 2^16 single-bit rows would take about 290 MB
+    def read():
+        with pytest.raises(ValueError, match="out of range"):
+            SimpleGraph.from_edges(2**16, [(0, HOSTILE)])
+    peak = _traced_peak(read)
+    assert peak < 2**20, peak
+
+
 @st.composite
 def _faulty_edge_lists(draw):
     """n and a list of its edges into which up to three faulty ones are
     put anywhere: endpoints out of range, self-loops, bools, non-ints and
-    pairs of the wrong length."""
-    n = draw(st.integers(min_value=0, max_value=10))
+    pairs of the wrong length.  n is small or near _BIT_TABLE_MAX, so both
+    fill loops are drawn, the DIMACS reader's n + 1 rows included."""
+    n = draw(st.integers(min_value=0, max_value=10)
+             | st.integers(min_value=_BIT_TABLE_MAX - 2, max_value=_BIT_TABLE_MAX + 2))
     vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
     edges = ([] if n < 2 else
              draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
                            max_size=12)))
-    endpoint = vertex | st.sampled_from([n, -1, -n - 1, HOSTILE, -HOSTILE, LONG,
+    endpoint = vertex | st.sampled_from([n, -1, -n, -n - 1, HOSTILE, -HOSTILE, LONG,
                                          True, False, "x", 2.5, None])
     fault = (st.tuples(vertex, endpoint) | st.tuples(endpoint, vertex)
              | vertex.map(lambda v: (v, v)) | st.tuples(vertex, vertex, vertex))

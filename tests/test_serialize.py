@@ -158,6 +158,8 @@ DIMACS_SEMANTICS = {
     # "e  \n" once per line with the digits deleted, but the second line's
     # "e" is not at its start: JSON would read 2e0 as the float 2.0
     "digits-before-e": ("p edge 9 2\ne 1 \n2e0 4 5\n", "line 2: malformed edge line 'e 1'"),
+    # the same with no exponent: a newline not followed by "e " still leaves the bulk path
+    "digits-before-bare-e": ("p edge 9 2\ne 1 \n2e 4 5\n", "line 2: malformed edge line 'e 1'"),
     "digits-after-last-newline": ("p edge 6 1\ne 2 1\n6", "line 3: unknown record '6'"),
 }
 
@@ -221,6 +223,7 @@ def _dimacs_texts(draw):
 @example("p edge 4 2\ne 1 2 3\ne 4\n")
 @example("e 1 2\np edge 2 1\ne 1 2\n")
 @example("p edge 4 2\ne 1 2 \n2e0 3 4\n")
+@example("p edge 4 2\ne 1 \n2e 3 4\n")
 def test_parse_dimacs_matches_its_line_loop(text):
     assert _outcome(serialize.parse_dimacs, text) == _outcome(
         _by_loop(serialize.parse_dimacs, "_edge_block"), text)
