@@ -294,7 +294,9 @@ def _decide_lists(g: SimpleGraph, order: list[int], assignment: ListAssignment,
     """The root both list solvers share: vertex i of g is order[i] of the
     assignment.
 
-    The lists must cover exactly the vertices of order.  An empty list is
+    The lists must cover exactly the vertices of order: the first vertex
+    of order with no list, else the first list key that is none of them, is
+    named in the ValueError.  An empty list is
     UNSAT at no node.  Otherwise the twin classes (the vertices of one row)
     are found in one pass over the rows, keyed by the salted hash of each
     row's bytes: an int hashes as its value mod 2^61 - 1, so rows can be
@@ -310,8 +312,13 @@ def _decide_lists(g: SimpleGraph, order: list[int], assignment: ListAssignment,
     needy, and the attestation carries the count.  On a complete
     multipartite graph the classes are the parts and the clique is all.
     """
-    if set(assignment.lists) != set(order):
-        raise ValueError("lists must cover exactly the graph's vertices")
+    vertices = set(order)
+    if set(assignment.lists) != vertices:
+        bare = [v for v in order if v not in assignment.lists]
+        offender = (f"vertex {clip(bare[0])} has no list" if bare else
+                    f"list key {clip(next(k for k in assignment.lists if k not in vertices))} "
+                    "is no vertex")
+        raise ValueError(f"lists must cover exactly the graph's vertices: {offender}")
     for v in order:
         if not assignment.lists[v]:
             return ListColoringResult(None, SearchAttestation(nodes=0, empty_list_vertex=v))

@@ -136,17 +136,21 @@ def _dimacs_records(lines: list[str]) -> tuple[int | None, list[tuple[int, int]]
     edges = []
     for lineno, raw in enumerate(lines, start=1):
         fields = raw.split()
-        try:  # int() refuses a field that is no integer: the line is malformed, below
-            if len(fields) == 3 and fields[0] == "e":
-                edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
-                continue
-            # the edge count must be a count, but it is not matched against
-            # the e lines: files from other tools often disagree with them
-            if len(fields) == 4 and fields[:2] == ["p", "edge"] and fields[3].isdecimal():
-                n = int(fields[2])  # a later problem line overrides this one
-                continue
-        except ValueError:
-            pass
+        # int() also reads "1_0" and non-ASCII digits: on an ASCII line with no
+        # "_" it reads exactly a sign and ASCII digits, and refuses any other
+        # field, so the line is malformed, below
+        if raw.isascii() and "_" not in raw:
+            try:
+                if len(fields) == 3 and fields[0] == "e":
+                    edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
+                    continue
+                # the edge count must be a count, but it is not matched against
+                # the e lines: files from other tools often disagree with them
+                if len(fields) == 4 and fields[:2] == ["p", "edge"] and fields[3].isdecimal():
+                    n = int(fields[2])  # a later problem line overrides this one
+                    continue
+            except ValueError:
+                pass
         if not fields or fields[0].startswith("c"):
             continue
         if fields[0] == "p":
@@ -195,8 +199,10 @@ def parse_dimacs(text: str) -> SimpleGraph:
     and blank lines anywhere; a problem line "p edge <n> <m>", where the
     last one in the file wins and m must be a count but is not matched
     against the edge lines; edge lines "e <u> <v>" with 1-based vertices,
-    anywhere in the file, also before the problem line.  Fields may be
-    separated by any whitespace, and lines end in any line break.  A
+    anywhere in the file, also before the problem line.  A problem or edge
+    line is ASCII with no "_", so each of its integers is ASCII digits
+    after an optional sign.  Fields may be separated by any whitespace
+    (ASCII on those lines), and lines end in any line break.  A
     malformed line raises ValueError naming its number; so do a missing
     problem line, a vertex count over MAX_INPUT_VERTICES, and an edge out
     of range or a self-loop.
@@ -285,12 +291,13 @@ def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:
 
     An object that names a key twice is refused: json.loads alone keeps the
     last value, so a vertex's second list would silently replace its first.
-    Three faults that json.loads reports in Python's own terms leave as a
-    ValueError that names the fault, like any other malformed input: nesting
-    too deep to decode (a RecursionError), an integer longer than Python
-    converts, and a text that starts with U+FEFF (whose message asks for a
-    codec that the caller cannot choose).  Callers check the type of every
-    value they read.
+    Every fault of the text leaves as a ValueError that starts "malformed
+    <kind> JSON:", so a message names the file at fault.  A syntax error
+    keeps the decoder's words and position; three faults that json.loads
+    reports in Python's own terms are named instead: nesting too deep to
+    decode (a RecursionError), an integer longer than Python converts, and
+    a text that starts with U+FEFF (whose message asks for a codec that the
+    caller cannot choose).  Callers check the type of every value they read.
     """
     def unique(pairs: list) -> dict:
         obj = dict(pairs)
@@ -305,6 +312,8 @@ def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:
         doc = json.loads(text, object_pairs_hook=unique)
     except RecursionError:
         raise ValueError(f"malformed {kind} JSON: nested too deep") from None
+    except json.JSONDecodeError as exc:  # a syntax error: name the file it is in
+        raise ValueError(f"malformed {kind} JSON: {exc}") from None
     except ValueError as exc:
         if "integer string conversion" not in str(exc):
             raise

@@ -238,15 +238,14 @@ def check_square_structure(sq: SimpleGraph, gc: ConstructedGraph
     return parts, col.report()
 
 
-# Each check by its CLI selector name.  The functions are named, not held, so that
-# run_check finds them when called: the bench tracer rebinds the module's names.
-LEMMAS = {"nw": "check_lemma_nw", "nv": "check_lemma_nv", "independence": "check_independence",
-          "pq": "check_pq_adjacency", "structure": "check_square_structure"}
+# Each check by its CLI selector name, in verify's payload order.
+LEMMAS = {"nw": check_lemma_nw, "nv": check_lemma_nv, "independence": check_independence,
+          "pq": check_pq_adjacency, "structure": check_square_structure}
 
 
 def run_check(lemma: str, sq: SimpleGraph, gc: ConstructedGraph) -> LemmaReport:
-    """The report of the check LEMMAS names lemma; sq is square(gc.graph)."""
-    result = globals()[LEMMAS[lemma]](sq, gc)
+    """The report of the check LEMMAS holds as lemma; sq is square(gc.graph)."""
+    result = LEMMAS[lemma](sq, gc)
     return result[1] if lemma == "structure" else result
 
 

@@ -20,7 +20,7 @@ from oracles import (
     rescan_search,
     vetrik_k3x5,
 )
-from squaregap import cli, coloring
+from squaregap import cli, coloring, construction
 from squaregap.coloring import (
     ListAssignment,
     certify_gap,
@@ -31,7 +31,7 @@ from squaregap.coloring import (
     vetrik_assignment,
     vetrik_lower_bound,
 )
-from squaregap.construction import construct_counterexample, part_sets
+from squaregap.construction import base_stars, construct_counterexample, part_sets
 from squaregap.errors import SearchBudgetExceeded
 from squaregap.graphcore import SimpleGraph, bits, mask_of, square
 from squaregap.verification import check_square_structure
@@ -191,7 +191,7 @@ def test_assignment_names_the_first_vertex_whose_list_leaves_the_universe():
     # the cover check and an empty list's answer come first
     with pytest.raises(ValueError) as err:
         is_list_colorable(SimpleGraph(6, (0,) * 6), outside)
-    assert str(err.value) == "lists must cover exactly the graph's vertices"
+    assert str(err.value) == "lists must cover exactly the graph's vertices: vertex 5 has no list"
     empty = outside._replace(lists={**outside.lists, 3: frozenset()})
     for result in (is_list_colorable(SimpleGraph(5, (0,) * 5), empty),
                    multipartite_list_colorable(((0, 1), (2, 3), (4,)), empty)):
@@ -919,6 +919,24 @@ def test_certify_refuses_a_gap_below_the_floor(monkeypatch, capsys):
     assert out == ""
     assert err.splitlines()[0] == ("squaregap certify: internal error: RuntimeError: "
                                    "'certificate gap 3 below n-1 = 4'")
+    assert json.loads(err.splitlines()[-1])["outcome"] == "error"
+
+
+def test_certify_refuses_a_square_that_is_not_complete_multipartite(monkeypatch, capsys):
+    # one whole edge orbit removed: the stars still present a simple graph, so
+    # checked_stars passes them, but the square misses edges between parts
+    n = 3
+    stars = [list(star) for star in base_stars(n)]
+    u = stars[0].pop(0)
+    stars[u // n].remove(-u % n)
+    monkeypatch.setattr(construction, "base_stars", lambda m: stars)
+    with pytest.raises(RuntimeError, match=r"^square structure check failed: \('structure', "):
+        certify_gap(n)
+    assert cli.main(["certify", "--n", str(n)]) == cli.EXIT_INTERNAL == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("squaregap certify: internal error: RuntimeError: "
+                          '"square structure check failed: ')
     assert json.loads(err.splitlines()[-1])["outcome"] == "error"
 
 

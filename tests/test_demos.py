@@ -140,9 +140,13 @@ for argv in runs:
 with open(f"{tmp}/g.json") as fh:
     serialize.parse_graph_json(fh.read())
 first = len(tracer.spans)
+from squaregap import verification
 from squaregap.construction import construct_counterexample
-from squaregap.verification import run_all_checks
-run_all_checks(construct_counterexample(3))
+from squaregap.graphcore import square
+gc = construct_counterexample(3)
+sq = square(gc.graph)
+for check in verification.LEMMAS.values():  # by the names the tracer rebinds
+    getattr(verification, check.__name__)(sq, gc)
 dense = sorted({s[0] for s in tracer.spans[first:]})
 print(json.dumps({"runs": done, "dense": dense, "counts": tracer.counts,
                   "untraced_nodes": untraced}))
@@ -154,10 +158,10 @@ CHECKS = ("check_lemma_nw", "check_lemma_nv", "check_independence", "check_pq_ad
 def test_the_bench_tracer_reads_every_hooked_result(tmp_path):
     # spans._observe reads the return shapes of the checks, solvers, writers
     # and readers it wraps; a changed shape would otherwise surface only in
-    # a traced bench run.  Each check must get a span, which a table of the
-    # checks built at import (before the tracer rebinds them) would miss.
-    # verify settles its claims in block form and calls the dense checks only
-    # to name a failure, so run_all_checks calls them here.
+    # a traced bench run.  verify settles its claims in block form and calls
+    # the dense checks only to name a failure, so each check in LEMMAS is
+    # called here by its module name, which the tracer rebinds, and must get
+    # a span.
     proc = run_python("-c", TRACED_RUN, str(tmp_path))
     assert proc.returncode == 0, proc.stderr[-2000:]
     got = json.loads(proc.stdout)

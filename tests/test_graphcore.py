@@ -65,11 +65,15 @@ def test_rejects_out_of_range():
         SimpleGraph(1, (0b10,))
     with pytest.raises(ValueError):
         SimpleGraph(1, (-1,))  # a negative row has bits at every index >= n
+    with pytest.raises(ValueError, match="^adjacency has 1 rows for 2 vertices$"):
+        SimpleGraph(2, (0,))
 
 
 def test_from_edges_rejects_negative_vertex_count():
     with pytest.raises(ValueError):
         SimpleGraph.from_edges(-1, [])
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative, got -1$"):
+        SimpleGraph(-1, ())
 
 
 def test_unchecked_builders_yield_rows_the_checked_constructor_accepts():
@@ -79,6 +83,7 @@ def test_unchecked_builders_yield_rows_the_checked_constructor_accepts():
         g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.3]))
         for h in (g, square(g)):
             assert SimpleGraph(h.n, h.adj) == h
+            assert hash(SimpleGraph(h.n, h.adj)) == hash(h)
 
 
 def test_edges_sorted_and_counted():

@@ -105,6 +105,11 @@ def test_square_not_orthogonal_to_itself():
     assert not are_orthogonal(sq, sq)
 
 
+def test_squares_of_two_orders_are_refused():
+    with pytest.raises(ValueError, match="^order mismatch: 3 vs 5$"):
+        are_orthogonal(build_latin(3, 1), build_latin(5, 1))
+
+
 def test_is_latin_rejects_repeats():
     bad_row = [[1, 1, 3], [2, 3, 1], [3, 2, 2]]
     assert not is_latin(bad_row)

@@ -161,6 +161,16 @@ DIMACS_SEMANTICS = {
     # the same with no exponent: a newline not followed by "e " still leaves the bulk path
     "digits-before-bare-e": ("p edge 9 2\ne 1 \n2e 4 5\n", "line 2: malformed edge line 'e 1'"),
     "digits-after-last-newline": ("p edge 6 1\ne 2 1\n6", "line 3: unknown record '6'"),
+    # int() also reads "1_0" and non-ASCII digits, which a problem or edge line may not hold;
+    # a sign and leading zeros still read, and a comment may hold any character (among
+    # the edges, it leaves the block to the line loop)
+    "underscore-endpoint": ("p edge 12 1\ne 1 1_0\n", "line 2: malformed edge line 'e 1 1_0'"),
+    "arabic-indic-endpoint": ("p edge 3 1\ne 1 \u0663\n",
+                              "line 2: malformed edge line 'e 1 \u0663'"),
+    "arabic-indic-count": ("p edge \u0663 0\n", "line 1: malformed problem line 'p edge \u0663 0'"),
+    "underscore-count": ("p edge 1_0 0\n", "line 1: malformed problem line 'p edge 1_0 0'"),
+    "plus-sign": ("p edge +3 1\ne +1 02\n", (3, [(0, 1)])),
+    "non-ascii-comment": ("p edge 3 2\ne 1 2\nc \u0663 \u00e9\ne 2 3\n", (3, [(0, 1), (1, 2)])),
 }
 
 
