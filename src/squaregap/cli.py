@@ -14,6 +14,12 @@ VALUE``, no VALUE empty or starting with '-') is read from the table
 directly.  Any other (help, an abbreviation, ``--opt=value``, a usage
 error) goes to an argparse parser built from the same table, so
 argparse, loaded only then, words every message.
+
+Each handler builds its whole document before it returns, so every check
+that can exit 1, 2 or 4 runs before the first byte is written; it returns
+the payload as pieces of text, which main writes in batches of about
+_BATCH characters, to stdout or to --output.  Output is partial only when
+a write fails, which exits 3.
 """
 
 import contextlib
@@ -23,6 +29,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterable
 from types import SimpleNamespace
 
 from . import coloring, serialize, verification
@@ -37,6 +44,9 @@ EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
+
+# payload pieces are joined into writes of about this many characters
+_BATCH = 1 << 16
 
 
 def _envelope(command: str, parameters: dict, outcome: str, elapsed_ms: int) -> str:
@@ -128,18 +138,18 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _cmd_construct(args) -> tuple[str, str]:
+def _cmd_construct(args) -> tuple[str, Iterable[str]]:
     # the payload reads only the upper rows, labels and sets, all without the graph
     upper = counterexample_upper(args.n)
     if args.format == "dimacs":
-        return "pass", serialize.graph_to_dimacs(len(upper), upper)
+        return "pass", serialize.dimacs_chunks(len(upper), upper)
     if args.format == "dot":
-        return "pass", serialize.graph_to_dot(len(upper), upper,
-                                              serialize.constructed_labels(args.n))
-    return "pass", serialize.json_dumps(serialize.constructed_to_json_dict(args.n, upper))
+        return "pass", serialize.dot_chunks(len(upper), upper,
+                                            serialize.constructed_labels(args.n))
+    return "pass", serialize.json_chunks(serialize.constructed_to_json_dict(args.n, upper))
 
 
-def _cmd_verify(args) -> tuple[str, str]:
+def _cmd_verify(args) -> tuple[str, Iterable[str]]:
     # block form: the stars and one row of the square per block, no dense G or G^2
     stars = verification.checked_stars(args.n)
     rows = square_by_blocks(stars, args.n)
@@ -154,12 +164,12 @@ def _cmd_verify(args) -> tuple[str, str]:
     }
     if "structure" in reports:  # the parts it verified: 2n - 1 blocks of n vertices
         doc["structure_parts"] = {"count": 2 * args.n - 1, "sizes": [args.n] * (2 * args.n - 1)}
-    return ("pass" if all_passed else "fail"), serialize.json_dumps(doc)
+    return ("pass" if all_passed else "fail"), serialize.json_chunks(doc)
 
 
-def _cmd_certify(args) -> tuple[str, str]:
+def _cmd_certify(args) -> tuple[str, Iterable[str]]:
     cert = coloring.certify_gap(args.n, budget_seconds=args.budget_seconds)
-    return "pass", serialize.json_dumps(serialize.certificate_to_json_dict(cert))
+    return "pass", serialize.json_chunks(serialize.certificate_to_json_dict(cert))
 
 
 def _load_graph_file(path: str) -> SimpleGraph:
@@ -172,7 +182,7 @@ def _load_graph_file(path: str) -> SimpleGraph:
     return serialize.parse_dimacs(text)
 
 
-def _cmd_solve_list(args) -> tuple[str, str]:
+def _cmd_solve_list(args) -> tuple[str, Iterable[str]]:
     deadline = None if args.budget_seconds is None else time.monotonic() + args.budget_seconds
     g = _load_graph_file(args.graph)
     with open(args.lists, encoding="utf-8") as fh:
@@ -187,10 +197,10 @@ def _cmd_solve_list(args) -> tuple[str, str]:
         doc["coloring"] = {str(v): c for v, c in result.coloring.items()}
     if result.attestation.empty_list_vertex is not None:
         doc["empty_list_vertex"] = result.attestation.empty_list_vertex
-    return ("pass" if result.satisfiable else "fail"), serialize.json_dumps(doc)
+    return ("pass" if result.satisfiable else "fail"), serialize.json_chunks(doc)
 
 
-def _cmd_mols(args) -> tuple[str, str]:
+def _cmd_mols(args) -> tuple[str, Iterable[str]]:
     squares = build_mols_family(args.n)
     lines = []
     for i, sq in enumerate(squares, start=1):
@@ -207,7 +217,7 @@ def _cmd_mols(args) -> tuple[str, str]:
         lines.append(f"orthogonal: {'ok' if orth_ok else 'FAILED'}")
         if not (latin_ok and orth_ok):
             outcome = "fail"
-    return outcome, "\n".join(lines) + "\n"
+    return outcome, ("\n".join(lines), "\n")
 
 
 # each command's handler, its help and, per option, the keyword arguments of its add_argument
@@ -238,6 +248,18 @@ _COMMANDS = {
 }
 
 
+def _write(fh, pieces: Iterable[str]) -> None:
+    """Write pieces to fh in batches of about _BATCH characters."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            fh.write("".join(batch))
+            batch, size = [], 0
+    fh.write("".join(batch))
+
+
 def main(argv=None) -> int:
     args = _read_args(sys.argv[1:] if argv is None else argv) or _parse_args(argv)
     started = time.perf_counter()
@@ -246,15 +268,15 @@ def main(argv=None) -> int:
                   for k, v in vars(args).items() if k != "command"}
     message = None  # set by a failure, printed before the envelope
     try:
-        outcome, payload = _COMMANDS[args.command][0](args)
+        outcome, pieces = _COMMANDS[args.command][0](args)
         code = EXIT_PASS if outcome == "pass" else EXIT_FAIL
         if getattr(args, "output", None):
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                _write(fh, pieces)
         elif sys.stdout is None or sys.stdout.closed:  # None: closed at startup
             raise OSError(errno.EBADF, "stdout is closed")
         else:
-            sys.stdout.write(payload)
+            _write(sys.stdout, pieces)
             sys.stdout.flush()
     except ValueError as exc:
         message, code = str(exc), EXIT_BAD_PARAMS

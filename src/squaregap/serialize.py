@@ -5,10 +5,14 @@ emitted with sorted keys, no timestamps or machine-local data in any
 payload.  The graph writers take a graph as its upper rows (upper[u] is
 the ascending list of u's neighbours above u, as SimpleGraph.upper()
 gives them) and write one vertex's edge lines with a single str.join.
+Each writer yields its text in pieces (json_chunks, dimacs_chunks,
+dot_chunks), which the CLI streams, and the graph readers decode the
+layouts these writers give in pieces of about _PIECE characters.
 """
 
 import json
-from itertools import chain
+from collections.abc import Iterator
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import ne
 
@@ -29,23 +33,26 @@ COLOUR_BOUND = 2**53
 
 
 def _vertex_count(n: int) -> int:
-    """n, checked against MAX_INPUT_VERTICES before any row is allocated."""
+    """n, checked against MAX_INPUT_VERTICES, then for its sign, before any
+    row is allocated."""
     if n > MAX_INPUT_VERTICES:
         raise ValueError(f"vertex count {clip(n)} exceeds the limit of {MAX_INPUT_VERTICES}")
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {clip(n)}")
     return n
 
 
 def _edge_lines(upper: list[list[int]], names: list[str], template: str,
-                sep: str = "\n") -> list[str]:
+                sep: str = "\n", end: str = "") -> Iterator[str]:
     """One string per vertex u with neighbours above it: template with {u} and
-    {v} replaced by names[u] and names[v], for each v in upper[u], joined by sep."""
+    {v} replaced by names[u] and names[v], for each v in upper[u], joined by
+    sep, then end."""
     head, _, tail = template.partition("{v}")
-    out = []
     for u, row in enumerate(upper):
         if row:
             lead = head.replace("{u}", names[u])
-            out.append(lead + f"{tail}{sep}{lead}".join(map(names.__getitem__, row)) + tail)
-    return out
+            glue = f"{tail}{sep}{lead}"
+            yield f"{lead}{glue.join(map(names.__getitem__, row))}{tail}{end}"
 
 
 class EdgeRows:
@@ -58,27 +65,82 @@ class EdgeRows:
         self.upper = upper
 
 
+# An int list of up to this many ints is one piece of json_chunks, rendered once
+# per call; a longer one, which no payload repeats, comes one int at a time.
+_LIST_PIECE = 1024
+
+
 def json_dumps(obj) -> str:
     """The text of json.dumps(obj, sort_keys=True, indent=2) plus a newline,
-    where an EdgeRows value stands for its list of [u, v] pairs.
+    where an EdgeRows value stands for its list of [u, v] pairs: the pieces
+    of json_chunks(obj), joined."""
+    return "".join(json_chunks(obj))
+
+
+def json_chunks(obj) -> Iterator[str]:
+    """The text of json_dumps(obj) in pieces: a str-keyed dict comes one
+    entry at a time, an EdgeRows value one vertex at a time, any other list
+    one element at a time, and an int list of at most _LIST_PIECE ints, like
+    every other value, as one piece.
 
     The standard library indents only in its pure-Python encoder, one
-    generator step per token.  This writer writes true, false and null
-    directly, joins each list of ints in one str.join and walks other lists
-    and str-keyed dicts itself; every other value goes to json.dumps,
-    re-indented to its depth, which is safe because encoded JSON holds no
-    raw newline inside a string.
+    generator step per token.  This writer walks lists and str-keyed dicts
+    itself, writes true, false and null directly and joins each list of ints
+    in one str.join; every other value goes to json.dumps, re-indented to its
+    depth, which is safe because encoded JSON holds no raw newline inside a
+    string.
 
-    Each list of ints is rendered once per object and depth: memo maps
+    Each int list piece is rendered once per object and depth: memo maps
     (id(list), pad) to its text for this one call.  An id names one object
     only while it lives, which is sound because obj keeps every object in
-    the document alive until the call returns; a list that _indented builds
-    itself must never be memoized, as its id could be reused.
+    the document alive until the last piece is taken; a list that the writer
+    builds itself must never be memoized, as its id could be reused.
     """
-    return _indented(obj, "", {}) + "\n"
+    memo = {}
+    text = _indented(obj, "", memo)
+    if text is None:
+        yield from _chunks(obj, "", memo, "")
+    else:
+        yield text
+    yield "\n"
 
 
-def _indented(obj, pad: str, memo: dict) -> str:
+def _chunks(obj, pad: str, memo: dict, lead: str) -> Iterator[str]:
+    """json_chunks's pieces of obj, a value that _indented gives no text,
+    at indent pad, the first one after lead."""
+    inner = pad + "  "
+    if type(obj) is EdgeRows:
+        deeper = inner + "  "
+        lead += "[\n"
+        for line in _edge_lines(obj.upper, list(map(str, range(len(obj.upper)))),
+                                f"{inner}[\n{deeper}{{u}},\n{deeper}{{v}}\n{inner}]", ",\n"):
+            yield lead
+            yield line
+            lead = ",\n"
+        yield f"\n{pad}]"
+        return
+    if type(obj) is dict:
+        keys = sorted(obj)
+        items = zip([f"{_encode_str(key)}: " for key in keys], map(obj.__getitem__, keys))
+        lead, close = f"{lead}{{\n{inner}", "}"
+    else:
+        items = zip(repeat(""), obj)
+        lead, close = f"{lead}[\n{inner}", "]"
+    for head, value in items:
+        text = _indented(value, inner, memo)
+        if text is None:
+            yield from _chunks(value, inner, memo, lead + head)
+        else:
+            yield f"{lead}{head}{text}"
+        lead = ",\n" + inner
+    yield f"\n{pad}{close}"
+
+
+def _indented(obj, pad: str, memo: dict) -> str | None:
+    """The text of obj at indent pad if it is one piece of json_chunks: a
+    leaf, an empty container or an int list of at most _LIST_PIECE ints.
+    None for a value that _chunks walks: a non-empty str-keyed dict, an
+    EdgeRows value with an edge, or any other non-empty list."""
     kind = type(obj)
     if kind is str:
         return _encode_str(obj)
@@ -88,29 +150,17 @@ def _indented(obj, pad: str, memo: dict) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    inner = pad + "  "
     if kind is EdgeRows:
-        if not any(obj.upper):
-            return "[]"
-        deeper = inner + "  "
-        pairs = _edge_lines(obj.upper, list(map(str, range(len(obj.upper)))),
-                            f"{inner}[\n{deeper}{{u}},\n{deeper}{{v}}\n{inner}]", ",\n")
-        return "[\n" + ",\n".join(pairs) + f"\n{pad}]"
+        return None if any(obj.upper) else "[]"
+    if kind is dict and obj and all(type(k) is str for k in obj):
+        return None
     if (kind is list or kind is tuple) and obj:
         key = (id(obj), pad)
         text = memo.get(key)
-        if text is not None:
-            return text
-        if set(map(type, obj)) == {int}:
+        if text is None and len(obj) <= _LIST_PIECE and set(map(type, obj)) == {int}:
+            inner = pad + "  "
             text = memo[key] = f"[\n{inner}" + f",\n{inner}".join(map(str, obj)) + f"\n{pad}]"
-            return text
-        return (f"[\n{inner}" + f",\n{inner}".join([_indented(x, inner, memo) for x in obj])
-                + f"\n{pad}]")
-    if kind is dict and obj and all(type(k) is str for k in obj):
-        return (f"{{\n{inner}"
-                + f",\n{inner}".join([f"{_encode_str(k)}: {_indented(obj[k], inner, memo)}"
-                                       for k in sorted(obj)])
-                + f"\n{pad}}}")
+        return text
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
@@ -119,9 +169,28 @@ def _indented(obj, pad: str, memo: dict) -> str:
 
 def graph_to_dimacs(n: int, upper: list[list[int]]) -> str:
     """DIMACS .col text of the graph on n vertices with upper rows upper, 1-based."""
-    lines = [f"p edge {n} {sum(map(len, upper))}"]
-    lines += _edge_lines(upper, list(map(str, range(1, n + 1))), "e {u} {v}")
-    return "\n".join(lines) + "\n"
+    return "".join(dimacs_chunks(n, upper))
+
+
+def dimacs_chunks(n: int, upper: list[list[int]]) -> Iterator[str]:
+    """The text of graph_to_dimacs(n, upper) in pieces: the problem line, then
+    one piece per vertex with neighbours above it."""
+    yield f"p edge {n} {sum(map(len, upper))}\n"
+    yield from _edge_lines(upper, list(map(str, range(1, n + 1))), "e {u} {v}", end="\n")
+
+
+# Input text is decoded _PIECE characters or a little more at a time (_pieces)
+_PIECE = 1 << 16
+
+
+def _pieces(text: str, start: int, end: int, mark: str, keep: int) -> Iterator[str]:
+    """text[start:end] in pieces, each cut at the first mark that starts at
+    least _PIECE characters past the last cut: a piece ends keep characters
+    into its mark, and the next starts one character into it."""
+    while (cut := text.find(mark, start + _PIECE, end)) >= 0:
+        yield text[start:cut + keep]
+        start = cut + 1
+    yield text[start:end]
 
 
 # _edge_block's map from a canonical edge block to the body of a JSON array
@@ -191,6 +260,38 @@ def _edge_block(body: str) -> list[int] | None:
         return None
 
 
+def _dimacs_pairs(piece: str) -> Iterator[tuple[int, int]]:
+    """The edges of a piece of a canonical edge block, as written (_edge_block).
+    A piece that is no such block raises ValueError, which edge_rows takes as
+    a faulty edge."""
+    ends = _edge_block(piece)
+    if ends is None:
+        raise ValueError("not a canonical edge block")
+    return zip(ends[::2], ends[1::2])
+
+
+def _record_lines(lines: list[str], kind: str) -> Iterator[int]:
+    """The numbers, from 1, of the lines whose first field is kind, among
+    lines the line loop read without a fault: so each is a record of that
+    kind."""
+    return (k for k, raw in enumerate(lines, start=1) if raw.split()[:1] == [kind])
+
+
+def _dimacs_fault(lines: list[str], n: int, edges: list[tuple[int, int]]) -> ValueError:
+    """The error for the first faulty edge of lines, whose records the line
+    loop read as n and edges: named by its line, with its endpoints as
+    written."""
+    for index, (u, v) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < n):
+            message = f"edge {clip(u + 1)} {clip(v + 1)} out of range for {n} vertices"
+        elif u == v:
+            message = f"self-loop at {u + 1} not allowed"
+        else:
+            continue
+        return ValueError(f"line {next(islice(_record_lines(lines, 'e'), index, None))}: {message}")
+    raise AssertionError("edge_rows refused edges with no fault")
+
+
 def parse_dimacs(text: str) -> SimpleGraph:
     """The graph of a DIMACS .col text, in the dialect of Johnson & Trick
     (eds.), Cliques, Coloring, and Satisfiability, DIMACS Series 26 (1996).
@@ -203,34 +304,45 @@ def parse_dimacs(text: str) -> SimpleGraph:
     line is ASCII with no "_", so each of its integers is ASCII digits
     after an optional sign.  Fields may be separated by any whitespace
     (ASCII on those lines), and lines end in any line break.  A
-    malformed line raises ValueError naming its number; so do a missing
-    problem line, a vertex count over MAX_INPUT_VERTICES, and an edge out
-    of range or a self-loop.
+    malformed line raises ValueError naming its number; so do a vertex
+    count over MAX_INPUT_VERTICES or below 0, naming the problem line in
+    force, and an edge out of range and a self-loop, with the endpoints as
+    written; a missing problem line raises it too.
 
     A text as graph_to_dimacs writes it takes the bulk path: its header,
     the lines up to the first newline followed by "e ", goes through the
     line loop, and the rest must be a canonical edge block (_edge_block),
-    decoded in one json.loads.  Its 1-based endpoints fill n + 1 bit rows
-    (edge_rows), which is their only check: an endpoint above n or a
-    self-loop fails the fill, and an endpoint 0 leaves row 0 set.  Any
-    other text, one whose header lacks a problem line or holds an edge (a
-    first line "e 1 2", or an edge spelled otherwise), and one whose block
-    fails those checks are read by the line loop alone, which names the
+    decoded in pieces of about _PIECE characters, each cut before a line
+    "e ..." and decoded in one json.loads, so no list of every endpoint is
+    held.  Their 1-based endpoints fill n + 1 bit rows (edge_rows), which is
+    their only check: an endpoint above n or a self-loop fails the fill,
+    and an endpoint 0 leaves row 0 set.  Any other text, one whose header
+    lacks a problem line or holds an edge (a first line "e 1 2", or an edge
+    spelled otherwise) or a vertex count out of range, and one with a piece
+    that fails those checks are read by the line loop alone, which names the
     first failure.
     """
     cut = text.find("\ne ") + 1  # where the edge block starts; 0 if none does
     if cut:
         n, edges = _dimacs_records(text[:cut].splitlines())
-        ends = None if edges or n is None else _edge_block(text[cut:])
-        if ends is not None:
-            rows = edge_rows(_vertex_count(n) + 1, zip(ends[::2], ends[1::2]))
+        if not edges and n is not None and 0 <= n <= MAX_INPUT_VERTICES:
+            rows = edge_rows(n + 1, chain.from_iterable(
+                map(_dimacs_pairs, _pieces(text, cut, len(text), "\ne ", 1))))
             if rows is not None and not rows[0]:
                 # vertex 0 is bare: drop its row and shift the others down one bit
                 return SimpleGraph._from_rows(n, tuple([row >> 1 for row in rows[1:]]))
-    n, edges = _dimacs_records(text.splitlines())
+    lines = text.splitlines()
+    n, edges = _dimacs_records(lines)
     if n is None:
         raise ValueError("missing 'p edge' problem line")
-    return SimpleGraph.from_edges(_vertex_count(n), edges)
+    try:
+        _vertex_count(n)
+    except ValueError as exc:  # name the problem line in force, the last one
+        raise ValueError(f"line {max(_record_lines(lines, 'p'))}: {exc}") from None
+    rows = edge_rows(n, edges)
+    if rows is None:
+        raise _dimacs_fault(lines, n, edges)
+    return SimpleGraph._from_rows(n, tuple(rows))
 
 
 # -- DOT ----------------------------------------------------------------------
@@ -241,13 +353,19 @@ def graph_to_dot(n: int, upper: list[list[int]],
     """DOT text of the graph on n vertices with upper rows upper; a vertex with
     a non-empty label gets it as its label attribute, a quoted string with
     its backslashes and double quotes escaped."""
-    lines = ["graph G {"]
+    return "".join(dot_chunks(n, upper, labels))
+
+
+def dot_chunks(n: int, upper: list[list[int]],
+               labels: dict[int, str] | None = None) -> Iterator[str]:
+    """The text of graph_to_dot(n, upper, labels) in pieces: one per vertex
+    line, then one per vertex with neighbours above it."""
+    yield "graph G {\n"
     for v in range(n):
         name = ((labels or {}).get(v) or "").replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  {v} [label="{name}"];' if name else f"  {v};")
-    lines += _edge_lines(upper, list(map(str, range(n))), "  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  {v} [label="{name}"];\n' if name else f"  {v};\n"
+    yield from _edge_lines(upper, list(map(str, range(n))), "  {u} -- {v};", end="\n")
+    yield "}\n"
 
 
 # -- graph JSON ---------------------------------------------------------------
@@ -286,8 +404,9 @@ def _first_repeat(values: list):
     return next(x for x in values if x in seen or seen.add(x))
 
 
-def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:
-    """The JSON object in text, which must carry keys.
+def _read_json(text: str, kind: str, keys: tuple[str, str], parse_constant=None) -> dict:
+    """The JSON object in text, which must carry keys; parse_constant, if
+    given, reads NaN, Infinity and -Infinity.
 
     An object that names a key twice is refused: json.loads alone keeps the
     last value, so a vertex's second list would silently replace its first.
@@ -309,7 +428,7 @@ def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:
     if text.startswith("\ufeff"):
         raise ValueError(f"malformed {kind} JSON: starts with a byte-order mark (U+FEFF)")
     try:
-        doc = json.loads(text, object_pairs_hook=unique)
+        doc = json.loads(text, object_pairs_hook=unique, parse_constant=parse_constant)
     except RecursionError:
         raise ValueError(f"malformed {kind} JSON: nested too deep") from None
     except json.JSONDecodeError as exc:  # a syntax error: name the file it is in
@@ -323,9 +442,79 @@ def _read_json(text: str, kind: str, keys: tuple[str, str]) -> dict:
     return doc
 
 
+# The layout json_dumps gives a graph document's edges: the array opens after
+# _EDGES_KEY, each pair is _PAIR once its digits are deleted, pairs are joined
+# by a comma, and the array closes at _EDGES_END.
+_EDGES_KEY = '\n  "edges": ['
+_EDGES_END = "\n  ]"
+_PAIR = b"\n    [\n      ,\n      \n    ]"
+_EDGES = object()  # what the bulk path reads for the NaN put in place of the edges
+
+
+def _json_pairs(piece: str) -> Iterator[tuple[int, int]]:
+    """The pairs of a piece of a graph JSON edge array in json_dumps's layout:
+    "[\n      u,\n      v\n    ]" at indent 4, joined by commas, with u and
+    v in canonical decimal.  Any other piece raises ValueError, which
+    edge_rows takes as a faulty edge.
+
+    With its digits deleted the piece must read as _PAIR once per pair, and
+    with them, start and end as the pattern does and join its pairs by the
+    pattern's own "],\n    [": so digits stand only inside brackets.  With
+    the brackets deleted one json.loads then refuses an empty slot, a
+    leading zero and digits that run together, so each pair gives exactly
+    two non-negative integers, in its brackets as the full reader reads them.
+    """
+    raw = piece.encode()
+    skeleton = raw.translate(None, b"0123456789") + b","
+    count = len(skeleton) // (len(_PAIR) + 1)
+    if (skeleton != (_PAIR + b",") * count or raw.count(b"],\n    [") != count - 1
+            or not raw.startswith(b"\n    [") or not raw.endswith(b"]")):
+        raise ValueError("not json_dumps's layout of an edge array")
+    ends = json.loads(b"[" + raw.translate(None, b"[]") + b"]")
+    return zip(ends[::2], ends[1::2])
+
+
+def _graph_json_bulk(text: str) -> tuple[SimpleGraph, dict] | None:
+    """What parse_graph_json gives for text, if text holds its edges as
+    json_dumps writes them, else None.
+
+    The edge array is taken to open at the first _EDGES_KEY and to close at
+    the last _EDGES_END.  The rest of the text, with NaN in place of that
+    array, goes to _read_json, which reads NaN as _EDGES; the array's inside
+    goes to edge_rows in pieces of about _PIECE characters, each cut before
+    a pair and read by _json_pairs.  That reads text exactly as the full
+    reader would when neither side of the array holds NaN and the document's
+    top-level "edges" value is _EDGES: then the NaN stood where an array
+    stands in the full text, and its key is the top-level one, named once (a
+    nested "edges" key, a repeated key or text after the array fails).  The
+    pairs are in range and no self-loop when the fill succeeds, and
+    n_vertices is an int in 0..MAX_INPUT_VERTICES.  Every other text gives
+    None, and so the full reader names its first fault.
+    """
+    head = text.find(_EDGES_KEY)
+    start, end = head + len(_EDGES_KEY), text.rfind(_EDGES_END)
+    if head < 0 or end < start or text.find("NaN", 0, start) >= 0 or text.find("NaN", end) >= 0:
+        return None
+    try:
+        doc = _read_json(f"{text[:start - 1]}NaN{text[end + len(_EDGES_END):]}", "graph",
+                         ("n_vertices", "edges"),
+                         lambda name: _EDGES if name == "NaN" else float(name))
+    except ValueError:
+        return None
+    n = doc["n_vertices"]
+    if doc["edges"] is not _EDGES or type(n) is not int or not 0 <= n <= MAX_INPUT_VERTICES:
+        return None
+    rows = edge_rows(n, chain.from_iterable(
+        map(_json_pairs, _pieces(text, start, end, ",\n    [", 0))))
+    if rows is None:
+        return None
+    del doc["edges"]
+    return SimpleGraph._from_rows(n, tuple(rows)), doc
+
+
 def parse_graph_json(text: str) -> tuple[SimpleGraph, dict]:
     """The graph of a graph JSON text, {"n_vertices": n, "edges": [[u, v],
-    ...]}, and the whole document, whose other keys are not read.
+    ...]}, and the document without its edges, whose other keys are not read.
 
     Its rules, in this order, and the first rule broken raises ValueError:
     the text is a JSON object with both keys, none named twice; n_vertices
@@ -334,16 +523,22 @@ def parse_graph_json(text: str) -> tuple[SimpleGraph, dict]:
     negative; each endpoint is in 0..n_vertices - 1, and no edge is a
     self-loop, the first faulty edge named as SimpleGraph.from_edges names it.
 
-    A text that holds neither "true" nor "false" holds no bool, and
-    from_edges refuses every other endpoint that is no int, so such a text
-    goes straight to from_edges.  Each word is looked for from the first
-    "t" or "f" on (a one-letter find runs by memchr; with no such letter
-    the search starts at the last character and finds nothing).  Only when
-    from_edges fails, or when the text could hold a bool, are the edges'
-    types checked one by one, so that a refusal keeps the rule order above.
+    A text as json_dumps writes it is read in bulk (_graph_json_bulk), with
+    no list of its edges.  Any other text, the compact JSON of json.dumps
+    among them, goes to the full reader.  A text there that holds neither
+    "true" nor "false" holds no bool, and from_edges refuses every other
+    endpoint that is no int, so such a text goes straight to from_edges.
+    Each word is looked for from the first "t" or "f" on (a one-letter find
+    runs by memchr; with no such letter the search starts at the last
+    character and finds nothing).  Only when from_edges fails, or when the
+    text could hold a bool, are the edges' types checked one by one, so
+    that a refusal keeps the rule order above.
     """
+    bulk = _graph_json_bulk(text)
+    if bulk is not None:
+        return bulk
     doc = _read_json(text, "graph", ("n_vertices", "edges"))
-    n, edges = doc["n_vertices"], doc["edges"]
+    n, edges = doc["n_vertices"], doc.pop("edges")
     if type(n) is not int:
         raise ValueError("graph JSON n_vertices must be an integer")
     if (type(edges) is list and text.find("true", text.find("t")) < 0

@@ -225,18 +225,26 @@ def vetrik_k3x5(pendant: bool = False) -> tuple[SimpleGraph, coloring.ListAssign
                                     lists={**a.lists, 15: frozenset({10})}))
 
 
-def rows_by_edge_checks(n: int, edges) -> tuple[int, ...]:
+def rows_by_edge_checks(n: int, edges, lines=None) -> tuple[int, ...]:
     """The rows of SimpleGraph.from_edges(n, edges) as it once built them: each
     edge range-checked, then checked for a self-loop, then its two bits set,
-    so the first faulty edge raises, named by its message."""
+    so the first faulty edge raises, named by its message.  Given lines, the
+    1-based line number of each edge in a DIMACS file, the edges are 0-based
+    as parse_dimacs reads them, and a fault is named as it names one: by its
+    line, with its endpoints as written."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {clip(n)}")
     rows = [0] * n
-    for u, v in edges:
+    for i, (u, v) in enumerate(edges):
         if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({clip(u)},{clip(v)}) out of range for {n} vertices")
+            if lines is None:
+                raise ValueError(f"edge ({clip(u)},{clip(v)}) out of range for {n} vertices")
+            raise ValueError(f"line {lines[i]}: edge {clip(u + 1)} {clip(v + 1)} "
+                             f"out of range for {n} vertices")
         if u == v:
-            raise ValueError(f"self-loop at {u} not allowed")
+            if lines is None:
+                raise ValueError(f"self-loop at {u} not allowed")
+            raise ValueError(f"line {lines[i]}: self-loop at {u + 1} not allowed")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return tuple(rows)

@@ -529,7 +529,7 @@ REFUSED = {
                                  f"vertex count must be nonnegative, got {NEGATIVE_SHOWN}"),
     "long-json-edge": (f'{{"n_vertices": 3, "edges": [[0, {NINES}]]}}', THREE_LISTS,
                        f"edge (0,{SHOWN}) out of range for 3 vertices"),
-    # DIMACS: each refusal but a range fault names its line, and long text is clipped
+    # DIMACS: each refusal names its line, and long text is clipped
     "dimacs-count-a-word": ("p edge nope\n", "{not json", "line 1: malformed problem line "
                             "'p edge nope'"),
     "dimacs-endpoint-with-underscore": ("p edge 12 1\ne 1 1_0\n", THREE_LISTS,
@@ -551,13 +551,13 @@ REFUSED = {
                                  "line 1: malformed problem line '" + ("p edge" + " 3" * 30)[:60]
                                  + "'... (300006 characters)"),
     "dimacs-vertex-count-over-the-limit": (f"p edge {MAX_INPUT_VERTICES + 1} 0\n", ONE_LIST,
-                                           "vertex count 65537 exceeds the limit of 65536"),
+                                           "line 1: vertex count 65537 exceeds the limit of 65536"),
     "long-dimacs-count": (f"p edge {NINES} 0\n", THREE_LISTS,
-                          f"vertex count {SHOWN} exceeds the limit of 65536"),
+                          f"line 1: vertex count {SHOWN} exceeds the limit of 65536"),
     "long-dimacs-negative-count": (f"p edge -{NINES} 0\n", THREE_LISTS,
-                                   f"vertex count must be nonnegative, got {NEGATIVE_SHOWN}"),
+                                   f"line 1: vertex count must be nonnegative, got {NEGATIVE_SHOWN}"),
     "long-dimacs-edge": (f"p edge 3 1\ne 1 {NINES}\n", THREE_LISTS,
-                         f"edge (0,{SHOWN}) out of range for 3 vertices"),
+                         f"line 2: edge 1 {SHOWN} out of range for 3 vertices"),
     # lists JSON: the universe
     "lists-not-a-map": (ONE_VERTEX, '{"universe": [1], "lists": [5]}',
                         "lists JSON must map vertices to colour lists"),
@@ -981,6 +981,58 @@ def test_a_closed_or_failing_stdout_exits_3_in_process(capsys, monkeypatch, stdo
     assert len(err.splitlines()) == 2
     assert err.startswith("squaregap mols: [Errno ")
     assert envelope_of(err)["outcome"] == "error"
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose first write goes through and whose later ones fail."""
+
+    def write(self, text):
+        if self.tell():
+            raise OSError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
+
+
+def test_a_stdout_that_fails_mid_stream_exits_3_after_part_of_the_payload(capsys,
+                                                                          monkeypatch):
+    _, payload, _ = run_cli(capsys, "construct", "--n", "31", "--format", "json")
+    stdout = FailingStdout()
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", stdout)
+        code = main(["construct", "--n", "31", "--format", "json"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.splitlines()[0] == "squaregap construct: [Errno 32] Broken pipe"
+    assert envelope_of(err)["outcome"] == "error"
+    # the first batch of about 64 KiB went out, and nothing after it
+    written = stdout.getvalue()
+    assert cli._BATCH <= len(written) < 2 * cli._BATCH and payload.startswith(written)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_output_file_exits_3_without_a_traceback(capsys):
+    code, out, err = run_cli(capsys, "construct", "--n", "31", "--format", "json",
+                             "--output", "/dev/full")
+    assert (code, out) == (3, "")
+    assert "Traceback" not in err
+    assert err.splitlines()[0] == "squaregap construct: [Errno 28] No space left on device"
+    assert len(err.splitlines()) == 2
+    assert envelope_of(err)["outcome"] == "error"
+
+
+def test_construct_streams_its_payload_in_bounded_memory(tmp_path, capsys):
+    # the payload is 1.5 MB; streamed, the run holds a batch of it at a time
+    import tracemalloc
+    target = tmp_path / "g31.json"
+    tracemalloc.start()
+    try:
+        code = main(["construct", "--n", "31", "--format", "json", "--output", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert target.stat().st_size > 1_500_000
+    assert peak < 1_500_000, peak  # about 1.2 MB; 5.4 MB when the payload was one string
 
 
 def test_closed_stderr_leaves_stdout_to_the_payload(capsys, monkeypatch):

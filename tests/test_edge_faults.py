@@ -4,7 +4,10 @@ from_edges fills its bit rows in one loop and checks edge by edge only once
 that fill fails, and both readers lean on the fill.  Every case here is held
 against the per-edge loop from_edges once ran (oracles.rows_by_edge_checks),
 behind each reader's own earlier rules: the exception type and message must
-match, or the rows must.
+match, or the rows must.  The graph JSON reader meets each case twice, in
+compact JSON and in the layout json_dumps writes, which it reads in bulk;
+both readers meet each case again with their input cut into pieces of
+about 64 characters, so that faults lie in later pieces.
 """
 
 import json
@@ -88,6 +91,11 @@ def _json_text(n, edges):
     return json.dumps({"n_vertices": n, "edges": edges})
 
 
+def _canonical_json_text(n, edges):
+    """The graph JSON document in json_dumps's layout, the bulk reader's."""
+    return serialize.json_dumps({"n_vertices": n, "edges": [list(e) for e in edges]})
+
+
 def _json_reference(text):
     """The rows of a graph JSON text by the reader's rules in their order: the
     edges' types, then each edge by the per-edge loop."""
@@ -110,10 +118,11 @@ def _dimacs_text(n, edges):
 
 
 def _dimacs_reference(text):
-    """The rows of a DIMACS text: its records by the line loop, each edge then
-    by the per-edge loop."""
+    """The rows of a DIMACS text as _dimacs_text writes it, one edge per line
+    after the problem line: its records by the line loop, each edge then by
+    the per-edge loop, a fault named by its line."""
     n, edges = serialize._dimacs_records(text.splitlines())
-    return rows_by_edge_checks(n, edges)
+    return rows_by_edge_checks(n, edges, lines=range(2, len(edges) + 2))
 
 
 def _check_every_reader(n, edges):
@@ -122,9 +131,9 @@ def _check_every_reader(n, edges):
     want = _outcome(lambda es: rows_by_edge_checks(n, es), edges)
     assert _outcome(lambda es: SimpleGraph.from_edges(n, es).adj, edges) == want
     assert _outcome(lambda es: SimpleGraph.from_edges(n, iter(es)).adj, edges) == want
-    text = _json_text(n, edges)
-    assert (_outcome(lambda t: serialize.parse_graph_json(t)[0].adj, text)
-            == _outcome(_json_reference, text))
+    for text in (_json_text(n, edges), _canonical_json_text(n, edges)):
+        assert (_outcome(lambda t: serialize.parse_graph_json(t)[0].adj, text)
+                == _outcome(_json_reference, text))
     text = _dimacs_text(n, edges)
     if text is not None:
         assert (_outcome(lambda t: serialize.parse_dimacs(t).adj, text)
@@ -149,12 +158,43 @@ def test_the_fault_table_raises_what_it_should():
     assert _outcome(serialize.parse_graph_json, _json_text(N, CASES["self-loop-after-type"])) == (
         ValueError, "graph JSON edges must be an array of integer pairs")
     assert _outcome(serialize.parse_dimacs, _dimacs_text(N, CASES["endpoint-minus-1-first"])) == (
-        ValueError, "edge (-1,2) out of range for 8 vertices")
+        ValueError, "line 2: edge 0 3 out of range for 8 vertices")
+
+
+# each case's edges among 72 good ones, which take several pieces of 64 characters
+LONG_BASE = BASE * 9
+PIECED_CASES = {f"{name}-{where}": [*LONG_BASE[:at], edge, *LONG_BASE[at:]]
+                for name, (_, edge) in _faults(N).items()
+                for where, at in (("first", 0), ("middle", len(LONG_BASE) // 2),
+                                  ("last", len(LONG_BASE)))}
+
+
+@pytest.mark.parametrize("edges", PIECED_CASES.values(), ids=PIECED_CASES)
+def test_each_fault_in_a_later_piece_is_named_as_the_per_edge_loop_names_it(monkeypatch,
+                                                                             edges):
+    monkeypatch.setattr(serialize, "_PIECE", 64)
+    _check_every_reader(N, edges)
+
+
+def test_pieces_of_64_characters_cut_both_bulk_paths():
+    # the pieced cases are worth running only if the readers really cut them
+    def pieces(text, key, close, mark, keep):
+        start = text.index(key) + len(key)
+        return list(serialize._pieces(text, start, text.rindex(close), mark, keep))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(serialize, "_PIECE", 64)
+        dimacs = pieces(_dimacs_text(N, LONG_BASE), "\n", "\n", "\ne ", 1)
+        graph_json = pieces(_canonical_json_text(N, LONG_BASE), '"edges": [', "\n  ]",
+                            ",\n    [", 0)
+    assert len(dimacs) > 4 and len(graph_json) > 4
+    assert all(p.startswith("e ") for p in dimacs)
+    assert all(p.startswith("\n    [\n") and p.endswith("\n    ]") for p in graph_json)
 
 
 _HOSTILE_READS = {
     "from_edges": lambda edges: SimpleGraph.from_edges(N, edges),
     "graph-json": lambda edges: serialize.parse_graph_json(_json_text(N, edges)),
+    "graph-json-layout": lambda edges: serialize.parse_graph_json(_canonical_json_text(N, edges)),
     "dimacs": lambda edges: serialize.parse_dimacs(_dimacs_text(N, edges)),
 }
 

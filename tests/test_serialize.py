@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -67,6 +68,8 @@ _T = (3, -4, 5)
     [_X, [_X], {"k": _X}], {"a": _X, "b": _X, "c": {"d": _X, "e": [_X, _X]}},
     [_T, (_T, _X), {"t": _T}, [[_T]]], ([_X], _X, ({"x": _X},)),
     [_X, [True, _X], [_X, 1.5], [_X, None]], {"a": [_X], "b": _X, "c": [[_X]], "d": _X},
+    # int lists at and over the length json_chunks gives one piece, the longer walked
+    list(range(serialize._LIST_PIECE)), {"c": [list(range(2000)), _X], "t": tuple(range(1025))},
     *[nest(value) for value in (True, False, None, [], {})  # at depths 0 to 3
       for nest in (lambda x: x, lambda x: [x], lambda x: {"k": [x]}, lambda x: [{"k": [x]}])],
 ])
@@ -132,12 +135,17 @@ DIMACS_SEMANTICS = {
     "non-int": ("p edge 3 1\ne 1 x\n", "line 2: malformed edge line 'e 1 x'"),
     "non-int-count": ("p edge x 1\n", "line 1: malformed problem line 'p edge x 1'"),
     "decimal-endpoint": ("p edge 3 1\ne 1 2.5\n", "line 2: malformed edge line 'e 1 2.5'"),
-    "out-of-range": ("p edge 3 1\ne 1 4\n", "edge (0,3) out of range for 3 vertices"),
-    "self-loop": ("p edge 3 1\ne 2 2\n", "self-loop at 1 not allowed"),
+    "out-of-range": ("p edge 3 1\ne 1 4\n", "line 2: edge 1 4 out of range for 3 vertices"),
+    "self-loop": ("p edge 3 1\ne 2 2\n", "line 2: self-loop at 2 not allowed"),
     "no-p": ("c only\ne 1 2\n", "missing 'p edge' problem line"),
     "two-p": ("p edge 2 1\np edge 4 1\ne 3 4\n", (4, [(2, 3)])),
     # only the problem line in effect is held to the vertex limit
     "overridden-huge-p": ("p edge 70000 0\np edge 2 1\ne 1 2\n", (2, [(0, 1)])),
+    "huge-p": ("c x\np edge 2 1\np edge 70000 0\ne 1 2\n",
+               "line 3: vertex count 70000 exceeds the limit of 65536"),
+    "negative-p": ("p edge -3 0\n", "line 1: vertex count must be nonnegative, got -3"),
+    "negative-p-after-edges": ("p edge 3 1\ne 1 2\n\np edge -3 1\n",
+                               "line 4: vertex count must be nonnegative, got -3"),
     "vertical-tab": ("p edge 2 1\x0be 1 2\n", (2, [(0, 1)])),
     "word-edge-count": ("p edge 3 banana\ne 1 2\n",
                         "line 1: malformed problem line 'p edge 3 banana'"),
@@ -150,7 +158,7 @@ DIMACS_SEMANTICS = {
     "no-final-newline": ("p edge 45 2\ne 1 2\ne 3 45", (45, [(0, 1), (2, 44)])),
     "leading-zero": ("p edge 3 2\ne 01 2\ne 2 3\n", (3, [(0, 1), (1, 2)])),
     "exponent": ("p edge 3 1\ne 1 2e3\n", "line 2: malformed edge line 'e 1 2e3'"),
-    "vertex-zero": ("p edge 3 1\ne 0 1\n", "edge (-1,0) out of range for 3 vertices"),
+    "vertex-zero": ("p edge 3 1\ne 0 1\n", "line 2: edge 0 1 out of range for 3 vertices"),
     "tab-edge-in-header": ("p edge 3 2\ne\t1\t2\ne 2 3\n", (3, [(0, 1), (1, 2)])),
     "p-after-edges": ("p edge 3 1\ne 1 2\np edge 4 1\n", (4, [(0, 1)])),
     "comment-after-edges": ("p edge 3 2\ne 1 2\nc done\ne 2 3\n", (3, [(0, 1), (1, 2)])),
@@ -234,6 +242,7 @@ def _dimacs_texts(draw):
 @example("e 1 2\np edge 2 1\ne 1 2\n")
 @example("p edge 4 2\ne 1 2 \n2e0 3 4\n")
 @example("p edge 4 2\ne 1 \n2e 3 4\n")
+@example("p edge 70000 0\ne 1 2\np edge 2 1\n")  # the last problem line wins, after the edges
 def test_parse_dimacs_matches_its_line_loop(text):
     assert _outcome(serialize.parse_dimacs, text) == _outcome(
         _by_loop(serialize.parse_dimacs, "_edge_block"), text)
@@ -377,6 +386,144 @@ def test_parse_graph_json_rejects_missing_fields():
         serialize.parse_graph_json('{"edges": []}')
     with pytest.raises(ValueError):
         serialize.parse_graph_json('[1, 2]')
+
+
+# A small graph JSON document in json_dumps's layout, which the bulk path reads
+CANONICAL = serialize.json_dumps({"edges": [[0, 1], [1, 2], [2, 3]],
+                                  "labels": {"0": "a", "1": "b"}, "n_vertices": 4})
+NESTED = '{\n  "a": {\n  "edges": [\n    [\n      0,\n      3\n    ]\n  ]},'
+PAIR_03 = '\n    [\n      0,\n      3\n    ]'
+
+
+def _mutated(old, new, count=1):
+    assert old in CANONICAL
+    return CANONICAL.replace(old, new, count)
+
+
+# Texts in or near the bulk path's layout, each of which the bulk path must read
+# as the full reader does, graph and document or message
+GRAPH_JSON_HOSTILE = {
+    "canonical": CANONICAL,
+    "nested-edges-key-first": NESTED + CANONICAL[1:],
+    "nested-edges-key-alone": ('{"n_vertices": 4, "edges": [[0, 1]], "x": {\n  "edges": ['
+                               + PAIR_03 + '\n  ]}}'),
+    "nested-edges-key-after-infinity": ('{"n_vertices": 4, "edges": Infinity, "x": {\n  "edges": ['
+                                        + PAIR_03 + '\n  ]}}'),
+    "nan-in-a-label-before": '{"0": "NaN",' + CANONICAL[1:],
+    "nan-in-a-label-after": _mutated('"b"', '"NaN"'),
+    "nan-vertex-count": _mutated('"n_vertices": 4', '"n_vertices": NaN'),
+    "edges-twice-compact-first": '{"edges": [[0, 3]],' + CANONICAL[1:],
+    "edges-twice-compact-after": _mutated('"n_vertices": 4', '"n_vertices": 4, "edges": [[0, 3]]'),
+    "edges-twice-in-layout": _mutated('\n  "n_vertices"', f'\n  "edges": [{PAIR_03}\n  ],'
+                                                       '\n  "n_vertices"'),
+    "digit-in-the-indentation": _mutated("[\n      0,", "[\n   0   ,"),
+    "digit-in-the-indentation-between-two": _mutated("[\n      1,", "[\n   7   1,"),
+    "digit-before-the-first-bracket": _mutated("\n    [\n      0,", "\n    0[\n      ,"),
+    "digit-before-a-later-bracket": _mutated("\n    [\n      1,", "\n    1[\n      ,"),
+    "digit-after-a-bracket": _mutated("2\n    ],", "\n    ]2,"),
+    "digit-after-the-last-bracket": _mutated("3\n    ]\n  ]", "\n    ]3\n  ]"),
+    "leading-zero": _mutated("      2,", "      02,"),
+    "negative-endpoint": _mutated("      2,", "      -2,"),
+    "trailing-comma": _mutated("    ]\n  ]", "    ],\n  ]"),
+    "non-ascii-digit": _mutated("      2,", "      \u0663,"),
+    "fullwidth-digit": _mutated("      2,", "      \uff12,"),
+    "endpoint-out-of-range": _mutated("3\n    ]", "4\n    ]"),
+    "self-loop": _mutated("      2,\n      3", "      3,\n      3"),
+    "pair-of-three": _mutated("      1\n    ],", "      1,\n      2\n    ],"),
+    "exponent": _mutated("      2,", "      2e0,"),
+    "text-after-the-array": _mutated("\n  ],", "\n  ] 7,"),
+    "text-after-the-document": CANONICAL + "x",
+    "vertex-count-over-the-limit": _mutated('"n_vertices": 4', '"n_vertices": 65537'),
+    "vertex-count-negative": _mutated('"n_vertices": 4', '"n_vertices": -4'),
+    "vertex-count-a-float": _mutated('"n_vertices": 4', '"n_vertices": 4.0'),
+    "vertex-count-missing": _mutated(',\n  "n_vertices": 4', ""),
+    "byte-order-mark": "\ufeff" + CANONICAL,
+    "empty-array-in-layout": _mutated(CANONICAL[CANONICAL.index("["):CANONICAL.index("\n  ]")],
+                                      "["),
+    "a-list-not-an-object": "[" + CANONICAL + "]",
+}
+
+
+@pytest.mark.parametrize("text", GRAPH_JSON_HOSTILE.values(), ids=GRAPH_JSON_HOSTILE)
+def test_graph_json_in_or_near_the_bulk_layout_reads_as_the_full_reader_reads_it(text):
+    assert _outcome(serialize.parse_graph_json, text) == _outcome(
+        _by_loop(serialize.parse_graph_json, "_graph_json_bulk"), text)
+
+
+def test_the_hostile_graph_json_table_takes_the_paths_it_should():
+    # the table is worth its rows only if the canonical ones take the bulk path
+    # and the faulty ones leave it
+    full = _by_loop(serialize.parse_graph_json, "_graph_json_bulk")
+    bulk = {name for name, text in GRAPH_JSON_HOSTILE.items()
+            if serialize._graph_json_bulk(text) is not None}
+    assert bulk == {"canonical", "digit-in-the-indentation"}
+    assert _outcome(full, GRAPH_JSON_HOSTILE["digit-in-the-indentation"]) == _outcome(
+        full, CANONICAL)
+    assert _outcome(full, GRAPH_JSON_HOSTILE["nested-edges-key-alone"])[0] == (
+        SimpleGraph.from_edges(4, [(0, 1)]))
+    assert _outcome(full, GRAPH_JSON_HOSTILE["negative-endpoint"]) == (
+        "edge (-2,3) out of range for 4 vertices")
+
+
+@pytest.mark.parametrize("n", [3, 5, 11, 31])
+def test_parse_graph_json_reads_writer_output_in_bulk(n):
+    # no list of the edges: json.loads reads only the document around them
+    gc = construct_counterexample(n)
+    text = serialize.json_dumps(serialize.constructed_to_json_dict(n, gc.graph.upper()))
+    with mock.patch.object(serialize, "_read_json", wraps=serialize._read_json) as read:
+        g, doc = serialize.parse_graph_json(text)
+    assert g == gc.graph
+    assert "edges" not in doc and doc == {k: v for k, v in json.loads(text).items()
+                                          if k != "edges"}
+    read.assert_called_once()
+    assert '"edges": NaN,' in read.call_args[0][0]
+
+
+def _text_at(value, depth):
+    """value as json.dumps indents it, at depth levels of two spaces."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def test_json_chunks_hold_one_vertex_entry_at_most():
+    # a piece may add its separator and the keys that open its entry, 64
+    # characters at most here, to the largest entry for one vertex: its edges
+    # in construct's payload, and in certify's its list or the universe it is
+    # drawn from (4n - 3 colours against 3n - 3), but never a list of every
+    # vertex, such as the chromatic colouring
+    upper = construct_counterexample(31).graph.upper()
+    doc = serialize.constructed_to_json_dict(31, upper)
+    entry = max(len(_text_at([[u, v] for v in row], 1)) for u, row in enumerate(upper))
+    pieces = list(serialize.json_chunks(doc))
+    assert len(pieces) > 1891 and "".join(pieces) == serialize.json_dumps(doc)
+    assert max(map(len, pieces)) <= entry + 64, (max(map(len, pieces)), entry)
+    doc = serialize.certificate_to_json_dict(certify_gap(31))
+    lists = doc["refuted_lists"]["lists"]
+    entry = max(len(f'"{v}": ') + len(_text_at(colours, 3))
+                for v, colours in [*lists.items(), ("universe", doc["refuted_lists"]["universe"])])
+    pieces = list(serialize.json_chunks(doc))
+    assert len(pieces) > 2 * len(lists)  # one per list entry and one per colour of a vertex
+    assert max(map(len, pieces)) <= entry + 64, (max(map(len, pieces)), entry)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_graph_readers_read_construct_output_in_bounded_memory():
+    # n = 31: 1.6 MB of graph JSON and 0.5 MB of DIMACS, read in pieces of 64 KiB;
+    # read whole, they peaked at 7.3 MB and 4.2 MB
+    upper = construct_counterexample(31).graph.upper()
+    text = serialize.json_dumps(serialize.constructed_to_json_dict(31, upper))
+    peak = _traced_peak(lambda: serialize.parse_graph_json(text))
+    assert peak < 2_000_000, peak  # about 1.55 MB
+    text = serialize.graph_to_dimacs(len(upper), upper)
+    peak = _traced_peak(lambda: serialize.parse_dimacs(text))
+    assert peak < 1_750_000, peak  # about 1.32 MB
 
 
 def test_vertex_count_limit_is_inclusive():
