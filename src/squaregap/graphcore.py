@@ -98,7 +98,9 @@ class SimpleGraph:
             edges = list(edges)
         rows = edge_rows(n, edges)
         if rows is None:
-            _first_faulty_edge(n, edges)
+            _, u, v, out_of_range = _first_faulty_edge(n, edges)
+            raise ValueError(f"edge ({clip(u)},{clip(v)}) out of range for {n} vertices"
+                             if out_of_range else f"self-loop at {u} not allowed")
         return cls._from_rows(n, tuple(rows))
 
     def degree(self, v: int) -> int:
@@ -163,18 +165,20 @@ def edge_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int] | None:
     return rows
 
 
-def _first_faulty_edge(n: int, edges: Iterable[tuple[int, int]]):
-    """Raise for the first faulty edge, named as from_edges promises, once
-    edge_rows has found a fault.  Each edge is range-checked, then checked
-    for a self-loop, then used as a list index and a shift as the fill uses
-    it, so an endpoint that is no int raises the fill's TypeError.  No row
-    is built."""
+def _first_faulty_edge(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, int, int, bool]:
+    """The first faulty edge, once edge_rows has found a fault: its index in
+    edges, its endpoints, and True if it is out of range, False if it is a
+    self-loop.  Each edge is range-checked, then checked for a self-loop,
+    then used as a list index and a shift as the fill uses it, so an
+    endpoint that is no int raises the fill's TypeError.  No row is built.
+    from_edges names the fault 0-based, serialize.parse_dimacs 1-based with
+    its line."""
     zeros = [0] * n
-    for u, v in edges:
+    for i, (u, v) in enumerate(edges):
         if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({clip(u)},{clip(v)}) out of range for {n} vertices")
+            return i, u, v, True
         if u == v:
-            raise ValueError(f"self-loop at {u} not allowed")
+            return i, u, v, False
         zeros[u] << v  # an endpoint that is no int fails here, as in the fill
     raise AssertionError("edge_rows refused edges with no fault")
 

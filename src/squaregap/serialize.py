@@ -19,7 +19,7 @@ from operator import ne
 from .coloring import GapCertificate, ListAssignment
 from .construction import part_sets, vertex_names
 from .errors import clip
-from .graphcore import SimpleGraph, edge_rows
+from .graphcore import SimpleGraph, _first_faulty_edge, edge_rows
 from .verification import LemmaReport
 
 # Larger vertex counts are refused before any row is allocated: n bit rows can
@@ -230,11 +230,12 @@ def _dimacs_records(lines: list[str]) -> tuple[int | None, list[tuple[int, int]]
     return n, edges
 
 
-def _edge_block(body: str) -> list[int] | None:
-    """The endpoints of body, u1, v1, u2, v2, ..., as written, if it is a
-    canonical edge block: lines "e u v", each ending in a newline, with
-    single spaces and endpoints in canonical decimal.  Anything else gives
-    None.  The endpoints are not checked against any vertex count.
+def _edge_block(body: str) -> Iterator[tuple[int, int]]:
+    """The edges of body, as written, if it is a canonical edge block: lines
+    "e u v", each ending in a newline, with single spaces and endpoints in
+    canonical decimal.  Anything else raises ValueError, which edge_rows
+    takes as a faulty edge.  The endpoints are not checked against any
+    vertex count.
 
     body, which starts with "e ", is checked and decoded by C-level bytes
     methods and one json.loads, with no Python step per line.  With its
@@ -245,28 +246,17 @@ def _edge_block(body: str) -> list[int] | None:
     One translate then makes each "e" a space, each space a comma and each
     newline a space, and json.loads refuses an empty endpoint, a leading
     zero and digits after the last newline, so each line gives exactly two
-    non-negative integers.
+    non-negative integers (an endpoint over 4300 digits raises ValueError
+    too).
     """
     if not body.isascii():
-        return None
+        raise ValueError("not a canonical edge block")
     raw = body.encode()
     skeleton = raw.translate(None, b"0123456789")
     lines = len(skeleton) // 4
     if skeleton != b"e  \n" * lines or raw.count(b"\ne ") != lines - 1:
-        return None
-    try:
-        return json.loads(b"[" + raw[2:].translate(_EDGE_BLOCK_JSON) + b"]")
-    except ValueError:  # JSON refuses the line, or an endpoint over 4300 digits
-        return None
-
-
-def _dimacs_pairs(piece: str) -> Iterator[tuple[int, int]]:
-    """The edges of a piece of a canonical edge block, as written (_edge_block).
-    A piece that is no such block raises ValueError, which edge_rows takes as
-    a faulty edge."""
-    ends = _edge_block(piece)
-    if ends is None:
         raise ValueError("not a canonical edge block")
+    ends = json.loads(b"[" + raw[2:].translate(_EDGE_BLOCK_JSON) + b"]")
     return zip(ends[::2], ends[1::2])
 
 
@@ -275,21 +265,6 @@ def _record_lines(lines: list[str], kind: str) -> Iterator[int]:
     lines the line loop read without a fault: so each is a record of that
     kind."""
     return (k for k, raw in enumerate(lines, start=1) if raw.split()[:1] == [kind])
-
-
-def _dimacs_fault(lines: list[str], n: int, edges: list[tuple[int, int]]) -> ValueError:
-    """The error for the first faulty edge of lines, whose records the line
-    loop read as n and edges: named by its line, with its endpoints as
-    written."""
-    for index, (u, v) in enumerate(edges):
-        if not (0 <= u < n and 0 <= v < n):
-            message = f"edge {clip(u + 1)} {clip(v + 1)} out of range for {n} vertices"
-        elif u == v:
-            message = f"self-loop at {u + 1} not allowed"
-        else:
-            continue
-        return ValueError(f"line {next(islice(_record_lines(lines, 'e'), index, None))}: {message}")
-    raise AssertionError("edge_rows refused edges with no fault")
 
 
 def parse_dimacs(text: str) -> SimpleGraph:
@@ -327,7 +302,7 @@ def parse_dimacs(text: str) -> SimpleGraph:
         n, edges = _dimacs_records(text[:cut].splitlines())
         if not edges and n is not None and 0 <= n <= MAX_INPUT_VERTICES:
             rows = edge_rows(n + 1, chain.from_iterable(
-                map(_dimacs_pairs, _pieces(text, cut, len(text), "\ne ", 1))))
+                map(_edge_block, _pieces(text, cut, len(text), "\ne ", 1))))
             if rows is not None and not rows[0]:
                 # vertex 0 is bare: drop its row and shift the others down one bit
                 return SimpleGraph._from_rows(n, tuple([row >> 1 for row in rows[1:]]))
@@ -340,8 +315,11 @@ def parse_dimacs(text: str) -> SimpleGraph:
     except ValueError as exc:  # name the problem line in force, the last one
         raise ValueError(f"line {max(_record_lines(lines, 'p'))}: {exc}") from None
     rows = edge_rows(n, edges)
-    if rows is None:
-        raise _dimacs_fault(lines, n, edges)
+    if rows is None:  # name the first faulty edge by its line, with its endpoints as written
+        index, u, v, out_of_range = _first_faulty_edge(n, edges)
+        message = (f"edge {clip(u + 1)} {clip(v + 1)} out of range for {n} vertices"
+                   if out_of_range else f"self-loop at {u + 1} not allowed")
+        raise ValueError(f"line {next(islice(_record_lines(lines, 'e'), index, None))}: {message}")
     return SimpleGraph._from_rows(n, tuple(rows))
 
 

@@ -87,12 +87,13 @@ def mols_by_formula(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
                  for i in range(1, n))
 
 
-def neighbourhood_reports_by_walk(gc) -> dict[str, tuple]:
+def neighbourhood_reports_by_walk(gc, squares=None) -> dict[str, tuple]:
     """The nw and nv lemmas recomputed over neighbour sets, every pair by itself.
 
-    For each lemma: (checked_cases, failure_count, witness, item_witnesses),
-    with cases met in the order of the lemma's docstring and pairs x < y in
-    index order.
+    For each lemma: (checked_cases, failure_count, item_witnesses), with
+    cases met in the order of the lemma's docstring and pairs x < y in
+    index order.  nw0 reads the rows of squares, the n - 1 Latin squares
+    of the construction by their formula unless given.
     """
     g = gc.graph
     labels = vertex_names(gc.n)
@@ -110,7 +111,7 @@ def neighbourhood_reports_by_walk(gc) -> dict[str, tuple]:
             yield item, None if shared <= limit(x, y) else witness
 
     def nw_cases():
-        for qs, latin in zip(gc.q_sets, mols_by_formula(gc.n)):
+        for qs, latin in zip(gc.q_sets, squares or mols_by_formula(gc.n)):
             for x, row in zip(qs, latin):
                 want = {gc.v_index(k, e) for k, e in enumerate(row, start=1)}
                 yield "nw0", None if nbrs[x] == want else (
@@ -134,8 +135,7 @@ def neighbourhood_reports_by_walk(gc) -> dict[str, tuple]:
             if witness is not None:
                 failures += 1
                 first.setdefault(item, witness)
-        items = tuple(first.values())
-        return count, failures, (items[0] if items else None), items
+        return count, failures, tuple(first.values())
 
     return {"nw": tally(nw_cases()), "nv": tally(nv_cases())}
 

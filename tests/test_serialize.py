@@ -202,10 +202,11 @@ def _outcome(parse, text):
     return (result.n, result.adj) if isinstance(result, SimpleGraph) else result
 
 
-def _by_loop(parse, bulk_helper):
-    """parse with its bulk helper refusing every input, so the loop reads all."""
+def _by_loop(parse, bulk_helper, **refusal):
+    """parse with its bulk helper refusing every input, as refusal (mock's
+    return_value or side_effect) has it refuse one, so the loop reads all."""
     def loop_only(text):
-        with mock.patch.object(serialize, bulk_helper, return_value=None):
+        with mock.patch.object(serialize, bulk_helper, **refusal):
             return parse(text)
     return loop_only
 
@@ -245,7 +246,7 @@ def _dimacs_texts(draw):
 @example("p edge 70000 0\ne 1 2\np edge 2 1\n")  # the last problem line wins, after the edges
 def test_parse_dimacs_matches_its_line_loop(text):
     assert _outcome(serialize.parse_dimacs, text) == _outcome(
-        _by_loop(serialize.parse_dimacs, "_edge_block"), text)
+        _by_loop(serialize.parse_dimacs, "_edge_block", side_effect=ValueError), text)
 
 
 def test_parse_dimacs_reads_writer_output_in_bulk():
@@ -447,13 +448,13 @@ GRAPH_JSON_HOSTILE = {
 @pytest.mark.parametrize("text", GRAPH_JSON_HOSTILE.values(), ids=GRAPH_JSON_HOSTILE)
 def test_graph_json_in_or_near_the_bulk_layout_reads_as_the_full_reader_reads_it(text):
     assert _outcome(serialize.parse_graph_json, text) == _outcome(
-        _by_loop(serialize.parse_graph_json, "_graph_json_bulk"), text)
+        _by_loop(serialize.parse_graph_json, "_graph_json_bulk", return_value=None), text)
 
 
 def test_the_hostile_graph_json_table_takes_the_paths_it_should():
     # the table is worth its rows only if the canonical ones take the bulk path
     # and the faulty ones leave it
-    full = _by_loop(serialize.parse_graph_json, "_graph_json_bulk")
+    full = _by_loop(serialize.parse_graph_json, "_graph_json_bulk", return_value=None)
     bulk = {name for name, text in GRAPH_JSON_HOSTILE.items()
             if serialize._graph_json_bulk(text) is not None}
     assert bulk == {"canonical", "digit-in-the-indentation"}
