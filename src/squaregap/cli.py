@@ -194,7 +194,7 @@ def _cmd_solve_list(args) -> tuple[str, Iterable[str]]:
         "complete": True,  # a budget stop raises instead of returning
     }
     if result.satisfiable:
-        doc["coloring"] = {str(v): c for v, c in result.coloring.items()}
+        doc["coloring"] = dict(zip(map(str, result.coloring), result.coloring.values()))
     if result.attestation.empty_list_vertex is not None:
         doc["empty_list_vertex"] = result.attestation.empty_list_vertex
     return ("pass" if result.satisfiable else "fail"), serialize.json_chunks(doc)

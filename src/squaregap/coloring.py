@@ -22,8 +22,11 @@ well, one vertex mask per color (has[c]: the uncolored vertices that
 still have color c) and per count of colors left (buckets[k]), so forward
 checking a node takes a few mask operations instead of a walk over the
 neighbors: the dense squares this package refutes cost no more per node
-than sparse graphs of the same order.  certify_gap calls none of this: it
-colors, and refutes by counting, on the parts the structure check verified.
+than sparse graphs of the same order.  Its stack holds one tuple per
+colored vertex, pushed when a color is taken, and each color is tested
+when it is tried, against has[c], whose bits for a colored vertex stay
+frozen.  certify_gap calls none of this: it colors, and refutes by
+counting, on the parts the structure check verified.
 """
 
 import functools
@@ -129,21 +132,26 @@ def _search(g: SimpleGraph, avail: list[int], deadline: float | None,
     vertex u: u is in free; u is in has[c] exactly when color c is still
     left to it; and u is in buckets[k] exactly when k colors are left.  A
     colored vertex is in no bucket and not in free, and its has bits stay
-    as they were when it was branched on, so its colors left are read
-    back as the bits c of avail[v] with v in has[c], in O(list size).
+    frozen from when it was branched on: only free vertices are ever
+    taken from has[c].  So each color c of avail[v] is tested when it is
+    tried, by has[c] & bit; a color a neighbor has taken is skipped and
+    counts no node.
 
     Coloring v with c takes t = has[c] & adj[v] & free from has[c].  If t
     meets buckets[1], a neighbor had c as its only color left: the node
     fails and changes nothing.  Otherwise t moves down one bucket, bucket
-    by bucket from 2 upward so that no vertex moves twice.  The undo
-    record is the frame's (color, t, moves), each move a (count, mask)
-    pair; backtracking ORs t back into has[c] and each mask back up one
-    bucket.  The vertex to branch on is the low bit of the first
-    non-empty bucket, and the scan for it starts at the parent's count
-    minus one, below which no count can fall.  So a node costs O(list
-    size) mask operations, whatever its degree, and no pass over all n
-    vertices; setup costs one OR per vertex and one per color of each
-    mask object.
+    by bucket from 2 upward so that no vertex moves twice, and the stack
+    gets the tuple (v, bit, count, untried, c, t, moves): v's bit and
+    count, its colors not yet tried, and the undo record, each move a
+    (count, mask) pair.  When v runs out of colors it goes back to its
+    bucket and the top tuple is popped: its t is ORed back into has[c],
+    each move's mask back up one bucket, and its vertex tries its next
+    color.  The vertex to branch on is the low bit of the first non-empty
+    bucket, and the scan for it starts at the count of the vertex just
+    colored minus one, below which no count can fall.  So a node costs
+    O(list size) mask operations, whatever its degree, and no pass over
+    all n vertices; setup costs one OR per vertex and one per color of
+    each mask object.
     """
     adj = g.adj
     free = (1 << g.n) - 1
@@ -164,75 +172,59 @@ def _search(g: SimpleGraph, avail: list[int], deadline: float | None,
             a ^= low
     stride = _DEADLINE_STRIDE
     check_at = -1 if deadline is None else (nodes // stride + 1) * stride
-    # frame: [vertex, its count, colors not yet tried,
-    #         color tried, the neighbors it took that color from (t), their moves]
-    stack: list[list] = []
-    descend = True
-    while True:
-        if descend:
-            if not free:
-                colors = [0] * g.n
-                for v, _, _, low, _, _ in stack:
-                    colors[v] = low.bit_length() - 1
-                return colors, nodes
-            k = stack[-1][1] - 1 if stack else 0
-            while not buckets[k]:
-                k += 1
-            b = buckets[k]
-            bit = b & -b
-            buckets[k] = b ^ bit
-            free ^= bit
-            v = bit.bit_length() - 1
-            own, a = 0, avail[v]
-            while a:
-                low = a & -a
-                if has[low.bit_length() - 1] & bit:
-                    own |= low
-                a ^= low
-            stack.append([v, k, own, 0, 0, ()])
-        if not stack:
-            return None, nodes
-        frame = stack[-1]
-        v, count, untried, low, t, moves = frame
-        if t:
-            has[low.bit_length() - 1] |= t
-            for k, m in moves:
-                buckets[k - 1] ^= m
-                buckets[k] |= m
-        if not untried:
-            stack.pop()
-            bit = 1 << v
-            buckets[count] |= bit
-            free |= bit
-            descend = False
-            continue
-        low = untried & -untried
-        nodes += 1
-        if nodes == check_at:
-            _check_deadline(deadline, nodes)
-            check_at += stride
-        c = low.bit_length() - 1
-        t = has[c] & adj[v] & free
+    stack: list[tuple] = []  # one (v, bit, count, untried, c, t, moves) per colored vertex
+    k = 0
+    while free:
+        while not buckets[k]:
+            k += 1
+        b = buckets[k]
+        bit = b & -b
+        buckets[k] = b ^ bit
+        free ^= bit
+        v = bit.bit_length() - 1
+        count, untried = k, avail[v]
+        while True:
+            while untried:
+                low = untried & -untried
+                untried ^= low
+                c = low.bit_length() - 1
+                if has[c] & bit:
+                    nodes += 1
+                    if nodes == check_at:
+                        _check_deadline(deadline, nodes)
+                        check_at += stride
+                    t = has[c] & adj[v] & free
+                    if not t & buckets[1]:  # else a neighbor would be left with no color
+                        break
+            else:
+                buckets[count] |= bit
+                free |= bit
+                if not stack:
+                    return None, nodes
+                v, bit, count, untried, c, t, moves = stack.pop()
+                has[c] |= t
+                for k, m in moves:
+                    buckets[k - 1] ^= m
+                    buckets[k] |= m
+                continue
+            break
+        has[c] ^= t
         moves = []
-        if t & buckets[1]:  # a neighbor would be left with no color
-            descend = False
-            t = 0
-        else:
-            descend = True
-            has[c] ^= t
-            rest, k = t, 2
-            while rest:
-                m = rest & buckets[k]
-                if m:
-                    buckets[k] ^= m
-                    buckets[k - 1] |= m
-                    moves.append((k, m))
-                    rest ^= m
-                k += 1
-        frame[2] = untried ^ low
-        frame[3] = low
-        frame[4] = t
-        frame[5] = moves
+        rest, k = t, 2
+        while rest:
+            m = rest & buckets[k]
+            if m:
+                buckets[k] ^= m
+                buckets[k - 1] |= m
+                moves.append((k, m))
+                rest ^= m
+            k += 1
+        stack.append((v, bit, count, untried, c, t, moves))
+        k = count - 1
+    colors = [0] * g.n
+    for v, _, _, _, c, _, _ in stack:
+        colors[v] = c
+    return colors, nodes
 
 
 # Only the tests call this, as a cross-check of certify_gap's chromatic
@@ -300,11 +292,12 @@ def _decide_lists(g: SimpleGraph, order: list[int], assignment: ListAssignment,
     UNSAT at no node.  Otherwise the twin classes (the vertices of one row)
     are found in one pass over the rows, keyed by the salted hash of each
     row's bytes: an int hashes as its value mod 2^61 - 1, so rows can be
-    built to share a hash, and this keeps the grouping linear.  Then, on
-    the color masks: twins are never adjacent, and two twin classes are
-    joined completely or not at all, so the classes of a clique of classes
-    use disjoint colors: one needs one color if its lists share one, else
-    two.  If some class of two or more vertices is needy (no color common
+    built to share a hash, and this keeps the grouping linear.  The
+    classes are listed only when some row repeats, since the bound needs a
+    class of two or more.  Then, on the color masks: twins are never
+    adjacent, and two twin classes are joined completely or not at all,
+    so the classes of a clique of classes use disjoint colors: one needs
+    one color if its lists share one, else two.  If some class of two or more vertices is needy (no color common
     to its lists), the root, node 1, takes the needy classes and then the
     class of the lowest vertex joined to all chosen, greedily, and refutes
     the lists if the clique's lists hold fewer colors than it needs.
@@ -319,17 +312,23 @@ def _decide_lists(g: SimpleGraph, order: list[int], assignment: ListAssignment,
                     f"list key {clip(next(k for k in assignment.lists if k not in vertices))} "
                     "is no vertex")
         raise ValueError(f"lists must cover exactly the graph's vertices: {offender}")
-    for v in order:
-        if not assignment.lists[v]:
-            return ListColoringResult(None, SearchAttestation(nodes=0, empty_list_vertex=v))
+    lists = assignment.lists
+    if not all(map(lists.__getitem__, order)):
+        v = next(v for v in order if not lists[v])
+        return ListColoringResult(None, SearchAttestation(nodes=0, empty_list_vertex=v))
     masks, palette = _dense_masks(assignment)
-    avail = [masks[v] for v in order]
-    lowest, classes = {}, {}  # each row's key to its lowest vertex, that to the class
-    for v, row in enumerate(g.adj):
-        key = hash(row.to_bytes((row.bit_length() + 7) // 8, "little")), row
-        classes.setdefault(lowest.setdefault(key, v), []).append(v)
-    needy = [vs for vs in classes.values()
-             if len(vs) > 1 and not functools.reduce(and_, map(avail.__getitem__, vs))]
+    avail = list(map(masks.__getitem__, order))
+    lowest = {}  # each row's key to its lowest vertex
+    width = itertools.repeat((g.n + 7) // 8)
+    keys = zip(map(hash, map(int.to_bytes, g.adj, width, itertools.repeat("little"))), g.adj)
+    first = list(map(lowest.setdefault, keys, range(g.n)))  # each vertex's lowest twin
+    needy = []
+    if len(lowest) < g.n:  # some row repeats: the bound needs a class of two
+        classes = {u: [] for u in lowest.values()}
+        for v, u in enumerate(first):
+            classes[u].append(v)
+        needy = [vs for vs in classes.values()
+                 if len(vs) > 1 and not functools.reduce(and_, map(avail.__getitem__, vs))]
     nodes = 0
     if needy:
         nodes = 1
@@ -353,7 +352,7 @@ def _decide_lists(g: SimpleGraph, order: list[int], assignment: ListAssignment,
         if union.bit_count() < need:
             return ListColoringResult(None, SearchAttestation(nodes=nodes))
     colors, nodes = _search(g, avail, deadline, nodes)
-    coloring = None if colors is None else {v: palette[c] for v, c in zip(order, colors)}
+    coloring = None if colors is None else dict(zip(order, map(palette.__getitem__, colors)))
     return ListColoringResult(coloring, SearchAttestation(nodes=nodes))
 
 

@@ -66,7 +66,7 @@ class EdgeRows:
 
 
 # An int list of up to this many ints is one piece of json_chunks, rendered once
-# per call; a longer one, which no payload repeats, comes one int at a time.
+# per call; a longer one, which no payload repeats, comes in runs of this many.
 _LIST_PIECE = 1024
 
 
@@ -78,10 +78,12 @@ def json_dumps(obj) -> str:
 
 
 def json_chunks(obj) -> Iterator[str]:
-    """The text of json_dumps(obj) in pieces: a str-keyed dict comes one
-    entry at a time, an EdgeRows value one vertex at a time, any other list
-    one element at a time, and an int list of at most _LIST_PIECE ints, like
-    every other value, as one piece.
+    """The text of json_dumps(obj) in pieces: a list or str-keyed dict whose
+    values are all int (never bool) or all str comes in runs of up to
+    _LIST_PIECE entries, one str.join each; any other str-keyed dict comes
+    one entry at a time, an EdgeRows value one vertex at a time, any other
+    list one element at a time, and an int list of at most _LIST_PIECE ints,
+    like every other value, as one piece.
 
     The standard library indents only in its pure-Python encoder, one
     generator step per token.  This writer walks lists and str-keyed dicts
@@ -121,18 +123,28 @@ def _chunks(obj, pad: str, memo: dict, lead: str) -> Iterator[str]:
         return
     if type(obj) is dict:
         keys = sorted(obj)
-        items = zip([f"{_encode_str(key)}: " for key in keys], map(obj.__getitem__, keys))
-        lead, close = f"{lead}{{\n{inner}", "}"
+        lead, close, kinds = f"{lead}{{\n{inner}", "}", set(map(type, obj.values()))
     else:
-        items = zip(repeat(""), obj)
-        lead, close = f"{lead}[\n{inner}", "]"
-    for head, value in items:
-        text = _indented(value, inner, memo)
-        if text is None:
-            yield from _chunks(value, inner, memo, lead + head)
-        else:
-            yield f"{lead}{head}{text}"
-        lead = ",\n" + inner
+        lead, close, kinds = f"{lead}[\n{inner}", "]", set(map(type, obj))
+    if kinds == {int} or kinds == {str}:  # never bool, which renders as true or false
+        render = str if int in kinds else _encode_str
+        for i in range(0, len(obj), _LIST_PIECE):
+            if type(obj) is dict:
+                texts = [f"{_encode_str(key)}: {render(obj[key])}" for key in keys[i:i + _LIST_PIECE]]
+            else:
+                texts = [render(value) for value in obj[i:i + _LIST_PIECE]]
+            yield lead + f",\n{inner}".join(texts)
+            lead = ",\n" + inner
+    else:
+        items = (zip([f"{_encode_str(key)}: " for key in keys], map(obj.__getitem__, keys))
+                 if type(obj) is dict else zip(repeat(""), obj))
+        for head, value in items:
+            text = _indented(value, inner, memo)
+            if text is None:
+                yield from _chunks(value, inner, memo, lead + head)
+            else:
+                yield f"{lead}{head}{text}"
+            lead = ",\n" + inner
     yield f"\n{pad}{close}"
 
 
@@ -152,7 +164,7 @@ def _indented(obj, pad: str, memo: dict) -> str | None:
         return "null"
     if kind is EdgeRows:
         return None if any(obj.upper) else "[]"
-    if kind is dict and obj and all(type(k) is str for k in obj):
+    if kind is dict and obj and set(map(type, obj)) == {str}:
         return None
     if (kind is list or kind is tuple) and obj:
         key = (id(obj), pad)

@@ -371,6 +371,133 @@ def rescan_search(g: SimpleGraph, avail: list[int], deadline: Optional[float],
         frame[4] = touched
 
 
+def list_frame_search(g: SimpleGraph, avail: list[int], deadline: Optional[float],
+                      nodes: int) -> tuple[Optional[list[int]], int]:
+    """DSATUR-style backtracking (Brelaz, CACM 1979) on an explicit stack.
+
+    coloring._search as it was before its frames became tuples pushed only
+    when a color is taken: here each branched vertex gets a list frame that
+    is rewritten per color, and its colors left are collected when it is
+    branched on.  Both must agree on every coloring and node count.
+
+    avail[v] (consumed) is the mask of colors v may take.  The most
+    constrained uncolored vertex goes first (ties by index), its colors
+    ascending, one node each, with forward checking: a neighbor left with no
+    color fails the branch.  The count goes on from nodes, and the deadline
+    is checked by _check_deadline.  Returns (the coloring or None, the
+    count at the end).
+
+    Forward checking works on vertex masks, as in bitset DSATUR (San
+    Segundo, Comput. Oper. Res. 2012).  Invariant, for every uncolored
+    vertex u: u is in free; u is in has[c] exactly when color c is still
+    left to it; and u is in buckets[k] exactly when k colors are left.  A
+    colored vertex is in no bucket and not in free, and its has bits stay
+    as they were when it was branched on, so its colors left are read
+    back as the bits c of avail[v] with v in has[c], in O(list size).
+
+    Coloring v with c takes t = has[c] & adj[v] & free from has[c].  If t
+    meets buckets[1], a neighbor had c as its only color left: the node
+    fails and changes nothing.  Otherwise t moves down one bucket, bucket
+    by bucket from 2 upward so that no vertex moves twice.  The undo
+    record is the frame's (color, t, moves), each move a (count, mask)
+    pair; backtracking ORs t back into has[c] and each mask back up one
+    bucket.  The vertex to branch on is the low bit of the first
+    non-empty bucket, and the scan for it starts at the parent's count
+    minus one, below which no count can fall.  So a node costs O(list
+    size) mask operations, whatever its degree, and no pass over all n
+    vertices; setup costs one OR per vertex and one per color of each
+    mask object.
+    """
+    adj = g.adj
+    free = (1 << g.n) - 1
+    # Group the vertices by mask object (equal lists share one), so each distinct
+    # list costs one OR per color: masks as keys can share a hash, as ints do mod 2^61 - 1.
+    same: dict[int, list] = {}
+    for v, a in enumerate(avail):
+        group = same.get(id(a)) or same.setdefault(id(a), [a, 0])
+        group[1] |= 1 << v
+    groups = same.values()
+    buckets = [0] * (max((a.bit_count() for a, _ in groups), default=0) + 1)
+    has = [0] * max((a.bit_length() for a, _ in groups), default=0)
+    for a, vs in groups:
+        buckets[a.bit_count()] |= vs
+        while a:
+            low = a & -a
+            has[low.bit_length() - 1] |= vs
+            a ^= low
+    stride = coloring._DEADLINE_STRIDE
+    check_at = -1 if deadline is None else (nodes // stride + 1) * stride
+    # frame: [vertex, its count, colors not yet tried,
+    #         color tried, the neighbors it took that color from (t), their moves]
+    stack: list[list] = []
+    descend = True
+    while True:
+        if descend:
+            if not free:
+                colors = [0] * g.n
+                for v, _, _, low, _, _ in stack:
+                    colors[v] = low.bit_length() - 1
+                return colors, nodes
+            k = stack[-1][1] - 1 if stack else 0
+            while not buckets[k]:
+                k += 1
+            b = buckets[k]
+            bit = b & -b
+            buckets[k] = b ^ bit
+            free ^= bit
+            v = bit.bit_length() - 1
+            own, a = 0, avail[v]
+            while a:
+                low = a & -a
+                if has[low.bit_length() - 1] & bit:
+                    own |= low
+                a ^= low
+            stack.append([v, k, own, 0, 0, ()])
+        if not stack:
+            return None, nodes
+        frame = stack[-1]
+        v, count, untried, low, t, moves = frame
+        if t:
+            has[low.bit_length() - 1] |= t
+            for k, m in moves:
+                buckets[k - 1] ^= m
+                buckets[k] |= m
+        if not untried:
+            stack.pop()
+            bit = 1 << v
+            buckets[count] |= bit
+            free |= bit
+            descend = False
+            continue
+        low = untried & -untried
+        nodes += 1
+        if nodes == check_at:
+            coloring._check_deadline(deadline, nodes)
+            check_at += stride
+        c = low.bit_length() - 1
+        t = has[c] & adj[v] & free
+        moves = []
+        if t & buckets[1]:  # a neighbor would be left with no color
+            descend = False
+            t = 0
+        else:
+            descend = True
+            has[c] ^= t
+            rest, k = t, 2
+            while rest:
+                m = rest & buckets[k]
+                if m:
+                    buckets[k] ^= m
+                    buckets[k - 1] |= m
+                    moves.append((k, m))
+                    rest ^= m
+                k += 1
+        frame[2] = untried ^ low
+        frame[3] = low
+        frame[4] = t
+        frame[5] = moves
+
+
 # -- writers over a sorted pair list ------------------------------------------
 #
 # The graph writers as they were when edges travelled as sorted (u, v) tuples,

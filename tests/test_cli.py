@@ -644,6 +644,18 @@ REFUSED = {
     "list-key-no-vertex": ('{"n_vertices": 2, "edges": [[0, 1]]}',
                            '{"universe": [1, 2], "lists": {"0": [1], "1": [2], "2": [1]}}',
                            f"{COVER}: list key 2 is no vertex"),
+    # a NUL byte in each file kind
+    "nul-in-a-dimacs-edge": (INPUT_FILES["dimacs"].replace("e 1 2\n", "e 1 2\0\n"), THREE_LISTS,
+                             "line 2: malformed edge line 'e 1 2\\x00'"),
+    "nul-starting-a-dimacs-line": ("\0" + INPUT_FILES["dimacs"], THREE_LISTS,
+                                   "line 1: unknown record '\\x00p'"),
+    "nul-after-the-graph-json": (TRIANGLE + "\0", THREE_LISTS,
+                                 "malformed graph JSON: Extra data: line 1 column 53 (char 52)"),
+    "nul-in-a-lists-key": (TRIANGLE, THREE_LISTS.replace('"1":', '"1\0":'),
+                           "malformed lists JSON: Invalid control character at: "
+                           "line 1 column 47 (char 46)"),
+    "escaped-nul-in-a-lists-key": (TRIANGLE, THREE_LISTS.replace('"1":', '"1\\u0000":'),
+                                   f"vertex key '1\\x00' {NOT_CANONICAL}"),
 }
 
 
@@ -683,6 +695,67 @@ def test_long_arguments_in_usage_errors_are_clipped(capsys, argv):
     err = capsys.readouterr().err
     assert "characters)" in err
     assert len(err.encode()) < 1024
+
+
+# argument lists probed by hand before, each run through main: its exit code,
+# the first stderr line that names the fault (argparse's follows its usage), or
+# None for a pass, and the envelope's parameters, None where argparse exits first
+PROBES = {
+    "order-in-float-notation": (["verify", "--n", "1e3"], 2,
+                                "squaregap verify: error: argument --n: must be an integer, "
+                                "got '1e3'", None),
+    "order-of-5000-digits": (["verify", "--n", FIVE_THOUSAND], 2,
+                             "squaregap verify: error: argument --n: must be an integer, "
+                             f"got '{'9' * 60}'... (5000 characters)", None),
+    "order-with-leading-zeros": (["verify", "--n", "0007"], 0, None, {"lemma": "all", "n": 7}),
+    "order-with-leading-zeros-and-no-budget": (
+        ["certify", "--n", "0007", "--budget-seconds", "0"], 4,
+        "squaregap certify: budget exhausted after construct (nodes=0)",
+        {"budget_seconds": 0.0, "n": 7}),
+    "budget-overflowing-to-inf": (
+        ["certify", "--n", "3", "--budget-seconds", "1e309"], 2,
+        "squaregap certify: error: argument --budget-seconds: must be a finite number of "
+        "seconds >= 0, got '1e309'", None),
+    "repeated-order-last-composite": (["verify", "--n", "3", "--n", "4"], 2,
+                                      "squaregap verify: n must be prime, but 4 = 2 * 2",
+                                      {"lemma": "all", "n": 4}),
+    "repeated-order-last-prime": (["verify", "--n", "4", "--n", "3"], 0, None,
+                                  {"lemma": "all", "n": 3}),
+    "output-into-a-missing-directory": (
+        ["construct", "--n", "3", "--output", "missing/g.json"], 3,
+        "squaregap construct: [Errno 2] No such file or directory: 'missing/g.json'",
+        {"format": "json", "n": 3, "output": "missing/g.json"}),
+    "output-onto-a-directory": (
+        ["construct", "--n", "3", "--output", "a-directory"], 3,
+        "squaregap construct: [Errno 21] Is a directory: 'a-directory'",
+        {"format": "json", "n": 3, "output": "a-directory"}),
+    "lone-surrogate-in-a-graph-path": (
+        ["solve-list", "--graph", "\udcff", "--lists", "l"], 3,
+        "squaregap solve-list: [Errno 2] No such file or directory: '\\udcff'",
+        {"budget_seconds": None, "graph": "\udcff", "lists": "l"}),
+    "lone-surrogate-in-an-output-path": (
+        ["construct", "--n", "3", "--output", "\udcff/g.json"], 3,
+        "squaregap construct: [Errno 2] No such file or directory: '\\udcff/g.json'",
+        {"format": "json", "n": 3, "output": "\udcff/g.json"}),
+}
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_probed_argument_lists_exit_as_pinned(tmp_path, capsys, monkeypatch, probe):
+    argv, want_code, want_message, want_parameters = PROBES[probe]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-directory").mkdir()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    message = next((line for line in lines if line.startswith("squaregap ")), None)
+    assert (code, message) == (want_code, want_message)
+    if want_parameters is not None:
+        assert json.loads(lines[-1])["parameters"] == want_parameters
 
 
 # spellings argparse reads that the plain reader leaves to it

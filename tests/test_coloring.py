@@ -16,6 +16,7 @@ from oracles import (
     enumerate_list_colorable,
     is_clique,
     is_proper_coloring,
+    list_frame_search,
     random_graph,
     rescan_search,
     vetrik_k3x5,
@@ -257,9 +258,9 @@ def run_engine(search, g, avail, start):
             return "stopped", exc.nodes
 
 
-def assert_engines_agree(g, avail, start=0):
+def assert_engines_agree(g, avail, start=0, oracle=rescan_search):
     new = run_engine(coloring._search, g, avail, start)
-    assert new == run_engine(rescan_search, g, avail, start)
+    assert new == run_engine(oracle, g, avail, start)
     return new
 
 
@@ -322,6 +323,48 @@ def test_bucket_engine_matches_the_rescan_oracle_at_a_root_wipeout():
     k4 = SimpleGraph.from_edges(4, list(itertools.combinations(range(4), 2)))
     assert assert_engines_agree(k4, [1, 2, 4, 7]) == (None, 3)
     assert assert_engines_agree(SimpleGraph(0, ()), []) == ([], 0)
+
+
+# -- the tuple-frame engine against the list-frame engine it replaced ---------
+
+
+def test_tuple_frames_match_list_frames_on_seeded_random_lists():
+    # 5-60 vertices: colorings, refutations and budget stops at the same node
+    rng = random.Random(4848)
+    outcomes = collections.Counter()
+    for _ in range(300):
+        g, avail = random_lists(rng, rng.randint(5, 60))
+        result, nodes = assert_engines_agree(g, avail, rng.randrange(3 * ORACLE_NODE_CAP),
+                                             list_frame_search)
+        outcomes["stopped" if result == "stopped" else "sat" if result else "unsat"] += 1
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 3, outcomes
+
+
+def test_tuple_frames_match_list_frames_on_vetrik_k3x5_without_the_root_bound():
+    g, a = vetrik_k3x5()
+    masks, _ = coloring._dense_masks(a)
+    avail = [masks[v] for v in range(g.n)]
+    for search in (coloring._search, list_frame_search):
+        assert search(g, list(avail), None, 0) == (None, 35796)
+    for start in (0, 1000, 35000):  # stopped at the first node after start the stride divides
+        assert (assert_engines_agree(g, avail, start, list_frame_search)
+                == ("stopped", start // 4096 * 4096 + 4096))
+
+
+def test_tuple_frames_match_list_frames_on_every_chromatic_question():
+    rng = random.Random(48)
+    asked, search = [], coloring._search
+
+    def recording(g, avail, deadline, nodes):
+        asked.append((g, list(avail), nodes))
+        return search(g, avail, deadline, nodes)
+
+    with mock.patch.object(coloring, "_search", recording):
+        for _ in range(80):
+            chromatic_number_exact(random_graph(rng, rng.randint(5, 30), rng.random()))
+    for g, avail, start in asked:
+        assert_engines_agree(g, avail, start, list_frame_search)
+    assert sum(start > 0 for _, _, start in asked) >= 20  # questions after the first
 
 
 def relabelled_multipartite(rng, m, r):

@@ -480,30 +480,63 @@ def test_parse_graph_json_reads_writer_output_in_bulk(n):
     assert '"edges": NaN,' in read.call_args[0][0]
 
 
-def _text_at(value, depth):
-    """value as json.dumps indents it, at depth levels of two spaces."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+def _most_entries_of_one_container(piece):
+    """The most entries piece holds of any one container: its lines after the
+    first (which ends a line begun before it) that open an entry, counted by
+    indent, a count ending at the first shallower line, as each container's
+    closing line is shallower than its entries."""
+    most, counts = 0, {}
+    for line in piece.split("\n")[1:]:
+        body = line.lstrip(" ")
+        depth = len(line) - len(body)
+        counts = {d: c for d, c in counts.items() if d <= depth}
+        if body[:1] not in ("]", "}"):
+            counts[depth] = counts.get(depth, 0) + 1
+            most = max(most, counts[depth])
+    return most
 
 
-def test_json_chunks_hold_one_vertex_entry_at_most():
-    # a piece may add its separator and the keys that open its entry, 64
-    # characters at most here, to the largest entry for one vertex: its edges
-    # in construct's payload, and in certify's its list or the universe it is
-    # drawn from (4n - 3 colours against 3n - 3), but never a list of every
-    # vertex, such as the chromatic colouring
+def test_json_chunks_hold_one_run_or_one_vertex_entry_at_most():
+    # a run of scalars holds up to _LIST_PIECE entries of one container (construct's
+    # 1,891 labels, certify's chromatic colouring), and an EdgeRows piece one
+    # vertex's edges: pairs [u, v] with one u
     upper = construct_counterexample(31).graph.upper()
-    doc = serialize.constructed_to_json_dict(31, upper)
-    entry = max(len(_text_at([[u, v] for v in row], 1)) for u, row in enumerate(upper))
+    pieces = {}
+    for name, doc in (("construct", serialize.constructed_to_json_dict(31, upper)),
+                      ("certify", serialize.certificate_to_json_dict(certify_gap(31)))):
+        pieces[name] = list(serialize.json_chunks(doc))
+        assert "".join(pieces[name]) == serialize.json_dumps(doc)
+        most = list(map(_most_entries_of_one_container, pieces[name]))
+        assert max(most) == serialize._LIST_PIECE
+        assert most.count(serialize._LIST_PIECE) == 1  # 1,891 entries: one full run
+    assert len(pieces["construct"]) > 1891 and len(pieces["certify"]) > 1891  # a vertex or list each
+    for piece in pieces["construct"]:
+        assert len(set(re.findall(r"\[\n +(\d+),\n +\d+\n +\]", piece))) <= 1, piece[:80]
+
+
+@pytest.mark.parametrize("size", [1, 1023, 1024, 1025, 2049])
+def test_json_chunks_joins_runs_as_the_standard_library_writes_them(size):
+    # int and str lists, str-keyed dicts of ints or of strs, each also one level down
+    for obj in (list(range(size)), [f"s{v}" for v in range(size)],
+                {str(v): v * 7 - 3 for v in range(size)}, {str(v): f"x\n{v}" for v in range(size)}):
+        for doc in (obj, {"k": obj, "z": [obj]}):
+            pieces = list(serialize.json_chunks(doc))
+            assert "".join(pieces) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        if isinstance(obj, dict):  # one piece per run, then its closing brace and "\n"
+            runs = -(-size // serialize._LIST_PIECE)
+            assert len(list(serialize.json_chunks(obj))) == runs + 2
+
+
+@pytest.mark.parametrize("doc", [
+    {str(v): v % 3 == 0 for v in range(1025)}, {str(v): v if v % 2 else True for v in range(1025)},
+    {"a": 1, "b": "x", "c": False, "d": None, "e": [None, 2], "f": {"g": 2.5}},
+    {str(v): v if v % 2 else str(v) for v in range(2049)}, [0, True, 2], [1, "a"],
+])
+def test_json_chunks_keeps_bools_and_mixed_values_out_of_runs(doc):
+    # bools render true and false, never 1 and 0 or True and False
     pieces = list(serialize.json_chunks(doc))
-    assert len(pieces) > 1891 and "".join(pieces) == serialize.json_dumps(doc)
-    assert max(map(len, pieces)) <= entry + 64, (max(map(len, pieces)), entry)
-    doc = serialize.certificate_to_json_dict(certify_gap(31))
-    lists = doc["refuted_lists"]["lists"]
-    entry = max(len(f'"{v}": ') + len(_text_at(colours, 3))
-                for v, colours in [*lists.items(), ("universe", doc["refuted_lists"]["universe"])])
-    pieces = list(serialize.json_chunks(doc))
-    assert len(pieces) > 2 * len(lists)  # one per list entry and one per colour of a vertex
-    assert max(map(len, pieces)) <= entry + 64, (max(map(len, pieces)), entry)
+    assert "".join(pieces) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert max(map(_most_entries_of_one_container, pieces)) == 1  # entry by entry
 
 
 def _traced_peak(call):
