@@ -18,15 +18,15 @@ construction.construct_counterexample and
 coloring.multipartite_list_colorable build symmetric, loop-free rows by
 construction.  So the rows of untrusted input are checked once, as edges.
 
-Rows can also come from a symmetry.  block_rotation(n, b) gives rot(m, k),
-which rotates every b-bit block of a row up by k places: on adjacency
-rows that sends each vertex k places on within its block.  A graph that
-the rotation maps to itself is fixed by the neighbours of each block's
-first vertex, its stars: construction.construct_counterexample rotates
-each star's row into its block, and square_by_blocks computes the first
-row of each block of the square from the stars, with no other row of
-either graph.  That is the one fast path to the square; square() walks
-every row, ORing the rows of each vertex's neighbours.
+Rows can also come from a symmetry: rotating every b-bit block of a row
+up by k places, with the mask of each block's top k bits (_rotation_tops),
+sends each vertex k places on within its block.  A graph that the
+rotation maps to itself is fixed by the neighbours of each block's first
+vertex, its stars: construction.construct_counterexample rotates each
+star's row into its block (block_rotation), and square_by_blocks rotates
+the stars' rows in line to the first row of each block of the square,
+with no other row of either graph.  That is the one fast path to the
+square; square() walks every row, ORing the rows of each vertex's neighbours.
 """
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -183,29 +183,31 @@ def _first_faulty_edge(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, i
     raise AssertionError("edge_rows refused edges with no fault")
 
 
+def _rotation_tops(n: int, block: int) -> list[int]:
+    """The mask of the top k bits of every block-bit block of an n-bit row, for
+    each k in range(block).  Raises ValueError unless block >= 1 divides n."""
+    if block < 1 or n % block:
+        raise ValueError(f"block size {block} does not divide {n}")
+    low = ((1 << n) - 1) // ((1 << block) - 1)  # bit 0 of each block
+    return [low * ((1 << k) - 1) << (block - k) for k in range(block)]
+
+
 def block_rotation(n: int, block: int) -> Callable[..., int]:
     """The map rot(m, k) taking an n-bit row m to the row with every
     block-bit block rotated up by k places: bit b*block + c moves to
     b*block + (c + k) % block.
 
-    On adjacency rows this is the vertex map u -> u + k within u's block.
-    Each k's mask, the top k bits of every block, is built once, from
-    the pattern with bit 0 of each block set.  Raises ValueError unless
-    block >= 1 divides n.
+    On adjacency rows this is the vertex map u -> u + k within u's block:
+    the top k bits of each block (_rotation_tops) wrap round to its
+    bottom.  Raises ValueError unless block >= 1 divides n.
     """
-    if block < 1 or n % block:
-        raise ValueError(f"block size {block} does not divide {n}")
-    low = ((1 << n) - 1) // ((1 << block) - 1)  # bit 0 of each block
-    tops = {}
+    tops = _rotation_tops(n, block)
 
     def rot(m: int, k: int) -> int:
         k %= block
         if not k:
             return m
-        top = tops.get(k)
-        if top is None:
-            top = tops[k] = low * ((1 << k) - 1) << (block - k)
-        top &= m
+        top = tops[k] & m
         return (m ^ top) << k | top >> (block - k)
     return rot
 
@@ -221,15 +223,20 @@ def square_by_blocks(stars: Sequence[Sequence[int]], block: int) -> list[int]:
     own row ORed with the row of each star neighbour u, which is the
     first row of u's block rotated by u's place in it, without bit
     b*block: len(stars) rows of the square from one rotation per star
-    entry.
+    entry, done in line as block_rotation does it.
     """
-    rot = block_rotation(len(stars) * block, block)
+    tops = _rotation_tops(len(stars) * block, block)
     firsts = list(map(mask_of, stars))
     out = []
     for b, star in enumerate(stars):
         row = firsts[b]
         for u in star:
-            row |= rot(firsts[u // block], u % block)
+            k = u % block
+            m = firsts[u // block]
+            if k:
+                top = tops[k] & m
+                m = (m ^ top) << k | top >> (block - k)
+            row |= m
         out.append(row & ~(1 << b * block))
     return out
 

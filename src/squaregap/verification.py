@@ -25,9 +25,11 @@ claims (nw3, nv2) find each vertex's failing partners with one tally
 (_cover).
 """
 
+from bisect import bisect_left
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, repeat
 from math import comb
+from operator import add, mod
 
 from . import construction  # by module, so a replaced base_stars reaches the dense fallback too
 from .construction import ConstructedGraph
@@ -280,12 +282,13 @@ def checked_stars(n: int) -> list[list[int]]:
 
     held = list(map(set, stars))
     for b, star in enumerate(stars):
+        first = b * n
         for u in star:
-            if u // n == b:
+            if (block := u // n) == b:
                 raise fault(b, u, "stays in its block")
             if not 0 <= u < count:
                 raise fault(b, u, "leaves the graph")
-            if b * n + -u % n not in held[u // n]:
+            if first + -u % n not in held[block]:
                 raise fault(b, u, "has no reverse")
         if len(held[b]) != len(star):
             raise fault(b, next(u for i, u in enumerate(star) if u in star[:i]), "is named twice")
@@ -301,20 +304,18 @@ def _latin_rows_match(n: int, q_stars: list[list[int]]) -> bool:
     in row 0.  Then w(i, j)'s row, the star rotated by j, is the set that
     row j names, for every j.  One square is built at a time, and its
     columns are compared with the ring's slices in one list comparison,
-    so no Python step runs per entry.
+    so no Python step runs per entry.  The star and row 0's v-set are
+    compared sorted, as neither repeats a vertex (checked_stars; one per P_k).
     """
     ring = tuple(range(1, n + 1)) * 2
+    p_starts = range(-1, n * n - 1, n)  # v(k, e - 1) = k*n + e - 1
     for i, star in enumerate(q_stars, start=1):
         rows = build_latin(n, i)
-        if mask_of(star) != mask_of(k * n + e - 1 for k, e in enumerate(rows[0])):
+        if sorted(star) != sorted(map(add, p_starts, rows[0])):
             return False
         if list(zip(*rows)) != [ring[e - 1:e - 1 + n] for e in rows[0]]:
             return False
     return True
-
-
-def _once_each(values, want: range) -> bool:
-    return sorted(values) == list(want)
 
 
 def _pairs_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> bool:
@@ -333,10 +334,10 @@ def _pairs_by_blocks(n: int, stars: list[list[int]], rows: list[int]) -> bool:
     """
     nn = n * n
     q_mask = (1 << len(rows) * n) - (1 << nn)
-    if any(u >= nn for star in stars[n:] for u in star):
+    if max(chain.from_iterable(stars[n:]), default=-1) >= nn:
         return False
     joined = n * sum((row & q_mask).bit_count() for row in rows[n:]) // 2
-    shared = n * sum(comb(sum(u >= nn for u in star), 2) for star in stars[:n])
+    shared = n * sum(comb(len(star) - bisect_left(sorted(star), nn), 2) for star in stars[:n])
     return joined == shared
 
 
@@ -368,13 +369,14 @@ def check_by_blocks(n: int, stars: list[list[int]], rows: list[int],
     q = nn - n
     need = set(lemmas)
     full = (1 << r * n) - 1
+    places, q_blocks = list(range(n)), list(range(n, r))
     holds = ((need <= {"nw", "nv"}
               or all(row == full ^ ((1 << n) - 1) << b * n for b, row in enumerate(rows)))
              and ("nw" not in need
                   or (_latin_rows_match(n, stars[n:])
-                      and all(_once_each((u % n for u in star), range(n)) for star in stars[n:])))
+                      and all(sorted(map(mod, star, repeat(n))) == places for star in stars[n:])))
              and ("nv" not in need
-                  or all(_once_each((u // n for u in star if u >= nn), range(n, r))
+                  or all(sorted([u // n for u in star if u >= nn]) == q_blocks
                          for star in stars[:n]))
              and (need.isdisjoint(("nw", "nv")) or _pairs_by_blocks(n, stars, rows)))
     if holds:

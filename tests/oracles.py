@@ -156,6 +156,28 @@ def latin_upper(n: int) -> list[list[int]]:
     return out + [[] for _ in range(nn - n)]
 
 
+def stars_by_rule(n: int) -> list[list[int]]:
+    """base_stars(n) by the rule its docstring states, one entry at a time:
+    v(k, 0) gets v(B, 0) for B != k and w(i, -ik mod n), and w(i, 0) gets
+    v(k, ik mod n), each star ascending, where v(k, c) is vertex k*n + c
+    and w(i, c) is n^2 + (i-1)n + c."""
+    stars = []
+    for k in range(n):
+        star = []
+        for b in range(n):
+            if b != k:
+                star.append(b * n)
+        for i in range(1, n):
+            star.append(n * n + (i - 1) * n + (-i * k) % n)
+        stars.append(sorted(star))
+    for i in range(1, n):
+        star = []
+        for k in range(n):
+            star.append(k * n + (i * k) % n)
+        stars.append(sorted(star))
+    return stars
+
+
 def is_proper_coloring(g: SimpleGraph, colors, assignment=None) -> bool:
     """colors, a list or a dict keyed by vertex, colours every vertex of g, no
     edge of g.edges() has both ends in one colour, and, with an assignment,

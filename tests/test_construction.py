@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from oracles import is_clique, latin_upper
+from oracles import is_clique, latin_upper, stars_by_rule
 from squaregap.construction import (
     base_stars,
     construct_counterexample,
@@ -177,6 +177,12 @@ def test_upper_rows_are_the_graphs_upper_rows(n):
         for v in row:
             lower[v].append(u)
     assert base_stars(n) == [lower[v] + upper[v] for v in range(0, len(upper), n)]
+
+
+@pytest.mark.parametrize("n", [101, 181, 257])
+def test_stars_follow_their_rule_past_the_latin_oracle(n):
+    # latin_upper stops at 61; the stars' offsets come from stepped ranges, negative for P
+    assert base_stars(n) == stars_by_rule(n)
 
 
 @pytest.mark.parametrize("n", [31, 61])

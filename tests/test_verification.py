@@ -121,6 +121,28 @@ def test_block_reports_equal_the_dense_reports(n, monkeypatch):
         assert check_by_blocks(n, stars, rows, (lemma,)) == {lemma: dense[lemma]}
 
 
+@pytest.mark.parametrize("n", PRIMES_TO_61)
+def test_latin_rows_match_the_q_stars(n):
+    assert verification._latin_rows_match(n, base_stars(n)[n:])
+
+
+def test_latin_rows_match_q_stars_in_any_order():
+    # as sets, as with the masks: a star listed descending still names its row
+    q_stars = base_stars(7)[7:]
+    q_stars[2].reverse()
+    assert verification._latin_rows_match(7, q_stars)
+
+
+@pytest.mark.parametrize("i,k", [(1, 0), (3, 4), (6, 6)])
+def test_latin_rows_match_refuses_a_v_moved_in_its_block(i, k):
+    # w(i, 0)'s neighbour v(k, c) becomes v(k, c + 1 mod n): one entry off its Latin row
+    n = 7
+    q_stars = base_stars(n)[n:]
+    u = q_stars[i - 1][k]
+    q_stars[i - 1][k] = u - u % n + (u + 1) % n
+    assert not verification._latin_rows_match(n, q_stars)
+
+
 def test_all_five_claims_run_the_counting_identity_once(monkeypatch):
     calls = []
     real = verification._pairs_by_blocks
